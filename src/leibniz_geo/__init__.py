@@ -33,6 +33,7 @@ from .errors import (
     CompatibilityFailure,
     DegenerateMetric,
     ExprSyntaxError,
+    InvalidStructure,
     LeibnizGeoError,
     MissingProjector,
     NonUnique,

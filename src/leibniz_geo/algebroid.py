@@ -18,6 +18,7 @@ Index conventions (all 0-based internally, 1-based in the docs):
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -133,9 +134,12 @@ class Algebroid:
 
     # -- locality projector ---------------------------------------------------
 
-    @property
+    @functools.cached_property
     def locality_hat(self):
-        """P-projected locality coefficients Lhat^{a d}_{e c} = P^a_f L^{f d}_{e c}."""
+        """P-projected locality coefficients Lhat^{a d}_{e c} = P^a_f L^{f d}_{e c}.
+
+        Built on first access and kept, read-only, on the instance.
+        """
         if self.projector is None:
             raise MissingProjector("algebroid has no locality projector")
         r = self.rank
@@ -145,6 +149,7 @@ class Algebroid:
                 (self.projector[a, f] * self.locality[f, d, e, c] for f in range(r)),
                 self.zero(),
             )
+        hat.flags.writeable = False
         return hat
 
     # -- basic actions --------------------------------------------------------

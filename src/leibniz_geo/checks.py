@@ -24,7 +24,7 @@ from .connection import (
     second_cov_and_ricci,
     torsion,
 )
-from .errors import MissingProjector
+from .errors import LeibnizGeoError, MissingProjector
 from .hessian import (
     _default_probes,
     conjugate_curvature_transfer_residual,
@@ -266,7 +266,7 @@ def check_ssp5(doc):
         try:
             structure = StatisticalStructure(g, C, B)
             pair = statistical_solve(A, structure)
-        except Exception as exc:  # noqa: BLE001 - reported, not raised
+        except LeibnizGeoError as exc:
             results.append(_na(f"SSp5[{label}]", f"solve not applicable: {exc}"))
             continue
         Q = nonmetricity(A, pair.nabla, g)

@@ -63,6 +63,10 @@ class MissingKernelSections(LeibnizGeoError):
     """Projector validation needs user-supplied kernel sections."""
 
 
+class InvalidStructure(LeibnizGeoError, ValueError):
+    """Structure data violate their defining conditions (e.g. a non-symmetric C)."""
+
+
 class InvalidStructureConstants(LeibnizGeoError):
     """Lie-algebra structure constants are not antisymmetric."""
 

@@ -11,14 +11,22 @@ Grammar (the normative description lives in docs/format.md):
 The parser produces a small tuple AST; ``parse_expr`` lowers it to a
 ``ScalarField`` over the declared coordinates.  The AST is exposed so that an
 independent tree evaluator can cross-check ``eval_at``.
+
+Nesting (parentheses plus unary minus) is capped at ``MAX_NESTING`` levels;
+deeper input raises ``ExprSyntaxError`` at the offending token.  Long flat
+chains such as ``x1 + x1 + ... + x1`` are not nested and have no cap.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .errors import ExprSyntaxError, UnknownVariable
 from .scalar import ScalarField
+
+# Deepest nesting of parentheses and unary minus that the parser accepts.
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
 
@@ -50,6 +58,7 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self):
         if self.index < len(self.tokens):
@@ -60,6 +69,12 @@ class _Parser:
         token = self.peek()
         self.index += 1
         return token
+
+    def enter(self, pos):
+        """One level deeper; refuse input nested past MAX_NESTING."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", pos)
 
     def expect_op(self, op):
         kind, value, pos = self.peek()
@@ -97,10 +112,13 @@ class _Parser:
                 return node
 
     def factor(self):
-        kind, value, _ = self.peek()
+        kind, value, pos = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return ("neg", self.factor())
+            self.enter(pos)
+            node = ("neg", self.factor())
+            self.depth -= 1
+            return node
         return self.power()
 
     def power(self):
@@ -122,8 +140,10 @@ class _Parser:
         if kind == "name":
             return ("var", value)
         if kind == "op" and value == "(":
+            self.enter(pos)
             node = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return node
         raise ExprSyntaxError(f"expected a number, name or '('", pos)
 
@@ -133,30 +153,45 @@ def parse_ast(text):
     return _Parser(text).parse()
 
 
+_BINARY = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+}
+
+
 def ast_to_field(node, coords):
-    """Lower an AST to a ScalarField over the given coordinates."""
-    op = node[0]
-    if op == "int":
-        return ScalarField.constant(node[1], coords)
-    if op == "var":
-        if node[1] not in coords:
-            raise UnknownVariable(node[1])
-        return ScalarField.coordinate(coords.index(node[1]) + 1, tuple(coords))
-    if op == "neg":
-        return -ast_to_field(node[1], coords)
-    if op == "pow":
-        return ast_to_field(node[1], coords) ** node[2]
-    lhs = ast_to_field(node[1], coords)
-    rhs = ast_to_field(node[2], coords)
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    if op == "div":
-        return lhs / rhs
-    raise AssertionError(f"unreachable AST node {op!r}")
+    """Lower an AST to a ScalarField over the given coordinates.
+
+    Iterative post-order walk, left operand first, so a long flat chain (a
+    left-deep tree) does not exhaust the interpreter stack.
+    """
+    values = []
+    stack = [(node, False)]
+    while stack:
+        node, ready = stack.pop()
+        op = node[0]
+        if op == "int":
+            values.append(ScalarField.constant(node[1], coords))
+        elif op == "var":
+            if node[1] not in coords:
+                raise UnknownVariable(node[1])
+            values.append(ScalarField.coordinate(coords.index(node[1]) + 1, tuple(coords)))
+        elif not ready:
+            stack.append((node, True))
+            operands = node[1:2] if op in ("neg", "pow") else node[2:0:-1]
+            stack.extend((child, False) for child in operands)
+        elif op == "neg":
+            values.append(-values.pop())
+        elif op == "pow":
+            values.append(values.pop() ** node[2])
+        elif op in _BINARY:
+            rhs = values.pop()
+            values.append(_BINARY[op](values.pop(), rhs))
+        else:
+            raise AssertionError(f"unreachable AST node {op!r}")
+    return values.pop()
 
 
 def parse_expr(text, coords):

@@ -23,7 +23,7 @@ from .connection import (
     projected_torsion,
     torsion,
 )
-from .errors import MissingProjector, NotAdmissible
+from .errors import InvalidStructure, MissingProjector, NotAdmissible
 from .scalar import ScalarField
 from .statgeo import StatisticalStructure
 from .tensor import EPForm, ETensor, array_is_zero, object_array, zeros_array
@@ -67,12 +67,12 @@ class HessianStructure:
     def __post_init__(self):
         A = self.algebroid
         if not curvature(A, self.nabla).is_zero:
-            raise ValueError("connection is not flat")
+            raise InvalidStructure("connection is not flat")
         if not projected_torsion(A, self.nabla).is_zero:
-            raise ValueError("connection is not projected-torsion-free")
+            raise InvalidStructure("connection is not projected-torsion-free")
         H = hessian(A, self.nabla, self.potential)
         if not (self.g.lower_tensor() - H).is_zero:
-            raise ValueError("metric does not equal the Hessian of the potential")
+            raise InvalidStructure("metric does not equal the Hessian of the potential")
 
 
 def projected_exterior_derivative(A, conn, omega):
@@ -240,7 +240,7 @@ def hessian_structure_check(A, conn, g, f):
         T = torsion(A, conn)
         try:
             StatisticalStructure(g, Q, T)
-        except ValueError as exc:
+        except InvalidStructure as exc:
             report.record("statistical-invariants", False)
             report.warn(f"statistical invariants violated: {exc}")
         else:

@@ -6,110 +6,142 @@ components.  Working over the rational-function field keeps every geometric
 identity check exact: a residual either normalizes to the zero field or it
 does not, and no floating point ever enters.
 
-The heavy lifting (multivariate gcd, cancellation) is delegated to sympy's
-polynomial kernel; this module pins the normal form on top of it:
+A value holds one element of ``sympy.polys`` ``FracField(coords, QQ, grlex)``,
+a pair of sparse polynomials with rational coefficients.  The field is built
+once per coordinate tuple and shared.  sympy's polynomial kernel does the
+heavy lifting (multivariate gcd, cancellation); this module pins the normal
+form on top of it:
 
 * reduced fraction num/den with gcd(num, den) = 1,
-* denominator monic under the graded-lex monomial order (so its leading
-  coefficient is positive and the representation is unique),
+* denominator monic under the graded-lex monomial order (so the
+  representation is unique),
 * zero is stored as 0/1.
 
-Values are immutable and hashable; all operations are pure.
+Most operations in the geometry kernels have a zero operand; those return at
+once, without touching the polynomial kernel.  Sums, differences, products
+and derivatives of polynomials (denominator 1) are already in normal form and
+skip the gcd cancellation.  Values are immutable and hashable; all operations
+are pure.  Conversion to a sympy expression happens only for display.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.fields import FracField
+from sympy.polys.orderings import grlex
 
 from .errors import DivisionByZero, PoleAtPoint
 
 # The exact rational scalar type used throughout the package.
 Rational = Fraction
 
-# Placeholder generator so that Poly machinery works on a zero-dimensional base
-# (n = 0, i.e. the base manifold is a point).
+# Placeholder generator so that the polynomial machinery works on a
+# zero-dimensional base (n = 0, i.e. the base manifold is a point).
 _DUMMY = sp.Symbol("_point")
 
+# One shared fraction field per coordinate tuple.
+_FIELDS = {}
 
-def _symbols(coords):
-    return tuple(sp.Symbol(name) for name in coords)
+
+def _field(coords):
+    """The fraction field Q(coords) with the grlex order."""
+    K = _FIELDS.get(coords)
+    if K is None:
+        gens = tuple(sp.Symbol(name) for name in coords) or (_DUMMY,)
+        K = _FIELDS[coords] = FracField(gens, QQ, grlex)
+    return K
+
+
+def _degree(poly):
+    return max((sum(monom) for monom in poly.itermonoms()), default=0)
+
+
+def _evaluate(poly, point):
+    """Exact value of a polynomial at a point given as Fractions."""
+    total = Fraction(0)
+    for monom, coeff in poly.iterterms():
+        term = Fraction(int(coeff.numerator), int(coeff.denominator))
+        for value, exp in zip(point, monom):
+            term *= value**exp
+        total += term
+    return total
 
 
 class ScalarField:
     """An exact rational function of the coordinates, in normal form."""
 
-    __slots__ = ("num", "den", "coords", "_syms")
+    __slots__ = ("frac", "coords")
 
-    def __init__(self, num, den, coords, _normalized=False):
-        self.coords = tuple(coords)
-        self._syms = _symbols(self.coords)
-        if _normalized:
-            self.num, self.den = num, den
-            return
-        self.num, self.den = self._normal_form(num, den)
+    def __init__(self, frac, coords, _normalized=False):
+        self.coords = coords
+        self.frac = frac if _normalized else self._normal_form(frac)
 
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def from_expr(cls, expr, coords):
-        return cls(sp.sympify(expr), sp.Integer(1), coords)
-
-    @classmethod
     def constant(cls, value, coords):
-        q = sp.Rational(Fraction(value))
-        return cls(q, sp.Integer(1), coords, _normalized=True)
+        coords = tuple(coords)
+        K = _field(coords)
+        if isinstance(value, int) and value in (0, 1):
+            return cls(K.one if value else K.zero, coords, _normalized=True)
+        q = Fraction(value)
+        frac = K.raw_new(K.ring.ground_new(QQ(q.numerator, q.denominator)), K.ring.one)
+        return cls(frac, coords, _normalized=True)
 
     @classmethod
     def coordinate(cls, i, coords):
         """The coordinate function x_i (1-based)."""
+        coords = tuple(coords)
         if not 1 <= i <= len(coords):
             raise IndexError(f"coordinate index {i} out of range 1..{len(coords)}")
-        return cls(_symbols(coords)[i - 1], sp.Integer(1), coords, _normalized=True)
+        return cls(_field(coords).gens[i - 1], coords, _normalized=True)
 
     # -- normal form ----------------------------------------------------------
 
-    def _normal_form(self, num, den):
-        if den == 0:
-            raise DivisionByZero("denominator is the zero polynomial")
-        frac = sp.cancel(sp.together(num / den))
-        num, den = sp.fraction(frac)
-        num = sp.expand(num)
-        den = sp.expand(den)
-        if num == 0:
-            return sp.Integer(0), sp.Integer(1)
-        gens = self._syms or (_DUMMY,)
-        lc = sp.Poly(den, *gens, domain="QQ").LC(order="grlex")
-        if lc != 1:
-            num = sp.expand(num / lc)
-            den = sp.expand(den / lc)
-        return num, den
+    @staticmethod
+    def _normal_form(frac):
+        """Make a reduced fraction's denominator monic under grlex.
+
+        ``raw_new`` keeps the division: ``new`` would cancel again and clear
+        the rational coefficients back out of the denominator.
+        """
+        lc = frac.denom.LC
+        if lc == 1:
+            return frac
+        return frac.raw_new(frac.numer.quo_ground(lc), frac.denom.quo_ground(lc))
+
+    def _ring_op(self, other, op):
+        """``op`` (+, - or *) on nonzero operands."""
+        a, b = self.frac, other.frac
+        if a.denom.is_one and b.denom.is_one:
+            # Polynomials: the result is already in normal form.
+            frac = a.raw_new(op(a.numer, b.numer), a.denom)
+            return ScalarField(frac, self.coords, _normalized=True)
+        return ScalarField(op(a, b), self.coords)
 
     # -- predicates -----------------------------------------------------------
 
     @property
     def is_zero(self):
-        return self.num == 0
+        return not self.frac.numer
 
     @property
     def is_constant(self):
-        return self.num.is_Rational and self.den == 1
+        return self.frac.denom.is_one and self.frac.numer.is_ground
 
     def as_rational(self):
         """The value as an exact Rational; requires a constant field."""
         if not self.is_constant:
             raise ValueError(f"{self} is not a constant")
-        return Fraction(int(self.num.p), int(self.num.q))
+        return _evaluate(self.frac.numer, ())
 
     def total_degree(self):
         """max(deg num, deg den); degree of the zero field is 0."""
-        if self.is_zero:
-            return 0
-        gens = self._syms or (_DUMMY,)
-        dn = sp.Poly(self.num, *gens, domain="QQ").total_degree()
-        dd = sp.Poly(self.den, *gens, domain="QQ").total_degree()
-        return max(dn, dd)
+        return max(_degree(self.frac.numer), _degree(self.frac.denom))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -126,9 +158,11 @@ class ScalarField:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ScalarField(
-            self.num * other.den + other.num * self.den, self.den * other.den, self.coords
-        )
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
+        return self._ring_op(other, operator.add)
 
     __radd__ = __add__
 
@@ -136,9 +170,11 @@ class ScalarField:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ScalarField(
-            self.num * other.den - other.num * self.den, self.den * other.den, self.coords
-        )
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return -other
+        return self._ring_op(other, operator.sub)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -150,7 +186,11 @@ class ScalarField:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ScalarField(self.num * other.num, self.den * other.den, self.coords)
+        if self.is_zero:
+            return self
+        if other.is_zero:
+            return other
+        return self._ring_op(other, operator.mul)
 
     __rmul__ = __mul__
 
@@ -160,7 +200,9 @@ class ScalarField:
             return NotImplemented
         if other.is_zero:
             raise DivisionByZero("division by the zero scalar field")
-        return ScalarField(self.num * other.den, self.den * other.num, self.coords)
+        if self.is_zero:
+            return self
+        return ScalarField(self.frac / other.frac, self.coords)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -171,20 +213,23 @@ class ScalarField:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        return ScalarField(self.num**exponent, self.den**exponent, self.coords)
+        if exponent == 0:
+            return ScalarField.constant(1, self.coords)
+        # A power of a reduced fraction with monic denominator is one too.
+        return ScalarField(self.frac**exponent, self.coords, _normalized=True)
 
     def __neg__(self):
-        return ScalarField(-self.num, self.den, self.coords, _normalized=True)
+        return ScalarField(-self.frac, self.coords, _normalized=True)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = ScalarField.constant(other, self.coords)
         if not isinstance(other, ScalarField):
             return NotImplemented
-        return self.coords == other.coords and self.num == other.num and self.den == other.den
+        return self.coords == other.coords and self.frac == other.frac
 
     def __hash__(self):
-        return hash((self.coords, self.num, self.den))
+        return hash((self.coords, self.frac))
 
     # -- calculus -------------------------------------------------------------
 
@@ -192,27 +237,32 @@ class ScalarField:
         """Exact partial derivative with respect to the i-th coordinate (1-based)."""
         if not 1 <= i <= len(self.coords):
             raise IndexError(f"coordinate index {i} out of range 1..{len(self.coords)}")
-        x = self._syms[i - 1]
-        num = sp.diff(self.num, x) * self.den - self.num * sp.diff(self.den, x)
-        return ScalarField(num, self.den**2, self.coords)
+        if self.is_constant:
+            return ScalarField.constant(0, self.coords)
+        f = self.frac
+        if f.denom.is_one:
+            # A polynomial's derivative is a polynomial, already in normal form.
+            derivative = f.numer.diff(f.field.ring.gens[i - 1])
+            return ScalarField(f.raw_new(derivative, f.denom), self.coords, _normalized=True)
+        return ScalarField(f.diff(f.field.gens[i - 1]), self.coords)
 
     def eval_at(self, point):
         """Exact value at a rational point; raises PoleAtPoint on a vanishing denominator."""
         if len(point) != len(self.coords):
             raise ValueError(f"point has length {len(point)}, expected {len(self.coords)}")
-        subs = {s: sp.Rational(Fraction(p)) for s, p in zip(self._syms, point)}
-        den = self.den.subs(subs)
+        values = [Fraction(p) for p in point]
+        den = _evaluate(self.frac.denom, values)
         if den == 0:
             raise PoleAtPoint(f"denominator vanishes at {tuple(point)}")
-        value = sp.Rational(self.num.subs(subs), den)
-        return Fraction(int(value.p), int(value.q))
+        return _evaluate(self.frac.numer, values) / den
 
     # -- display --------------------------------------------------------------
 
     def __repr__(self):
-        if self.den == 1:
-            return sp.sstr(self.num)
-        return f"({sp.sstr(self.num)})/({sp.sstr(self.den)})"
+        num = sp.sstr(self.frac.numer.as_expr())
+        if self.frac.denom.is_one:
+            return num
+        return f"({num})/({sp.sstr(self.frac.denom.as_expr())})"
 
     def __str__(self):
         """Canonical form in the expression grammar (caret powers)."""

@@ -32,7 +32,7 @@ from .connection import (
     torsion,
     _koszul_rhs,
 )
-from .errors import CompatibilityFailure, MissingProjector
+from .errors import CompatibilityFailure, InvalidStructure, MissingProjector
 from .scalar import ScalarField
 from .tensor import ETensor, is_antisymmetric_in, is_totally_symmetric, zeros_array
 
@@ -49,7 +49,7 @@ class ConjugatePair:
     def __post_init__(self):
         residual = conjugation_residual(self.algebroid, self.g, self.nabla, self.nabla_star)
         if not residual.is_zero:
-            raise ValueError("connections are not conjugate with respect to g")
+            raise InvalidStructure("connections are not conjugate with respect to g")
 
 
 @dataclass(frozen=True)
@@ -62,13 +62,13 @@ class StatisticalStructure:
 
     def __post_init__(self):
         if (self.C.q, self.C.r) != (0, 3):
-            raise ValueError("C must be a (0, 3) tensor")
+            raise InvalidStructure("C must be a (0, 3) tensor")
         if (self.B.q, self.B.r) != (1, 2):
-            raise ValueError("B must be a (1, 2) tensor")
+            raise InvalidStructure("B must be a (1, 2) tensor")
         if not is_totally_symmetric(self.C):
-            raise ValueError("C must be totally symmetric")
+            raise InvalidStructure("C must be totally symmetric")
         if not is_antisymmetric_in(self.B, 2, 3):
-            raise ValueError("B must be antisymmetric in its covariant slots")
+            raise InvalidStructure("B must be antisymmetric in its covariant slots")
 
 
 def conjugate_connection(A, g, conn):

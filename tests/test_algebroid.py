@@ -145,6 +145,21 @@ def test_locality_hat_requires_projector():
     )
     with pytest.raises(MissingProjector):
         stripped.locality_hat
+    with pytest.raises(MissingProjector):
+        stripped.locality_hat
+
+
+def test_locality_hat_is_built_once_and_read_only():
+    A = courant(1)
+    hat = A.locality_hat
+    assert A.locality_hat is hat
+    assert not hat.flags.writeable
+    with pytest.raises(ValueError):
+        hat[0, 0, 0, 0] = A.one()
+    L = A.locality
+    for a, d, e, c in itertools.product(range(A.rank), repeat=4):
+        expected = sum((A.projector[a, f] * L[f, d, e, c] for f in range(A.rank)), A.zero())
+        assert hat[a, d, e, c] == expected
 
 
 def test_lie_algebra_connections_always_admissible():

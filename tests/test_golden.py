@@ -1,0 +1,46 @@
+"""Byte-identity of the CLI's reports against committed captures.
+
+The files in ``tests/golden`` hold the exact stdout of the commands below as
+produced by the expression-based scalar kernel that the FracField kernel
+replaced.  Any change to a canonical string, a record or its order shows here.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+MODELS = ROOT / "models"
+
+CASES = [
+    *(
+        (f"check-all_{name}.jsonl",
+         ["check-all", "--model", str(MODELS / f"{name}.model"), "--format", "json-lines"])
+        for name in ("courant1", "so3", "tangent2_hyperbolic", "tangent2_polar")
+    ),
+    *(
+        (f"export-builtin_{name}.model", ["export-builtin", name])
+        for name in ("courant1", "courant2", "so3", "tangent2", "tangent3")
+    ),
+    (
+        "levi-civita_tangent2_polar_dump.jsonl",
+        ["levi-civita", "--model", str(MODELS / "tangent2_polar.model"),
+         "--dump-residuals", "--format", "json-lines"],
+    ),
+    (
+        "levi-civita_tangent2_polar_dump.txt",
+        ["levi-civita", "--model", str(MODELS / "tangent2_polar.model"), "--dump-residuals"],
+    ),
+]
+
+
+@pytest.mark.parametrize("golden, argv", CASES, ids=[case[0] for case in CASES])
+def test_output_is_byte_identical_to_capture(golden, argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "leibniz_geo.cli", *argv], capture_output=True, cwd=ROOT
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / golden).read_bytes()

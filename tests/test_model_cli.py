@@ -216,6 +216,41 @@ def test_statistical_solve_command(tmp_path):
     assert code == 0, err.decode()
 
 
+def single_error_record(err):
+    """The one json error record on stderr; no traceback may accompany it."""
+    assert b"Traceback" not in err
+    lines = err.decode().splitlines()
+    assert len(lines) == 1, lines
+    record = json.loads(lines[0])
+    assert record["status"] == "error"
+    return record
+
+
+def test_statistical_solve_rejects_non_symmetric_c(tmp_path):
+    raw = json.loads((MODELS / "tangent2_polar.model").read_text())
+    raw.setdefault("tensors", {})["C"] = {"type": [0, 3], "components": {"1,1,2": "1"}}
+    path = tmp_path / "asymmetric_c.model"
+    path.write_text(json.dumps(raw))
+    code, out, err = cli("statistical-solve", "--model", str(path), "--format", "json-lines")
+    assert code == 2
+    assert out == b""
+    record = single_error_record(err)
+    assert record["error"] == "InvalidStructure"
+    assert "totally symmetric" in record["message"]
+
+
+def test_deeply_nested_expression_exits_two(tmp_path):
+    depth = 3000
+    path = tmp_path / "deep.model"
+    path.write_text(doc_text(functions={"f": "(" * depth + "x1" + ")" * depth}))
+    code, out, err = cli("validate", "--model", str(path), "--format", "json-lines")
+    assert code == 2
+    assert out == b""
+    record = single_error_record(err)
+    assert record["error"] == "ParseError"
+    assert "nested deeper than" in record["message"]
+
+
 def test_single_check_command_and_unknown_id():
     model = str(MODELS / "tangent2_polar.model")
     code, out, _ = cli("check", "SSp1", "--model", model, "--format", "json-lines")

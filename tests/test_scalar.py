@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibniz_geo import ExprSyntaxError, PoleAtPoint, ScalarField, UnknownVariable
-from leibniz_geo.expr import ast_to_field, parse_ast, parse_expr
+from leibniz_geo.expr import MAX_NESTING, ast_to_field, parse_ast, parse_expr
 
 COORDS = ("x1", "x2")
 
@@ -112,6 +112,29 @@ def test_syntax_errors_carry_position():
     for bad in ["", "x1 +", "((x1)", "x1^", "x1^x2", "2**3", "x1 x2", "@"]:
         with pytest.raises(ExprSyntaxError):
             parse_expr(bad, COORDS)
+
+
+def test_nesting_at_the_cap_parses():
+    assert f("(" * MAX_NESTING + "x1" + ")" * MAX_NESTING) == f("x1")
+    assert f("-" * MAX_NESTING + "x1") == f("x1")
+    assert f("-(" * (MAX_NESTING // 2) + "x1" + ")" * (MAX_NESTING // 2)) == f("x1")
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+def test_nesting_past_the_cap_is_a_syntax_error(depth):
+    with pytest.raises(ExprSyntaxError) as excinfo:
+        f("(" * depth + "x1" + ")" * depth)
+    assert excinfo.value.position == MAX_NESTING
+    with pytest.raises(ExprSyntaxError) as excinfo:
+        f("-" * depth + "x1")
+    assert excinfo.value.position == MAX_NESTING
+
+
+def test_long_flat_chains_parse():
+    terms = 3000
+    assert f(" + ".join(["x1"] * terms)) == const(terms) * f("x1")
+    assert f(" - ".join(["x2"] * terms)) == const(2 - terms) * f("x2")
+    assert f("*".join(["x1"] * terms)) == f("x1") ** terms
 
 
 def test_unknown_variable_is_named():

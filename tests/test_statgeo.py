@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +31,9 @@ from leibniz_geo import (
     tangent,
     torsion,
 )
+from leibniz_geo import checks
 from leibniz_geo.errors import CompatibilityFailure
+from leibniz_geo.model import load_model
 from leibniz_geo.statgeo import (
     _solve_affine_koszul,
     admissibility_locality_residual,
@@ -311,3 +314,14 @@ def test_alpha_curvature_symmetry_for_flat_pairs():
     assert curvature(A, pair.nabla_star).is_zero
     for alpha in ALPHAS:
         assert alpha_flat_symmetry_residual(A, pair, alpha).is_zero
+
+
+def test_ssp5_propagates_unexpected_errors(monkeypatch):
+    doc = load_model(Path(__file__).resolve().parent.parent / "models" / "so3.model")
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected bug")
+
+    monkeypatch.setattr(checks, "statistical_solve", broken)
+    with pytest.raises(RuntimeError, match="injected bug"):
+        checks.run_check("SSp5", doc)
