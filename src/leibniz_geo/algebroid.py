@@ -25,18 +25,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    InvalidStructureConstants,
-    MissingKernelSections,
-    MissingProjector,
-)
+from .errors import InvalidStructureConstants, MissingProjector
 from .expr import parse_expr
 from .scalar import ScalarField
 from .tensor import (
+    ComponentSummaries,
     ETensor,
     EOneForm,
     EVectorField,
-    array_is_zero,
     object_array,
     zeros_array,
 )
@@ -293,23 +289,12 @@ def _loose_tensor(arr, coords):
     return _RawResidualTensor(arr, coords)
 
 
-class _RawResidualTensor:
+class _RawResidualTensor(ComponentSummaries):
     """Residual carrier for arrays mixing frame and coordinate axes."""
 
     def __init__(self, comps, coords):
         self.comps = comps
         self.coords = tuple(coords)
-
-    @property
-    def is_zero(self):
-        return array_is_zero(self.comps)
-
-    def nonzero_count(self):
-        return sum(0 if entry.is_zero else 1 for entry in self.comps.flat)
-
-    def max_degree(self):
-        degrees = [entry.total_degree() for entry in self.comps.flat if not entry.is_zero]
-        return max(degrees, default=0)
 
 
 # -- built-in structures ------------------------------------------------------

@@ -5,26 +5,31 @@ every applicable (metric, connection) combination declared in the document
 and returns one record per residual.  Identities whose hypotheses fail on an
 instance are reported as "not-applicable" rather than skipped silently, so a
 report always accounts for every declared object deterministically.
+
+``run_all`` and ``run_check`` hand every runner one context per call.  It
+holds a single ``ConjugatePair`` per (metric, connection), so each derived
+object is built once per call, and it is dropped when the call returns: a
+document checked again is derived again.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebroid import Residual
 from .connection import (
     curvature,
     difference_tensor,
-    modified_bracket_coeffs,
     nonmetricity,
     projected_torsion,
     second_cov_and_ricci,
     torsion,
 )
-from .errors import LeibnizGeoError, MissingProjector
+from .errors import LeibnizGeoError
 from .hessian import (
     _default_probes,
     conjugate_curvature_transfer_residual,
@@ -38,15 +43,14 @@ from .scalar import ScalarField
 from .statgeo import (
     ConjugatePair,
     StatisticalStructure,
+    _torsion_transfer_residual,
     admissibility_locality_residual,
     alpha_connection,
     alpha_curvature_residual,
     alpha_flat_symmetry_residual,
     conjugate_connection,
-    conjugate_torsion_transfer_residual,
     mean_connection,
     quasi_statistical_check,
-    relative_torsion,
     statistical_solve,
 )
 from .tensor import ETensor, zeros_array
@@ -59,6 +63,9 @@ ALPHA_VALUES = (
     Fraction(1),
     Fraction(2),
 )
+
+_NOT_STRONG = "pair not strongly conjugate and admissible"
+_NOT_JOINTLY_ADMISSIBLE = "pair not jointly admissible"
 
 
 @dataclass(frozen=True)
@@ -83,13 +90,8 @@ class CheckResult:
 
 def _from_residual(name, residual, note=""):
     status = "pass" if residual.is_zero else "fail"
-    return CheckResult(
-        name,
-        status,
-        residual.tensor.nonzero_count() if hasattr(residual, "tensor") else residual.nonzero_count(),
-        residual.tensor.max_degree() if hasattr(residual, "tensor") else residual.max_degree(),
-        note,
-    )
+    tensor = residual.tensor
+    return CheckResult(name, status, tensor.nonzero_count(), tensor.max_degree(), note)
 
 
 def _na(name, note):
@@ -100,14 +102,22 @@ def _connections(doc):
     return sorted(doc.connections.items())
 
 
-def _metric_connections(doc):
-    for metric_name, g in sorted(doc.metrics.items()):
-        for conn_name, conn in _connections(doc):
-            yield f"{metric_name}:{conn_name}", g, conn
+class _Context:
+    """One check call's document and its conjugate pairs."""
 
+    def __init__(self, doc):
+        self.doc = doc
+        self.A = doc.algebroid
 
-def _pair(doc, g, conn):
-    return ConjugatePair(doc.algebroid, g, conn, conjugate_connection(doc.algebroid, g, conn))
+    @functools.cached_property
+    def pairs(self):
+        """(label, pair) for every (metric, connection), in report order."""
+        A = self.A
+        return [
+            (f"{mname}:{cname}", ConjugatePair(A, g, conn, conjugate_connection(A, g, conn)))
+            for mname, g in sorted(self.doc.metrics.items())
+            for cname, conn in _connections(self.doc)
+        ]
 
 
 def _probe_sections(A, count, seed):
@@ -128,11 +138,11 @@ def _probe_sections(A, count, seed):
 # -- bracket/connection layer -------------------------------------------------
 
 
-def check_eb12(doc):
+def check_eb12(ctx):
     """Torsion and curvature antisymmetry for admissible connections."""
-    A = doc.algebroid
+    A = ctx.A
     results = []
-    for name, conn in _connections(doc):
+    for name, conn in _connections(ctx.doc):
         if not A.admissibility_residual(conn).is_zero:
             results.append(_na(f"eb12[{name}]", "connection not admissible"))
             continue
@@ -148,14 +158,14 @@ def check_eb12(doc):
     return results
 
 
-def check_eb14(doc):
+def check_eb14(ctx):
     """Ricci identity on probe sections; holds for every connection."""
-    A = doc.algebroid
+    A = ctx.A
     if A.projector is None:
         return [_na("eb14", "no locality projector")]
     probes = _probe_sections(A, 9, seed=11)
     results = []
-    for name, conn in _connections(doc):
+    for name, conn in _connections(ctx.doc):
         for index in range(3):
             u, v, w = probes[3 * index : 3 * index + 3]
             _, residual = second_cov_and_ricci(A, conn, u, v, w)
@@ -166,60 +176,44 @@ def check_eb14(doc):
 # -- conjugation layer --------------------------------------------------------
 
 
-def check_ssp1(doc):
+def check_ssp1(ctx):
     """Strongly conjugate admissible pairs have opposite torsions."""
-    A = doc.algebroid
     results = []
-    for label, g, conn in _metric_connections(doc):
-        pair = _pair(doc, g, conn)
-        strong = relative_torsion(A, pair.nabla, pair.nabla_star).is_zero
-        admissible = (
-            A.admissibility_residual(pair.nabla).is_zero
-            and A.admissibility_residual(pair.nabla_star).is_zero
-        )
-        if not (strong and admissible):
-            results.append(_na(f"SSp1[{label}]", "pair not strongly conjugate and admissible"))
+    for label, pair in ctx.pairs:
+        if not pair.strongly_conjugate_and_admissible:
+            results.append(_na(f"SSp1[{label}]", _NOT_STRONG))
             continue
-        T = torsion(A, pair.nabla)
-        T_star = torsion(A, pair.nabla_star)
-        results.append(_from_residual(f"SSp1[{label}]", Residual("t", T + T_star)))
+        T_sum = pair.torsion + pair.torsion_star
+        results.append(_from_residual(f"SSp1[{label}]", Residual("t", T_sum)))
     return results
 
 
-def check_ssp2(doc):
+def check_ssp2(ctx):
     """An admissible connection with an admissible strong conjugate is torsion-free."""
-    A = doc.algebroid
     results = []
-    for label, g, conn in _metric_connections(doc):
-        pair = _pair(doc, g, conn)
-        strong = relative_torsion(A, pair.nabla, pair.nabla_star).is_zero
-        admissible = (
-            A.admissibility_residual(pair.nabla).is_zero
-            and A.admissibility_residual(pair.nabla_star).is_zero
-        )
-        if not (strong and admissible):
-            results.append(_na(f"SSp2[{label}]", "pair not strongly conjugate and admissible"))
+    for label, pair in ctx.pairs:
+        if not pair.strongly_conjugate_and_admissible:
+            results.append(_na(f"SSp2[{label}]", _NOT_STRONG))
             continue
-        results.append(_from_residual(f"SSp2[{label}]", Residual("t", torsion(A, pair.nabla))))
+        results.append(_from_residual(f"SSp2[{label}]", Residual("t", pair.torsion)))
     return results
 
 
-def check_ssp3(doc):
+def check_ssp3(ctx):
     """Q(nabla, g) = -Q(nabla*, g) = g(Delta(nabla*, nabla)(u, v), w)."""
-    A = doc.algebroid
+    A = ctx.A
     r = A.rank
     results = []
-    for label, g, conn in _metric_connections(doc):
-        conn_star = conjugate_connection(A, g, conn)
-        Q = nonmetricity(A, conn, g)
-        Q_star = nonmetricity(A, conn_star, g)
+    for label, pair in ctx.pairs:
+        g, Q, delta = pair.g, pair.nonmetricity, pair.difference
+        Q_star = nonmetricity(A, pair.nabla_star, g)
         results.append(_from_residual(f"SSp3[{label}]:opposite", Residual("q", Q + Q_star)))
-        delta = difference_tensor(A, conn_star, conn)
         res = zeros_array((r, r, r), A.coords)
         for a, b, c in itertools.product(range(r), repeat=3):
             acc = Q.comps[a, b, c]
             for e in range(r):
-                acc = acc - delta.comps[e, a, b] * g.matrix[e, c]
+                # Delta(nabla*, nabla) = -Delta(nabla, nabla*).
+                acc = acc + delta.comps[e, a, b] * g.matrix[e, c]
             res[a, b, c] = acc
         results.append(
             _from_residual(
@@ -229,141 +223,114 @@ def check_ssp3(doc):
     return results
 
 
-def check_ssp4(doc):
+def check_ssp4(ctx):
     """An admissible strong conjugate forces the Levi-Civita self-pair."""
-    A = doc.algebroid
     results = []
-    for label, g, conn in _metric_connections(doc):
-        pair = _pair(doc, g, conn)
-        strong = relative_torsion(A, pair.nabla, pair.nabla_star).is_zero
-        admissible = (
-            A.admissibility_residual(pair.nabla).is_zero
-            and A.admissibility_residual(pair.nabla_star).is_zero
-        )
-        if not (strong and admissible):
-            results.append(_na(f"SSp4[{label}]", "pair not strongly conjugate and admissible"))
+    for label, pair in ctx.pairs:
+        if not pair.strongly_conjugate_and_admissible:
+            results.append(_na(f"SSp4[{label}]", _NOT_STRONG))
             continue
-        delta = difference_tensor(A, pair.nabla, pair.nabla_star)
-        results.append(_from_residual(f"SSp4[{label}]:self-conjugate", Residual("d", delta)))
+        results.append(
+            _from_residual(f"SSp4[{label}]:self-conjugate", Residual("d", pair.difference))
+        )
         results.append(
             _from_residual(
-                f"SSp4[{label}]:metric-compatible",
-                Residual("q", nonmetricity(A, pair.nabla, g)),
+                f"SSp4[{label}]:metric-compatible", Residual("q", pair.nonmetricity)
             )
         )
     return results
 
 
-def check_ssp5(doc):
+def check_ssp5(ctx):
     """Statistical-solve postconditions for the document's (C, B) data."""
-    A = doc.algebroid
+    A = ctx.A
+    r = A.rank
+    tensors = ctx.doc.tensors
     results = []
-    for metric_name, g in sorted(doc.metrics.items()):
-        r = A.rank
-        C = doc.tensors.get("C", ETensor.zeros(0, 3, r, A.coords))
-        B = doc.tensors.get("B", ETensor.zeros(1, 2, r, A.coords))
-        label = f"{metric_name}"
+    for label, g in sorted(ctx.doc.metrics.items()):
+        C = tensors.get("C", ETensor.zeros(0, 3, r, A.coords))
+        B = tensors.get("B", ETensor.zeros(1, 2, r, A.coords))
         try:
             structure = StatisticalStructure(g, C, B)
             pair = statistical_solve(A, structure)
         except LeibnizGeoError as exc:
             results.append(_na(f"SSp5[{label}]", f"solve not applicable: {exc}"))
             continue
-        Q = nonmetricity(A, pair.nabla, g)
-        results.append(_from_residual(f"SSp5[{label}]:skewness", Residual("q", Q + C)))
         results.append(
-            _from_residual(f"SSp5[{label}]:torsion-free", Residual("t", torsion(A, pair.nabla)))
+            _from_residual(f"SSp5[{label}]:skewness", Residual("q", pair.nonmetricity + C))
+        )
+        results.append(
+            _from_residual(f"SSp5[{label}]:torsion-free", Residual("t", pair.torsion))
         )
         results.append(
             _from_residual(
                 f"SSp5[{label}]:conjugate-torsion",
-                Residual("t", torsion(A, pair.nabla_star) - B),
+                Residual("t", pair.torsion_star - B),
             )
         )
     return results
 
 
-def check_ssp6(doc):
+def check_ssp6(ctx):
     """Quasi-statistical structures fix the conjugate's torsion."""
-    A = doc.algebroid
+    A = ctx.A
     results = []
-    for label, g, conn in _metric_connections(doc):
-        if not quasi_statistical_check(A, g, conn).is_zero:
+    for label, pair in ctx.pairs:
+        if not quasi_statistical_check(A, pair.g, pair.nabla).is_zero:
             results.append(_na(f"SSp6[{label}]", "doublet is not quasi-statistical"))
             continue
-        results.append(
-            _from_residual(f"SSp6[{label}]", conjugate_torsion_transfer_residual(A, g, conn))
-        )
+        results.append(_from_residual(f"SSp6[{label}]", _torsion_transfer_residual(pair)))
     return results
 
 
-def check_ssp7(doc):
+def check_ssp7(ctx):
     """Relative torsion antisymmetry for admissible conjugate pairs."""
-    A = doc.algebroid
-    r = A.rank
     results = []
-    for label, g, conn in _metric_connections(doc):
-        conn_star = conjugate_connection(A, g, conn)
-        if not (
-            A.admissibility_residual(conn).is_zero
-            and A.admissibility_residual(conn_star).is_zero
-        ):
-            results.append(_na(f"SSp7[{label}]", "pair not jointly admissible"))
+    for label, pair in ctx.pairs:
+        if not pair.jointly_admissible:
+            results.append(_na(f"SSp7[{label}]", _NOT_JOINTLY_ADMISSIBLE))
             continue
-        rel = relative_torsion(A, conn, conn_star)
-        rel_star = relative_torsion(A, conn_star, conn)
-        res = zeros_array((r, r, r), A.coords)
-        for a, b, c in itertools.product(range(r), repeat=3):
-            res[a, b, c] = rel.comps[a, b, c] + rel_star.comps[a, c, b]
-        results.append(
-            _from_residual(f"SSp7[{label}]", Residual("rt", ETensor(1, 2, r, A.coords, res)))
-        )
+        res = pair.relative_torsion + pair.relative_torsion_star.swap_slots(2, 3)
+        results.append(_from_residual(f"SSp7[{label}]", Residual("rt", res)))
     return results
 
 
-def check_ssp8(doc):
+def check_ssp8(ctx):
     """T(nabla, nabla*) + T(nabla*, nabla) = T(nabla) + T(nabla*)."""
-    A = doc.algebroid
     results = []
-    for label, g, conn in _metric_connections(doc):
-        conn_star = conjugate_connection(A, g, conn)
-        rel = relative_torsion(A, conn, conn_star)
-        rel_star = relative_torsion(A, conn_star, conn)
-        total = torsion(A, conn) + torsion(A, conn_star)
-        results.append(
-            _from_residual(f"SSp8[{label}]", Residual("rt", rel + rel_star - total))
-        )
+    for label, pair in ctx.pairs:
+        total = pair.torsion + pair.torsion_star
+        res = pair.relative_torsion + pair.relative_torsion_star - total
+        results.append(_from_residual(f"SSp8[{label}]", Residual("rt", res)))
     return results
 
 
-def check_ssp9(doc):
+def check_ssp9(ctx):
     """The mean connection is metric-compatible with half the total torsion."""
-    A = doc.algebroid
+    A = ctx.A
     half = ScalarField.constant(Fraction(1, 2), A.coords)
     results = []
-    for label, g, conn in _metric_connections(doc):
-        pair = _pair(doc, g, conn)
+    for label, pair in ctx.pairs:
         mean = mean_connection(pair)
         results.append(
             _from_residual(
-                f"SSp9[{label}]:metric-compatible", Residual("q", nonmetricity(A, mean, g))
+                f"SSp9[{label}]:metric-compatible", Residual("q", nonmetricity(A, mean, pair.g))
             )
         )
         T_mean = torsion(A, mean)
-        T_half = (torsion(A, pair.nabla) + torsion(A, pair.nabla_star)).scale(half)
+        T_half = (pair.torsion + pair.torsion_star).scale(half)
         results.append(
             _from_residual(f"SSp9[{label}]:torsion-mean", Residual("t", T_mean - T_half))
         )
     return results
 
 
-def check_ssp10(doc):
+def check_ssp10(ctx):
     """Conjugation, torsion, and nonmetricity of the alpha family."""
-    A = doc.algebroid
+    A = ctx.A
     results = []
-    for label, g, conn in _metric_connections(doc):
-        pair = _pair(doc, g, conn)
-        Q = nonmetricity(A, pair.nabla, g)
+    for label, pair in ctx.pairs:
+        g, Q = pair.g, pair.nonmetricity
         for alpha in ALPHA_VALUES:
             conn_alpha = alpha_connection(pair, alpha)
             expect = alpha_connection(pair, -alpha)
@@ -376,7 +343,7 @@ def check_ssp10(doc):
             )
             s = ScalarField.constant((1 + alpha) / 2, A.coords)
             t = ScalarField.constant((1 - alpha) / 2, A.coords)
-            T_expect = torsion(A, pair.nabla_star).scale(s) + torsion(A, pair.nabla).scale(t)
+            T_expect = pair.torsion_star.scale(s) + pair.torsion.scale(t)
             results.append(
                 _from_residual(
                     f"SSp10[{label}]:torsion(alpha={alpha})",
@@ -393,14 +360,13 @@ def check_ssp10(doc):
     return results
 
 
-def check_ssp11(doc):
+def check_ssp11(ctx):
     """Curvature decomposition of the alpha family."""
-    A = doc.algebroid
+    A = ctx.A
     if A.projector is None:
         return [_na("SSp11", "no locality projector")]
     results = []
-    for label, g, conn in _metric_connections(doc):
-        pair = _pair(doc, g, conn)
+    for label, pair in ctx.pairs:
         for alpha in ALPHA_VALUES:
             results.append(
                 _from_residual(
@@ -410,30 +376,24 @@ def check_ssp11(doc):
     return results
 
 
-def check_sse8(doc):
+def check_sse8(ctx):
     """Joint admissibility forces antisymmetry of the locality difference."""
-    A = doc.algebroid
+    A = ctx.A
     results = []
-    for label, g, conn in _metric_connections(doc):
-        conn_star = conjugate_connection(A, g, conn)
-        if not (
-            A.admissibility_residual(conn).is_zero
-            and A.admissibility_residual(conn_star).is_zero
-        ):
-            results.append(_na(f"SSe8[{label}]", "pair not jointly admissible"))
+    for label, pair in ctx.pairs:
+        if not pair.jointly_admissible:
+            results.append(_na(f"SSe8[{label}]", _NOT_JOINTLY_ADMISSIBLE))
             continue
-        results.append(
-            _from_residual(f"SSe8[{label}]", admissibility_locality_residual(A, conn, conn_star))
-        )
+        residual = admissibility_locality_residual(A, pair.nabla, pair.nabla_star)
+        results.append(_from_residual(f"SSe8[{label}]", residual))
     return results
 
 
-def check_sse25(doc):
+def check_sse25(ctx):
     """Endpoint identities of the alpha family."""
-    A = doc.algebroid
+    A = ctx.A
     results = []
-    for label, g, conn in _metric_connections(doc):
-        pair = _pair(doc, g, conn)
+    for label, pair in ctx.pairs:
         endpoints = (
             ("alpha=1-is-conjugate", alpha_connection(pair, 1), pair.nabla_star),
             ("alpha=-1-is-nabla", alpha_connection(pair, -1), pair.nabla),
@@ -448,15 +408,14 @@ def check_sse25(doc):
     return results
 
 
-def check_ss29(doc):
+def check_ss29(ctx):
     """Flat conjugate pairs have an alpha-symmetric curvature family."""
-    A = doc.algebroid
+    A = ctx.A
     if A.projector is None:
         return [_na("SS29", "no locality projector")]
     results = []
-    for label, g, conn in _metric_connections(doc):
-        pair = _pair(doc, g, conn)
-        if not (curvature(A, pair.nabla).is_zero and curvature(A, pair.nabla_star).is_zero):
+    for label, pair in ctx.pairs:
+        if not (pair.curvature.is_zero and pair.curvature_star.is_zero):
             results.append(_na(f"SS29[{label}]", "pair is not flat"))
             continue
         for alpha in ALPHA_VALUES:
@@ -472,13 +431,13 @@ def check_ss29(doc):
 # -- hessian layer ------------------------------------------------------------
 
 
-def check_lp1(doc):
+def check_lp1(ctx):
     """Three-way Hessian symmetry equivalence report."""
-    A = doc.algebroid
+    A = ctx.A
     if A.projector is None:
         return [_na("lp1", "no locality projector")]
     results = []
-    for name, conn in _connections(doc):
+    for name, conn in _connections(ctx.doc):
         report = hessian_symmetry_equivalences(A, conn)
         for key, value in report.entries.items():
             label = f"lp1[{name}]:{key}"
@@ -491,17 +450,17 @@ def check_lp1(doc):
     return results
 
 
-def check_lp2(doc):
+def check_lp2(ctx):
     """Hessian structures are Codazzi; includes the lc3 statistical shadow."""
-    A = doc.algebroid
+    A = ctx.A
     if A.projector is None:
         return [_na("lp2", "no locality projector")]
-    if not doc.functions:
+    if not ctx.doc.functions:
         return [_na("lp2", "no potential function declared")]
     results = []
-    for fname, f in sorted(doc.functions.items()):
-        for label, g, conn in _metric_connections(doc):
-            report = hessian_structure_check(A, conn, g, f)
+    for fname, f in sorted(ctx.doc.functions.items()):
+        for label, pair in ctx.pairs:
+            report = hessian_structure_check(A, pair.nabla, pair.g, f)
             structural = ("flat", "projected-torsion-free", "metric-equals-hessian")
             is_structure = all(
                 report.entries[key].is_zero
@@ -523,14 +482,13 @@ def check_lp2(doc):
     return results
 
 
-def check_lp3(doc):
+def check_lp3(ctx):
     """Fundamental theorem residual with holonomy preconditions."""
-    A = doc.algebroid
+    A = ctx.A
     if A.projector is None:
         return [_na("lp3", "no locality projector")]
     results = []
-    for label, g, conn in _metric_connections(doc):
-        pair = _pair(doc, g, conn)
+    for label, pair in ctx.pairs:
         outcome = fundamental_theorem_residual(A, pair)
         if not outcome.applicable:
             note = "anholonomic frame"
@@ -546,13 +504,13 @@ def check_lp3(doc):
     return results
 
 
-def check_lc1(doc):
+def check_lc1(ctx):
     """Projected torsion with image in ker rho still gives symmetric Hessians."""
-    A = doc.algebroid
+    A = ctx.A
     if A.projector is None:
         return [_na("lc1", "no locality projector")]
     results = []
-    for name, conn in _connections(doc):
+    for name, conn in _connections(ctx.doc):
         T_hat = projected_torsion(A, conn)
         in_kernel = True
         for b, c in itertools.product(range(A.rank), repeat=2):
@@ -576,26 +534,23 @@ def check_lc1(doc):
     return results
 
 
-def check_lc2(doc):
+def check_lc2(ctx):
     """Torsion transfer makes the conjugate's Hessian symmetric too."""
-    A = doc.algebroid
+    A = ctx.A
     if A.projector is None:
         return [_na("lc2", "no locality projector")]
     results = []
-    for label, g, conn in _metric_connections(doc):
-        conn_star = conjugate_connection(A, g, conn)
-        if not projected_torsion(A, conn).is_zero:
+    for label, pair in ctx.pairs:
+        if not projected_torsion(A, pair.nabla).is_zero:
             results.append(_na(f"lc2[{label}]", "connection not projected-torsion-free"))
             continue
-        T_diff = torsion(A, conn) - torsion(A, conn_star)
-        mb = modified_bracket_coeffs(A, conn)
-        mb_star = modified_bracket_coeffs(A, conn_star)
-        bracket_diff = ETensor(1, 2, A.rank, A.coords, mb - mb_star)
+        T_diff = pair.torsion - pair.torsion_star
+        bracket_diff = pair.bracket - pair.bracket_star
         if not (T_diff - bracket_diff).is_zero:
             results.append(_na(f"lc2[{label}]", "torsion-transfer hypothesis fails"))
             continue
         for index, f in enumerate(_default_probes(A)):
-            H = hessian(A, conn_star, f)
+            H = hessian(A, pair.nabla_star, f)
             results.append(
                 _from_residual(
                     f"lc2[{label}]:probe-{index}", Residual("h", H - H.swap_slots(1, 2))
@@ -604,22 +559,20 @@ def check_lc2(doc):
     return results
 
 
-def check_lc4(doc):
+def check_lc4(ctx):
     """Constant curvature transfers to the conjugate under lp3 hypotheses."""
-    A = doc.algebroid
+    A = ctx.A
     if A.projector is None:
         return [_na("lc4", "no locality projector")]
     results = []
-    for label, g, conn in _metric_connections(doc):
-        pair = _pair(doc, g, conn)
-        outcome = fundamental_theorem_residual(A, pair)
-        if not outcome.applicable:
+    for label, pair in ctx.pairs:
+        if not fundamental_theorem_residual(A, pair).applicable:
             results.append(_na(f"lc4[{label}]", "anholonomic frame"))
             continue
-        if not A.admissibility_residual(conn).is_zero:
+        if not A.admissibility_residual(pair.nabla).is_zero:
             results.append(_na(f"lc4[{label}]", "connection not admissible"))
             continue
-        constant, kappa = constant_curvature_check(A, conn, g)
+        constant, kappa = constant_curvature_check(A, pair.nabla, pair.g)
         if not constant:
             results.append(_na(f"lc4[{label}]", "connection has no constant curvature"))
             continue
@@ -662,10 +615,11 @@ REGISTRY = {
 def run_check(check_id, doc):
     if check_id not in REGISTRY:
         raise KeyError(check_id)
-    return REGISTRY[check_id](doc)
+    return REGISTRY[check_id](_Context(doc))
 
 
 def run_all(doc):
+    ctx = _Context(doc)
     results = []
     seen = set()
     for check_id in sorted(REGISTRY, key=str.lower):
@@ -673,5 +627,5 @@ def run_all(doc):
         if runner in seen:
             continue
         seen.add(runner)
-        results.extend(runner(doc))
+        results.extend(runner(ctx))
     return results

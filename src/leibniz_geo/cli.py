@@ -15,18 +15,14 @@ from fractions import Fraction
 
 from . import checks as checks_module
 from .algebroid import Residual, builtin
+from .checks import CheckResult, _from_residual
 from .connection import (
     curvature,
     levi_civita_solve,
     nonmetricity,
     torsion,
 )
-from .errors import (
-    LeibnizGeoError,
-    MissingInput,
-    MissingProjector,
-    UnknownCommand,
-)
+from .errors import LeibnizGeoError, MissingInput, UnknownCommand
 from .hessian import function_form, hessian, projected_exterior_derivative
 from .model import dump_model, export_algebroid, load_model
 from .statgeo import (
@@ -56,23 +52,6 @@ COMMANDS = (
     "check-all",
     "export-builtin",
 )
-
-
-def _tensor_record(name, tensor, status="pass", note=""):
-    record = {
-        "check": name,
-        "status": status,
-        "residual_nonzero_components": tensor.nonzero_count(),
-        "residual_max_degree": tensor.max_degree(),
-    }
-    if note:
-        record["note"] = note
-    return record
-
-
-def _residual_record(name, residual, note=""):
-    status = "pass" if residual.is_zero else "fail"
-    return _tensor_record(name, residual.tensor, status, note)
 
 
 def _dump_components(tensor):
@@ -152,15 +131,17 @@ def run(command, doc, args):
     records = []
     dump = args.dump_residuals
 
-    def add_tensor(name, tensor, status="pass", note=""):
-        record = _tensor_record(name, tensor, status, note)
+    def add(result, tensor):
+        record = result.to_record()
         if dump:
             record["components"] = _dump_components(tensor)
         records.append(record)
 
-    def add_residual(name, residual, note=""):
-        status = "pass" if residual.is_zero else "fail"
-        add_tensor(name, residual.tensor, status, note)
+    def add_tensor(name, tensor):
+        add(CheckResult(name, "pass", tensor.nonzero_count(), tensor.max_degree()), tensor)
+
+    def add_residual(name, residual):
+        add(_from_residual(name, residual), residual.tensor)
 
     if command == "validate":
         add_residual("pre-leibniz", A.validate_pre_leibniz())
@@ -170,24 +151,11 @@ def run(command, doc, args):
                 if isinstance(value, Residual):
                     add_residual(f"projector:{key}", value)
                 else:
-                    records.append(
-                        {
-                            "check": f"projector:{key}",
-                            "status": "pass" if value else "fail",
-                            "residual_nonzero_components": 0,
-                            "residual_max_degree": 0,
-                        }
-                    )
+                    status = "pass" if value else "fail"
+                    records.append(CheckResult(f"projector:{key}", status).to_record())
             for warning in report.warnings:
-                records.append(
-                    {
-                        "check": "projector:warning",
-                        "status": "not-applicable",
-                        "residual_nonzero_components": 0,
-                        "residual_max_degree": 0,
-                        "note": warning,
-                    }
-                )
+                result = CheckResult("projector:warning", "not-applicable", note=warning)
+                records.append(result.to_record())
         for name, conn in sorted(doc.connections.items()):
             add_residual(f"admissibility:{name}", A.admissibility_residual(conn))
     elif command == "torsion":

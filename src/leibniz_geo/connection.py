@@ -18,7 +18,7 @@ from . import linalg
 from .algebroid import Residual
 from .errors import MissingProjector, SlotMismatch
 from .scalar import ScalarField
-from .tensor import EMetric, ETensor, EVectorField, object_array, zeros_array
+from .tensor import ETensor, EVectorField, object_array, zeros_array
 
 
 @dataclass(frozen=True)
@@ -162,24 +162,15 @@ def projected_modified_bracket(A, conn, u, v):
 # -- torsion, curvature, non-metricity ----------------------------------------
 
 
-def torsion(A, conn):
-    """T^a_{bc} = Gamma^a_{bc} - Gamma^a_{cb} - mb^a_{bc}."""
-    mb = modified_bracket_coeffs(A, conn)
-    r = A.rank
-    out = zeros_array((r, r, r), A.coords)
-    for a, b, c in itertools.product(range(r), repeat=3):
-        out[a, b, c] = conn.gamma[a, b, c] - conn.gamma[a, c, b] - mb[a, b, c]
-    return ETensor(1, 2, r, A.coords, out)
+def torsion(A, conn, projected=False):
+    """T^a_{bc} = Gamma^a_{bc} - Gamma^a_{cb} - mb^a_{bc} (mbhat when projected)."""
+    mb = modified_bracket_coeffs(A, conn, projected)
+    return ETensor(1, 2, A.rank, A.coords, conn.gamma - np.swapaxes(conn.gamma, 1, 2) - mb)
 
 
 def projected_torsion(A, conn):
     """Same as torsion with the projected modified bracket."""
-    mb = modified_bracket_coeffs(A, conn, projected=True)
-    r = A.rank
-    out = zeros_array((r, r, r), A.coords)
-    for a, b, c in itertools.product(range(r), repeat=3):
-        out[a, b, c] = conn.gamma[a, b, c] - conn.gamma[a, c, b] - mb[a, b, c]
-    return ETensor(1, 2, r, A.coords, out)
+    return torsion(A, conn, projected=True)
 
 
 def torsion_eval(A, conn, u, v):
@@ -310,6 +301,15 @@ def levi_civita_solve(A, g):
     r^3-by-r^3 linear system; rank deficiency or inconsistency is surfaced
     as NonUnique / NoSolution rather than silently resolved.
     """
+    return _solve_affine_koszul(A, g, zeros_array((A.rank,) * 3, A.coords))
+
+
+def _solve_affine_koszul(A, g, extra_rhs):
+    """Solve 2 g(nabla_u v, w) = Koszul[mb(nabla)](u, v, w) + extra_rhs(u, v, w).
+
+    The one assembly of the Koszul system: the Levi-Civita solve passes a zero
+    extra_rhs, the statistical solve its (C, B) terms.
+    """
     r = A.rank
     n_unknowns = r**3
     zero = A.zero()
@@ -322,28 +322,24 @@ def levi_civita_solve(A, g):
     two = ScalarField.constant(2, A.coords)
     for b, c, d in itertools.product(range(r), repeat=3):
         row = flat(b, c, d)
-        rhs[row] = _koszul_rhs(A, A.bracket, g, b, c, d)
+        rhs[row] = _koszul_rhs(A, A.bracket, g, b, c, d) + extra_rhs[b, c, d]
         for e in range(r):
             col = flat(e, b, c)
             matrix[row][col] = matrix[row][col] + two * g.matrix[e, d]
-        # Gamma-dependent parts of the three modified-bracket terms, moved left.
+        # Gamma-dependent parts of the three modified-bracket terms, moved left:
+        # - mb^m_{cd} g_{mb} gives + G^e_{pc} L^{m p}_{e d} g_{mb},
+        # - mb^m_{bd} g_{mc} gives + G^e_{pb} L^{m p}_{e d} g_{mc},
+        # + mb^m_{bc} g_{md} gives - G^e_{pb} L^{m p}_{e c} g_{md}.
         for alpha, beta in itertools.product(range(r), repeat=2):
-            # from - mb^m_{cd} g_{mb}: + G^e_{pc} L^{m p}_{e d} g_{mb}
             col = flat(alpha, beta, c)
             acc = matrix[row][col]
             for m in range(r):
                 acc = acc - A.locality[m, beta, alpha, d] * g.matrix[m, b]
             matrix[row][col] = acc
-            # from - mb^m_{bd} g_{mc}: + G^e_{pb} L^{m p}_{e d} g_{mc}
             col = flat(alpha, beta, b)
             acc = matrix[row][col]
             for m in range(r):
                 acc = acc - A.locality[m, beta, alpha, d] * g.matrix[m, c]
-            matrix[row][col] = acc
-            # from + mb^m_{bc} g_{md}: - G^e_{pb} L^{m p}_{e c} g_{md}
-            col = flat(alpha, beta, b)
-            acc = matrix[row][col]
-            for m in range(r):
                 acc = acc + A.locality[m, beta, alpha, c] * g.matrix[m, d]
             matrix[row][col] = acc
     solution = linalg.solve(matrix, rhs)

@@ -59,10 +59,6 @@ class MissingProjector(LeibnizGeoError):
     """Operation needs a locality projector but the algebroid carries none."""
 
 
-class MissingKernelSections(LeibnizGeoError):
-    """Projector validation needs user-supplied kernel sections."""
-
-
 class InvalidStructure(LeibnizGeoError, ValueError):
     """Structure data violate their defining conditions (e.g. a non-symmetric C)."""
 

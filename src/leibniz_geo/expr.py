@@ -4,7 +4,7 @@ Grammar (the normative description lives in docs/format.md):
 
     expr   :=  term (('+' | '-') term)*
     term   :=  factor (('*' | '/') factor)*
-    factor :=  '-' factor | power
+    factor :=  ('-' | '+') factor | power
     power  :=  atom ('^' INT)?          -- nonnegative integer exponents only
     atom   :=  INT | NAME | '(' expr ')'
 
@@ -12,9 +12,9 @@ The parser produces a small tuple AST; ``parse_expr`` lowers it to a
 ``ScalarField`` over the declared coordinates.  The AST is exposed so that an
 independent tree evaluator can cross-check ``eval_at``.
 
-Nesting (parentheses plus unary minus) is capped at ``MAX_NESTING`` levels;
-deeper input raises ``ExprSyntaxError`` at the offending token.  Long flat
-chains such as ``x1 + x1 + ... + x1`` are not nested and have no cap.
+Nesting (parentheses plus unary minus and plus) is capped at ``MAX_NESTING``
+levels; deeper input raises ``ExprSyntaxError`` at the offending token.  Long
+flat chains such as ``x1 + x1 + ... + x1`` are not nested and have no cap.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import re
 from .errors import ExprSyntaxError, UnknownVariable
 from .scalar import ScalarField
 
-# Deepest nesting of parentheses and unary minus that the parser accepts.
+# Deepest nesting of parentheses and unary signs that the parser accepts.
 MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
@@ -113,12 +113,12 @@ class _Parser:
 
     def factor(self):
         kind, value, pos = self.peek()
-        if kind == "op" and value == "-":
+        if kind == "op" and value in "-+":
             self.advance()
             self.enter(pos)
-            node = ("neg", self.factor())
+            node = self.factor()
             self.depth -= 1
-            return node
+            return ("neg", node) if value == "-" else node
         return self.power()
 
     def power(self):
@@ -196,7 +196,6 @@ def ast_to_field(node, coords):
 
 def parse_expr(text, coords):
     """Parse expression text to a ScalarField over the given coordinates."""
-    coords = tuple(coords)
     if isinstance(coords, str):
         raise TypeError("coords must be a sequence of names")
     return ast_to_field(parse_ast(text), list(coords))

@@ -16,7 +16,6 @@ import numpy as np
 from .algebroid import AlgebroidReport, Residual, _loose_tensor
 from .connection import (
     curvature,
-    difference_tensor,
     frame_covariant_derivative,
     modified_bracket_coeffs,
     nonmetricity,
@@ -261,17 +260,10 @@ class FlaggedResidual(Residual):
 
 
 def holonomy_precondition_residual(A, conn):
-    """gamma-hat^a_{bc} = c^a_{bc} - Gamma^e_{db} Lhat^{ad}_{ec}; zero iff the
-    frame is holonomic for the projected modified bracket."""
-    L_hat = A.locality_hat
-    r = A.rank
-    res = zeros_array((r, r, r), A.coords)
-    for a, b, c in itertools.product(range(r), repeat=3):
-        acc = A.bracket[a, b, c]
-        for d, e in itertools.product(range(r), repeat=2):
-            acc = acc - conn.gamma[e, d, b] * L_hat[a, d, e, c]
-        res[a, b, c] = acc
-    return Residual("holonomy-precondition", ETensor(1, 2, r, A.coords, res))
+    """gamma-hat^a_{bc} = mbhat^a_{bc}, the projected modified bracket
+    coefficients; zero iff the frame is holonomic for that bracket."""
+    coeffs = modified_bracket_coeffs(A, conn, projected=True)
+    return Residual("holonomy-precondition", ETensor(1, 2, A.rank, A.coords, coeffs))
 
 
 def fundamental_theorem_residual(A, pair):
@@ -285,12 +277,10 @@ def fundamental_theorem_residual(A, pair):
     """
     if A.projector is None:
         raise MissingProjector("fundamental theorem residual needs a locality projector")
-    pre = holonomy_precondition_residual(A, pair.nabla)
-    pre_star = holonomy_precondition_residual(A, pair.nabla_star)
+    pre = Residual("holonomy-precondition", pair.projected_bracket)
+    pre_star = Residual("holonomy-precondition", pair.projected_bracket_star)
     applicable = pre.is_zero and pre_star.is_zero
-    R = curvature(A, pair.nabla)
-    R_star = curvature(A, pair.nabla_star)
-    g = pair.g
+    R, R_star, g = pair.curvature, pair.curvature_star, pair.g
     r = A.rank
     res = zeros_array((r, r, r, r), A.coords)
     for a, b, c, d in itertools.product(range(r), repeat=4):
@@ -301,7 +291,7 @@ def fundamental_theorem_residual(A, pair):
         res[a, b, c, d] = acc
     obstruction = None
     if not applicable:
-        delta = difference_tensor(A, pair.nabla, pair.nabla_star)
+        delta = pair.difference
         obs = zeros_array((r, r, r, r), A.coords)
         for a, b, c, d in itertools.product(range(r), repeat=4):
             acc = A.zero()
@@ -367,8 +357,7 @@ def conjugate_curvature_transfer_residual(A, pair, kappa):
     """R(nabla*)^a_{bcd} - kappa (g_{cd} d^a_b - g_{bd} d^a_c): zero under the
     fundamental-theorem hypotheses when nabla has constant curvature kappa."""
     kappa_field = ScalarField.constant(Fraction(kappa), A.coords)
-    R_star = curvature(A, pair.nabla_star)
-    g = pair.g
+    R_star, g = pair.curvature_star, pair.g
     r = A.rank
     res = zeros_array((r, r, r, r), A.coords)
     for a, b, c, d in itertools.product(range(r), repeat=4):

@@ -229,6 +229,9 @@ class ScalarField:
         return self.coords == other.coords and self.frac == other.frac
 
     def __hash__(self):
+        # A constant equals its Fraction value, so it must hash like it too.
+        if self.is_constant:
+            return hash(self.as_rational())
         return hash((self.coords, self.frac))
 
     # -- calculus -------------------------------------------------------------

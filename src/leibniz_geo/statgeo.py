@@ -16,40 +16,134 @@ bracket.  Both equations are affine in their unknown and are solved exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
 from .algebroid import Residual
 from .connection import (
     EConnection,
-    modified_bracket_coeffs,
+    _solve_affine_koszul,
     curvature,
     difference_tensor,
-    levi_civita_solve,
+    modified_bracket_coeffs,
     nonmetricity,
     torsion,
-    _koszul_rhs,
 )
 from .errors import CompatibilityFailure, InvalidStructure, MissingProjector
 from .scalar import ScalarField
 from .tensor import ETensor, is_antisymmetric_in, is_totally_symmetric, zeros_array
 
 
+def _read_only(value):
+    """Lock the component array of a derived object kept on a pair."""
+    array = value.comps if isinstance(value, ETensor) else value.gamma
+    array.flags.writeable = False
+    return value
+
+
 @dataclass(frozen=True)
 class ConjugatePair:
-    """A metric with two connections jointly preserving it."""
+    """A metric with two connections jointly preserving it.
+
+    The pair is the one place where the derived objects of (g, nabla, nabla*)
+    are built: each property below is computed on first access and kept,
+    read-only, on the pair.  Names ending in ``_star`` belong to nabla*.
+    """
 
     algebroid: object
     g: object
     nabla: EConnection
     nabla_star: EConnection
+    # Per-alpha memos filled by alpha_connection and _alpha_curvature.
+    _alpha_connections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _alpha_curvatures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         residual = conjugation_residual(self.algebroid, self.g, self.nabla, self.nabla_star)
         if not residual.is_zero:
             raise InvalidStructure("connections are not conjugate with respect to g")
+
+    def _bracket(self, conn, projected):
+        A = self.algebroid
+        coeffs = modified_bracket_coeffs(A, conn, projected=projected)
+        return _read_only(ETensor(1, 2, A.rank, A.coords, coeffs))
+
+    @functools.cached_property
+    def bracket(self):
+        """Modified bracket coefficients mb(nabla) as a (1, 2) tensor."""
+        return self._bracket(self.nabla, projected=False)
+
+    @functools.cached_property
+    def bracket_star(self):
+        return self._bracket(self.nabla_star, projected=False)
+
+    @functools.cached_property
+    def projected_bracket(self):
+        """Projected modified bracket coefficients mbhat(nabla)."""
+        return self._bracket(self.nabla, projected=True)
+
+    @functools.cached_property
+    def projected_bracket_star(self):
+        return self._bracket(self.nabla_star, projected=True)
+
+    @functools.cached_property
+    def torsion(self):
+        return _read_only(torsion(self.algebroid, self.nabla))
+
+    @functools.cached_property
+    def torsion_star(self):
+        return _read_only(torsion(self.algebroid, self.nabla_star))
+
+    @functools.cached_property
+    def curvature(self):
+        """R(nabla); needs the locality projector."""
+        return _read_only(curvature(self.algebroid, self.nabla))
+
+    @functools.cached_property
+    def curvature_star(self):
+        return _read_only(curvature(self.algebroid, self.nabla_star))
+
+    @functools.cached_property
+    def difference(self):
+        """Delta(nabla, nabla*) = nabla - nabla*."""
+        return _read_only(difference_tensor(self.algebroid, self.nabla, self.nabla_star))
+
+    @functools.cached_property
+    def nonmetricity(self):
+        """Q(nabla, g)."""
+        return _read_only(nonmetricity(self.algebroid, self.nabla, self.g))
+
+    @functools.cached_property
+    def relative_torsion(self):
+        """T(nabla, nabla*)."""
+        return _read_only(relative_torsion(self.algebroid, self.nabla, self.nabla_star))
+
+    @functools.cached_property
+    def relative_torsion_star(self):
+        """T(nabla*, nabla)."""
+        return _read_only(relative_torsion(self.algebroid, self.nabla_star, self.nabla))
+
+    @functools.cached_property
+    def mean(self):
+        """Coefficient average of the pair; always metric compatible."""
+        half = ScalarField.constant(Fraction(1, 2), self.algebroid.coords)
+        return _read_only(self.nabla.scale_combination(half, self.nabla_star, half))
+
+    @functools.cached_property
+    def jointly_admissible(self):
+        """Hypothesis of SSp7 and SSe8: nabla and nabla* are both admissible."""
+        A = self.algebroid
+        return (
+            A.admissibility_residual(self.nabla).is_zero
+            and A.admissibility_residual(self.nabla_star).is_zero
+        )
+
+    @functools.cached_property
+    def strongly_conjugate_and_admissible(self):
+        """Hypothesis of SSp1, SSp2 and SSp4."""
+        return self.relative_torsion.is_zero and self.jointly_admissible
 
 
 @dataclass(frozen=True)
@@ -102,17 +196,33 @@ def conjugation_residual(A, g, conn, conn_star):
 
 def mean_connection(pair):
     """Coefficient average of the pair; always metric compatible."""
-    half = ScalarField.constant(Fraction(1, 2), pair.algebroid.coords)
-    return pair.nabla.scale_combination(half, pair.nabla_star, half)
+    return pair.mean
 
 
 def alpha_connection(pair, alpha):
-    """(1+alpha)/2 nabla* + (1-alpha)/2 nabla for an exact rational alpha."""
+    """(1+alpha)/2 nabla* + (1-alpha)/2 nabla for an exact rational alpha.
+
+    Built once per pair and alpha, always from this formula: at alpha = 1 and
+    alpha = -1 it is never nabla* or nabla itself, so the endpoint identities
+    still compare two derivations.
+    """
     alpha = Fraction(alpha)
-    coords = pair.algebroid.coords
-    s = ScalarField.constant((1 + alpha) / 2, coords)
-    t = ScalarField.constant((1 - alpha) / 2, coords)
-    return pair.nabla_star.scale_combination(s, pair.nabla, t)
+    family = pair._alpha_connections
+    if alpha not in family:
+        coords = pair.algebroid.coords
+        s = ScalarField.constant((1 + alpha) / 2, coords)
+        t = ScalarField.constant((1 - alpha) / 2, coords)
+        family[alpha] = _read_only(pair.nabla_star.scale_combination(s, pair.nabla, t))
+    return family[alpha]
+
+
+def _alpha_curvature(pair, alpha):
+    """R(nabla^(alpha)), built once per pair and alpha."""
+    alpha = Fraction(alpha)
+    family = pair._alpha_curvatures
+    if alpha not in family:
+        family[alpha] = _read_only(curvature(pair.algebroid, alpha_connection(pair, alpha)))
+    return family[alpha]
 
 
 def relative_torsion(A, conn, conn_prime):
@@ -133,8 +243,7 @@ def relative_torsion(A, conn, conn_prime):
 
 def strong_conjugacy_residual(A, pair):
     """Zero iff the pair is strongly conjugate (equals its relative torsion)."""
-    tensor = relative_torsion(A, pair.nabla, pair.nabla_star)
-    return Residual("strong-conjugacy", tensor)
+    return Residual("strong-conjugacy", pair.relative_torsion)
 
 
 def quasi_statistical_check(A, g, conn):
@@ -153,59 +262,15 @@ def quasi_statistical_check(A, g, conn):
 
 def conjugate_torsion_transfer_residual(A, g, conn):
     """For a quasi-statistical (g, nabla): T(nabla*) minus the bracket difference."""
-    conn_star = conjugate_connection(A, g, conn)
-    T_star = torsion(A, conn_star)
-    mb = modified_bracket_coeffs(A, conn)
-    mb_star = modified_bracket_coeffs(A, conn_star)
-    r = A.rank
-    res = zeros_array((r, r, r), A.coords)
-    for a, b, c in itertools.product(range(r), repeat=3):
-        res[a, b, c] = T_star.comps[a, b, c] - (mb[a, b, c] - mb_star[a, b, c])
-    return Residual("conjugate-torsion-transfer", ETensor(1, 2, r, A.coords, res))
+    return _torsion_transfer_residual(ConjugatePair(A, g, conn, conjugate_connection(A, g, conn)))
+
+
+def _torsion_transfer_residual(pair):
+    difference = pair.bracket - pair.bracket_star
+    return Residual("conjugate-torsion-transfer", pair.torsion_star - difference)
 
 
 # -- statistical solve --------------------------------------------------------
-
-
-def _solve_affine_koszul(A, g, extra_rhs):
-    """Solve 2 g(nabla_u v, w) = Koszul[mb(nabla)](u,v,w) + extra_rhs(b,c,d).
-
-    Identical system matrix as the Levi-Civita solve; only the right-hand
-    side differs by the supplied (0,3) component array.
-    """
-    r = A.rank
-    zero = A.zero()
-    n_unknowns = r**3
-
-    def flat(a, b, c):
-        return (a * r + b) * r + c
-
-    matrix = [[zero for _ in range(n_unknowns)] for _ in range(n_unknowns)]
-    rhs = [zero for _ in range(n_unknowns)]
-    two = ScalarField.constant(2, A.coords)
-    for b, c, d in itertools.product(range(r), repeat=3):
-        row = flat(b, c, d)
-        rhs[row] = _koszul_rhs(A, A.bracket, g, b, c, d) + extra_rhs[b, c, d]
-        for e in range(r):
-            col = flat(e, b, c)
-            matrix[row][col] = matrix[row][col] + two * g.matrix[e, d]
-        for alpha, beta in itertools.product(range(r), repeat=2):
-            col = flat(alpha, beta, c)
-            acc = matrix[row][col]
-            for m in range(r):
-                acc = acc - A.locality[m, beta, alpha, d] * g.matrix[m, b]
-            matrix[row][col] = acc
-            col = flat(alpha, beta, b)
-            acc = matrix[row][col]
-            for m in range(r):
-                acc = acc - A.locality[m, beta, alpha, d] * g.matrix[m, c]
-                acc = acc + A.locality[m, beta, alpha, c] * g.matrix[m, d]
-            matrix[row][col] = acc
-    solution = linalg.solve(matrix, rhs)
-    gamma = zeros_array((r, r, r), A.coords)
-    for a, b, c in itertools.product(range(r), repeat=3):
-        gamma[a, b, c] = solution[flat(a, b, c)]
-    return EConnection(gamma)
 
 
 def statistical_solve(A, S):
@@ -275,14 +340,9 @@ def alpha_curvature_residual(A, pair, alpha):
     s = ScalarField.constant((1 + alpha) / 2, coords)
     t = ScalarField.constant((1 - alpha) / 2, coords)
     quarter = ScalarField.constant((1 - alpha * alpha) / 4, coords)
-    nabla, nabla_star = pair.nabla, pair.nabla_star
-    conn_alpha = alpha_connection(pair, alpha)
-    R_alpha = curvature(A, conn_alpha)
-    R = curvature(A, nabla)
-    R_star = curvature(A, nabla_star)
-    delta = difference_tensor(A, nabla, nabla_star)
-    mb_hat = modified_bracket_coeffs(A, nabla, projected=True)
-    mb_hat_star = modified_bracket_coeffs(A, nabla_star, projected=True)
+    R_alpha = _alpha_curvature(pair, alpha)
+    R, R_star, delta = pair.curvature, pair.curvature_star, pair.difference
+    bracket_difference = (pair.projected_bracket - pair.projected_bracket_star).comps
     r = A.rank
     res = zeros_array((r, r, r, r), coords)
     for a, b, c, d in itertools.product(range(r), repeat=4):
@@ -292,7 +352,7 @@ def alpha_curvature_residual(A, pair, alpha):
         for e in range(r):
             inner = inner + delta.comps[e, b, d] * delta.comps[a, c, e]
             inner = inner - delta.comps[e, c, d] * delta.comps[a, b, e]
-            inner = inner + (mb_hat[e, b, c] - mb_hat_star[e, b, c]) * delta.comps[a, e, d]
+            inner = inner + bracket_difference[e, b, c] * delta.comps[a, e, d]
         acc = acc - quarter * inner
         res[a, b, c, d] = acc
     return Residual(f"alpha-curvature(alpha={alpha})", ETensor(1, 3, r, coords, res))
@@ -300,8 +360,8 @@ def alpha_curvature_residual(A, pair, alpha):
 
 def alpha_flat_symmetry_residual(A, pair, alpha):
     """R(nabla^(alpha)) - R(nabla^(-alpha)); zero when the pair is flat."""
-    plus = curvature(A, alpha_connection(pair, alpha))
-    minus = curvature(A, alpha_connection(pair, -Fraction(alpha)))
+    plus = _alpha_curvature(pair, alpha)
+    minus = _alpha_curvature(pair, -Fraction(alpha))
     return Residual(f"alpha-flat-symmetry(alpha={alpha})", plus - minus)
 
 

@@ -36,8 +36,23 @@ def array_is_zero(arr):
     return all(entry.is_zero for entry in arr.flat)
 
 
+class ComponentSummaries:
+    """Zero test and residual summaries over a ``comps`` array of scalars."""
+
+    @property
+    def is_zero(self):
+        return array_is_zero(self.comps)
+
+    def nonzero_count(self):
+        return sum(0 if entry.is_zero else 1 for entry in self.comps.flat)
+
+    def max_degree(self):
+        degrees = [entry.total_degree() for entry in self.comps.flat if not entry.is_zero]
+        return max(degrees, default=0)
+
+
 @dataclass(frozen=True)
-class ETensor:
+class ETensor(ComponentSummaries):
     """Dense (q, r)-type tensor: q contravariant then r covariant slots."""
 
     q: int
@@ -59,17 +74,6 @@ class ETensor:
     def from_array(cls, q, r, arr, coords):
         arr = object_array(arr)
         return cls(q, r, arr.shape[0] if arr.ndim else 0, tuple(coords), arr)
-
-    @property
-    def is_zero(self):
-        return array_is_zero(self.comps)
-
-    def nonzero_count(self):
-        return sum(0 if entry.is_zero else 1 for entry in self.comps.flat)
-
-    def max_degree(self):
-        degrees = [entry.total_degree() for entry in self.comps.flat if not entry.is_zero]
-        return max(degrees, default=0)
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -139,15 +143,6 @@ def is_antisymmetric_in(t, i, j):
     """True iff the tensor flips sign under transposing global slots i, j (1-based)."""
     swapped = t.swap_slots(i, j)
     return array_is_zero(t.comps + swapped.comps)
-
-
-def symmetrize_check(t, kind):
-    """Dispatch form: kind is 'totally_symmetric' or ('antisymmetric_in', i, j)."""
-    if kind == "totally_symmetric":
-        return is_totally_symmetric(t)
-    if isinstance(kind, tuple) and kind[0] == "antisymmetric_in":
-        return is_antisymmetric_in(t, kind[1], kind[2])
-    raise ValueError(f"unknown symmetry kind {kind!r}")
 
 
 def antisymmetrize(t):

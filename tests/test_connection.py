@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +20,10 @@ from leibniz_geo import (
     tangent,
     torsion,
 )
+from leibniz_geo.checks import _probe_sections
 from leibniz_geo.connection import (
     covariant_derivative_vector,
+    curvature_eval,
     difference_tensor,
     frame_covariant_derivative,
     koszul_connection,
@@ -28,6 +31,7 @@ from leibniz_geo.connection import (
     projected_torsion,
     torsion_eval,
 )
+from leibniz_geo.model import load_model
 from leibniz_geo.tensor import ETensor
 from conftest import (
     classical_christoffel,
@@ -164,6 +168,32 @@ def test_ricci_identity_all_builtins():
             w = A.vector([random_polynomial(A, rng) for _ in range(A.rank)])
             _, residual = second_cov_and_ricci(A, conn, u, v, w)
             assert residual.is_zero
+
+
+MODELS = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
+
+
+@pytest.mark.parametrize("path", MODELS, ids=[path.stem for path in MODELS])
+def test_curvature_eval_matches_frame_curvature(path):
+    doc = load_model(path)
+    A = doc.algebroid
+    r = A.rank
+    probes = _probe_sections(A, 6, seed=17)
+    for conn in doc.connections.values():
+        R = curvature(A, conn)
+        for index in range(2):
+            u, v, w = probes[3 * index : 3 * index + 3]
+            contracted = [
+                sum(
+                    (
+                        R.comps[a, b, c, d] * u.comps[b] * v.comps[c] * w.comps[d]
+                        for b, c, d in itertools.product(range(r), repeat=3)
+                    ),
+                    A.zero(),
+                )
+                for a in range(r)
+            ]
+            assert (curvature_eval(A, conn, u, v, w) - A.vector(contracted)).is_zero
 
 
 def test_admissible_torsion_and_curvature_are_antisymmetric():

@@ -130,6 +130,37 @@ def test_nesting_past_the_cap_is_a_syntax_error(depth):
     assert excinfo.value.position == MAX_NESTING
 
 
+def test_unary_plus_is_the_identity():
+    assert f("+x1") == f("x1")
+    assert f("-+x1") == f("-x1")
+    assert f("x2*+x1 - +3") == f("x1*x2 - 3")
+    assert f("+" * MAX_NESTING + "x1") == f("x1")
+
+
+def test_unary_plus_counts_toward_the_nesting_cap():
+    with pytest.raises(ExprSyntaxError) as excinfo:
+        f("+" * (MAX_NESTING + 1) + "x1")
+    assert excinfo.value.position == MAX_NESTING
+    with pytest.raises(ExprSyntaxError) as excinfo:
+        f("-+" * (MAX_NESTING // 2) + "+x1")
+    assert excinfo.value.position == MAX_NESTING
+
+
+def test_coords_given_as_one_string_is_a_type_error():
+    with pytest.raises(TypeError):
+        parse_expr("x*y", "xy")
+
+
+def test_constant_fields_hash_like_their_values():
+    zero = const(0)
+    half = const(Fraction(1, 2))
+    assert zero in {0: "zero"} and {0: "zero"}[zero] == "zero"
+    assert zero in {Fraction(0)} and 0 in {zero}
+    assert half in {Fraction(1, 2): 1} and Fraction(1, 2) in {half}
+    assert const(7) in {7} and f("x1 - x1") in {0}
+    assert ScalarField.constant(3, ()) in {3}
+
+
 def test_long_flat_chains_parse():
     terms = 3000
     assert f(" + ".join(["x1"] * terms)) == const(terms) * f("x1")

@@ -1,6 +1,7 @@
 """Conjugation, statistical solving, strong conjugacy, and the alpha family."""
 
 import itertools
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from leibniz_geo import (
     tangent,
     torsion,
 )
-from leibniz_geo import checks
+from leibniz_geo import checks, connection, statgeo
 from leibniz_geo.errors import CompatibilityFailure
 from leibniz_geo.model import load_model
 from leibniz_geo.statgeo import (
@@ -325,3 +326,84 @@ def test_ssp5_propagates_unexpected_errors(monkeypatch):
     monkeypatch.setattr(checks, "statistical_solve", broken)
     with pytest.raises(RuntimeError, match="injected bug"):
         checks.run_check("SSp5", doc)
+
+
+# -- derived objects of a pair ------------------------------------------------
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def test_cached_pair_objects_are_read_only():
+    A, g, conn = instances(1, seed=171)[0]
+    pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
+    assert pair.curvature is pair.curvature
+    assert alpha_connection(pair, Fraction(1, 2)) is alpha_connection(pair, Fraction(1, 2))
+    tensors = [
+        pair.bracket,
+        pair.projected_bracket_star,
+        pair.torsion,
+        pair.curvature,
+        pair.curvature_star,
+        pair.difference,
+        pair.nonmetricity,
+        pair.relative_torsion,
+    ]
+    arrays = [tensor.comps for tensor in tensors]
+    arrays += [alpha_connection(pair, 2).gamma, mean_connection(pair).gamma]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = A.one()
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.name through every binding of it in the package."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("leibniz_geo") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["so3", "tangent2_polar"])
+def test_check_run_derives_each_object_once_per_pair(monkeypatch, name):
+    doc = load_model(MODELS / f"{name}.model")
+    curvatures = _count_calls(monkeypatch, connection, "curvature")
+    conjugates = _count_calls(monkeypatch, statgeo, "conjugate_connection")
+    checks.run_all(doc)
+    pairs = len(doc.metrics) * len(doc.connections)
+    alphas = set(checks.ALPHA_VALUES) | {-alpha for alpha in checks.ALPHA_VALUES}
+    # One conjugate per pair, plus the conjugate of each alpha-connection (SSp10).
+    assert len(conjugates) <= pairs * (1 + len(checks.ALPHA_VALUES))
+    # Per pair: R, R* and one R per alpha.  Per connection: eb12, three eb14
+    # probes and lc4.  Per (function, pair): the lp2 flatness test.
+    budget = pairs * (2 + len(alphas)) + 5 * len(doc.connections) + len(doc.functions) * pairs
+    assert len(curvatures) <= budget
+    # Nothing outlives the call: checking the document again derives again.
+    counts = len(curvatures), len(conjugates)
+    checks.run_all(doc)
+    assert (len(curvatures), len(conjugates)) == (2 * counts[0], 2 * counts[1])
+
+
+def test_sse25_endpoints_are_built_by_the_alpha_formula(monkeypatch):
+    # Shift every affine combination of connections: an alpha = +-1 endpoint
+    # taken from nabla* or nabla instead of alpha_connection would still pass.
+    doc = load_model(MODELS / "so3.model")
+    combine = EConnection.scale_combination
+
+    def shifted(self, coeff_self, other, coeff_other):
+        gamma = combine(self, coeff_self, other, coeff_other).gamma.copy()
+        gamma[0, 0, 0] = gamma[0, 0, 0] + 1
+        return EConnection(gamma)
+
+    monkeypatch.setattr(EConnection, "scale_combination", shifted)
+    results = checks.run_check("SSe25", doc)
+    status = {result.check.split(":")[-1]: result.status for result in results}
+    assert status["alpha=1-is-conjugate"] == "fail"
+    assert status["alpha=-1-is-nabla"] == "fail"
+    assert status["alpha=0-is-mean"] == "pass"
