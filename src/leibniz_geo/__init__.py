@@ -12,6 +12,7 @@ from .algebroid import (
     tangent,
 )
 from .connection import (
+    Derived,
     EConnection,
     covariant_derivative,
     curvature,

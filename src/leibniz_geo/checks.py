@@ -7,9 +7,10 @@ instance are reported as "not-applicable" rather than skipped silently, so a
 report always accounts for every declared object deterministically.
 
 ``run_all`` and ``run_check`` hand every runner one context per call.  It
-holds a single ``ConjugatePair`` per (metric, connection), so each derived
-object is built once per call, and it is dropped when the call returns: a
-document checked again is derived again.
+holds a single ``Derived`` per connection and a single ``ConjugatePair`` per
+(metric, connection), the pairs sharing the context's ``Derived``s, so each
+derived object is built once per call.  The context is dropped when the call
+returns: a document checked again is derived again.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebroid import Residual
-from .connection import (
-    curvature,
-    difference_tensor,
-    nonmetricity,
-    projected_torsion,
-    second_cov_and_ricci,
-    torsion,
-)
+from .connection import Derived, difference_tensor, nonmetricity, second_cov_and_ricci
 from .errors import LeibnizGeoError
 from .hessian import (
     _default_probes,
@@ -43,6 +37,7 @@ from .scalar import ScalarField
 from .statgeo import (
     ConjugatePair,
     StatisticalStructure,
+    _quasi_statistical_residual,
     _torsion_transfer_residual,
     admissibility_locality_residual,
     alpha_connection,
@@ -50,7 +45,6 @@ from .statgeo import (
     alpha_flat_symmetry_residual,
     conjugate_connection,
     mean_connection,
-    quasi_statistical_check,
     statistical_solve,
 )
 from .tensor import ETensor, zeros_array
@@ -103,21 +97,27 @@ def _connections(doc):
 
 
 class _Context:
-    """One check call's document and its conjugate pairs."""
+    """One check call's document, its ``Derived``s and its conjugate pairs."""
 
     def __init__(self, doc):
         self.doc = doc
         self.A = doc.algebroid
+        self._derived = {}
+
+    def derived(self, conn):
+        """The ``Derived`` of conn, shared with every pair of this call."""
+        return self._derived.setdefault(conn, Derived(self.A, conn))
 
     @functools.cached_property
     def pairs(self):
         """(label, pair) for every (metric, connection), in report order."""
-        A = self.A
-        return [
-            (f"{mname}:{cname}", ConjugatePair(A, g, conn, conjugate_connection(A, g, conn)))
-            for mname, g in sorted(self.doc.metrics.items())
-            for cname, conn in _connections(self.doc)
-        ]
+        pairs = []
+        for mname, g in sorted(self.doc.metrics.items()):
+            for cname, conn in _connections(self.doc):
+                star = conjugate_connection(self.A, g, conn)
+                pair = ConjugatePair(self.A, g, conn, star, _derived=self._derived)
+                pairs.append((f"{mname}:{cname}", pair))
+        return pairs
 
 
 def _probe_sections(A, count, seed):
@@ -143,13 +143,14 @@ def check_eb12(ctx):
     A = ctx.A
     results = []
     for name, conn in _connections(ctx.doc):
-        if not A.admissibility_residual(conn).is_zero:
+        D = ctx.derived(conn)
+        if not D.admissible:
             results.append(_na(f"eb12[{name}]", "connection not admissible"))
             continue
-        T = torsion(A, conn)
+        T = D.torsion
         results.append(_from_residual(f"eb12[{name}]:torsion", Residual("t", T + T.swap_slots(2, 3))))
         if A.projector is not None:
-            R = curvature(A, conn)
+            R = D.curvature
             results.append(
                 _from_residual(f"eb12[{name}]:curvature", Residual("r", R + R.swap_slots(2, 3)))
             )
@@ -168,7 +169,7 @@ def check_eb14(ctx):
     for name, conn in _connections(ctx.doc):
         for index in range(3):
             u, v, w = probes[3 * index : 3 * index + 3]
-            _, residual = second_cov_and_ricci(A, conn, u, v, w)
+            _, residual = second_cov_and_ricci(ctx.derived(conn), u, v, w)
             results.append(_from_residual(f"eb14[{name}]:probe-{index}", residual))
     return results
 
@@ -183,7 +184,7 @@ def check_ssp1(ctx):
         if not pair.strongly_conjugate_and_admissible:
             results.append(_na(f"SSp1[{label}]", _NOT_STRONG))
             continue
-        T_sum = pair.torsion + pair.torsion_star
+        T_sum = pair.derived(pair.nabla).torsion + pair.derived(pair.nabla_star).torsion
         results.append(_from_residual(f"SSp1[{label}]", Residual("t", T_sum)))
     return results
 
@@ -195,7 +196,8 @@ def check_ssp2(ctx):
         if not pair.strongly_conjugate_and_admissible:
             results.append(_na(f"SSp2[{label}]", _NOT_STRONG))
             continue
-        results.append(_from_residual(f"SSp2[{label}]", Residual("t", pair.torsion)))
+        T = pair.derived(pair.nabla).torsion
+        results.append(_from_residual(f"SSp2[{label}]", Residual("t", T)))
     return results
 
 
@@ -259,13 +261,14 @@ def check_ssp5(ctx):
         results.append(
             _from_residual(f"SSp5[{label}]:skewness", Residual("q", pair.nonmetricity + C))
         )
+        D, D_star = pair.derived(pair.nabla), pair.derived(pair.nabla_star)
         results.append(
-            _from_residual(f"SSp5[{label}]:torsion-free", Residual("t", pair.torsion))
+            _from_residual(f"SSp5[{label}]:torsion-free", Residual("t", D.torsion))
         )
         results.append(
             _from_residual(
                 f"SSp5[{label}]:conjugate-torsion",
-                Residual("t", pair.torsion_star - B),
+                Residual("t", D_star.torsion - B),
             )
         )
     return results
@@ -276,7 +279,8 @@ def check_ssp6(ctx):
     A = ctx.A
     results = []
     for label, pair in ctx.pairs:
-        if not quasi_statistical_check(A, pair.g, pair.nabla).is_zero:
+        T = pair.derived(pair.nabla).torsion
+        if not _quasi_statistical_residual(A, pair.g, pair.nonmetricity, T).is_zero:
             results.append(_na(f"SSp6[{label}]", "doublet is not quasi-statistical"))
             continue
         results.append(_from_residual(f"SSp6[{label}]", _torsion_transfer_residual(pair)))
@@ -299,7 +303,7 @@ def check_ssp8(ctx):
     """T(nabla, nabla*) + T(nabla*, nabla) = T(nabla) + T(nabla*)."""
     results = []
     for label, pair in ctx.pairs:
-        total = pair.torsion + pair.torsion_star
+        total = pair.derived(pair.nabla).torsion + pair.derived(pair.nabla_star).torsion
         res = pair.relative_torsion + pair.relative_torsion_star - total
         results.append(_from_residual(f"SSp8[{label}]", Residual("rt", res)))
     return results
@@ -317,8 +321,9 @@ def check_ssp9(ctx):
                 f"SSp9[{label}]:metric-compatible", Residual("q", nonmetricity(A, mean, pair.g))
             )
         )
-        T_mean = torsion(A, mean)
-        T_half = (pair.torsion + pair.torsion_star).scale(half)
+        T_mean = pair.derived(mean).torsion
+        T_sum = pair.derived(pair.nabla).torsion + pair.derived(pair.nabla_star).torsion
+        T_half = T_sum.scale(half)
         results.append(
             _from_residual(f"SSp9[{label}]:torsion-mean", Residual("t", T_mean - T_half))
         )
@@ -331,6 +336,7 @@ def check_ssp10(ctx):
     results = []
     for label, pair in ctx.pairs:
         g, Q = pair.g, pair.nonmetricity
+        T, T_star = pair.derived(pair.nabla).torsion, pair.derived(pair.nabla_star).torsion
         for alpha in ALPHA_VALUES:
             conn_alpha = alpha_connection(pair, alpha)
             expect = alpha_connection(pair, -alpha)
@@ -343,11 +349,11 @@ def check_ssp10(ctx):
             )
             s = ScalarField.constant((1 + alpha) / 2, A.coords)
             t = ScalarField.constant((1 - alpha) / 2, A.coords)
-            T_expect = pair.torsion_star.scale(s) + pair.torsion.scale(t)
+            T_expect = T_star.scale(s) + T.scale(t)
             results.append(
                 _from_residual(
                     f"SSp10[{label}]:torsion(alpha={alpha})",
-                    Residual("t", torsion(A, conn_alpha) - T_expect),
+                    Residual("t", pair.derived(conn_alpha).torsion - T_expect),
                 )
             )
             factor = ScalarField.constant(Fraction(alpha), A.coords)
@@ -415,7 +421,8 @@ def check_ss29(ctx):
         return [_na("SS29", "no locality projector")]
     results = []
     for label, pair in ctx.pairs:
-        if not (pair.curvature.is_zero and pair.curvature_star.is_zero):
+        R, R_star = pair.derived(pair.nabla).curvature, pair.derived(pair.nabla_star).curvature
+        if not (R.is_zero and R_star.is_zero):
             results.append(_na(f"SS29[{label}]", "pair is not flat"))
             continue
         for alpha in ALPHA_VALUES:
@@ -438,7 +445,7 @@ def check_lp1(ctx):
         return [_na("lp1", "no locality projector")]
     results = []
     for name, conn in _connections(ctx.doc):
-        report = hessian_symmetry_equivalences(A, conn)
+        report = hessian_symmetry_equivalences(ctx.derived(conn))
         for key, value in report.entries.items():
             label = f"lp1[{name}]:{key}"
             if isinstance(value, Residual):
@@ -460,7 +467,7 @@ def check_lp2(ctx):
     results = []
     for fname, f in sorted(ctx.doc.functions.items()):
         for label, pair in ctx.pairs:
-            report = hessian_structure_check(A, pair.nabla, pair.g, f)
+            report = hessian_structure_check(pair.derived(pair.nabla), pair.g, f)
             structural = ("flat", "projected-torsion-free", "metric-equals-hessian")
             is_structure = all(
                 report.entries[key].is_zero
@@ -511,7 +518,7 @@ def check_lc1(ctx):
         return [_na("lc1", "no locality projector")]
     results = []
     for name, conn in _connections(ctx.doc):
-        T_hat = projected_torsion(A, conn)
+        T_hat = ctx.derived(conn).projected_torsion
         in_kernel = True
         for b, c in itertools.product(range(A.rank), repeat=2):
             section = A.vector([T_hat.comps[a, b, c] for a in range(A.rank)])
@@ -541,11 +548,12 @@ def check_lc2(ctx):
         return [_na("lc2", "no locality projector")]
     results = []
     for label, pair in ctx.pairs:
-        if not projected_torsion(A, pair.nabla).is_zero:
+        D, D_star = pair.derived(pair.nabla), pair.derived(pair.nabla_star)
+        if not D.projected_torsion.is_zero:
             results.append(_na(f"lc2[{label}]", "connection not projected-torsion-free"))
             continue
-        T_diff = pair.torsion - pair.torsion_star
-        bracket_diff = pair.bracket - pair.bracket_star
+        T_diff = D.torsion - D_star.torsion
+        bracket_diff = D.bracket - D_star.bracket
         if not (T_diff - bracket_diff).is_zero:
             results.append(_na(f"lc2[{label}]", "torsion-transfer hypothesis fails"))
             continue
@@ -569,10 +577,11 @@ def check_lc4(ctx):
         if not fundamental_theorem_residual(A, pair).applicable:
             results.append(_na(f"lc4[{label}]", "anholonomic frame"))
             continue
-        if not A.admissibility_residual(pair.nabla).is_zero:
+        D = pair.derived(pair.nabla)
+        if not D.admissible:
             results.append(_na(f"lc4[{label}]", "connection not admissible"))
             continue
-        constant, kappa = constant_curvature_check(A, pair.nabla, pair.g)
+        constant, kappa = constant_curvature_check(D, pair.g)
         if not constant:
             results.append(_na(f"lc4[{label}]", "connection has no constant curvature"))
             continue

@@ -13,15 +13,12 @@ import json
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import checks as checks_module
 from .algebroid import Residual, builtin
 from .checks import CheckResult, _from_residual
-from .connection import (
-    curvature,
-    levi_civita_solve,
-    nonmetricity,
-    torsion,
-)
+from .connection import Derived, curvature, levi_civita_solve, nonmetricity, torsion
 from .errors import LeibnizGeoError, MissingInput, UnknownCommand
 from .hessian import function_form, hessian, projected_exterior_derivative
 from .model import dump_model, export_algebroid, load_model
@@ -36,37 +33,13 @@ from .statgeo import (
 )
 from .tensor import ETensor
 
-COMMANDS = (
-    "validate",
-    "torsion",
-    "curvature",
-    "nonmetricity",
-    "levi-civita",
-    "conjugate",
-    "mean",
-    "alpha",
-    "statistical-solve",
-    "hessian",
-    "dhat",
-    "check",
-    "check-all",
-    "export-builtin",
-)
-
 
 def _dump_components(tensor):
     return {
-        ",".join(str(i + 1) for i in idx): str(tensor.comps[idx])
-        for idx in _nonzero_indices(tensor)
+        ",".join(str(i + 1) for i in idx): str(value)
+        for idx, value in np.ndenumerate(tensor.comps)
+        if not value.is_zero
     }
-
-
-def _nonzero_indices(tensor):
-    import numpy as np
-
-    for idx in np.ndindex(tensor.comps.shape):
-        if not tensor.comps[idx].is_zero:
-            yield idx
 
 
 def emit_report(records, fmt):
@@ -92,179 +65,186 @@ def emit_report(records, fmt):
     return ("\n".join(lines) + "\n").encode()
 
 
-def _get_connection(doc, args):
-    if not doc.connections:
-        raise MissingInput("model declares no connections")
-    if args.connection:
-        if args.connection not in doc.connections:
-            raise MissingInput(f"no connection named {args.connection!r} in model")
-        return args.connection, doc.connections[args.connection]
-    name = sorted(doc.connections)[0]
-    return name, doc.connections[name]
+def _pick(objects, kind, name):
+    """The named object of one kind in the model, else the first by name."""
+    if not objects:
+        raise MissingInput(f"model declares no {kind}s")
+    if name:
+        if name not in objects:
+            raise MissingInput(f"no {kind} named {name!r} in model")
+        return name, objects[name]
+    name = sorted(objects)[0]
+    return name, objects[name]
 
 
-def _get_metric(doc, args):
-    if not doc.metrics:
-        raise MissingInput("model declares no metrics")
-    if args.metric:
-        if args.metric not in doc.metrics:
-            raise MissingInput(f"no metric named {args.metric!r} in model")
-        return args.metric, doc.metrics[args.metric]
-    name = sorted(doc.metrics)[0]
-    return name, doc.metrics[name]
+# Each handler yields the report of one command: a CheckResult, or a
+# (name, value) item whose value is a Residual or a computed ETensor.
 
 
-def _get_function(doc, args):
-    if not doc.functions:
-        raise MissingInput("model declares no functions")
-    if args.function:
-        if args.function not in doc.functions:
-            raise MissingInput(f"no function named {args.function!r} in model")
-        return args.function, doc.functions[args.function]
-    name = sorted(doc.functions)[0]
-    return name, doc.functions[name]
+def _validate(A, doc, args):
+    yield "pre-leibniz", A.validate_pre_leibniz()
+    if A.projector is not None:
+        report = A.validate_projector()
+        for key, value in report.entries.items():
+            if isinstance(value, Residual):
+                yield f"projector:{key}", value
+            else:
+                yield CheckResult(f"projector:{key}", "pass" if value else "fail")
+        for warning in report.warnings:
+            yield CheckResult("projector:warning", "not-applicable", note=warning)
+    for name, conn in sorted(doc.connections.items()):
+        yield f"admissibility:{name}", A.admissibility_residual(conn)
+
+
+def _torsion(A, doc, args):
+    name, conn = _pick(doc.connections, "connection", args.connection)
+    yield f"torsion[{name}]", torsion(A, conn)
+
+
+def _curvature(A, doc, args):
+    name, conn = _pick(doc.connections, "connection", args.connection)
+    if A.projector is None:
+        raise MissingInput(
+            "curvature needs a locality projector: add a 'projector' block to the model"
+        )
+    yield f"curvature[{name}]", curvature(A, conn)
+
+
+def _nonmetricity(A, doc, args):
+    cname, conn = _pick(doc.connections, "connection", args.connection)
+    mname, g = _pick(doc.metrics, "metric", args.metric)
+    yield f"nonmetricity[{mname}:{cname}]", nonmetricity(A, conn, g)
+
+
+def _levi_civita(A, doc, args):
+    mname, g = _pick(doc.metrics, "metric", args.metric)
+    conn = levi_civita_solve(A, g)
+    yield f"levi-civita[{mname}]:gamma", ETensor(1, 2, A.rank, A.coords, conn.gamma)
+    yield f"levi-civita[{mname}]:torsion-free", Residual("t", torsion(A, conn))
+    yield f"levi-civita[{mname}]:metric-compatible", Residual("q", nonmetricity(A, conn, g))
+
+
+def _conjugate(A, doc, args):
+    cname, conn = _pick(doc.connections, "connection", args.connection)
+    mname, g = _pick(doc.metrics, "metric", args.metric)
+    conn_star = conjugate_connection(A, g, conn)
+    yield f"conjugate[{mname}:{cname}]:gamma", ETensor(1, 2, A.rank, A.coords, conn_star.gamma)
+    yield f"conjugate[{mname}:{cname}]:conjugation", conjugation_residual(A, g, conn, conn_star)
+
+
+def _mean(A, doc, args):
+    cname, conn = _pick(doc.connections, "connection", args.connection)
+    mname, g = _pick(doc.metrics, "metric", args.metric)
+    mean = mean_connection(ConjugatePair(A, g, conn, conjugate_connection(A, g, conn)))
+    yield f"mean[{mname}:{cname}]:gamma", ETensor(1, 2, A.rank, A.coords, mean.gamma)
+    yield f"mean[{mname}:{cname}]:metric-compatible", Residual("q", nonmetricity(A, mean, g))
+
+
+def _alpha(A, doc, args):
+    cname, conn = _pick(doc.connections, "connection", args.connection)
+    mname, g = _pick(doc.metrics, "metric", args.metric)
+    try:
+        alpha = Fraction(args.alpha) if args.alpha is not None else Fraction(0)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MissingInput(f"--alpha must be an exact rational P/Q: {exc}") from exc
+    pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
+    conn_alpha = alpha_connection(pair, alpha)
+    yield (
+        f"alpha[{mname}:{cname}:alpha={alpha}]:gamma",
+        ETensor(1, 2, A.rank, A.coords, conn_alpha.gamma),
+    )
+
+
+def _statistical_solve(A, doc, args):
+    mname, g = _pick(doc.metrics, "metric", args.metric)
+    r = A.rank
+    C = doc.tensors.get("C")
+    if C is None:
+        raise MissingInput(
+            "statistical-solve needs a (0,3) tensor named 'C' in the model's tensors"
+        )
+    B = doc.tensors.get("B", ETensor.zeros(1, 2, r, A.coords))
+    pair = statistical_solve(A, StatisticalStructure(g, C, B))
+    yield f"statistical-solve[{mname}]:gamma", ETensor(1, 2, r, A.coords, pair.nabla.gamma)
+    yield (
+        f"statistical-solve[{mname}]:gamma-star",
+        ETensor(1, 2, r, A.coords, pair.nabla_star.gamma),
+    )
+    yield (
+        f"statistical-solve[{mname}]:skewness",
+        Residual("q", nonmetricity(A, pair.nabla, g) + C),
+    )
+
+
+def _hessian(A, doc, args):
+    cname, conn = _pick(doc.connections, "connection", args.connection)
+    fname, f = _pick(doc.functions, "function", args.function)
+    yield f"hessian[{cname}:{fname}]", hessian(A, conn, f)
+
+
+def _dhat(A, doc, args):
+    cname, conn = _pick(doc.connections, "connection", args.connection)
+    fname, f = _pick(doc.functions, "function", args.function)
+    if A.projector is None:
+        raise MissingInput(
+            "dhat needs a locality projector: add a 'projector' block to the model"
+        )
+    derivative = projected_exterior_derivative(Derived(A, conn), function_form(f))
+    yield f"dhat[{cname}:{fname}]", ETensor(0, 1, A.rank, A.coords, derivative.comps)
+
+
+def _check(A, doc, args):
+    if not args.check_id:
+        raise MissingInput("check requires a proposition id, e.g. 'check SSp3'")
+    try:
+        return checks_module.run_check(args.check_id, doc)
+    except KeyError as exc:
+        raise UnknownCommand(
+            f"unknown check id {args.check_id!r}; known: "
+            + ", ".join(sorted(checks_module.REGISTRY, key=str.lower))
+        ) from exc
+
+
+def _check_all(A, doc, args):
+    return checks_module.run_all(doc)
+
+
+# The commands that run on a loaded model, in the order the usage lists them.
+_HANDLERS = {
+    "validate": _validate,
+    "torsion": _torsion,
+    "curvature": _curvature,
+    "nonmetricity": _nonmetricity,
+    "levi-civita": _levi_civita,
+    "conjugate": _conjugate,
+    "mean": _mean,
+    "alpha": _alpha,
+    "statistical-solve": _statistical_solve,
+    "hessian": _hessian,
+    "dhat": _dhat,
+    "check": _check,
+    "check-all": _check_all,
+}
+COMMANDS = (*_HANDLERS, "export-builtin")
 
 
 def run(command, doc, args):
     """Execute one command against a loaded model; returns report records."""
-    A = doc.algebroid
     records = []
-    dump = args.dump_residuals
-
-    def add(result, tensor):
+    for item in _HANDLERS[command](doc.algebroid, doc, args):
+        if isinstance(item, CheckResult):
+            records.append(item.to_record())
+            continue
+        name, value = item
+        if isinstance(value, Residual):
+            result, tensor = _from_residual(name, value), value.tensor
+        else:
+            result = CheckResult(name, "pass", value.nonzero_count(), value.max_degree())
+            tensor = value
         record = result.to_record()
-        if dump:
+        if args.dump_residuals:
             record["components"] = _dump_components(tensor)
         records.append(record)
-
-    def add_tensor(name, tensor):
-        add(CheckResult(name, "pass", tensor.nonzero_count(), tensor.max_degree()), tensor)
-
-    def add_residual(name, residual):
-        add(_from_residual(name, residual), residual.tensor)
-
-    if command == "validate":
-        add_residual("pre-leibniz", A.validate_pre_leibniz())
-        if A.projector is not None:
-            report = A.validate_projector()
-            for key, value in report.entries.items():
-                if isinstance(value, Residual):
-                    add_residual(f"projector:{key}", value)
-                else:
-                    status = "pass" if value else "fail"
-                    records.append(CheckResult(f"projector:{key}", status).to_record())
-            for warning in report.warnings:
-                result = CheckResult("projector:warning", "not-applicable", note=warning)
-                records.append(result.to_record())
-        for name, conn in sorted(doc.connections.items()):
-            add_residual(f"admissibility:{name}", A.admissibility_residual(conn))
-    elif command == "torsion":
-        name, conn = _get_connection(doc, args)
-        add_tensor(f"torsion[{name}]", torsion(A, conn))
-    elif command == "curvature":
-        name, conn = _get_connection(doc, args)
-        if A.projector is None:
-            raise MissingInput(
-                "curvature needs a locality projector: add a 'projector' block to the model"
-            )
-        add_tensor(f"curvature[{name}]", curvature(A, conn))
-    elif command == "nonmetricity":
-        cname, conn = _get_connection(doc, args)
-        mname, g = _get_metric(doc, args)
-        add_tensor(f"nonmetricity[{mname}:{cname}]", nonmetricity(A, conn, g))
-    elif command == "levi-civita":
-        mname, g = _get_metric(doc, args)
-        conn = levi_civita_solve(A, g)
-        add_tensor(f"levi-civita[{mname}]:gamma", ETensor(1, 2, A.rank, A.coords, conn.gamma))
-        add_residual(f"levi-civita[{mname}]:torsion-free", Residual("t", torsion(A, conn)))
-        add_residual(
-            f"levi-civita[{mname}]:metric-compatible", Residual("q", nonmetricity(A, conn, g))
-        )
-    elif command == "conjugate":
-        cname, conn = _get_connection(doc, args)
-        mname, g = _get_metric(doc, args)
-        conn_star = conjugate_connection(A, g, conn)
-        add_tensor(
-            f"conjugate[{mname}:{cname}]:gamma", ETensor(1, 2, A.rank, A.coords, conn_star.gamma)
-        )
-        add_residual(
-            f"conjugate[{mname}:{cname}]:conjugation",
-            conjugation_residual(A, g, conn, conn_star),
-        )
-    elif command == "mean":
-        cname, conn = _get_connection(doc, args)
-        mname, g = _get_metric(doc, args)
-        pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
-        mean = mean_connection(pair)
-        add_tensor(f"mean[{mname}:{cname}]:gamma", ETensor(1, 2, A.rank, A.coords, mean.gamma))
-        add_residual(
-            f"mean[{mname}:{cname}]:metric-compatible", Residual("q", nonmetricity(A, mean, g))
-        )
-    elif command == "alpha":
-        cname, conn = _get_connection(doc, args)
-        mname, g = _get_metric(doc, args)
-        try:
-            alpha = Fraction(args.alpha) if args.alpha is not None else Fraction(0)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MissingInput(f"--alpha must be an exact rational P/Q: {exc}") from exc
-        pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
-        conn_alpha = alpha_connection(pair, alpha)
-        add_tensor(
-            f"alpha[{mname}:{cname}:alpha={alpha}]:gamma",
-            ETensor(1, 2, A.rank, A.coords, conn_alpha.gamma),
-        )
-    elif command == "statistical-solve":
-        mname, g = _get_metric(doc, args)
-        r = A.rank
-        C = doc.tensors.get("C")
-        if C is None:
-            raise MissingInput(
-                "statistical-solve needs a (0,3) tensor named 'C' in the model's tensors"
-            )
-        B = doc.tensors.get("B", ETensor.zeros(1, 2, r, A.coords))
-        structure = StatisticalStructure(g, C, B)
-        pair = statistical_solve(A, structure)
-        add_tensor(
-            f"statistical-solve[{mname}]:gamma", ETensor(1, 2, r, A.coords, pair.nabla.gamma)
-        )
-        add_tensor(
-            f"statistical-solve[{mname}]:gamma-star",
-            ETensor(1, 2, r, A.coords, pair.nabla_star.gamma),
-        )
-        add_residual(
-            f"statistical-solve[{mname}]:skewness",
-            Residual("q", nonmetricity(A, pair.nabla, g) + C),
-        )
-    elif command == "hessian":
-        cname, conn = _get_connection(doc, args)
-        fname, f = _get_function(doc, args)
-        add_tensor(f"hessian[{cname}:{fname}]", hessian(A, conn, f))
-    elif command == "dhat":
-        cname, conn = _get_connection(doc, args)
-        fname, f = _get_function(doc, args)
-        if A.projector is None:
-            raise MissingInput(
-                "dhat needs a locality projector: add a 'projector' block to the model"
-            )
-        derivative = projected_exterior_derivative(A, conn, function_form(f))
-        add_tensor(
-            f"dhat[{cname}:{fname}]", ETensor(0, 1, A.rank, A.coords, derivative.comps)
-        )
-    elif command == "check":
-        if not args.check_id:
-            raise MissingInput("check requires a proposition id, e.g. 'check SSp3'")
-        try:
-            results = checks_module.run_check(args.check_id, doc)
-        except KeyError as exc:
-            raise UnknownCommand(
-                f"unknown check id {args.check_id!r}; known: "
-                + ", ".join(sorted(checks_module.REGISTRY, key=str.lower))
-            ) from exc
-        records.extend(result.to_record() for result in results)
-    elif command == "check-all":
-        records.extend(result.to_record() for result in checks_module.run_all(doc))
-    else:  # pragma: no cover - argparse restricts choices
-        raise UnknownCommand(command)
     return records
 
 
@@ -300,12 +280,7 @@ def _export_builtin(name):
         raise UnknownCommand(
             f"unknown builtin {name!r}; known: " + ", ".join(sorted(_BUILTINS))
         )
-    spec = _BUILTINS[name]
-    if spec[0] == "so3":
-        A = builtin("so3")
-    else:
-        A = builtin(spec[0], spec[1])
-    return dump_model(export_algebroid(A))
+    return dump_model(export_algebroid(builtin(*_BUILTINS[name])))
 
 
 def main(argv=None):

@@ -8,6 +8,7 @@ derivatives, second covariant derivative) and for tensoriality cross-checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,9 +22,14 @@ from .scalar import ScalarField
 from .tensor import ETensor, EVectorField, object_array, zeros_array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EConnection:
-    """Connection coefficient array gamma[a][b][c] = Gamma^a_{bc}."""
+    """Connection coefficient array gamma[a][b][c] = Gamma^a_{bc}.
+
+    Equality and hashing are by identity, so a connection can key a dict;
+    two connections have equal coefficients when
+    ``difference_tensor(A, a, b).is_zero``.
+    """
 
     gamma: np.ndarray = field(repr=False)
 
@@ -225,18 +231,74 @@ def nonmetricity(A, conn, g):
     return ETensor(0, 3, r, A.coords, out)
 
 
-def second_cov_and_ricci(A, conn, u, v, w):
-    """Second covariant derivative and the Ricci-identity residual.
+# -- the derived objects of one connection ------------------------------------
+
+
+def _read_only(value):
+    """Lock the component array of a kept derived object."""
+    array = value.comps if isinstance(value, ETensor) else value.gamma
+    array.flags.writeable = False
+    return value
+
+
+@dataclass(frozen=True, eq=False)
+class Derived:
+    """The objects derived from one connection on an algebroid.
+
+    Each member calls the free function that holds its formula on first
+    access and keeps the result, read-only, so every check or pair handed the
+    same ``Derived`` shares it.  Equality and hashing are by identity.
+    """
+
+    algebroid: object
+    conn: EConnection
+
+    def _bracket(self, projected):
+        A = self.algebroid
+        coeffs = modified_bracket_coeffs(A, self.conn, projected=projected)
+        return _read_only(ETensor(1, 2, A.rank, A.coords, coeffs))
+
+    @functools.cached_property
+    def bracket(self):
+        """Modified bracket coefficients mb(nabla) as a (1, 2) tensor."""
+        return self._bracket(projected=False)
+
+    @functools.cached_property
+    def projected_bracket(self):
+        """Projected modified bracket coefficients mbhat(nabla)."""
+        return self._bracket(projected=True)
+
+    @functools.cached_property
+    def torsion(self):
+        return _read_only(torsion(self.algebroid, self.conn))
+
+    @functools.cached_property
+    def projected_torsion(self):
+        return _read_only(torsion(self.algebroid, self.conn, projected=True))
+
+    @functools.cached_property
+    def curvature(self):
+        """R(nabla); needs the locality projector."""
+        return _read_only(curvature(self.algebroid, self.conn))
+
+    @functools.cached_property
+    def admissible(self):
+        return self.algebroid.admissibility_residual(self.conn).is_zero
+
+
+def second_cov_and_ricci(D, u, v, w):
+    """Second covariant derivative and the Ricci-identity residual of D.conn.
 
     The residual
         nabla^2_{u,v} w - nabla^2_{v,u} w - R(u,v)w + nabla_{That(u,v)} w
     vanishes identically for every connection on an anchor-compatible
     structure; it is returned so callers can verify exactly that.
     """
+    A, conn = D.algebroid, D.conn
     second_uv = second_covariant_derivative(A, conn, u, v, w)
     second_vu = second_covariant_derivative(A, conn, v, u, w)
-    R = curvature(A, conn)
-    That = projected_torsion(A, conn)
+    R = D.curvature
+    That = D.projected_torsion
     r = A.rank
     r_uvw = []
     that_uv = []

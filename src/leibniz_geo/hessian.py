@@ -14,14 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebroid import AlgebroidReport, Residual, _loose_tensor
-from .connection import (
-    curvature,
-    frame_covariant_derivative,
-    modified_bracket_coeffs,
-    nonmetricity,
-    projected_torsion,
-    torsion,
-)
+from .connection import Derived, frame_covariant_derivative, nonmetricity
 from .errors import InvalidStructure, MissingProjector, NotAdmissible
 from .scalar import ScalarField
 from .statgeo import StatisticalStructure
@@ -65,28 +58,30 @@ class HessianStructure:
 
     def __post_init__(self):
         A = self.algebroid
-        if not curvature(A, self.nabla).is_zero:
+        D = Derived(A, self.nabla)
+        if not D.curvature.is_zero:
             raise InvalidStructure("connection is not flat")
-        if not projected_torsion(A, self.nabla).is_zero:
+        if not D.projected_torsion.is_zero:
             raise InvalidStructure("connection is not projected-torsion-free")
         H = hessian(A, self.nabla, self.potential)
         if not (self.g.lower_tensor() - H).is_zero:
             raise InvalidStructure("metric does not equal the Hessian of the potential")
 
 
-def projected_exterior_derivative(A, conn, omega):
-    """Degree-raising derivative built from the projected modified bracket.
+def projected_exterior_derivative(D, omega):
+    """Degree-raising derivative built from the projected modified bracket of D.conn.
 
     (d-hat w)_{a_1..a_{p+1}} = sum_i (-1)^{i+1} rho_{a_i}(w_{.. a_i-hat ..})
       + sum_{i<j} (-1)^{i+j} mhat^m_{a_i a_j} w_{m, .. a_i-hat .. a_j-hat ..},
     where mhat are the projected modified bracket coefficients.  Requires an
     admissible connection so the result is genuinely antisymmetric.
     """
+    A = D.algebroid
     if A.projector is None:
         raise MissingProjector("projected exterior derivative needs a locality projector")
-    if not A.admissibility_residual(conn).is_zero:
+    if not D.admissible:
         raise NotAdmissible("projected exterior derivative requires an admissible connection")
-    mb_hat = modified_bracket_coeffs(A, conn, projected=True)
+    mb_hat = D.projected_bracket.comps
     r = A.rank
     p = omega.degree
     out = zeros_array((r,) * (p + 1), A.coords)
@@ -108,8 +103,8 @@ def projected_exterior_derivative(A, conn, omega):
     return EPForm(p + 1, out)
 
 
-def hessian_symmetry_equivalences(A, conn, probe_functions=None):
-    """Exact report on the three-way symmetry equivalence for the Hessian.
+def hessian_symmetry_equivalences(D, probe_functions=None):
+    """Exact report on the three-way symmetry equivalence for the Hessian of D.conn.
 
     Clause 1 (H(f) symmetric for every f) is decided by the identity
     H(f)(u,v) - H(f)(v,u) = -rho(T-hat(u,v))(f): it holds for all f exactly
@@ -124,11 +119,12 @@ def hessian_symmetry_equivalences(A, conn, probe_functions=None):
     with a nonzero projected torsion whose image hides inside ker rho — is
     reported through a warning instead of a failure.
     """
+    A, conn = D.algebroid, D.conn
     if A.projector is None:
         raise MissingProjector("the symmetry equivalences need a locality projector")
     report = AlgebroidReport("hessian-symmetry-equivalences")
     r, n = A.rank, A.dim
-    T_hat = projected_torsion(A, conn)
+    T_hat = D.projected_torsion
     rho_T = zeros_array((n, r, r), A.coords) if n else zeros_array((0, r, r), A.coords)
     for i in range(n):
         for b, c in itertools.product(range(r), repeat=2):
@@ -141,16 +137,15 @@ def hessian_symmetry_equivalences(A, conn, probe_functions=None):
     report.record("clause-1-hessian-symmetric-for-all-f", "holds" if clause1 else "fails")
     report.record("clause-2-projected-torsion-free", "holds" if clause2 else "fails")
 
-    admissible = A.admissibility_residual(conn).is_zero
     clause3 = None
-    if admissible:
+    if D.admissible:
         res3 = zeros_array((r, r, r), A.coords)
         identity3 = zeros_array((r, r, r), A.coords)
         for m in range(r):
             omega = EPForm(1, object_array(
                 [A.one() if a == m else A.zero() for a in range(r)]
             ))
-            d_omega = projected_exterior_derivative(A, conn, omega)
+            d_omega = projected_exterior_derivative(D, omega)
             nabla_omega = frame_covariant_derivative(
                 A, conn, ETensor(0, 1, r, A.coords, omega.comps)
             )
@@ -213,8 +208,8 @@ def _default_probes(A):
     return probes
 
 
-def hessian_structure_check(A, conn, g, f):
-    """Verify (g, conn, f) is a Hessian structure and its statistical shadow.
+def hessian_structure_check(D, g, f):
+    """Verify (g, D.conn, f) is a Hessian structure and its statistical shadow.
 
     Non-degeneracy is ring-level: the determinant of g is nonzero as a
     rational function, not pointwise on the chart.  On success the report
@@ -222,11 +217,12 @@ def hessian_structure_check(A, conn, g, f):
     admissible connections, that (g, Q, T) satisfies the statistical-structure
     invariants.
     """
+    A, conn = D.algebroid, D.conn
     if A.projector is None:
         raise MissingProjector("hessian structure check needs a locality projector")
     report = AlgebroidReport("hessian-structure")
-    report.record("flat", Residual("curvature", curvature(A, conn)))
-    report.record("projected-torsion-free", Residual("projected-torsion", projected_torsion(A, conn)))
+    report.record("flat", Residual("curvature", D.curvature))
+    report.record("projected-torsion-free", Residual("projected-torsion", D.projected_torsion))
     H = hessian(A, conn, f)
     report.record("metric-equals-hessian", Residual("metric-minus-hessian", g.lower_tensor() - H))
     report.record("metric-nondegenerate", not g.det.is_zero)
@@ -235,10 +231,9 @@ def hessian_structure_check(A, conn, g, f):
     Q = nonmetricity(A, conn, g)
     codazzi = Q - Q.swap_slots(1, 2)
     report.record("codazzi", Residual("codazzi", codazzi))
-    if A.admissibility_residual(conn).is_zero:
-        T = torsion(A, conn)
+    if D.admissible:
         try:
-            StatisticalStructure(g, Q, T)
+            StatisticalStructure(g, Q, D.torsion)
         except InvalidStructure as exc:
             report.record("statistical-invariants", False)
             report.warn(f"statistical invariants violated: {exc}")
@@ -262,8 +257,7 @@ class FlaggedResidual(Residual):
 def holonomy_precondition_residual(A, conn):
     """gamma-hat^a_{bc} = mbhat^a_{bc}, the projected modified bracket
     coefficients; zero iff the frame is holonomic for that bracket."""
-    coeffs = modified_bracket_coeffs(A, conn, projected=True)
-    return Residual("holonomy-precondition", ETensor(1, 2, A.rank, A.coords, coeffs))
+    return Residual("holonomy-precondition", Derived(A, conn).projected_bracket)
 
 
 def fundamental_theorem_residual(A, pair):
@@ -277,10 +271,11 @@ def fundamental_theorem_residual(A, pair):
     """
     if A.projector is None:
         raise MissingProjector("fundamental theorem residual needs a locality projector")
-    pre = Residual("holonomy-precondition", pair.projected_bracket)
-    pre_star = Residual("holonomy-precondition", pair.projected_bracket_star)
+    D, D_star = pair.derived(pair.nabla), pair.derived(pair.nabla_star)
+    pre = Residual("holonomy-precondition", D.projected_bracket)
+    pre_star = Residual("holonomy-precondition", D_star.projected_bracket)
     applicable = pre.is_zero and pre_star.is_zero
-    R, R_star, g = pair.curvature, pair.curvature_star, pair.g
+    R, R_star, g = D.curvature, D_star.curvature, pair.g
     r = A.rank
     res = zeros_array((r, r, r, r), A.coords)
     for a, b, c, d in itertools.product(range(r), repeat=4):
@@ -314,17 +309,18 @@ def fundamental_theorem_residual(A, pair):
     )
 
 
-def constant_curvature_check(A, conn, g):
-    """Decide whether R^a_{bcd} = kappa (g_{cd} d^a_b - g_{bd} d^a_c) exactly.
+def constant_curvature_check(D, g):
+    """Decide whether R(D.conn)^a_{bcd} = kappa (g_{cd} d^a_b - g_{bd} d^a_c) exactly.
 
     Returns (True, kappa) with an exact rational kappa when one exists (the
     flat case yields kappa = 0), else (False, None).
     """
+    A = D.algebroid
     if A.projector is None:
         raise MissingProjector("constant curvature check needs a locality projector")
-    if not A.admissibility_residual(conn).is_zero:
+    if not D.admissible:
         raise NotAdmissible("constant curvature requires an admissible connection")
-    R = curvature(A, conn)
+    R = D.curvature
     r = A.rank
     model = zeros_array((r, r, r, r), A.coords)
     for a, b, c, d in itertools.product(range(r), repeat=4):
@@ -357,7 +353,7 @@ def conjugate_curvature_transfer_residual(A, pair, kappa):
     """R(nabla*)^a_{bcd} - kappa (g_{cd} d^a_b - g_{bd} d^a_c): zero under the
     fundamental-theorem hypotheses when nabla has constant curvature kappa."""
     kappa_field = ScalarField.constant(Fraction(kappa), A.coords)
-    R_star, g = pair.curvature_star, pair.g
+    R_star, g = pair.derived(pair.nabla_star).curvature, pair.g
     r = A.rank
     res = zeros_array((r, r, r, r), A.coords)
     for a, b, c, d in itertools.product(range(r), repeat=4):

@@ -23,9 +23,10 @@ from fractions import Fraction
 
 from .algebroid import Residual
 from .connection import (
+    Derived,
     EConnection,
+    _read_only,
     _solve_affine_koszul,
-    curvature,
     difference_tensor,
     modified_bracket_coeffs,
     nonmetricity,
@@ -36,74 +37,33 @@ from .scalar import ScalarField
 from .tensor import ETensor, is_antisymmetric_in, is_totally_symmetric, zeros_array
 
 
-def _read_only(value):
-    """Lock the component array of a derived object kept on a pair."""
-    array = value.comps if isinstance(value, ETensor) else value.gamma
-    array.flags.writeable = False
-    return value
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConjugatePair:
     """A metric with two connections jointly preserving it.
 
-    The pair is the one place where the derived objects of (g, nabla, nabla*)
-    are built: each property below is computed on first access and kept,
-    read-only, on the pair.  Names ending in ``_star`` belong to nabla*.
+    The pair builds the objects of (g, nabla, nabla*) together once each, as
+    read-only properties.  The objects of one connection (nabla, nabla*, the
+    mean, an alpha-connection) come from ``derived(conn)``: one ``Derived``
+    per connection object, kept in a memo that a check call shares among all
+    its pairs.  Equality and hashing are by identity.
     """
 
     algebroid: object
     g: object
     nabla: EConnection
     nabla_star: EConnection
-    # Per-alpha memos filled by alpha_connection and _alpha_curvature.
-    _alpha_connections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _alpha_curvatures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _derived: dict = field(default_factory=dict, kw_only=True, repr=False)
+    # Filled by alpha_connection.
+    _alpha_connections: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         residual = conjugation_residual(self.algebroid, self.g, self.nabla, self.nabla_star)
         if not residual.is_zero:
             raise InvalidStructure("connections are not conjugate with respect to g")
 
-    def _bracket(self, conn, projected):
-        A = self.algebroid
-        coeffs = modified_bracket_coeffs(A, conn, projected=projected)
-        return _read_only(ETensor(1, 2, A.rank, A.coords, coeffs))
-
-    @functools.cached_property
-    def bracket(self):
-        """Modified bracket coefficients mb(nabla) as a (1, 2) tensor."""
-        return self._bracket(self.nabla, projected=False)
-
-    @functools.cached_property
-    def bracket_star(self):
-        return self._bracket(self.nabla_star, projected=False)
-
-    @functools.cached_property
-    def projected_bracket(self):
-        """Projected modified bracket coefficients mbhat(nabla)."""
-        return self._bracket(self.nabla, projected=True)
-
-    @functools.cached_property
-    def projected_bracket_star(self):
-        return self._bracket(self.nabla_star, projected=True)
-
-    @functools.cached_property
-    def torsion(self):
-        return _read_only(torsion(self.algebroid, self.nabla))
-
-    @functools.cached_property
-    def torsion_star(self):
-        return _read_only(torsion(self.algebroid, self.nabla_star))
-
-    @functools.cached_property
-    def curvature(self):
-        """R(nabla); needs the locality projector."""
-        return _read_only(curvature(self.algebroid, self.nabla))
-
-    @functools.cached_property
-    def curvature_star(self):
-        return _read_only(curvature(self.algebroid, self.nabla_star))
+    def derived(self, conn):
+        """The ``Derived`` of conn, built on first use."""
+        return self._derived.setdefault(conn, Derived(self.algebroid, conn))
 
     @functools.cached_property
     def difference(self):
@@ -134,11 +94,7 @@ class ConjugatePair:
     @functools.cached_property
     def jointly_admissible(self):
         """Hypothesis of SSp7 and SSe8: nabla and nabla* are both admissible."""
-        A = self.algebroid
-        return (
-            A.admissibility_residual(self.nabla).is_zero
-            and A.admissibility_residual(self.nabla_star).is_zero
-        )
+        return self.derived(self.nabla).admissible and self.derived(self.nabla_star).admissible
 
     @functools.cached_property
     def strongly_conjugate_and_admissible(self):
@@ -204,7 +160,8 @@ def alpha_connection(pair, alpha):
 
     Built once per pair and alpha, always from this formula: at alpha = 1 and
     alpha = -1 it is never nabla* or nabla itself, so the endpoint identities
-    still compare two derivations.
+    still compare two derivations, and its ``Derived`` (keyed by connection
+    object) is never the one of nabla* or nabla.
     """
     alpha = Fraction(alpha)
     family = pair._alpha_connections
@@ -213,15 +170,6 @@ def alpha_connection(pair, alpha):
         s = ScalarField.constant((1 + alpha) / 2, coords)
         t = ScalarField.constant((1 - alpha) / 2, coords)
         family[alpha] = _read_only(pair.nabla_star.scale_combination(s, pair.nabla, t))
-    return family[alpha]
-
-
-def _alpha_curvature(pair, alpha):
-    """R(nabla^(alpha)), built once per pair and alpha."""
-    alpha = Fraction(alpha)
-    family = pair._alpha_curvatures
-    if alpha not in family:
-        family[alpha] = _read_only(curvature(pair.algebroid, alpha_connection(pair, alpha)))
     return family[alpha]
 
 
@@ -248,8 +196,10 @@ def strong_conjugacy_residual(A, pair):
 
 def quasi_statistical_check(A, g, conn):
     """Residual of Q(u,v,w) - Q(v,u,w) + g(T(u,v), w)."""
-    Q = nonmetricity(A, conn, g)
-    T = torsion(A, conn)
+    return _quasi_statistical_residual(A, g, nonmetricity(A, conn, g), torsion(A, conn))
+
+
+def _quasi_statistical_residual(A, g, Q, T):
     r = A.rank
     res = zeros_array((r, r, r), A.coords)
     for a, b, c in itertools.product(range(r), repeat=3):
@@ -266,8 +216,9 @@ def conjugate_torsion_transfer_residual(A, g, conn):
 
 
 def _torsion_transfer_residual(pair):
-    difference = pair.bracket - pair.bracket_star
-    return Residual("conjugate-torsion-transfer", pair.torsion_star - difference)
+    D, D_star = pair.derived(pair.nabla), pair.derived(pair.nabla_star)
+    difference = D.bracket - D_star.bracket
+    return Residual("conjugate-torsion-transfer", D_star.torsion - difference)
 
 
 # -- statistical solve --------------------------------------------------------
@@ -296,12 +247,9 @@ def statistical_solve(A, S):
         extra2[b, c, d] = acc
     nabla = _solve_affine_koszul(A, g, extra1)
     nabla_star = _solve_affine_koszul(A, g, extra2)
-    mb = modified_bracket_coeffs(A, nabla)
-    mb_star = modified_bracket_coeffs(A, nabla_star)
-    compat = zeros_array((r, r, r), A.coords)
-    for a, b, c in itertools.product(range(r), repeat=3):
-        compat[a, b, c] = B.comps[a, b, c] - (mb[a, b, c] - mb_star[a, b, c])
-    compat_residual = Residual("bracket-compatibility", ETensor(1, 2, r, A.coords, compat))
+    derived = {nabla: Derived(A, nabla), nabla_star: Derived(A, nabla_star)}
+    difference = derived[nabla].bracket - derived[nabla_star].bracket
+    compat_residual = Residual("bracket-compatibility", B - difference)
     if not compat_residual.is_zero:
         raise CompatibilityFailure(
             "solved pair violates the bracket-difference compatibility condition",
@@ -309,7 +257,7 @@ def statistical_solve(A, S):
             nabla_star=nabla_star,
             residual=compat_residual,
         )
-    return ConjugatePair(A, g, nabla, nabla_star)
+    return ConjugatePair(A, g, nabla, nabla_star, _derived=derived)
 
 
 def trivial_statistical_structure(A, g):
@@ -340,9 +288,10 @@ def alpha_curvature_residual(A, pair, alpha):
     s = ScalarField.constant((1 + alpha) / 2, coords)
     t = ScalarField.constant((1 - alpha) / 2, coords)
     quarter = ScalarField.constant((1 - alpha * alpha) / 4, coords)
-    R_alpha = _alpha_curvature(pair, alpha)
-    R, R_star, delta = pair.curvature, pair.curvature_star, pair.difference
-    bracket_difference = (pair.projected_bracket - pair.projected_bracket_star).comps
+    D, D_star = pair.derived(pair.nabla), pair.derived(pair.nabla_star)
+    R_alpha = pair.derived(alpha_connection(pair, alpha)).curvature
+    R, R_star, delta = D.curvature, D_star.curvature, pair.difference
+    bracket_difference = (D.projected_bracket - D_star.projected_bracket).comps
     r = A.rank
     res = zeros_array((r, r, r, r), coords)
     for a, b, c, d in itertools.product(range(r), repeat=4):
@@ -360,8 +309,8 @@ def alpha_curvature_residual(A, pair, alpha):
 
 def alpha_flat_symmetry_residual(A, pair, alpha):
     """R(nabla^(alpha)) - R(nabla^(-alpha)); zero when the pair is flat."""
-    plus = _alpha_curvature(pair, alpha)
-    minus = _alpha_curvature(pair, -Fraction(alpha))
+    plus = pair.derived(alpha_connection(pair, alpha)).curvature
+    minus = pair.derived(alpha_connection(pair, -Fraction(alpha))).curvature
     return Residual(f"alpha-flat-symmetry(alpha={alpha})", plus - minus)
 
 

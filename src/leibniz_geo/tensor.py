@@ -51,9 +51,13 @@ class ComponentSummaries:
         return max(degrees, default=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ETensor(ComponentSummaries):
-    """Dense (q, r)-type tensor: q contravariant then r covariant slots."""
+    """Dense (q, r)-type tensor: q contravariant then r covariant slots.
+
+    Equality and hashing are by identity; two tensors have equal components
+    when ``(a - b).is_zero``.
+    """
 
     q: int
     r: int

@@ -41,7 +41,7 @@ from leibniz_geo import (
     tangent,
     torsion,
 )
-from leibniz_geo.connection import second_cov_and_ricci
+from leibniz_geo.connection import Derived, second_cov_and_ricci
 from leibniz_geo.errors import ParseError, SchemaError, ShapeError
 from leibniz_geo.hessian import holonomy_precondition_residual
 from leibniz_geo.model import parse_model_text
@@ -128,7 +128,7 @@ def test_criterion_01_classical_oracles():
 
     g_hyp = hyperbolic_metric(A)
     conn_hyp = levi_civita_solve(A, g_hyp)
-    ok, kappa = constant_curvature_check(A, conn_hyp, g_hyp)
+    ok, kappa = constant_curvature_check(Derived(A, conn_hyp), g_hyp)
     assert ok and kappa == Fraction(-1)
 
 
@@ -317,7 +317,7 @@ def test_criterion_07_ricci_identity():
             u = A.vector([random_polynomial(A, rng) for _ in range(A.rank)])
             v = A.vector([random_polynomial(A, rng) for _ in range(A.rank)])
             w = A.vector([random_polynomial(A, rng) for _ in range(A.rank)])
-            _, residual = second_cov_and_ricci(A, conn, u, v, w)
+            _, residual = second_cov_and_ricci(Derived(A, conn), u, v, w)
             assert residual.is_zero
             total += 1
     assert total == 25
@@ -352,7 +352,7 @@ def test_criterion_08_hessian_suite():
     assert len(instances) >= 10
     saw_escape = False
     for A_i, conn, expect1, expect2 in instances[:12]:
-        report = hessian_symmetry_equivalences(A_i, conn)
+        report = hessian_symmetry_equivalences(Derived(A_i, conn))
         entries = dict(report.entries)
         assert entries["clause-1-hessian-symmetric-for-all-f"] == expect1
         assert entries["clause-2-projected-torsion-free"] == expect2
@@ -369,7 +369,7 @@ def test_criterion_08_hessian_suite():
 
     H = hessian(A, zero_conn, f)
     g = EMetric([[H.comps[i, j] for j in range(2)] for i in range(2)], A.coords)
-    report = hessian_structure_check(A, zero_conn, g, f)
+    report = hessian_structure_check(Derived(A, zero_conn), g, f)
     assert report.ok
     entries = dict(report.entries)
     assert entries["codazzi"].is_zero

@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 from leibniz_geo import (
+    ConjugatePair,
     EConnection,
     EMetric,
     ScalarField,
+    conjugate_connection,
     courant,
     courant_pairing,
     curvature,
@@ -22,6 +24,7 @@ from leibniz_geo import (
 )
 from leibniz_geo.checks import _probe_sections
 from leibniz_geo.connection import (
+    Derived,
     covariant_derivative_vector,
     curvature_eval,
     difference_tensor,
@@ -166,7 +169,7 @@ def test_ricci_identity_all_builtins():
             u = A.vector([random_polynomial(A, rng) for _ in range(A.rank)])
             v = A.vector([random_polynomial(A, rng) for _ in range(A.rank)])
             w = A.vector([random_polynomial(A, rng) for _ in range(A.rank)])
-            _, residual = second_cov_and_ricci(A, conn, u, v, w)
+            _, residual = second_cov_and_ricci(Derived(A, conn), u, v, w)
             assert residual.is_zero
 
 
@@ -242,3 +245,20 @@ def test_so3_killing_style_levi_civita():
         assert (conn.gamma[a, b, c] - A.bracket[a, b, c] * half).is_zero
     assert torsion(A, conn).is_zero
     assert nonmetricity(A, conn, g).is_zero
+
+
+def test_connections_tensors_and_pairs_compare_by_identity():
+    A = tangent(2)
+    conn = EConnection.zero(A)
+    zeros = ETensor.zeros(1, 2, 2, A.coords)
+    assert not conn == EConnection.zero(A)
+    assert not zeros == ETensor.zeros(1, 2, 2, A.coords)
+    assert hash(conn) == hash(conn)
+    memo = {conn: "zero"}
+    assert memo[conn] == "zero" and EConnection.zero(A) not in memo
+    # Values compare through the difference.
+    assert difference_tensor(A, conn, EConnection.zero(A)).is_zero
+    assert (zeros - ETensor.zeros(1, 2, 2, A.coords)).is_zero
+    g = EMetric([[A.one(), A.zero()], [A.zero(), A.one()]], A.coords)
+    pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
+    assert pair == pair and {pair: 1}[pair] == 1

@@ -1,8 +1,10 @@
 """Byte-identity of the CLI's reports against committed captures.
 
-The files in ``tests/golden`` hold the exact stdout of the commands below as
-produced by the expression-based scalar kernel that the FracField kernel
-replaced.  Any change to a canonical string, a record or its order shows here.
+The files in ``tests/golden`` hold the exact stdout of the commands below,
+captured from earlier versions of the engine: ``check-all``, ``export-builtin``
+and ``levi-civita`` before the FracField scalar kernel, the other single-shot
+commands before the per-connection ``Derived`` context.  Any change to a
+canonical string, a record or its order shows here.
 """
 
 import subprocess
@@ -14,6 +16,20 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MODELS = ROOT / "models"
+
+# Single-shot commands that exit 0 on both dump models: (capture tag, argv).
+SINGLE_SHOT = [
+    ("validate", ["validate"]),
+    ("torsion", ["torsion"]),
+    ("curvature", ["curvature"]),
+    ("nonmetricity", ["nonmetricity"]),
+    ("conjugate", ["conjugate"]),
+    ("mean", ["mean"]),
+    ("alpha-half", ["alpha", "--alpha", "1/2"]),
+    ("hessian", ["hessian"]),
+    ("dhat", ["dhat"]),
+    ("check-SSp11", ["check", "SSp11"]),
+]
 
 CASES = [
     *(
@@ -33,6 +49,17 @@ CASES = [
     (
         "levi-civita_tangent2_polar_dump.txt",
         ["levi-civita", "--model", str(MODELS / "tangent2_polar.model"), "--dump-residuals"],
+    ),
+    *(
+        (f"{tag}_{name}_dump.jsonl",
+         [*argv, "--model", str(MODELS / f"{name}.model"),
+          "--dump-residuals", "--format", "json-lines"])
+        for name in ("tangent2_polar", "courant1")
+        for tag, argv in SINGLE_SHOT
+    ),
+    (
+        "conjugate_tangent2_polar_dump.txt",
+        ["conjugate", "--model", str(MODELS / "tangent2_polar.model"), "--dump-residuals"],
     ),
 ]
 

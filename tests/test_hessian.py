@@ -31,6 +31,7 @@ from leibniz_geo import (
     torsion,
 )
 from leibniz_geo.connection import (
+    Derived,
     frame_covariant_derivative,
     projected_torsion,
     second_cov_and_ricci,
@@ -90,7 +91,7 @@ def test_hessian_agrees_with_second_covariant_derivative():
 def test_projected_exterior_derivative_of_function():
     A = tangent(2)
     f = A.field("x1*x2")
-    df = projected_exterior_derivative(A, flat_connection(A), function_form(f))
+    df = projected_exterior_derivative(Derived(A, flat_connection(A)), function_form(f))
     assert df.degree == 1
     assert (df.comps[0] - A.x(2)).is_zero
     assert (df.comps[1] - A.x(1)).is_zero
@@ -102,8 +103,8 @@ def test_projected_exterior_derivative_squares_to_zero_on_functions():
     rng = make_rng(71)
     conn = eta_compatible_connection(A, eta, rng)
     f = A.field("x1^3 + x1")
-    df = projected_exterior_derivative(A, conn, function_form(f))
-    ddf = projected_exterior_derivative(A, conn, df)
+    df = projected_exterior_derivative(Derived(A, conn), function_form(f))
+    ddf = projected_exterior_derivative(Derived(A, conn), df)
     assert all(ddf.comps[idx].is_zero for idx in itertools.product(range(2), repeat=2))
 
 
@@ -112,7 +113,7 @@ def test_projected_exterior_derivative_matches_classical_de_rham():
     A = tangent(2)
     x1, x2 = A.x(1), A.x(2)
     omega = EPForm(1, object_array([A.zero(), x1]))  # omega = x1 dx2
-    d_omega = projected_exterior_derivative(A, flat_connection(A), omega)
+    d_omega = projected_exterior_derivative(Derived(A, flat_connection(A)), omega)
     # d(x1 dx2) = dx1 ^ dx2: components (d omega)_{12} = 1, antisymmetric.
     assert (d_omega.comps[0, 1] - A.one()).is_zero
     assert (d_omega.comps[1, 0] + A.one()).is_zero
@@ -132,19 +133,19 @@ def test_projected_exterior_derivative_guards():
     )
     with pytest.raises(MissingProjector):
         projected_exterior_derivative(
-            stripped, flat_connection(A), function_form(A.one())
+            Derived(stripped, flat_connection(A)), function_form(A.one())
         )
     Cour = courant(1)
     rng = make_rng(73)
     bad = random_connection(Cour, rng, degree=1)
     assert not Cour.admissibility_residual(bad).is_zero
     with pytest.raises(NotAdmissible):
-        projected_exterior_derivative(Cour, bad, function_form(Cour.one()))
+        projected_exterior_derivative(Derived(Cour, bad), function_form(Cour.one()))
 
 
 def test_symmetry_equivalences_all_hold_for_flat_tangent():
     A = tangent(2)
-    report = hessian_symmetry_equivalences(A, flat_connection(A))
+    report = hessian_symmetry_equivalences(Derived(A, flat_connection(A)))
     entries = dict(report.entries)
     assert entries["clause-1-hessian-symmetric-for-all-f"] == "holds"
     assert entries["clause-2-projected-torsion-free"] == "holds"
@@ -161,7 +162,7 @@ def test_symmetry_equivalences_all_fail_together():
     raw[0, 0, 1] = A.one()
     conn = EConnection(raw)
     assert not projected_torsion(A, conn).is_zero
-    report = hessian_symmetry_equivalences(A, conn)
+    report = hessian_symmetry_equivalences(Derived(A, conn))
     entries = dict(report.entries)
     assert entries["clause-1-hessian-symmetric-for-all-f"] == "fails"
     assert entries["clause-2-projected-torsion-free"] == "fails"
@@ -179,7 +180,7 @@ def test_symmetry_equivalences_kernel_escape():
     raw[0, 0, 1] = A.one()
     conn = EConnection(raw)
     assert not projected_torsion(A, conn).is_zero
-    report = hessian_symmetry_equivalences(A, conn)
+    report = hessian_symmetry_equivalences(Derived(A, conn))
     entries = dict(report.entries)
     assert entries["clause-1-hessian-symmetric-for-all-f"] == "holds"
     assert entries["clause-2-projected-torsion-free"] == "fails"
@@ -192,7 +193,7 @@ def test_probe_identities_are_exact():
     A = tangent(2)
     rng = make_rng(79)
     conn = random_connection(A, rng, degree=1)
-    report = hessian_symmetry_equivalences(A, conn)
+    report = hessian_symmetry_equivalences(Derived(A, conn))
     probes = [
         entry
         for name, entry in dict(report.entries).items()
@@ -216,7 +217,7 @@ def test_hessian_structure_accepts_potential():
     A, conn, g, f = hessian_potential_data()
     structure = HessianStructure(A, g, conn, f)
     assert structure.potential is f
-    report = hessian_structure_check(A, conn, g, f)
+    report = hessian_structure_check(Derived(A, conn), g, f)
     assert report.ok
     entries = dict(report.entries)
     assert entries["metric-nondegenerate"] is True
@@ -232,7 +233,7 @@ def test_hessian_structure_check_is_ring_level():
     conn = flat_connection(A)
     H = hessian(A, conn, f)
     g = EMetric([[H.comps[i, j] for j in range(2)] for i in range(2)], A.coords)
-    report = hessian_structure_check(A, conn, g, f)
+    report = hessian_structure_check(Derived(A, conn), g, f)
     assert report.ok
 
 
@@ -246,7 +247,7 @@ def test_hessian_structure_rejects_curved_connection():
     assert not curvature(A, conn).is_zero
     with pytest.raises(ValueError):
         HessianStructure(A, g_hyp, conn, A.field("x1^2"))
-    report = hessian_structure_check(A, conn, g_hyp, A.field("x1^2"))
+    report = hessian_structure_check(Derived(A, conn), g_hyp, A.field("x1^2"))
     assert not report.ok
 
 
@@ -302,7 +303,7 @@ def test_constant_curvature_flat_and_hyperbolic():
     A = tangent(2)
     g_polar = EMetric([[A.one(), A.zero()], [A.zero(), A.x(1) * A.x(1)]], A.coords)
     conn = levi_civita_solve(A, g_polar)
-    ok, kappa = constant_curvature_check(A, conn, g_polar)
+    ok, kappa = constant_curvature_check(Derived(A, conn), g_polar)
     assert ok and kappa == Fraction(0)
 
     g_hyp = EMetric(
@@ -310,7 +311,7 @@ def test_constant_curvature_flat_and_hyperbolic():
         A.coords,
     )
     conn_hyp = levi_civita_solve(A, g_hyp)
-    ok, kappa = constant_curvature_check(A, conn_hyp, g_hyp)
+    ok, kappa = constant_curvature_check(Derived(A, conn_hyp), g_hyp)
     assert ok and kappa == Fraction(-1)
 
 
@@ -319,7 +320,7 @@ def test_constant_curvature_rejects_generic_connection():
     rng = make_rng(101)
     g = random_metric(A, rng)
     conn = random_connection(A, rng, degree=1)
-    ok, kappa = constant_curvature_check(A, conn, g)
+    ok, kappa = constant_curvature_check(Derived(A, conn), g)
     if ok:
         # Extremely unlikely; accept but require exact reproduction.
         assert kappa is not None

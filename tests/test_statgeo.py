@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from leibniz_geo import (
+    Algebroid,
     ConjugatePair,
+    Derived,
     EConnection,
     EMetric,
     ScalarField,
@@ -336,17 +338,28 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 def test_cached_pair_objects_are_read_only():
     A, g, conn = instances(1, seed=171)[0]
     pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
-    assert pair.curvature is pair.curvature
+    D, D_star = pair.derived(pair.nabla), pair.derived(pair.nabla_star)
+    assert D.curvature is pair.derived(pair.nabla).curvature
     assert alpha_connection(pair, Fraction(1, 2)) is alpha_connection(pair, Fraction(1, 2))
+    # The alpha = -1 connection has its own Derived, never the one of nabla.
+    assert pair.derived(alpha_connection(pair, -1)) is not D
     tensors = [
-        pair.bracket,
-        pair.projected_bracket_star,
-        pair.torsion,
-        pair.curvature,
-        pair.curvature_star,
+        D.bracket,
+        D_star.projected_bracket,
+        D.torsion,
+        D.curvature,
+        D_star.curvature,
         pair.difference,
         pair.nonmetricity,
         pair.relative_torsion,
+    ]
+    alone = Derived(A, conn)
+    tensors += [
+        alone.bracket,
+        alone.projected_bracket,
+        alone.torsion,
+        alone.projected_torsion,
+        alone.curvature,
     ]
     arrays = [tensor.comps for tensor in tensors]
     arrays += [alpha_connection(pair, 2).gamma, mean_connection(pair).gamma]
@@ -355,39 +368,63 @@ def test_cached_pair_objects_are_read_only():
             array[(0,) * array.ndim] = A.one()
 
 
-def _count_calls(monkeypatch, module, name):
-    """Count the calls of module.name through every binding of it in the package."""
-    original = getattr(module, name)
+def _count_calls(monkeypatch, owner, name):
+    """Record the arguments of every call of owner.name, through every binding
+    of it in the package (owner is a module or a class)."""
+    original = getattr(owner, name)
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(None)
+        calls.append((args, kwargs))
         return original(*args, **kwargs)
 
-    for mod in list(sys.modules.values()):
-        if mod.__name__.startswith("leibniz_geo") and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counting)
+    modules = [mod for mod in list(sys.modules.values()) if mod.__name__.startswith("leibniz_geo")]
+    for target in [owner, *modules]:
+        if getattr(target, name, None) is original:
+            monkeypatch.setattr(target, name, counting)
     return calls
 
 
 @pytest.mark.parametrize("name", ["so3", "tangent2_polar"])
 def test_check_run_derives_each_object_once_per_pair(monkeypatch, name):
     doc = load_model(MODELS / f"{name}.model")
+    A = doc.algebroid
+    connections = len(doc.connections)
+    pairs = len(doc.metrics) * connections
+    # SSp11 builds R(nabla^(alpha)) for every alpha; SS29 adds R(nabla^(-alpha))
+    # on flat pairs.
+    alphas = set(checks.ALPHA_VALUES)
+    negated = {-alpha for alpha in alphas} - alphas
+    flat = 0
+    for g in doc.metrics.values():
+        for conn in doc.connections.values():
+            star = conjugate_connection(A, g, conn)
+            flat += curvature(A, conn).is_zero and curvature(A, star).is_zero
+    alpha_curvatures = pairs * len(alphas) + flat * len(negated)
+
     curvatures = _count_calls(monkeypatch, connection, "curvature")
     conjugates = _count_calls(monkeypatch, statgeo, "conjugate_connection")
+    torsions = _count_calls(monkeypatch, connection, "torsion")
+    admissibility = _count_calls(monkeypatch, Algebroid, "admissibility_residual")
+
+    def projected_torsions():
+        return [args for args, kwargs in torsions if kwargs.get("projected", args[2:] == (True,))]
+
     checks.run_all(doc)
-    pairs = len(doc.metrics) * len(doc.connections)
-    alphas = set(checks.ALPHA_VALUES) | {-alpha for alpha in checks.ALPHA_VALUES}
+    # One R per connection: the document's, their conjugates, the alpha family.
+    assert len({id(args[1]) for args, _ in curvatures}) == len(curvatures)
+    assert len(curvatures) == connections + pairs + alpha_curvatures
     # One conjugate per pair, plus the conjugate of each alpha-connection (SSp10).
-    assert len(conjugates) <= pairs * (1 + len(checks.ALPHA_VALUES))
-    # Per pair: R, R* and one R per alpha.  Per connection: eb12, three eb14
-    # probes and lc4.  Per (function, pair): the lp2 flatness test.
-    budget = pairs * (2 + len(alphas)) + 5 * len(doc.connections) + len(doc.functions) * pairs
-    assert len(curvatures) <= budget
+    assert len(conjugates) == pairs * (1 + len(checks.ALPHA_VALUES))
+    # T-hat of the document connections only, one each.
+    assert len(projected_torsions()) == connections
+    # Admissibility of each document connection and of each conjugate.
+    assert len(admissibility) == connections + pairs
     # Nothing outlives the call: checking the document again derives again.
-    counts = len(curvatures), len(conjugates)
+    counts = [len(curvatures), len(conjugates), len(projected_torsions()), len(admissibility)]
     checks.run_all(doc)
-    assert (len(curvatures), len(conjugates)) == (2 * counts[0], 2 * counts[1])
+    again = [len(curvatures), len(conjugates), len(projected_torsions()), len(admissibility)]
+    assert again == [2 * count for count in counts]
 
 
 def test_sse25_endpoints_are_built_by_the_alpha_formula(monkeypatch):
