@@ -24,7 +24,6 @@ from .connection import (
     modified_bracket_coeffs,
     nonmetricity,
     projected_modified_bracket,
-    projected_torsion,
     second_cov_and_ricci,
     second_covariant_derivative,
     torsion,

@@ -82,8 +82,10 @@ class AlgebroidReport:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Algebroid:
+    """Anchor, bracket and locality arrays on one chart; compares by identity."""
+
     coords: tuple
     rank: int
     anchor: np.ndarray = field(repr=False)
@@ -262,26 +264,6 @@ class Algebroid:
                 Residual("rho(k)", _loose_tensor(anchored, self.coords)),
             )
         return report
-
-    def admissibility_residual(self, conn):
-        """Symmetrized-bracket condition for a connection, as a frame residual.
-
-        Section level the condition reads
-            [u, v] + [v, u] = L(e^a, nabla_{X_a} u, v) + L(e^a, nabla_{X_a} v, u);
-        on frame fields the derivative terms on both sides cancel identically
-        (the Leibniz expansions agree term by term), leaving
-            c^a_{bc} + c^a_{cb} - G^e_{db} L^{a d}_{e c} - G^e_{dc} L^{a d}_{e b}.
-        """
-        r = self.rank
-        res = self.zeros(r, r, r)
-        for a, b, c in itertools.product(range(r), repeat=3):
-            acc = self.bracket[a, b, c] + self.bracket[a, c, b]
-            for d in range(r):
-                for e in range(r):
-                    acc = acc - conn.gamma[e, d, b] * self.locality[a, d, e, c]
-                    acc = acc - conn.gamma[e, d, c] * self.locality[a, d, e, b]
-            res[a, b, c] = acc
-        return Residual("admissibility", ETensor(1, 2, r, self.coords, res))
 
 
 def _loose_tensor(arr, coords):

@@ -384,13 +384,14 @@ def check_ssp11(ctx):
 
 def check_sse8(ctx):
     """Joint admissibility forces antisymmetry of the locality difference."""
-    A = ctx.A
     results = []
     for label, pair in ctx.pairs:
         if not pair.jointly_admissible:
             results.append(_na(f"SSe8[{label}]", _NOT_JOINTLY_ADMISSIBLE))
             continue
-        residual = admissibility_locality_residual(A, pair.nabla, pair.nabla_star)
+        residual = admissibility_locality_residual(
+            pair.derived(pair.nabla), pair.derived(pair.nabla_star)
+        )
         results.append(_from_residual(f"SSe8[{label}]", residual))
     return results
 
@@ -574,7 +575,7 @@ def check_lc4(ctx):
         return [_na("lc4", "no locality projector")]
     results = []
     for label, pair in ctx.pairs:
-        if not fundamental_theorem_residual(A, pair).applicable:
+        if not pair.holonomic:
             results.append(_na(f"lc4[{label}]", "anholonomic frame"))
             continue
         D = pair.derived(pair.nabla)

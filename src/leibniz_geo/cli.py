@@ -18,7 +18,7 @@ import numpy as np
 from . import checks as checks_module
 from .algebroid import Residual, builtin
 from .checks import CheckResult, _from_residual
-from .connection import Derived, curvature, levi_civita_solve, nonmetricity, torsion
+from .connection import Derived, levi_civita_solve, nonmetricity
 from .errors import LeibnizGeoError, MissingInput, UnknownCommand
 from .hessian import function_form, hessian, projected_exterior_derivative
 from .model import dump_model, export_algebroid, load_model
@@ -93,12 +93,12 @@ def _validate(A, doc, args):
         for warning in report.warnings:
             yield CheckResult("projector:warning", "not-applicable", note=warning)
     for name, conn in sorted(doc.connections.items()):
-        yield f"admissibility:{name}", A.admissibility_residual(conn)
+        yield f"admissibility:{name}", Derived(A, conn).admissibility
 
 
 def _torsion(A, doc, args):
     name, conn = _pick(doc.connections, "connection", args.connection)
-    yield f"torsion[{name}]", torsion(A, conn)
+    yield f"torsion[{name}]", Derived(A, conn).torsion
 
 
 def _curvature(A, doc, args):
@@ -107,7 +107,7 @@ def _curvature(A, doc, args):
         raise MissingInput(
             "curvature needs a locality projector: add a 'projector' block to the model"
         )
-    yield f"curvature[{name}]", curvature(A, conn)
+    yield f"curvature[{name}]", Derived(A, conn).curvature
 
 
 def _nonmetricity(A, doc, args):
@@ -120,7 +120,7 @@ def _levi_civita(A, doc, args):
     mname, g = _pick(doc.metrics, "metric", args.metric)
     conn = levi_civita_solve(A, g)
     yield f"levi-civita[{mname}]:gamma", ETensor(1, 2, A.rank, A.coords, conn.gamma)
-    yield f"levi-civita[{mname}]:torsion-free", Residual("t", torsion(A, conn))
+    yield f"levi-civita[{mname}]:torsion-free", Residual("t", Derived(A, conn).torsion)
     yield f"levi-civita[{mname}]:metric-compatible", Residual("q", nonmetricity(A, conn, g))
 
 

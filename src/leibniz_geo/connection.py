@@ -168,15 +168,11 @@ def projected_modified_bracket(A, conn, u, v):
 # -- torsion, curvature, non-metricity ----------------------------------------
 
 
-def torsion(A, conn, projected=False):
+def torsion(D, projected=False):
     """T^a_{bc} = Gamma^a_{bc} - Gamma^a_{cb} - mb^a_{bc} (mbhat when projected)."""
-    mb = modified_bracket_coeffs(A, conn, projected)
-    return ETensor(1, 2, A.rank, A.coords, conn.gamma - np.swapaxes(conn.gamma, 1, 2) - mb)
-
-
-def projected_torsion(A, conn):
-    """Same as torsion with the projected modified bracket."""
-    return torsion(A, conn, projected=True)
+    A, gamma = D.algebroid, D.conn.gamma
+    mb = D.projected_bracket if projected else D.bracket
+    return ETensor(1, 2, A.rank, A.coords, gamma - np.swapaxes(gamma, 1, 2) - mb.comps)
 
 
 def torsion_eval(A, conn, u, v):
@@ -188,23 +184,24 @@ def torsion_eval(A, conn, u, v):
     )
 
 
-def curvature(A, conn):
+def curvature(D):
     """R^a_{bcd} for R(X_b, X_c) X_d; requires the locality projector.
 
     R^a_{bcd} = rho(X_b)(G^a_{cd}) - rho(X_c)(G^a_{bd})
                 + G^e_{cd} G^a_{be} - G^e_{bd} G^a_{ce} - mbhat^e_{bc} G^a_{ed}.
     """
+    A, gamma = D.algebroid, D.conn.gamma
     if A.projector is None:
         raise MissingProjector("curvature needs a locality projector")
-    mb_hat = modified_bracket_coeffs(A, conn, projected=True)
+    mb_hat = D.projected_bracket.comps
     r = A.rank
     out = zeros_array((r, r, r, r), A.coords)
     for a, b, c, d in itertools.product(range(r), repeat=4):
-        acc = A.frame_apply(b, conn.gamma[a, c, d]) - A.frame_apply(c, conn.gamma[a, b, d])
+        acc = A.frame_apply(b, gamma[a, c, d]) - A.frame_apply(c, gamma[a, b, d])
         for e in range(r):
-            acc = acc + conn.gamma[e, c, d] * conn.gamma[a, b, e]
-            acc = acc - conn.gamma[e, b, d] * conn.gamma[a, c, e]
-            acc = acc - mb_hat[e, b, c] * conn.gamma[a, e, d]
+            acc = acc + gamma[e, c, d] * gamma[a, b, e]
+            acc = acc - gamma[e, b, d] * gamma[a, c, e]
+            acc = acc - mb_hat[e, b, c] * gamma[a, e, d]
         out[a, b, c, d] = acc
     return ETensor(1, 3, r, A.coords, out)
 
@@ -219,16 +216,8 @@ def curvature_eval(A, conn, u, v, w):
 
 
 def nonmetricity(A, conn, g):
-    """Q_{abc} = rho(X_a)(g_{bc}) - Gamma^d_{ab} g_{dc} - Gamma^d_{ac} g_{bd}."""
-    r = A.rank
-    out = zeros_array((r, r, r), A.coords)
-    for a, b, c in itertools.product(range(r), repeat=3):
-        acc = A.frame_apply(a, g.matrix[b, c])
-        for d in range(r):
-            acc = acc - conn.gamma[d, a, b] * g.matrix[d, c]
-            acc = acc - conn.gamma[d, a, c] * g.matrix[b, d]
-        out[a, b, c] = acc
-    return ETensor(0, 3, r, A.coords, out)
+    """Q = nabla g: Q_{abc} = rho(X_a)(g_{bc}) - Gamma^d_{ab} g_{dc} - Gamma^d_{ac} g_{bd}."""
+    return frame_covariant_derivative(A, conn, g.lower_tensor())
 
 
 # -- the derived objects of one connection ------------------------------------
@@ -245,9 +234,11 @@ def _read_only(value):
 class Derived:
     """The objects derived from one connection on an algebroid.
 
-    Each member calls the free function that holds its formula on first
-    access and keeps the result, read-only, so every check or pair handed the
-    same ``Derived`` shares it.  Equality and hashing are by identity.
+    Each member is built on first access and kept, read-only, so every
+    check or pair handed the same ``Derived`` shares it.  The modified
+    brackets are the one place where the connection meets the locality;
+    torsion, curvature and admissibility read them from here.  Equality and
+    hashing are by identity.
     """
 
     algebroid: object
@@ -270,20 +261,27 @@ class Derived:
 
     @functools.cached_property
     def torsion(self):
-        return _read_only(torsion(self.algebroid, self.conn))
+        return _read_only(torsion(self))
 
     @functools.cached_property
     def projected_torsion(self):
-        return _read_only(torsion(self.algebroid, self.conn, projected=True))
+        return _read_only(torsion(self, projected=True))
 
     @functools.cached_property
     def curvature(self):
         """R(nabla); needs the locality projector."""
-        return _read_only(curvature(self.algebroid, self.conn))
+        return _read_only(curvature(self))
+
+    @functools.cached_property
+    def admissibility(self):
+        """mb(u, v) + mb(v, u); zero iff nabla is admissible, that is, iff
+        [u, v] + [v, u] = L(e^a, nabla_{X_a} u, v) + L(e^a, nabla_{X_a} v, u)."""
+        mb = self.bracket
+        return Residual("admissibility", _read_only(mb + mb.swap_slots(2, 3)))
 
     @functools.cached_property
     def admissible(self):
-        return self.algebroid.admissibility_residual(self.conn).is_zero
+        return self.admissibility.is_zero
 
 
 def second_cov_and_ricci(D, u, v, w):

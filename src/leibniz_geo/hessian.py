@@ -29,16 +29,9 @@ def function_form(f):
 
 
 def hessian(A, conn, f):
-    """H_{ab} = rho_a((Df)_b) - Gamma^c_{ab} (Df)_c as a (0, 2) tensor."""
-    r = A.rank
-    df = [A.frame_apply(b, f) for b in range(r)]
-    comps = zeros_array((r, r), A.coords)
-    for a, b in itertools.product(range(r), repeat=2):
-        acc = A.frame_apply(a, df[b])
-        for c in range(r):
-            acc = acc - conn.gamma[c, a, b] * df[c]
-        comps[a, b] = acc
-    return ETensor(0, 2, r, A.coords, comps)
+    """H_{ab} = rho_a((Df)_b) - Gamma^c_{ab} (Df)_c = (nabla Df)_{ab} as a (0, 2) tensor."""
+    df = ETensor(0, 1, A.rank, A.coords, A.coboundary(f).comps)
+    return frame_covariant_derivative(A, conn, df)
 
 
 def hessian_asymmetry(A, conn, f):
@@ -267,14 +260,15 @@ def fundamental_theorem_residual(A, pair):
     working frame; otherwise the residual is still computed but flagged, with
     the frame-dependent obstruction term
     O_{abcd} = -g(nabla_{L(e^e, Delta(X_e, X_a), X_b)} X_c, X_d)
-    reported alongside for experimentation.
+    reported alongside for experimentation; its locality term is the bracket
+    difference L(e^e, Delta(X_e, u), v) = mb(nabla*)(u, v) - mb(nabla)(u, v).
     """
     if A.projector is None:
         raise MissingProjector("fundamental theorem residual needs a locality projector")
     D, D_star = pair.derived(pair.nabla), pair.derived(pair.nabla_star)
     pre = Residual("holonomy-precondition", D.projected_bracket)
     pre_star = Residual("holonomy-precondition", D_star.projected_bracket)
-    applicable = pre.is_zero and pre_star.is_zero
+    applicable = pair.holonomic
     R, R_star, g = D.curvature, D_star.curvature, pair.g
     r = A.rank
     res = zeros_array((r, r, r, r), A.coords)
@@ -286,17 +280,12 @@ def fundamental_theorem_residual(A, pair):
         res[a, b, c, d] = acc
     obstruction = None
     if not applicable:
-        delta = pair.difference
+        lam = (D_star.bracket - D.bracket).comps
         obs = zeros_array((r, r, r, r), A.coords)
         for a, b, c, d in itertools.product(range(r), repeat=4):
             acc = A.zero()
-            for e, p, m, nn in itertools.product(range(r), repeat=4):
-                acc = acc - (
-                    A.locality[m, e, p, b]
-                    * delta.comps[p, e, a]
-                    * pair.nabla.gamma[nn, m, c]
-                    * g.matrix[nn, d]
-                )
+            for m, nn in itertools.product(range(r), repeat=2):
+                acc = acc - lam[m, a, b] * pair.nabla.gamma[nn, m, c] * g.matrix[nn, d]
             obs[a, b, c, d] = acc
         obstruction = Residual("holonomy-obstruction", ETensor(0, 4, r, A.coords, obs))
     return FlaggedResidual(

@@ -21,6 +21,12 @@ from .expr import parse_expr
 from .scalar import ScalarField
 from .tensor import EMetric, ETensor, EVectorField, zeros_array
 
+# The largest accepted rank.  Component arrays are dense: the locality holds
+# r^4 entries and the Koszul system of the exact solves r^3 x r^3, so a larger
+# frame is out of reach and would only exhaust memory at load time.  Rank 6
+# admits courant(3).
+MAX_RANK = 8
+
 _TOP_LEVEL_KEYS = {
     "dimension",
     "rank",
@@ -119,6 +125,8 @@ def parse_model_text(text):
         raise SchemaError("dimension", "must be a non-negative integer")
     if not isinstance(r, int) or r <= 0:
         raise SchemaError("rank", "must be a positive integer")
+    if r > MAX_RANK:
+        raise SchemaError("rank", f"must be at most {MAX_RANK}")
     coords = _require(raw, "coordinates")
     if (
         not isinstance(coords, list)

@@ -21,6 +21,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .algebroid import Residual
 from .connection import (
     Derived,
@@ -28,9 +30,7 @@ from .connection import (
     _read_only,
     _solve_affine_koszul,
     difference_tensor,
-    modified_bracket_coeffs,
     nonmetricity,
-    torsion,
 )
 from .errors import CompatibilityFailure, InvalidStructure, MissingProjector
 from .scalar import ScalarField
@@ -78,12 +78,14 @@ class ConjugatePair:
     @functools.cached_property
     def relative_torsion(self):
         """T(nabla, nabla*)."""
-        return _read_only(relative_torsion(self.algebroid, self.nabla, self.nabla_star))
+        D, D_star = self.derived(self.nabla), self.derived(self.nabla_star)
+        return _read_only(relative_torsion(D, D_star))
 
     @functools.cached_property
     def relative_torsion_star(self):
         """T(nabla*, nabla)."""
-        return _read_only(relative_torsion(self.algebroid, self.nabla_star, self.nabla))
+        D, D_star = self.derived(self.nabla), self.derived(self.nabla_star)
+        return _read_only(relative_torsion(D_star, D))
 
     @functools.cached_property
     def mean(self):
@@ -95,6 +97,14 @@ class ConjugatePair:
     def jointly_admissible(self):
         """Hypothesis of SSp7 and SSe8: nabla and nabla* are both admissible."""
         return self.derived(self.nabla).admissible and self.derived(self.nabla_star).admissible
+
+    @functools.cached_property
+    def holonomic(self):
+        """Hypothesis of lp3 and lc4: both projected modified brackets vanish."""
+        return (
+            self.derived(self.nabla).projected_bracket.is_zero
+            and self.derived(self.nabla_star).projected_bracket.is_zero
+        )
 
     @functools.cached_property
     def strongly_conjugate_and_admissible(self):
@@ -173,20 +183,13 @@ def alpha_connection(pair, alpha):
     return family[alpha]
 
 
-def relative_torsion(A, conn, conn_prime):
+def relative_torsion(D, D_prime):
     """T(nabla, nabla')^a_{bc} = G^a_{bc} - G'^a_{cb} - (mb + mb')^a_{bc} / 2."""
-    mb = modified_bracket_coeffs(A, conn)
-    mb_prime = modified_bracket_coeffs(A, conn_prime)
+    A = D.algebroid
     half = ScalarField.constant(Fraction(1, 2), A.coords)
-    r = A.rank
-    out = zeros_array((r, r, r), A.coords)
-    for a, b, c in itertools.product(range(r), repeat=3):
-        out[a, b, c] = (
-            conn.gamma[a, b, c]
-            - conn_prime.gamma[a, c, b]
-            - (mb[a, b, c] + mb_prime[a, b, c]) * half
-        )
-    return ETensor(1, 2, r, A.coords, out)
+    mean_bracket = (D.bracket.comps + D_prime.bracket.comps) * half
+    out = D.conn.gamma - np.swapaxes(D_prime.conn.gamma, 1, 2) - mean_bracket
+    return ETensor(1, 2, A.rank, A.coords, out)
 
 
 def strong_conjugacy_residual(A, pair):
@@ -196,7 +199,7 @@ def strong_conjugacy_residual(A, pair):
 
 def quasi_statistical_check(A, g, conn):
     """Residual of Q(u,v,w) - Q(v,u,w) + g(T(u,v), w)."""
-    return _quasi_statistical_residual(A, g, nonmetricity(A, conn, g), torsion(A, conn))
+    return _quasi_statistical_residual(A, g, nonmetricity(A, conn, g), Derived(A, conn).torsion)
 
 
 def _quasi_statistical_residual(A, g, Q, T):
@@ -314,18 +317,8 @@ def alpha_flat_symmetry_residual(A, pair, alpha):
     return Residual(f"alpha-flat-symmetry(alpha={alpha})", plus - minus)
 
 
-def admissibility_locality_residual(A, conn, conn_star):
-    """Antisymmetry of L(e^a, Delta(X_a, u), v), required when both are admissible."""
-    delta = difference_tensor(A, conn, conn_star)
-    r = A.rank
-    lam = zeros_array((r, r, r), A.coords)
-    for m, b, c in itertools.product(range(r), repeat=3):
-        acc = A.zero()
-        for p in range(r):
-            for e in range(r):
-                acc = acc + delta.comps[e, p, b] * A.locality[m, p, e, c]
-        lam[m, b, c] = acc
-    res = zeros_array((r, r, r), A.coords)
-    for m, b, c in itertools.product(range(r), repeat=3):
-        res[m, b, c] = lam[m, b, c] + lam[m, c, b]
-    return Residual("locality-difference-antisymmetry", ETensor(1, 2, r, A.coords, res))
+def admissibility_locality_residual(D, D_star):
+    """Antisymmetry of lam(u, v) = L(e^a, Delta(X_a, u), v), required when both
+    connections are admissible; lam = mb(nabla*) - mb(nabla) exactly."""
+    lam = D_star.bracket - D.bracket
+    return Residual("locality-difference-antisymmetry", lam + lam.swap_slots(2, 3))

@@ -181,9 +181,9 @@ def _parity(perm):
     return sign
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EVectorField:
-    """Section of the bundle: components v^a on the fixed frame."""
+    """Section of the bundle: components v^a on the fixed frame; compares by identity."""
 
     comps: np.ndarray = field(repr=False)
 
@@ -212,9 +212,9 @@ class EVectorField:
         return EVectorField(self.comps * factor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EOneForm:
-    """Covariant counterpart of EVectorField: components w_a."""
+    """Covariant counterpart of EVectorField: components w_a; compares by identity."""
 
     comps: np.ndarray = field(repr=False)
 
@@ -237,9 +237,9 @@ class EOneForm:
         return EOneForm(self.comps - other.comps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EPForm:
-    """Fully antisymmetric (0, p) tensor, stored dense and validated."""
+    """Fully antisymmetric (0, p) tensor, stored dense and validated; compares by identity."""
 
     degree: int
     comps: np.ndarray = field(repr=False)

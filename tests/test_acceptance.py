@@ -123,8 +123,8 @@ def test_criterion_01_classical_oracles():
     assert (conn.gamma[1, 1, 0] - A.one() / x1).is_zero
     oracle = classical_christoffel(A, g)
     assert difference_tensor(A, conn, oracle).is_zero
-    assert curvature(A, conn).is_zero
-    assert (curvature(A, conn) - classical_riemann(A, conn)).is_zero
+    assert curvature(Derived(A, conn)).is_zero
+    assert (curvature(Derived(A, conn)) - classical_riemann(A, conn)).is_zero
 
     g_hyp = hyperbolic_metric(A)
     conn_hyp = levi_civita_solve(A, g_hyp)
@@ -138,7 +138,7 @@ def test_criterion_02_admissibility():
     rng = make_rng(201)
     for _ in range(25):
         conn = random_constant_connection(A, rng)
-        assert A.admissibility_residual(conn).is_zero
+        assert Derived(A, conn).admissibility.is_zero
         _admissible_pool.append((A, conn))
 
     Cour = courant(1)
@@ -149,7 +149,7 @@ def test_criterion_02_admissibility():
             conn = eta_compatible_connection(Cour, eta, rng)
         else:
             conn = random_connection(Cour, rng, degree=2)
-        admissible = Cour.admissibility_residual(conn).is_zero
+        admissible = Derived(Cour, conn).admissibility.is_zero
         compatible = nonmetricity(Cour, conn, eta).is_zero
         assert admissible == compatible
         if admissible:
@@ -180,9 +180,10 @@ def test_criterion_03_conjugation():
         # Mean connection is metric-compatible.
         assert nonmetricity(A, mean_connection(pair), g).is_zero
         # SSp8: rel + rel* = T + T*.
-        rel = relative_torsion(A, conn, conn_star)
-        rel_star = relative_torsion(A, conn_star, conn)
-        assert (rel + rel_star - torsion(A, conn) - torsion(A, conn_star)).is_zero
+        rel = relative_torsion(Derived(A, conn), Derived(A, conn_star))
+        rel_star = relative_torsion(Derived(A, conn_star), Derived(A, conn))
+        total = torsion(Derived(A, conn)) + torsion(Derived(A, conn_star))
+        assert (rel + rel_star - total).is_zero
     # SSp7 on the admissible subset (eta-compatible courant pairs).
     Cour = courant(1)
     eta = courant_pairing(Cour)
@@ -191,10 +192,10 @@ def test_criterion_03_conjugation():
     for _ in range(10):
         conn = eta_compatible_connection(Cour, eta, rng)
         conn_star = conjugate_connection(Cour, eta, conn)
-        if not Cour.admissibility_residual(conn_star).is_zero:
+        if not Derived(Cour, conn_star).admissibility.is_zero:
             continue
-        rel = relative_torsion(Cour, conn, conn_star)
-        rel_star = relative_torsion(Cour, conn_star, conn)
+        rel = relative_torsion(Derived(Cour, conn), Derived(Cour, conn_star))
+        rel_star = relative_torsion(Derived(Cour, conn_star), Derived(Cour, conn))
         for a, b, c in itertools.product(range(Cour.rank), repeat=3):
             assert (rel.comps[a, b, c] + rel_star.comps[a, c, b]).is_zero
         checked += 1
@@ -211,8 +212,8 @@ def test_criterion_04_alpha_family():
     for A, g, conn in instances:
         pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
         Q = nonmetricity(A, conn, g)
-        T = torsion(A, pair.nabla)
-        T_star = torsion(A, pair.nabla_star)
+        T = torsion(Derived(A, pair.nabla))
+        T_star = torsion(Derived(A, pair.nabla_star))
         for alpha in alphas:
             conn_alpha = alpha_connection(pair, alpha)
             # SSp10: conjugation maps alpha to -alpha.
@@ -221,7 +222,7 @@ def test_criterion_04_alpha_family():
             # Torsion interpolation.
             s = ScalarField.constant((1 + alpha) / 2, A.coords)
             t = ScalarField.constant((1 - alpha) / 2, A.coords)
-            assert (torsion(A, conn_alpha) - T_star.scale(s) - T.scale(t)).is_zero
+            assert (torsion(Derived(A, conn_alpha)) - T_star.scale(s) - T.scale(t)).is_zero
             # SSe25: Q(nabla^alpha) = -alpha Q(nabla).
             factor = ScalarField.constant(alpha, A.coords)
             assert (nonmetricity(A, conn_alpha, g) + Q.scale(factor)).is_zero
@@ -229,7 +230,7 @@ def test_criterion_04_alpha_family():
             assert alpha_curvature_residual(A, pair, alpha).is_zero
         _admissible_pool.extend(
             (A, c) for c in (pair.nabla, pair.nabla_star)
-            if A.admissibility_residual(c).is_zero
+            if Derived(A, c).admissibility.is_zero
         )
     # SS29 on a dually flat pair (Hessian metric, coordinate-flat primal).
     A = tangent(2)
@@ -239,8 +240,8 @@ def test_criterion_04_alpha_family():
     )
     flat = EConnection(ETensor.zeros(1, 2, 2, A.coords).comps)
     pair = ConjugatePair(A, g, flat, conjugate_connection(A, g, flat))
-    assert curvature(A, pair.nabla).is_zero
-    assert curvature(A, pair.nabla_star).is_zero
+    assert curvature(Derived(A, pair.nabla)).is_zero
+    assert curvature(Derived(A, pair.nabla_star)).is_zero
     for alpha in alphas:
         assert alpha_flat_symmetry_residual(A, pair, alpha).is_zero
 
@@ -260,11 +261,11 @@ def test_criterion_05_strong_conjugacy():
         pair = ConjugatePair(A_i, g_i, conn, conjugate_connection(A_i, g_i, conn))
         strong = strong_conjugacy_residual(A_i, pair).is_zero
         admissible = (
-            A_i.admissibility_residual(pair.nabla).is_zero
-            and A_i.admissibility_residual(pair.nabla_star).is_zero
+            Derived(A_i, pair.nabla).admissibility.is_zero
+            and Derived(A_i, pair.nabla_star).admissibility.is_zero
         )
         if strong and admissible:
-            assert torsion(A_i, pair.nabla).is_zero
+            assert torsion(Derived(A_i, pair.nabla)).is_zero
             assert nonmetricity(A_i, pair.nabla, g_i).is_zero
             assert difference_tensor(A_i, pair.nabla, pair.nabla_star).is_zero
         if not strong:
@@ -290,8 +291,8 @@ def test_criterion_06_statistical_solve():
         # SSp5 postconditions.
         assert (nonmetricity(A, pair.nabla, g) + C).is_zero
         assert (nonmetricity(A, pair.nabla_star, g) - C).is_zero
-        assert torsion(A, pair.nabla).is_zero
-        assert (torsion(A, pair.nabla_star) - B).is_zero
+        assert torsion(Derived(A, pair.nabla)).is_zero
+        assert (torsion(Derived(A, pair.nabla_star)) - B).is_zero
     # Trivial structure returns the Levi-Civita pair.
     g = polar_metric(A)
     pair = statistical_solve(
@@ -336,18 +337,15 @@ def test_criterion_08_hessian_suite():
     # All three clauses fail together.
     for _ in range(4):
         conn = random_connection(A, rng, degree=1)
-        from leibniz_geo.connection import projected_torsion
-
-        if projected_torsion(A, conn).is_zero:
+        if torsion(Derived(A, conn), projected=True).is_zero:
             continue
         instances.append((A, conn, "fails", "fails"))
     # rho = 0 kernel escape: H symmetric although T-hat != 0 (Corollary lc1).
     S = so3()
     for _ in range(4):
         conn = random_constant_connection(S, rng)
-        from leibniz_geo.connection import projected_torsion
-
-        expected2 = "fails" if not projected_torsion(S, conn).is_zero else "holds"
+        T_hat = torsion(Derived(S, conn), projected=True)
+        expected2 = "fails" if not T_hat.is_zero else "holds"
         instances.append((S, conn, "holds", expected2))
     assert len(instances) >= 10
     saw_escape = False
@@ -412,13 +410,13 @@ def test_criterion_09_fundamental_theorem():
 def test_criterion_10_antisymmetry():
     assert len(_admissible_pool) >= 25
     for A, conn in _admissible_pool:
-        T = torsion(A, conn)
+        T = torsion(Derived(A, conn))
         assert (T + T.swap_slots(2, 3)).is_zero
-        R = curvature(A, conn)
+        R = curvature(Derived(A, conn))
         assert (R + R.swap_slots(2, 3)).is_zero
     assert _non_admissible_witness
     A, conn = _non_admissible_witness[0]
-    T = torsion(A, conn)
+    T = torsion(Derived(A, conn))
     assert not (T + T.swap_slots(2, 3)).is_zero
 
 

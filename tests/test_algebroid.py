@@ -14,6 +14,7 @@ from leibniz_geo import (
     so3,
     tangent,
 )
+from leibniz_geo.connection import Derived
 from leibniz_geo.errors import InvalidStructureConstants, MissingProjector
 from conftest import (
     eta_compatible_connection,
@@ -167,7 +168,7 @@ def test_lie_algebra_connections_always_admissible():
     rng = make_rng(11)
     for _ in range(25):
         conn = random_constant_connection(A, rng)
-        assert A.admissibility_residual(conn).is_zero
+        assert Derived(A, conn).admissibility.is_zero
 
 
 def test_courant_admissibility_iff_pairing_compatible():
@@ -180,7 +181,7 @@ def test_courant_admissibility_iff_pairing_compatible():
             conn = eta_compatible_connection(A, eta, rng)
         else:
             conn = random_connection(A, rng, degree=2)
-        admissible = A.admissibility_residual(conn).is_zero
+        admissible = Derived(A, conn).admissibility.is_zero
         compatible = nonmetricity(A, conn, eta).is_zero
         assert admissible == compatible
         seen_admissible |= admissible

@@ -4,13 +4,16 @@ import itertools
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from leibniz_geo import courant, tangent
+from leibniz_geo.cli import main
 from leibniz_geo.errors import ParseError, SchemaError, ShapeError
 from leibniz_geo.model import (
+    MAX_RANK,
     dump_model,
     export_algebroid,
     load_model,
@@ -249,6 +252,35 @@ def test_deeply_nested_expression_exits_two(tmp_path):
     record = single_error_record(err)
     assert record["error"] == "ParseError"
     assert "nested deeper than" in record["message"]
+
+
+def test_rank_past_the_cap_exits_two_before_allocating(tmp_path, capsysbinary):
+    path = tmp_path / "huge.model"
+    path.write_text(doc_text(
+        dimension=0, rank=1_000_000, coordinates=[], anchor={}, bracket={}, locality={}
+    ))
+    tracemalloc.start()
+    try:
+        code = main(["validate", "--model", str(path), "--format", "json-lines"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsysbinary.readouterr()
+    assert code == 2
+    assert out == b""
+    record = single_error_record(err)
+    assert record["error"] == "SchemaError"
+    assert record["message"].startswith("rank:")
+    assert str(MAX_RANK) in record["message"]
+    assert peak < 8 * 2**20
+
+
+def test_rank_cap_admits_courant3():
+    assert MAX_RANK >= 6
+    reloaded = parse_model_text(dump_model(export_algebroid(courant(3))))
+    assert reloaded.algebroid.rank == 6
+    with pytest.raises(SchemaError, match="rank"):
+        parse_model_text(doc_text(rank=MAX_RANK + 1))
 
 
 def test_single_check_command_and_unknown_id():

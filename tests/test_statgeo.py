@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from leibniz_geo import (
-    Algebroid,
     ConjugatePair,
     Derived,
     EConnection,
@@ -107,9 +106,9 @@ def test_relative_torsion_sum_identity():
     # T(nabla, nabla*) + T(nabla*, nabla) = T(nabla) + T(nabla*).
     for A, g, conn in instances(10, seed=109):
         conn_star = conjugate_connection(A, g, conn)
-        rel = relative_torsion(A, conn, conn_star)
-        rel_star = relative_torsion(A, conn_star, conn)
-        total = torsion(A, conn) + torsion(A, conn_star)
+        rel = relative_torsion(Derived(A, conn), Derived(A, conn_star))
+        rel_star = relative_torsion(Derived(A, conn_star), Derived(A, conn))
+        total = torsion(Derived(A, conn)) + torsion(Derived(A, conn_star))
         assert (rel + rel_star - total).is_zero
 
 
@@ -121,15 +120,15 @@ def test_relative_torsion_antisymmetry_for_admissible_pairs():
     for _ in range(10):
         conn = eta_compatible_connection(A, eta, rng)
         conn_star = conjugate_connection(A, eta, conn)
-        if not A.admissibility_residual(conn_star).is_zero:
+        if not Derived(A, conn_star).admissibility.is_zero:
             continue
         found += 1
-        rel = relative_torsion(A, conn, conn_star)
-        rel_star = relative_torsion(A, conn_star, conn)
+        rel = relative_torsion(Derived(A, conn), Derived(A, conn_star))
+        rel_star = relative_torsion(Derived(A, conn_star), Derived(A, conn))
         r = A.rank
         for a, b, c in itertools.product(range(r), repeat=3):
             assert (rel.comps[a, b, c] + rel_star.comps[a, c, b]).is_zero
-        assert admissibility_locality_residual(A, conn, conn_star).is_zero
+        assert admissibility_locality_residual(Derived(A, conn), Derived(A, conn_star)).is_zero
     assert found > 0
 
 
@@ -141,7 +140,7 @@ def test_levi_civita_self_pair_is_strongly_conjugate():
     pair = ConjugatePair(A, g, lc, conjugate_connection(A, g, lc))
     assert difference_tensor(A, pair.nabla, pair.nabla_star).is_zero
     assert strong_conjugacy_residual(A, pair).is_zero
-    assert torsion(A, lc).is_zero
+    assert torsion(Derived(A, lc)).is_zero
     assert nonmetricity(A, lc, g).is_zero
 
 
@@ -161,11 +160,11 @@ def test_strong_conjugacy_forces_levi_civita():
         pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
         strong = strong_conjugacy_residual(A, pair).is_zero
         admissible = (
-            A.admissibility_residual(pair.nabla).is_zero
-            and A.admissibility_residual(pair.nabla_star).is_zero
+            Derived(A, pair.nabla).admissibility.is_zero
+            and Derived(A, pair.nabla_star).admissibility.is_zero
         )
         if strong and admissible:
-            assert torsion(A, pair.nabla).is_zero
+            assert torsion(Derived(A, pair.nabla)).is_zero
             assert nonmetricity(A, pair.nabla, g).is_zero
             assert difference_tensor(A, pair.nabla, pair.nabla_star).is_zero
 
@@ -215,8 +214,8 @@ def test_statistical_solve_matches_manifold_oracle():
             assert (pair.nabla.gamma[a, b, c] - expected).is_zero
         # Postconditions.
         assert (nonmetricity(A, pair.nabla, g) + C).is_zero
-        assert torsion(A, pair.nabla).is_zero
-        assert (torsion(A, pair.nabla_star) - B).is_zero
+        assert torsion(Derived(A, pair.nabla)).is_zero
+        assert (torsion(Derived(A, pair.nabla_star)) - B).is_zero
         assert conjugation_residual(A, g, pair.nabla, pair.nabla_star).is_zero
 
 
@@ -254,7 +253,7 @@ def test_koszul_solve_on_courant_with_generic_metric():
     rng = make_rng(150)
     g = random_metric(A, rng, constant=True)
     nabla = _solve_affine_koszul(A, g, zeros_array((A.rank,) * 3, A.coords))
-    assert torsion(A, nabla).is_zero
+    assert torsion(Derived(A, nabla)).is_zero
     assert nonmetricity(A, nabla, g).is_zero
     lc = levi_civita_solve(A, g)
     assert difference_tensor(A, nabla, lc).is_zero
@@ -289,8 +288,9 @@ def test_alpha_family_endpoints_and_laws():
             # Torsion interpolates linearly.
             s = ScalarField.constant((1 + alpha) / 2, A.coords)
             t = ScalarField.constant((1 - alpha) / 2, A.coords)
-            expected_T = torsion(A, pair.nabla_star).scale(s) + torsion(A, pair.nabla).scale(t)
-            assert (torsion(A, conn_alpha) - expected_T).is_zero
+            T, T_star = torsion(Derived(A, pair.nabla)), torsion(Derived(A, pair.nabla_star))
+            expected_T = T_star.scale(s) + T.scale(t)
+            assert (torsion(Derived(A, conn_alpha)) - expected_T).is_zero
             # Nonmetricity scales by -alpha.
             factor = ScalarField.constant(alpha, A.coords)
             assert (nonmetricity(A, conn_alpha, g) + Q.scale(factor)).is_zero
@@ -313,8 +313,8 @@ def test_alpha_curvature_symmetry_for_flat_pairs():
     g = EMetric([[phi_11, phi_12], [phi_12, phi_22]], A.coords)
     flat = EConnection(ETensor.zeros(1, 2, 2, A.coords).comps)
     pair = ConjugatePair(A, g, flat, conjugate_connection(A, g, flat))
-    assert curvature(A, pair.nabla).is_zero
-    assert curvature(A, pair.nabla_star).is_zero
+    assert curvature(Derived(A, pair.nabla)).is_zero
+    assert curvature(Derived(A, pair.nabla_star)).is_zero
     for alpha in ALPHAS:
         assert alpha_flat_symmetry_residual(A, pair, alpha).is_zero
 
@@ -369,14 +369,15 @@ def test_cached_pair_objects_are_read_only():
 
 
 def _count_calls(monkeypatch, owner, name):
-    """Record the arguments of every call of owner.name, through every binding
-    of it in the package (owner is a module or a class)."""
+    """Record (args, kwargs, result) of every call of owner.name, through every
+    binding of it in the package (owner is a module or a class)."""
     original = getattr(owner, name)
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append((args, kwargs))
-        return original(*args, **kwargs)
+        result = original(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
 
     modules = [mod for mod in list(sys.modules.values()) if mod.__name__.startswith("leibniz_geo")]
     for target in [owner, *modules]:
@@ -385,7 +386,12 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-@pytest.mark.parametrize("name", ["so3", "tangent2_polar"])
+# modified_bracket_coeffs builds in one run_all: one per (connection object,
+# projected) input that some check reads.
+BRACKET_BUILDS = {"courant1": 18, "so3": 20, "tangent2_hyperbolic": 19, "tangent2_polar": 38}
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_BUILDS))
 def test_check_run_derives_each_object_once_per_pair(monkeypatch, name):
     doc = load_model(MODELS / f"{name}.model")
     A = doc.algebroid
@@ -399,32 +405,49 @@ def test_check_run_derives_each_object_once_per_pair(monkeypatch, name):
     for g in doc.metrics.values():
         for conn in doc.connections.values():
             star = conjugate_connection(A, g, conn)
-            flat += curvature(A, conn).is_zero and curvature(A, star).is_zero
+            flat += curvature(Derived(A, conn)).is_zero and curvature(Derived(A, star)).is_zero
     alpha_curvatures = pairs * len(alphas) + flat * len(negated)
 
     curvatures = _count_calls(monkeypatch, connection, "curvature")
     conjugates = _count_calls(monkeypatch, statgeo, "conjugate_connection")
     torsions = _count_calls(monkeypatch, connection, "torsion")
-    admissibility = _count_calls(monkeypatch, Algebroid, "admissibility_residual")
+    brackets = _count_calls(monkeypatch, connection, "modified_bracket_coeffs")
+    derived_brackets = _count_calls(monkeypatch, Derived, "_bracket")
+    theorems = _count_calls(monkeypatch, checks, "fundamental_theorem_residual")
 
     def projected_torsions():
-        return [args for args, kwargs in torsions if kwargs.get("projected", args[2:] == (True,))]
+        return [args for args, kwargs, _ in torsions if kwargs.get("projected", args[1:] == (True,))]
+
+    def counts():
+        return [len(curvatures), len(conjugates), len(projected_torsions()), len(brackets),
+                len(derived_brackets), len(theorems)]
 
     checks.run_all(doc)
     # One R per connection: the document's, their conjugates, the alpha family.
-    assert len({id(args[1]) for args, _ in curvatures}) == len(curvatures)
+    assert len({id(args[0].conn) for args, _, _ in curvatures}) == len(curvatures)
     assert len(curvatures) == connections + pairs + alpha_curvatures
     # One conjugate per pair, plus the conjugate of each alpha-connection (SSp10).
     assert len(conjugates) == pairs * (1 + len(checks.ALPHA_VALUES))
     # T-hat of the document connections only, one each.
     assert len(projected_torsions()) == connections
-    # Admissibility of each document connection and of each conjugate.
-    assert len(admissibility) == connections + pairs
+    # Each (connection, projected) bracket once, and every one built by a Derived.
+    inputs = {
+        (id(args[1]), kwargs.get("projected", args[2:] == (True,))) for args, kwargs, _ in brackets
+    }
+    assert len(inputs) == len(brackets) == BRACKET_BUILDS[name]
+    assert len(derived_brackets) == len(brackets)
+    # Admissibility of each document connection and of each conjugate is read
+    # from its plain bracket.
+    documents = {id(conn) for conn in doc.connections.values()}
+    stars = {id(star) for args, _, star in conjugates if id(args[2]) in documents}
+    assert len(stars) == pairs
+    assert documents | stars <= {conn for conn, projected in inputs if not projected}
+    # One fundamental-theorem residual per pair: lc4 reads the pair's gate.
+    assert len(theorems) == pairs
     # Nothing outlives the call: checking the document again derives again.
-    counts = [len(curvatures), len(conjugates), len(projected_torsions()), len(admissibility)]
+    first = counts()
     checks.run_all(doc)
-    again = [len(curvatures), len(conjugates), len(projected_torsions()), len(admissibility)]
-    assert again == [2 * count for count in counts]
+    assert counts() == [2 * count for count in first]
 
 
 def test_sse25_endpoints_are_built_by_the_alpha_formula(monkeypatch):
