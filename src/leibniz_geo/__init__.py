@@ -14,7 +14,6 @@ from .algebroid import (
 from .connection import (
     Derived,
     EConnection,
-    covariant_derivative,
     curvature,
     curvature_eval,
     difference_tensor,

@@ -97,22 +97,6 @@ def frame_covariant_derivative(A, conn, t):
     return ETensor(t.q, t.r + 1, r, A.coords, out)
 
 
-def covariant_derivative(A, conn, u, t):
-    """nabla_u t for a (q, r) tensor: contraction of u with the frame derivative."""
-    if isinstance(t, EVectorField):
-        return covariant_derivative_vector(A, conn, u, t)
-    r = A.rank
-    nabla_t = frame_covariant_derivative(A, conn, t)
-    out = zeros_array((r,) * (t.q + t.r), A.coords)
-    for idx in itertools.product(range(r), repeat=t.q + t.r):
-        acc = A.zero()
-        for b in range(r):
-            full = idx[: t.q] + (b,) + idx[t.q :]
-            acc = acc + u.comps[b] * nabla_t.comps[full]
-        out[idx] = acc
-    return ETensor(t.q, t.r, r, A.coords, out)
-
-
 def second_covariant_derivative(A, conn, u, v, w):
     """nabla^2_{u,v} w = nabla_u nabla_v w - nabla_{nabla_u v} w."""
     first = covariant_derivative_vector(A, conn, u, covariant_derivative_vector(A, conn, v, w))
@@ -361,14 +345,16 @@ def levi_civita_solve(A, g):
     r^3-by-r^3 linear system; rank deficiency or inconsistency is surfaced
     as NonUnique / NoSolution rather than silently resolved.
     """
-    return _solve_affine_koszul(A, g, zeros_array((A.rank,) * 3, A.coords))
+    (conn,) = _solve_affine_koszul(A, g, zeros_array((A.rank,) * 3, A.coords))
+    return conn
 
 
-def _solve_affine_koszul(A, g, extra_rhs):
-    """Solve 2 g(nabla_u v, w) = Koszul[mb(nabla)](u, v, w) + extra_rhs(u, v, w).
+def _solve_affine_koszul(A, g, *extra_rhs):
+    """Solve 2 g(nabla_u v, w) = Koszul[mb(nabla)](u, v, w) + extra(u, v, w) per extra.
 
-    The one assembly of the Koszul system: the Levi-Civita solve passes a zero
-    extra_rhs, the statistical solve its (C, B) terms.
+    The one assembly of the Koszul system, eliminated once for all right-hand
+    sides: the Levi-Civita solve passes a zero extra, the statistical solve
+    its two (C, B) terms.  Returns one connection per extra.
     """
     r = A.rank
     n_unknowns = r**3
@@ -378,11 +364,11 @@ def _solve_affine_koszul(A, g, extra_rhs):
         return (a * r + b) * r + c
 
     matrix = [[zero for _ in range(n_unknowns)] for _ in range(n_unknowns)]
-    rhs = [zero for _ in range(n_unknowns)]
+    koszul = [zero for _ in range(n_unknowns)]
     two = ScalarField.constant(2, A.coords)
     for b, c, d in itertools.product(range(r), repeat=3):
         row = flat(b, c, d)
-        rhs[row] = _koszul_rhs(A, A.bracket, g, b, c, d) + extra_rhs[b, c, d]
+        koszul[row] = _koszul_rhs(A, A.bracket, g, b, c, d)
         for e in range(r):
             col = flat(e, b, c)
             matrix[row][col] = matrix[row][col] + two * g.matrix[e, d]
@@ -402,11 +388,9 @@ def _solve_affine_koszul(A, g, extra_rhs):
                 acc = acc - A.locality[m, beta, alpha, d] * g.matrix[m, c]
                 acc = acc + A.locality[m, beta, alpha, c] * g.matrix[m, d]
             matrix[row][col] = acc
-    solution = linalg.solve(matrix, rhs)
-    gamma = zeros_array((r, r, r), A.coords)
-    for a, b, c in itertools.product(range(r), repeat=3):
-        gamma[a, b, c] = solution[flat(a, b, c)]
-    return EConnection(gamma)
+    rhs = [[k + extra.flat[row] for row, k in enumerate(koszul)] for extra in extra_rhs]
+    solutions = linalg.solve(matrix, *rhs)
+    return [EConnection(object_array(solution).reshape(r, r, r)) for solution in solutions]
 
 
 def difference_tensor(A, conn, conn_prime):

@@ -15,6 +15,9 @@ independent tree evaluator can cross-check ``eval_at``.
 Nesting (parentheses plus unary minus and plus) is capped at ``MAX_NESTING``
 levels; deeper input raises ``ExprSyntaxError`` at the offending token.  Long
 flat chains such as ``x1 + x1 + ... + x1`` are not nested and have no cap.
+A power whose base has total degree d and whose exponent is k may reach
+d * k <= ``MAX_DEGREE``; a larger one raises ``ExprSyntaxError`` at the
+exponent, before it is expanded.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from .scalar import ScalarField
 
 # Deepest nesting of parentheses and unary signs that the parser accepts.
 MAX_NESTING = 100
+
+# Largest total degree (base degree times exponent) that a power may reach.
+MAX_DEGREE = 100
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
 
@@ -130,7 +136,7 @@ class _Parser:
             if kind != "int":
                 raise ExprSyntaxError("exponent must be a nonnegative integer", pos)
             self.advance()
-            node = ("pow", node, exponent)
+            node = ("pow", node, exponent, pos)
         return node
 
     def atom(self):
@@ -165,7 +171,9 @@ def ast_to_field(node, coords):
     """Lower an AST to a ScalarField over the given coordinates.
 
     Iterative post-order walk, left operand first, so a long flat chain (a
-    left-deep tree) does not exhaust the interpreter stack.
+    left-deep tree) does not exhaust the interpreter stack.  A parsed pow
+    node carries its exponent's text position as a fourth element, where a
+    power past ``MAX_DEGREE`` is reported.
     """
     values = []
     stack = [(node, False)]
@@ -185,7 +193,12 @@ def ast_to_field(node, coords):
         elif op == "neg":
             values.append(-values.pop())
         elif op == "pow":
-            values.append(values.pop() ** node[2])
+            base = values.pop()
+            degree = base.total_degree() * node[2]
+            if degree > MAX_DEGREE:
+                position = node[3] if len(node) > 3 else None
+                raise ExprSyntaxError(f"power of degree {degree} exceeds {MAX_DEGREE}", position)
+            values.append(base ** node[2])
         elif op in _BINARY:
             rhs = values.pop()
             values.append(_BINARY[op](values.pop(), rhs))

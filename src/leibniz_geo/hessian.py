@@ -247,12 +247,6 @@ class FlaggedResidual(Residual):
     obstruction: Residual | None = None
 
 
-def holonomy_precondition_residual(A, conn):
-    """gamma-hat^a_{bc} = mbhat^a_{bc}, the projected modified bracket
-    coefficients; zero iff the frame is holonomic for that bracket."""
-    return Residual("holonomy-precondition", Derived(A, conn).projected_bracket)
-
-
 def fundamental_theorem_residual(A, pair):
     """Residual of g(R(u,v)w, z) + g(R*(u,v)z, w).
 

@@ -248,8 +248,7 @@ def statistical_solve(A, S):
             acc = acc - B.comps[m, b, d] * g.matrix[m, c]
             acc = acc + B.comps[m, b, c] * g.matrix[m, d]
         extra2[b, c, d] = acc
-    nabla = _solve_affine_koszul(A, g, extra1)
-    nabla_star = _solve_affine_koszul(A, g, extra2)
+    nabla, nabla_star = _solve_affine_koszul(A, g, extra1, extra2)
     derived = {nabla: Derived(A, nabla), nabla_star: Derived(A, nabla_star)}
     difference = derived[nabla].bracket - derived[nabla_star].bracket
     compat_residual = Residual("bracket-compatibility", B - difference)
@@ -261,14 +260,6 @@ def statistical_solve(A, S):
             residual=compat_residual,
         )
     return ConjugatePair(A, g, nabla, nabla_star, _derived=derived)
-
-
-def trivial_statistical_structure(A, g):
-    """C = 0, B = 0; its solve returns the Levi-Civita self-pair."""
-    r = A.rank
-    C = ETensor.zeros(0, 3, r, A.coords)
-    B = ETensor.zeros(1, 2, r, A.coords)
-    return StatisticalStructure(g, C, B)
 
 
 # -- alpha-family residuals ---------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateMetric, NoSolution, NonUnique, SlotMismatch
+from .errors import DegenerateMetric, SlotMismatch
 from .scalar import ScalarField
 
 
@@ -277,17 +277,13 @@ class EMetric:
             for b in range(a + 1, r):
                 if not (matrix[a, b] - matrix[b, a]).is_zero:
                     raise SlotMismatch(f"metric not symmetric at ({a + 1},{b + 1})")
-        det = linalg.determinant([[matrix[a, b] for b in range(r)] for a in range(r)])
+        adjugate, det = linalg.adj_det(matrix)
         if det.is_zero:
             raise DegenerateMetric("metric determinant is the zero scalar field")
         self.coords = tuple(coords)
         self.matrix = matrix
         self.det = det
-        try:
-            inverse = linalg.invert([[matrix[a, b] for b in range(r)] for a in range(r)])
-        except (NoSolution, NonUnique) as exc:  # pragma: no cover - det check precedes
-            raise DegenerateMetric(str(exc)) from exc
-        self.inverse = object_array(inverse)
+        self.inverse = object_array([[entry / det for entry in row] for row in adjugate])
 
     @property
     def dim(self):

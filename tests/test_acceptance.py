@@ -43,7 +43,6 @@ from leibniz_geo import (
 )
 from leibniz_geo.connection import Derived, second_cov_and_ricci
 from leibniz_geo.errors import ParseError, SchemaError, ShapeError
-from leibniz_geo.hessian import holonomy_precondition_residual
 from leibniz_geo.model import parse_model_text
 from leibniz_geo.statgeo import alpha_flat_symmetry_residual
 from leibniz_geo.tensor import ETensor, zeros_array
@@ -397,7 +396,7 @@ def test_criterion_09_fundamental_theorem():
     Cour = courant(1)
     eta = courant_pairing(Cour)
     conn = eta_compatible_connection(Cour, eta, rng)
-    while holonomy_precondition_residual(Cour, conn).is_zero:
+    while Derived(Cour, conn).projected_bracket.is_zero:
         conn = eta_compatible_connection(Cour, eta, rng)
     g = random_metric(Cour, rng, constant=True)
     pair = ConjugatePair(Cour, g, conn, conjugate_connection(Cour, g, conn))

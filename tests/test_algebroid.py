@@ -1,12 +1,10 @@
 """Built-in structures, bracket evaluation, axioms, and admissibility."""
 
 import itertools
-from fractions import Fraction
 
 import pytest
 
 from leibniz_geo import (
-    EConnection,
     courant,
     courant_pairing,
     lie_algebra,

@@ -41,7 +41,6 @@ from conftest import (
     eta_compatible_connection,
     make_rng,
     random_connection,
-    random_constant_connection,
     random_metric,
     random_polynomial,
 )

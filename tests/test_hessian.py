@@ -11,7 +11,6 @@ from leibniz_geo import (
     EMetric,
     EPForm,
     HessianStructure,
-    ScalarField,
     conjugate_connection,
     conjugate_curvature_transfer_residual,
     constant_curvature_check,
@@ -30,13 +29,8 @@ from leibniz_geo import (
     tangent,
     torsion,
 )
-from leibniz_geo.connection import (
-    Derived,
-    frame_covariant_derivative,
-    second_cov_and_ricci,
-)
+from leibniz_geo.connection import Derived
 from leibniz_geo.errors import MissingProjector, NotAdmissible
-from leibniz_geo.hessian import holonomy_precondition_residual
 from leibniz_geo.tensor import ETensor, object_array, zeros_array
 from conftest import (
     eta_compatible_connection,
@@ -271,7 +265,7 @@ def test_fundamental_theorem_flags_anholonomic_frames():
     eta = courant_pairing(A)
     rng = make_rng(89)
     conn = eta_compatible_connection(A, eta, rng)
-    while holonomy_precondition_residual(A, conn).is_zero:
+    while Derived(A, conn).projected_bracket.is_zero:
         conn = eta_compatible_connection(A, eta, rng)
     # Conjugate with respect to a different metric so the pair has a nonzero
     # difference tensor and hence a visible obstruction.

@@ -1,0 +1,37 @@
+"""Source hygiene: no module of the package or of the tests imports a name it never reads."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def unused_imports(source):
+    """(line, name) for each name the module source imports but never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(line, name) for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    # The package __init__ imports names only to re-export them.
+    sources = [path for path in (ROOT / "src" / "leibniz_geo").glob("*.py") if path.name != "__init__.py"]
+    sources += (ROOT / "tests").glob("*.py")
+    unused = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted(sources)
+        for line, name in unused_imports(path.read_text())
+    ]
+    assert not unused, "imported but never read:\n" + "\n".join(unused)
+
+
+def test_scan_finds_unused_names_only():
+    source = "from __future__ import annotations\nimport os.path\nfrom fractions import Fraction as F\n\nos.sep\n"
+    assert unused_imports(source) == [(3, "F")]

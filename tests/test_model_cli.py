@@ -12,6 +12,7 @@ import pytest
 from leibniz_geo import courant, tangent
 from leibniz_geo.cli import main
 from leibniz_geo.errors import ParseError, SchemaError, ShapeError
+from leibniz_geo.expr import MAX_DEGREE
 from leibniz_geo.model import (
     MAX_RANK,
     dump_model,
@@ -252,6 +253,18 @@ def test_deeply_nested_expression_exits_two(tmp_path):
     record = single_error_record(err)
     assert record["error"] == "ParseError"
     assert "nested deeper than" in record["message"]
+
+
+@pytest.mark.parametrize("text", ["x1^100000", "(x1^100)^100"])
+def test_power_past_the_degree_cap_exits_two(tmp_path, text):
+    path = tmp_path / "power.model"
+    path.write_text(doc_text(functions={"f": text}))
+    code, out, err = cli("validate", "--model", str(path), "--format", "json-lines")
+    assert code == 2
+    assert out == b""
+    record = single_error_record(err)
+    assert record["error"] == "ParseError"
+    assert f"exceeds {MAX_DEGREE}" in record["message"]
 
 
 def test_rank_past_the_cap_exits_two_before_allocating(tmp_path, capsysbinary):

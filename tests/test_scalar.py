@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibniz_geo import ExprSyntaxError, PoleAtPoint, ScalarField, UnknownVariable
-from leibniz_geo.expr import MAX_NESTING, ast_to_field, parse_ast, parse_expr
+from leibniz_geo.expr import MAX_DEGREE, MAX_NESTING, parse_ast, parse_expr
 
 COORDS = ("x1", "x2")
 
@@ -128,6 +128,23 @@ def test_nesting_past_the_cap_is_a_syntax_error(depth):
     with pytest.raises(ExprSyntaxError) as excinfo:
         f("-" * depth + "x1")
     assert excinfo.value.position == MAX_NESTING
+
+
+def test_powers_up_to_the_degree_cap_parse():
+    assert f("(1 + x1 + x2)^100").total_degree() == 100 <= MAX_DEGREE
+    assert f(f"x1^{MAX_DEGREE}") == f("x1") ** MAX_DEGREE
+    assert f(f"(x1/x2)^{MAX_DEGREE}") == (f("x1") / f("x2")) ** MAX_DEGREE
+    assert f("7^1000") == const(7**1000)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [(f"x1^{MAX_DEGREE + 1}", 3), ("x1^100000", 3), ("(x1^100)^100", 9), ("(x1*x2^50)^2", 11)],
+)
+def test_power_past_the_degree_cap_is_a_syntax_error(text, position):
+    with pytest.raises(ExprSyntaxError, match=f"exceeds {MAX_DEGREE}") as excinfo:
+        f(text)
+    assert excinfo.value.position == position
 
 
 def test_unary_plus_is_the_identity():

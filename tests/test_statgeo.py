@@ -27,7 +27,6 @@ from leibniz_geo import (
     nonmetricity,
     quasi_statistical_check,
     relative_torsion,
-    so3,
     statistical_solve,
     strong_conjugacy_residual,
     tangent,
@@ -48,7 +47,6 @@ from conftest import (
     eta_compatible_connection,
     make_rng,
     random_connection,
-    random_constant_connection,
     random_metric,
     random_polynomial,
 )
@@ -252,7 +250,7 @@ def test_koszul_solve_on_courant_with_generic_metric():
     A = courant(1)
     rng = make_rng(150)
     g = random_metric(A, rng, constant=True)
-    nabla = _solve_affine_koszul(A, g, zeros_array((A.rank,) * 3, A.coords))
+    (nabla,) = _solve_affine_koszul(A, g, zeros_array((A.rank,) * 3, A.coords))
     assert torsion(Derived(A, nabla)).is_zero
     assert nonmetricity(A, nabla, g).is_zero
     lc = levi_civita_solve(A, g)
