@@ -17,7 +17,6 @@ from .connection import (
     curvature,
     curvature_eval,
     difference_tensor,
-    koszul_connection,
     levi_civita_solve,
     modified_bracket,
     modified_bracket_coeffs,
@@ -86,4 +85,23 @@ from .tensor import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The API that the README's library sections document; the other names
+# imported above stay importable for the tests.
+__all__ = [
+    "Algebroid", "AlgebroidReport", "Residual", "builtin", "courant", "courant_pairing",
+    "lie_algebra", "so3", "tangent",
+    "Derived", "EConnection", "curvature", "levi_civita_solve", "nonmetricity",
+    "second_cov_and_ricci", "torsion",
+    "CompatibilityFailure", "DegenerateMetric", "ExprSyntaxError", "InvalidStructure",
+    "LeibnizGeoError", "MissingProjector", "NonUnique", "NoSolution", "NotAdmissible",
+    "ParseError", "PoleAtPoint", "SchemaError", "ShapeError", "SlotMismatch",
+    "UnknownVariable",
+    "FlaggedResidual", "HessianStructure", "conjugate_curvature_transfer_residual",
+    "constant_curvature_check", "fundamental_theorem_residual", "hessian",
+    "hessian_structure_check", "hessian_symmetry_equivalences", "projected_exterior_derivative",
+    "Rational", "ScalarField",
+    "ConjugatePair", "StatisticalStructure", "alpha_connection", "alpha_curvature_residual",
+    "conjugate_connection", "conjugation_residual", "mean_connection", "relative_torsion",
+    "statistical_solve", "strong_conjugacy_residual",
+    "EMetric", "EOneForm", "EPForm", "ETensor", "EVectorField",
+]

@@ -140,36 +140,34 @@ class Algebroid:
         """
         if self.projector is None:
             raise MissingProjector("algebroid has no locality projector")
-        r = self.rank
-        hat = self.zeros(r, r, r, r)
-        for a, d, e, c in itertools.product(range(r), repeat=4):
-            hat[a, d, e, c] = sum(
-                (self.projector[a, f] * self.locality[f, d, e, c] for f in range(r)),
-                self.zero(),
-            )
+        hat = np.einsum("af,fdec->adec", self.projector, self.locality)
         hat.flags.writeable = False
         return hat
 
     # -- basic actions --------------------------------------------------------
 
-    def anchor_apply(self, u, f):
-        """rho(u)(f) = u^a rho^i_a d_i f."""
-        acc = self.zero()
-        for a in range(self.rank):
-            for i in range(self.dim):
-                acc = acc + u.comps[a] * self.anchor[a, i] * f.diff(i + 1)
-        return acc
+    def anchor_derivative(self, comps):
+        """rho(X_b)(f) for every frame field X_b and every entry f of comps.
 
-    def frame_apply(self, a, f):
-        """rho(X_a)(f) for a frame field (0-based index)."""
-        acc = self.zero()
-        for i in range(self.dim):
-            acc = acc + self.anchor[a, i] * f.diff(i + 1)
-        return acc
+        The result has the frame axis b first, then the axes of comps (a
+        single scalar field counts as a 0-d array).  Each entry is
+        differentiated once per coordinate, and this is the one place where
+        the coordinate axis is contracted: on a point base every derivative
+        is the zero field.
+        """
+        comps = np.asarray(comps, dtype=object)
+        if not self.dim:
+            return self.zeros(self.rank, *comps.shape)
+        partials = object_array([[f.diff(i + 1) for f in comps.flat] for i in range(self.dim)])
+        return np.einsum("bi,i...->b...", self.anchor, partials.reshape((self.dim, *comps.shape)))
+
+    def anchor_apply(self, u, f):
+        """rho(u)(f) = u^a rho(X_a)(f)."""
+        return np.einsum("a,a->", u.comps, self.anchor_derivative(f))
 
     def coboundary(self, f):
         """(Df)_a = rho(X_a)(f) as a one-form."""
-        return EOneForm.from_list([self.frame_apply(a, f) for a in range(self.rank)])
+        return EOneForm(self.anchor_derivative(f))
 
     def bracket_eval(self, u, v):
         """Bracket of arbitrary sections through the two Leibniz rules.
@@ -177,20 +175,14 @@ class Algebroid:
         [u, v]^a = u^b v^c c^a_{bc} + rho(u)(v^a) - rho(v)(u^a)
                    + L^{a d}_{b c} rho(X_d)(u^b) v^c
         """
-        r = self.rank
-        out = []
-        for a in range(r):
-            acc = self.zero()
-            for b in range(r):
-                for c in range(r):
-                    acc = acc + u.comps[b] * v.comps[c] * self.bracket[a, b, c]
-            acc = acc + self.anchor_apply(u, v.comps[a]) - self.anchor_apply(v, u.comps[a])
-            for b in range(r):
-                for c in range(r):
-                    for d in range(r):
-                        acc = acc + self.locality[a, d, b, c] * self.frame_apply(d, u.comps[b]) * v.comps[c]
-            out.append(acc)
-        return EVectorField.from_list(out)
+        du, dv = self.anchor_derivative(u.comps), self.anchor_derivative(v.comps)
+        out = (
+            np.einsum("abc,b,c->a", self.bracket, u.comps, v.comps)
+            + np.einsum("b,ba->a", u.comps, dv)
+            - np.einsum("b,ba->a", v.comps, du)
+            + np.einsum("adbc,db,c->a", self.locality, du, v.comps)
+        )
+        return EVectorField(out)
 
     # -- axiom residuals ------------------------------------------------------
 
@@ -203,39 +195,23 @@ class Algebroid:
         is equivalent to the axiom: the Leibniz rules reproduce the identical
         derivative terms on both sides for non-frame sections.
         """
-        r, n = self.rank, self.dim
-        res = self.zeros(n, r, r)
-        for i, b, c in itertools.product(range(n), range(r), range(r)):
-            acc = self.zero()
-            for a in range(r):
-                acc = acc + self.anchor[a, i] * self.bracket[a, b, c]
-            for j in range(n):
-                acc = acc - self.anchor[b, j] * self.anchor[c, i].diff(j + 1)
-                acc = acc + self.anchor[c, j] * self.anchor[b, i].diff(j + 1)
-            res[i, b, c] = acc
+        d_anchor = self.anchor_derivative(self.anchor)  # [b, c, i] = rho^j_b d_j rho^i_c
+        res = (
+            np.einsum("ai,abc->ibc", self.anchor, self.bracket)
+            - np.einsum("bci->ibc", d_anchor)
+            + np.einsum("cbi->ibc", d_anchor)
+        )
         return Residual("anchor-compatibility", _loose_tensor(res, self.coords))
 
     def validate_projector(self):
         """Projector axioms: idempotence, image of P.L in ker rho, identity on ker."""
         if self.projector is None:
             raise MissingProjector("algebroid has no locality projector")
-        r, n = self.rank, self.dim
+        P = self.projector
         report = AlgebroidReport("projector")
-
-        idem = self.zeros(r, r)
-        for a, b in itertools.product(range(r), repeat=2):
-            acc = -self.projector[a, b]
-            for f in range(r):
-                acc = acc + self.projector[a, f] * self.projector[f, b]
-            idem[a, b] = acc
+        idem = np.einsum("af,fb->ab", P, P) - P
         report.record("idempotent", Residual("P.P - P", _loose_tensor(idem, self.coords)))
-
-        hat = self.locality_hat
-        image = self.zeros(n, r, r, r)
-        for i, d, e, c in itertools.product(range(n), range(r), range(r), range(r)):
-            image[i, d, e, c] = sum(
-                (self.anchor[a, i] * hat[a, d, e, c] for a in range(r)), self.zero()
-            )
+        image = np.einsum("ai,adec->idec", self.anchor, self.locality_hat)
         report.record(
             "projected_locality_in_kernel",
             Residual("rho o (P.L)", _loose_tensor(image, self.coords)),
@@ -244,21 +220,12 @@ class Algebroid:
         if not self.kernel_sections:
             report.warn("no kernel sections supplied; identity-on-kernel check skipped")
         for idx, k in enumerate(self.kernel_sections):
-            fixed = self.zeros(r)
-            for a in range(r):
-                acc = -k.comps[a]
-                for b in range(r):
-                    acc = acc + self.projector[a, b] * k.comps[b]
-                fixed[a] = acc
+            fixed = np.einsum("ab,b->a", P, k.comps) - k.comps
             report.record(
                 f"fixes_kernel_section_{idx}",
                 Residual("P(k) - k", _loose_tensor(fixed, self.coords)),
             )
-            anchored = self.zeros(n)
-            for i in range(n):
-                anchored[i] = sum(
-                    (self.anchor[a, i] * k.comps[a] for a in range(r)), self.zero()
-                )
+            anchored = np.einsum("ai,a->i", self.anchor, k.comps)
             report.record(
                 f"annihilates_kernel_section_{idx}",
                 Residual("rho(k)", _loose_tensor(anchored, self.coords)),
@@ -372,9 +339,7 @@ def courant(n, coords=None):
         eta[a, n + a] = one
         eta[n + a, a] = one
     # eta is an involution, so eta^{ab} has the same components.
-    locality = zeros_array((r, r, r, r), coords)
-    for a, d, e, c in itertools.product(range(r), repeat=4):
-        locality[a, d, e, c] = eta[e, c] * eta[d, a]
+    locality = np.einsum("ec,da->adec", eta, eta)
     projector = zeros_array((r, r), coords)
     for a in range(n, r):
         projector[a, a] = one

@@ -16,10 +16,11 @@ returns: a document checked again is derived again.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .algebroid import Residual
 from .connection import Derived, difference_tensor, nonmetricity, second_cov_and_ricci
@@ -47,7 +48,7 @@ from .statgeo import (
     mean_connection,
     statistical_solve,
 )
-from .tensor import ETensor, zeros_array
+from .tensor import ETensor
 
 ALPHA_VALUES = (
     Fraction(-1),
@@ -210,13 +211,8 @@ def check_ssp3(ctx):
         g, Q, delta = pair.g, pair.nonmetricity, pair.difference
         Q_star = nonmetricity(A, pair.nabla_star, g)
         results.append(_from_residual(f"SSp3[{label}]:opposite", Residual("q", Q + Q_star)))
-        res = zeros_array((r, r, r), A.coords)
-        for a, b, c in itertools.product(range(r), repeat=3):
-            acc = Q.comps[a, b, c]
-            for e in range(r):
-                # Delta(nabla*, nabla) = -Delta(nabla, nabla*).
-                acc = acc + delta.comps[e, a, b] * g.matrix[e, c]
-            res[a, b, c] = acc
+        # Delta(nabla*, nabla) = -Delta(nabla, nabla*).
+        res = Q.comps + np.einsum("eab,ec->abc", delta.comps, g.matrix)
         results.append(
             _from_residual(
                 f"SSp3[{label}]:difference", Residual("q", ETensor(0, 3, r, A.coords, res))
@@ -519,17 +515,7 @@ def check_lc1(ctx):
         return [_na("lc1", "no locality projector")]
     results = []
     for name, conn in _connections(ctx.doc):
-        T_hat = ctx.derived(conn).projected_torsion
-        in_kernel = True
-        for b, c in itertools.product(range(A.rank), repeat=2):
-            section = A.vector([T_hat.comps[a, b, c] for a in range(A.rank)])
-            for i in range(A.dim):
-                acc = sum(
-                    (section.comps[a] * A.anchor[a, i] for a in range(A.rank)), A.zero()
-                )
-                if not acc.is_zero:
-                    in_kernel = False
-        if not in_kernel:
+        if not ctx.derived(conn).anchored_projected_torsion.is_zero:
             results.append(_na(f"lc1[{name}]", "projected torsion image escapes ker rho"))
             continue
         for index, f in enumerate(_default_probes(A)):

@@ -4,21 +4,24 @@ Coefficients follow gamma[a][b][c] = e^a(nabla_{X_b} X_c).  Frame-level
 component formulas are used wherever the object is tensorial; section-level
 evaluators are provided for the non-tensorial operators (covariant
 derivatives, second covariant derivative) and for tensoriality cross-checks.
+
+Every frame contraction is one ``np.einsum`` over object arrays of
+``ScalarField`` components, so the scalar's own ``+`` and ``*`` (with their
+zero-operand exits) do the arithmetic.  The anchor derivatives rho(X_b)(.) of
+a whole component array come from one ``Algebroid.anchor_derivative`` call,
+and the Koszul system is written into diagonal views of its matrix.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
-from .algebroid import Residual
+from .algebroid import Residual, _loose_tensor
 from .errors import MissingProjector, SlotMismatch
-from .scalar import ScalarField
 from .tensor import ETensor, EVectorField, object_array, zeros_array
 
 
@@ -57,44 +60,37 @@ class EConnection:
 # -- covariant derivatives ----------------------------------------------------
 
 
+def _vector_derivative(A, conn, v):
+    """(nabla v)^a_b = rho(X_b)(v^a) + Gamma^a_{bc} v^c, upper slot first."""
+    return frame_covariant_derivative(A, conn, ETensor(1, 0, A.rank, A.coords, v.comps)).comps
+
+
 def covariant_derivative_vector(A, conn, u, v):
-    """(nabla_u v)^a = u^b (rho(X_b)(v^a) + Gamma^a_{bc} v^c)."""
-    r = A.rank
-    out = []
-    for a in range(r):
-        acc = A.zero()
-        for b in range(r):
-            term = A.frame_apply(b, v.comps[a])
-            for c in range(r):
-                term = term + conn.gamma[a, b, c] * v.comps[c]
-            acc = acc + u.comps[b] * term
-        out.append(acc)
-    return EVectorField.from_list(out)
+    """(nabla_u v)^a = u^b (nabla v)^a_b."""
+    return EVectorField(np.einsum("b,ab->a", u.comps, _vector_derivative(A, conn, v)))
+
+
+# Index letters of a tensor's slots; b is the new slot, e the summed one.
+_SLOTS = "acdfghijklmnopqstuvwxyz"
 
 
 def frame_covariant_derivative(A, conn, t):
     """nabla t as a (q, r+1) tensor, new covariant slot first.
 
     (nabla_{X_b} t) = rho(X_b) d t + Gamma^a_{be} t^{e...} (each upper slot)
-                      - Gamma^e_{bc} t_{...e...} (each lower slot).
+                      - Gamma^e_{bc} t_{...e...} (each lower slot),
+    one einsum per slot, its subscripts built from (q, r).
     """
-    r = A.rank
-    out_shape = (r,) * (t.q + t.r + 1)
-    out = zeros_array(out_shape, A.coords)
-    for idx in itertools.product(range(r), repeat=t.q + t.r):
-        for b in range(r):
-            acc = A.frame_apply(b, t.comps[idx])
-            for slot in range(t.q):
-                for e in range(r):
-                    swapped = idx[:slot] + (e,) + idx[slot + 1 :]
-                    acc = acc + conn.gamma[idx[slot], b, e] * t.comps[swapped]
-            for slot in range(t.q, t.q + t.r):
-                for e in range(r):
-                    swapped = idx[:slot] + (e,) + idx[slot + 1 :]
-                    acc = acc - conn.gamma[e, b, idx[slot]] * t.comps[swapped]
-            pos = t.q
-            out[idx[:pos] + (b,) + idx[pos:]] = acc
-    return ETensor(t.q, t.r + 1, r, A.coords, out)
+    slots = _SLOTS[: t.q + t.r]
+    out = slots[: t.q] + "b" + slots[t.q :]
+    result = np.einsum(f"b{slots}->{out}", A.anchor_derivative(t.comps))
+    for k, s in enumerate(slots):
+        swapped = slots[:k] + "e" + slots[k + 1 :]
+        if k < t.q:
+            result = result + np.einsum(f"{s}be,{swapped}->{out}", conn.gamma, t.comps)
+        else:
+            result = result - np.einsum(f"eb{s},{swapped}->{out}", conn.gamma, t.comps)
+    return ETensor(t.q, t.r + 1, A.rank, A.coords, result)
 
 
 def second_covariant_derivative(A, conn, u, v, w):
@@ -113,30 +109,12 @@ def modified_bracket_coeffs(A, conn, projected=False):
     mb^a_{bc} = c^a_{bc} - Gamma^e_{db} L^{a d}_{e c}  (Lhat when projected).
     """
     L = A.locality_hat if projected else A.locality
-    r = A.rank
-    out = zeros_array((r, r, r), A.coords)
-    for a, b, c in itertools.product(range(r), repeat=3):
-        acc = A.bracket[a, b, c]
-        for d in range(r):
-            for e in range(r):
-                acc = acc - conn.gamma[e, d, b] * L[a, d, e, c]
-        out[a, b, c] = acc
-    return out
+    return A.bracket - np.einsum("edb,adec->abc", conn.gamma, L)
 
 
 def _locality_term(A, conn, u, v, L):
     """L(e^a, nabla_{X_a} u, v) on sections, for a given locality array."""
-    r = A.rank
-    out = []
-    for a in range(r):
-        acc = A.zero()
-        for b, c, d in itertools.product(range(r), repeat=3):
-            covu = A.frame_apply(d, u.comps[b])
-            for e in range(r):
-                covu = covu + conn.gamma[b, d, e] * u.comps[e]
-            acc = acc + L[a, d, b, c] * covu * v.comps[c]
-        out.append(acc)
-    return EVectorField.from_list(out)
+    return EVectorField(np.einsum("adbc,bd,c->a", L, _vector_derivative(A, conn, u), v.comps))
 
 
 def modified_bracket(A, conn, u, v):
@@ -177,17 +155,15 @@ def curvature(D):
     A, gamma = D.algebroid, D.conn.gamma
     if A.projector is None:
         raise MissingProjector("curvature needs a locality projector")
-    mb_hat = D.projected_bracket.comps
-    r = A.rank
-    out = zeros_array((r, r, r, r), A.coords)
-    for a, b, c, d in itertools.product(range(r), repeat=4):
-        acc = A.frame_apply(b, gamma[a, c, d]) - A.frame_apply(c, gamma[a, b, d])
-        for e in range(r):
-            acc = acc + gamma[e, c, d] * gamma[a, b, e]
-            acc = acc - gamma[e, b, d] * gamma[a, c, e]
-            acc = acc - mb_hat[e, b, c] * gamma[a, e, d]
-        out[a, b, c, d] = acc
-    return ETensor(1, 3, r, A.coords, out)
+    d_gamma = A.anchor_derivative(gamma)  # [b, a, c, d] = rho(X_b)(G^a_{cd})
+    out = (
+        np.einsum("bacd->abcd", d_gamma)
+        - np.einsum("cabd->abcd", d_gamma)
+        + np.einsum("ecd,abe->abcd", gamma, gamma)
+        - np.einsum("ebd,ace->abcd", gamma, gamma)
+        - np.einsum("ebc,aed->abcd", D.projected_bracket.comps, gamma)
+    )
+    return ETensor(1, 3, A.rank, A.coords, out)
 
 
 def curvature_eval(A, conn, u, v, w):
@@ -209,7 +185,7 @@ def nonmetricity(A, conn, g):
 
 def _read_only(value):
     """Lock the component array of a kept derived object."""
-    array = value.comps if isinstance(value, ETensor) else value.gamma
+    array = value.gamma if isinstance(value, EConnection) else value.comps
     array.flags.writeable = False
     return value
 
@@ -252,6 +228,14 @@ class Derived:
         return _read_only(torsion(self, projected=True))
 
     @functools.cached_property
+    def anchored_projected_torsion(self):
+        """rho(T-hat(X_b, X_c)) as coordinate components [i, b, c]; zero iff the
+        image of the projected torsion lies in ker rho."""
+        A = self.algebroid
+        rho_T = np.einsum("ai,abc->ibc", A.anchor, self.projected_torsion.comps)
+        return Residual("anchor-composed-projected-torsion", _read_only(_loose_tensor(rho_T, A.coords)))
+
+    @functools.cached_property
     def curvature(self):
         """R(nabla); needs the locality projector."""
         return _read_only(curvature(self))
@@ -279,62 +263,21 @@ def second_cov_and_ricci(D, u, v, w):
     A, conn = D.algebroid, D.conn
     second_uv = second_covariant_derivative(A, conn, u, v, w)
     second_vu = second_covariant_derivative(A, conn, v, u, w)
-    R = D.curvature
-    That = D.projected_torsion
-    r = A.rank
-    r_uvw = []
-    that_uv = []
-    for a in range(r):
-        acc = A.zero()
-        for b, c, d in itertools.product(range(r), repeat=3):
-            acc = acc + R.comps[a, b, c, d] * u.comps[b] * v.comps[c] * w.comps[d]
-        r_uvw.append(acc)
-        tacc = A.zero()
-        for b, c in itertools.product(range(r), repeat=2):
-            tacc = tacc + That.comps[a, b, c] * u.comps[b] * v.comps[c]
-        that_uv.append(tacc)
-    r_vec = EVectorField.from_list(r_uvw)
-    that_vec = EVectorField.from_list(that_uv)
+    r_vec = EVectorField(np.einsum("abcd,b,c,d->a", D.curvature.comps, u.comps, v.comps, w.comps))
+    that_vec = EVectorField(np.einsum("abc,b,c->a", D.projected_torsion.comps, u.comps, v.comps))
     correction = covariant_derivative_vector(A, conn, that_vec, w)
     residual_vec = second_uv - second_vu - r_vec + correction
-    tensor = ETensor(1, 0, r, A.coords, residual_vec.comps)
+    tensor = ETensor(1, 0, A.rank, A.coords, residual_vec.comps)
     return second_uv, Residual("ricci-identity", tensor)
 
 
 # -- Koszul-type solves -------------------------------------------------------
 
 
-def _koszul_rhs(A, bracket_coeffs, g, b, c, d):
-    """rho terms and bracket terms of the Koszul formula at frame (b, c, d)."""
-    acc = (
-        A.frame_apply(b, g.matrix[c, d])
-        + A.frame_apply(c, g.matrix[b, d])
-        - A.frame_apply(d, g.matrix[b, c])
-    )
-    for m in range(A.rank):
-        acc = acc - bracket_coeffs[m, c, d] * g.matrix[m, b]
-        acc = acc - bracket_coeffs[m, b, d] * g.matrix[m, c]
-        acc = acc + bracket_coeffs[m, b, c] * g.matrix[m, d]
-    return acc
-
-
-def koszul_connection(A, bracket_coeffs, g):
-    """Koszul formula for a fixed (antisymmetric) bracket, solved via g^{-1}.
-
-    2 Gamma^e_{bc} g_{ed} = rho_b(g_{cd}) + rho_c(g_{bd}) - rho_d(g_{bc})
-                            - b^m_{cd} g_{mb} - b^m_{bd} g_{mc} + b^m_{bc} g_{md}.
-    """
-    r = A.rank
-    half = ScalarField.constant(Fraction(1, 2), A.coords)
-    gamma = zeros_array((r, r, r), A.coords)
-    for b, c in itertools.product(range(r), repeat=2):
-        rhs = [_koszul_rhs(A, bracket_coeffs, g, b, c, d) for d in range(r)]
-        for a in range(r):
-            acc = A.zero()
-            for d in range(r):
-                acc = acc + g.inverse[a, d] * rhs[d]
-            gamma[a, b, c] = acc * half
-    return EConnection(gamma)
+def _koszul_form(X, g):
+    """-g(X(v, w), u) - g(X(u, w), v) + g(X(u, v), w) of a (1, 2) array X, at (u, v, w) = (X_b, X_c, X_d)."""
+    lowered = np.einsum("mcd,mb->bcd", X, g.matrix)  # g(X(X_c, X_d), X_b)
+    return np.einsum("dbc->bcd", lowered) - lowered - np.einsum("cbd->bcd", lowered)
 
 
 def levi_civita_solve(A, g):
@@ -357,40 +300,32 @@ def _solve_affine_koszul(A, g, *extra_rhs):
     its two (C, B) terms.  Returns one connection per extra.
     """
     r = A.rank
-    n_unknowns = r**3
-    zero = A.zero()
-
-    def flat(a, b, c):
-        return (a * r + b) * r + c
-
-    matrix = [[zero for _ in range(n_unknowns)] for _ in range(n_unknowns)]
-    koszul = [zero for _ in range(n_unknowns)]
-    two = ScalarField.constant(2, A.coords)
-    for b, c, d in itertools.product(range(r), repeat=3):
-        row = flat(b, c, d)
-        koszul[row] = _koszul_rhs(A, A.bracket, g, b, c, d)
-        for e in range(r):
-            col = flat(e, b, c)
-            matrix[row][col] = matrix[row][col] + two * g.matrix[e, d]
-        # Gamma-dependent parts of the three modified-bracket terms, moved left:
-        # - mb^m_{cd} g_{mb} gives + G^e_{pc} L^{m p}_{e d} g_{mb},
-        # - mb^m_{bd} g_{mc} gives + G^e_{pb} L^{m p}_{e d} g_{mc},
-        # + mb^m_{bc} g_{md} gives - G^e_{pb} L^{m p}_{e c} g_{md}.
-        for alpha, beta in itertools.product(range(r), repeat=2):
-            col = flat(alpha, beta, c)
-            acc = matrix[row][col]
-            for m in range(r):
-                acc = acc - A.locality[m, beta, alpha, d] * g.matrix[m, b]
-            matrix[row][col] = acc
-            col = flat(alpha, beta, b)
-            acc = matrix[row][col]
-            for m in range(r):
-                acc = acc - A.locality[m, beta, alpha, d] * g.matrix[m, c]
-                acc = acc + A.locality[m, beta, alpha, c] * g.matrix[m, d]
-            matrix[row][col] = acc
-    rhs = [[k + extra.flat[row] for row, k in enumerate(koszul)] for extra in extra_rhs]
-    solutions = linalg.solve(matrix, *rhs)
+    matrix, koszul = _koszul_system(A, g)
+    rhs = [(koszul + extra).reshape(r**3).tolist() for extra in extra_rhs]
+    solutions = linalg.solve(matrix.reshape(r**3, r**3).tolist(), *rhs)
     return [EConnection(object_array(solution).reshape(r, r, r)) for solution in solutions]
+
+
+def _koszul_system(A, g):
+    """The Koszul system M Gamma = K: M with axes (b, c, d, e, p, q) for row (b, c, d)
+    and unknown Gamma^e_{pq}, and K[b, c, d] from the anchor and the algebroid bracket.
+
+    2 g(nabla_{X_b} X_c, X_d) gives 2 G^e_{bc} g_{ed}; the connection part of
+    Koszul[mb(nabla)] moves left as the locality contraction
+    lg[x, p, e, y] = g_{mx} L^{m p}_{e y}.  Both are written into diagonal
+    views of M.
+    """
+    r = A.rank
+    lg = np.einsum("mx,mpey->xpey", g.matrix, A.locality)
+    matrix = zeros_array((r,) * 6, A.coords)
+    np.einsum("bcdebc->bcde", matrix)[...] += 2 * g.matrix.T
+    # - mb^m_{cd} g_{mb} gives + G^e_{pc} L^{m p}_{e d} g_{mb},
+    np.einsum("bcdepc->bcdep", matrix)[...] -= np.einsum("bped->bdep", lg)[:, None]
+    # - mb^m_{bd} g_{mc} + mb^m_{bc} g_{md} gives + G^e_{pb} (L^{m p}_{e d} g_{mc} - L^{m p}_{e c} g_{md}).
+    np.einsum("bcdepb->bcdep", matrix)[...] -= np.einsum("cped->cdep", lg) - np.einsum("dpec->cdep", lg)
+    dg = A.anchor_derivative(g.matrix)  # [b, c, d] = rho(X_b)(g_{cd})
+    koszul = dg + np.einsum("cbd->bcd", dg) - np.einsum("dbc->bcd", dg) + _koszul_form(A.bracket, g)
+    return matrix, koszul
 
 
 def difference_tensor(A, conn, conn_prime):

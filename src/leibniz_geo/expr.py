@@ -17,7 +17,11 @@ levels; deeper input raises ``ExprSyntaxError`` at the offending token.  Long
 flat chains such as ``x1 + x1 + ... + x1`` are not nested and have no cap.
 A power whose base has total degree d and whose exponent is k may reach
 d * k <= ``MAX_DEGREE``; a larger one raises ``ExprSyntaxError`` at the
-exponent, before it is expanded.
+exponent, before it is expanded.  A constant has degree 0, so a power of a
+constant is bounded by size instead: the base's integer log2 (one less than
+the bit length of the larger of its numerator's magnitude and its
+denominator), times the exponent, may reach ``MAX_CONSTANT_BITS``.  This is
+0 for 0, 1 and -1, whose powers stay one bit long.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ MAX_NESTING = 100
 
 # Largest total degree (base degree times exponent) that a power may reach.
 MAX_DEGREE = 100
+
+# Largest size (base integer log2 times exponent) that a power of a constant may reach.
+MAX_CONSTANT_BITS = 10_000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
 
@@ -173,7 +180,7 @@ def ast_to_field(node, coords):
     Iterative post-order walk, left operand first, so a long flat chain (a
     left-deep tree) does not exhaust the interpreter stack.  A parsed pow
     node carries its exponent's text position as a fourth element, where a
-    power past ``MAX_DEGREE`` is reported.
+    power past ``MAX_DEGREE`` or ``MAX_CONSTANT_BITS`` is reported.
     """
     values = []
     stack = [(node, False)]
@@ -194,10 +201,17 @@ def ast_to_field(node, coords):
             values.append(-values.pop())
         elif op == "pow":
             base = values.pop()
+            position = node[3] if len(node) > 3 else None
             degree = base.total_degree() * node[2]
             if degree > MAX_DEGREE:
-                position = node[3] if len(node) > 3 else None
                 raise ExprSyntaxError(f"power of degree {degree} exceeds {MAX_DEGREE}", position)
+            if base.is_constant:
+                value = base.as_rational()
+                bits = (max(abs(value.numerator), value.denominator).bit_length() - 1) * node[2]
+                if bits > MAX_CONSTANT_BITS:
+                    raise ExprSyntaxError(
+                        f"power of a constant of {bits} bits exceeds {MAX_CONSTANT_BITS}", position
+                    )
             values.append(base ** node[2])
         elif op in _BINARY:
             rhs = values.pop()

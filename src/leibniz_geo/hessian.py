@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebroid import AlgebroidReport, Residual, _loose_tensor
+from .algebroid import AlgebroidReport, Residual
 from .connection import Derived, frame_covariant_derivative, nonmetricity
 from .errors import InvalidStructure, MissingProjector, NotAdmissible
 from .scalar import ScalarField
@@ -75,6 +75,7 @@ def projected_exterior_derivative(D, omega):
     if not D.admissible:
         raise NotAdmissible("projected exterior derivative requires an admissible connection")
     mb_hat = D.projected_bracket.comps
+    d_omega = A.anchor_derivative(omega.comps)  # [a, ...] = rho(X_a)(w_{...})
     r = A.rank
     p = omega.degree
     out = zeros_array((r,) * (p + 1), A.coords)
@@ -83,7 +84,7 @@ def projected_exterior_derivative(D, omega):
         for i in range(p + 1):
             rest = idx[:i] + idx[i + 1 :]
             sign = 1 if i % 2 == 0 else -1
-            term = A.frame_apply(idx[i], omega.comps[rest] if p else omega.comps[()])
+            term = d_omega[(idx[i],) + rest]
             acc = acc + term if sign > 0 else acc - term
         for i in range(p + 1):
             for j in range(i + 1, p + 1):
@@ -116,16 +117,9 @@ def hessian_symmetry_equivalences(D, probe_functions=None):
     if A.projector is None:
         raise MissingProjector("the symmetry equivalences need a locality projector")
     report = AlgebroidReport("hessian-symmetry-equivalences")
-    r, n = A.rank, A.dim
+    r = A.rank
     T_hat = D.projected_torsion
-    rho_T = zeros_array((n, r, r), A.coords) if n else zeros_array((0, r, r), A.coords)
-    for i in range(n):
-        for b, c in itertools.product(range(r), repeat=2):
-            rho_T[i, b, c] = sum(
-                (A.anchor[a, i] * T_hat.comps[a, b, c] for a in range(r)), A.zero()
-            )
-    clause1_residual = Residual("anchor-composed-projected-torsion", _loose_tensor(rho_T, A.coords))
-    clause1 = clause1_residual.is_zero
+    clause1 = D.anchored_projected_torsion.is_zero
     clause2 = T_hat.is_zero
     report.record("clause-1-hessian-symmetric-for-all-f", "holds" if clause1 else "fails")
     report.record("clause-2-projected-torsion-free", "holds" if clause2 else "fails")
@@ -133,27 +127,17 @@ def hessian_symmetry_equivalences(D, probe_functions=None):
     clause3 = None
     if D.admissible:
         res3 = zeros_array((r, r, r), A.coords)
-        identity3 = zeros_array((r, r, r), A.coords)
         for m in range(r):
-            omega = EPForm(1, object_array(
-                [A.one() if a == m else A.zero() for a in range(r)]
-            ))
-            d_omega = projected_exterior_derivative(D, omega)
-            nabla_omega = frame_covariant_derivative(
-                A, conn, ETensor(0, 1, r, A.coords, omega.comps)
-            )
-            for b, c in itertools.product(range(r), repeat=2):
-                res3[m, b, c] = d_omega.comps[b, c] - (
-                    nabla_omega.comps[b, c] - nabla_omega.comps[c, b]
-                )
-                identity3[m, b, c] = res3[m, b, c] - T_hat.comps[m, b, c]
+            omega = EPForm(1, object_array([A.one() if a == m else A.zero() for a in range(r)]))
+            nabla_omega = frame_covariant_derivative(A, conn, omega.as_tensor(r, A.coords)).comps
+            res3[m] = projected_exterior_derivative(D, omega).comps - (nabla_omega - nabla_omega.T)
         clause3 = array_is_zero(res3)
         report.record("clause-3-one-form-derivative", "holds" if clause3 else "fails")
         # d-hat Omega(u, v) - [(nabla_u Omega)(v) - (nabla_v Omega)(u)]
         # equals Omega(T-hat(u, v)) for any admissible connection.
         report.record(
             "one-form-identity",
-            Residual("one-form-identity", ETensor(1, 2, r, A.coords, identity3)),
+            Residual("one-form-identity", ETensor(1, 2, r, A.coords, res3 - T_hat.comps)),
         )
     else:
         report.warn("connection not admissible: the one-form clause is not applicable")
@@ -172,14 +156,9 @@ def hessian_symmetry_equivalences(D, probe_functions=None):
     if probe_functions is None:
         probe_functions = _default_probes(A)
     for index, f in enumerate(probe_functions):
-        H = hessian(A, conn, f)
-        probe = zeros_array((r, r), A.coords)
-        for b, c in itertools.product(range(r), repeat=2):
-            correction = sum(
-                (T_hat.comps[a, b, c] * A.frame_apply(a, f) for a in range(r)),
-                A.zero(),
-            )
-            probe[b, c] = H.comps[b, c] - H.comps[c, b] + correction
+        H = hessian(A, conn, f).comps
+        correction = np.einsum("abc,a->bc", T_hat.comps, A.anchor_derivative(f))
+        probe = H - H.T + correction
         report.record(
             f"probe-identity-{index}",
             Residual(f"probe-{index}", ETensor(0, 2, r, A.coords, probe)),
@@ -265,22 +244,13 @@ def fundamental_theorem_residual(A, pair):
     applicable = pair.holonomic
     R, R_star, g = D.curvature, D_star.curvature, pair.g
     r = A.rank
-    res = zeros_array((r, r, r, r), A.coords)
-    for a, b, c, d in itertools.product(range(r), repeat=4):
-        acc = A.zero()
-        for e in range(r):
-            acc = acc + R.comps[e, a, b, c] * g.matrix[e, d]
-            acc = acc + R_star.comps[e, a, b, d] * g.matrix[e, c]
-        res[a, b, c, d] = acc
+    res = np.einsum("eabc,ed->abcd", R.comps, g.matrix) + np.einsum(
+        "eabd,ec->abcd", R_star.comps, g.matrix
+    )
     obstruction = None
     if not applicable:
         lam = (D_star.bracket - D.bracket).comps
-        obs = zeros_array((r, r, r, r), A.coords)
-        for a, b, c, d in itertools.product(range(r), repeat=4):
-            acc = A.zero()
-            for m, nn in itertools.product(range(r), repeat=2):
-                acc = acc - lam[m, a, b] * pair.nabla.gamma[nn, m, c] * g.matrix[nn, d]
-            obs[a, b, c, d] = acc
+        obs = -np.einsum("mab,nmc,nd->abcd", lam, pair.nabla.gamma, g.matrix)
         obstruction = Residual("holonomy-obstruction", ETensor(0, 4, r, A.coords, obs))
     return FlaggedResidual(
         "fundamental-theorem",
@@ -305,14 +275,7 @@ def constant_curvature_check(D, g):
         raise NotAdmissible("constant curvature requires an admissible connection")
     R = D.curvature
     r = A.rank
-    model = zeros_array((r, r, r, r), A.coords)
-    for a, b, c, d in itertools.product(range(r), repeat=4):
-        acc = A.zero()
-        if a == b:
-            acc = acc + g.matrix[c, d]
-        if a == c:
-            acc = acc - g.matrix[b, d]
-        model[a, b, c, d] = acc
+    model = _constant_curvature_model(A, g)
     if R.is_zero:
         return True, Fraction(0)
     kappa = None
@@ -336,14 +299,14 @@ def conjugate_curvature_transfer_residual(A, pair, kappa):
     """R(nabla*)^a_{bcd} - kappa (g_{cd} d^a_b - g_{bd} d^a_c): zero under the
     fundamental-theorem hypotheses when nabla has constant curvature kappa."""
     kappa_field = ScalarField.constant(Fraction(kappa), A.coords)
-    R_star, g = pair.derived(pair.nabla_star).curvature, pair.g
-    r = A.rank
-    res = zeros_array((r, r, r, r), A.coords)
-    for a, b, c, d in itertools.product(range(r), repeat=4):
-        acc = R_star.comps[a, b, c, d]
-        if a == b:
-            acc = acc - kappa_field * g.matrix[c, d]
-        if a == c:
-            acc = acc + kappa_field * g.matrix[b, d]
-        res[a, b, c, d] = acc
-    return Residual("conjugate-constant-curvature", ETensor(1, 3, r, A.coords, res))
+    R_star = pair.derived(pair.nabla_star).curvature.comps
+    res = R_star - _constant_curvature_model(A, pair.g) * kappa_field
+    return Residual("conjugate-constant-curvature", ETensor(1, 3, A.rank, A.coords, res))
+
+
+def _constant_curvature_model(A, g):
+    """g_{cd} d^a_b - g_{bd} d^a_c, written into diagonal views of a zero array."""
+    model = zeros_array((A.rank,) * 4, A.coords)
+    np.einsum("aacd->acd", model)[...] += g.matrix
+    np.einsum("abad->abd", model)[...] -= g.matrix
+    return model

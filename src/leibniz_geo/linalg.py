@@ -49,8 +49,25 @@ def solve(matrix, *rhs):
 
 
 def adj_det(matrix):
-    """The adjugate (rows of ScalarField) and the determinant of a square matrix."""
+    """The adjugate (rows of ScalarField) and the determinant of a square matrix.
+
+    Both come from the characteristic polynomial x^n + c_1 x^(n-1) + ... + c_n
+    by Cayley-Hamilton: det = (-1)^n c_n and adj = (-1)^(n-1) q(A) with
+    q(A) = A^(n-1) + c_1 A^(n-2) + ... + c_(n-1) I, evaluated by Horner's
+    rule.  sympy's ``DomainMatrix.adj_det`` does the same, but it multiplies
+    the coefficient into the matrix from the left, which fails on a zero
+    coefficient over a polynomial or fraction field (diag(x1, -x1)).
+    """
     dm, lift = _domain_matrix(matrix)
-    adjugate, det = dm.adj_det()
-    adjugate, n = adjugate.to_sdm(), range(len(matrix))
-    return [[lift(adjugate.get(i, {}).get(j)) for j in n] for i in n], lift(det)
+    n = len(matrix)
+    *head, last = dm.charpoly()
+    eye = DomainMatrix.eye(n, dm.domain)
+    adjugate = eye
+    for c in head[1:]:
+        adjugate = dm * adjugate + eye * c
+    if n % 2:
+        last = -last
+    else:
+        adjugate = -adjugate
+    adjugate, n = adjugate.to_sdm(), range(n)
+    return [[lift(adjugate.get(i, {}).get(j)) for j in n] for i in n], lift(last)

@@ -83,11 +83,14 @@ def _load_array(raw, shape, coords, path):
         return arr
     if not isinstance(raw, list):
         raise SchemaError(path, "expected a nested list or a sparse map")
-    probe = np.empty(shape, dtype=object)
+    # Built as its own array, not assigned into one of the expected shape,
+    # so that numpy cannot broadcast a smaller nesting up to it.
     try:
-        probe[...] = raw
-    except (ValueError, TypeError) as exc:
+        probe = np.array(raw, dtype=object)
+    except ValueError as exc:
         raise ShapeError(path, f"expected shape {shape}") from exc
+    if probe.shape != shape:
+        raise ShapeError(path, f"expected shape {shape}")
     for idx in np.ndindex(shape):
         arr[idx] = _parse_entry(probe[idx], coords, f"{path}{list(i + 1 for i in idx)}")
     return arr
@@ -101,8 +104,12 @@ def _require(document, key):
 
 def load_model(path):
     """Parse, validate shapes, and build every named object of a model file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {exc.start}: not UTF-8 text") from exc
     document = parse_model_text(text)
     document.source = str(path)
     return document
@@ -121,9 +128,9 @@ def parse_model_text(text):
 
     n = _require(raw, "dimension")
     r = _require(raw, "rank")
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise SchemaError("dimension", "must be a non-negative integer")
-    if not isinstance(r, int) or r <= 0:
+    if not isinstance(r, int) or isinstance(r, bool) or r <= 0:
         raise SchemaError("rank", "must be a positive integer")
     if r > MAX_RANK:
         raise SchemaError("rank", f"must be at most {MAX_RANK}")
@@ -143,7 +150,10 @@ def parse_model_text(text):
     if raw.get("projector") is not None:
         projector = _load_array(raw["projector"], (r, r), coords, "projector")
     kernel_sections = []
-    for index, entry in enumerate(raw.get("kernel_sections") or []):
+    sections = raw.get("kernel_sections") or []
+    if not isinstance(sections, list):
+        raise SchemaError("kernel_sections", "must be a list of sections")
+    for index, entry in enumerate(sections):
         comps = _load_array(entry, (r,), coords, f"kernel_sections[{index}]")
         kernel_sections.append(EVectorField(comps))
     algebroid = Algebroid(

@@ -17,7 +17,6 @@ bracket.  Both equations are affine in their unknown and are solved exactly.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,13 +27,14 @@ from .connection import (
     Derived,
     EConnection,
     _read_only,
+    _koszul_form,
     _solve_affine_koszul,
     difference_tensor,
     nonmetricity,
 )
 from .errors import CompatibilityFailure, InvalidStructure, MissingProjector
 from .scalar import ScalarField
-from .tensor import ETensor, is_antisymmetric_in, is_totally_symmetric, zeros_array
+from .tensor import ETensor, is_antisymmetric_in, is_totally_symmetric
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,31 +133,18 @@ class StatisticalStructure:
 
 def conjugate_connection(A, g, conn):
     """The unique conjugate: Gamma*^d_{ac} = g^{db}(rho_a(g_{bc}) - Gamma^e_{ab} g_{ec})."""
-    r = A.rank
-    gamma = zeros_array((r, r, r), A.coords)
-    for a, c in itertools.product(range(r), repeat=2):
-        for d in range(r):
-            acc = A.zero()
-            for b in range(r):
-                inner = A.frame_apply(a, g.matrix[b, c])
-                for e in range(r):
-                    inner = inner - conn.gamma[e, a, b] * g.matrix[e, c]
-                acc = acc + g.inverse[d, b] * inner
-            gamma[d, a, c] = acc
-    return EConnection(gamma)
+    inner = A.anchor_derivative(g.matrix) - np.einsum("eab,ec->abc", conn.gamma, g.matrix)
+    return EConnection(np.einsum("db,abc->dac", g.inverse, inner))
 
 
 def conjugation_residual(A, g, conn, conn_star):
     """Frame residual of the joint metric-preservation condition."""
-    r = A.rank
-    res = zeros_array((r, r, r), A.coords)
-    for a, b, c in itertools.product(range(r), repeat=3):
-        acc = A.frame_apply(a, g.matrix[b, c])
-        for d in range(r):
-            acc = acc - conn.gamma[d, a, b] * g.matrix[d, c]
-            acc = acc - conn_star.gamma[d, a, c] * g.matrix[b, d]
-        res[a, b, c] = acc
-    return Residual("conjugation", ETensor(0, 3, r, A.coords, res))
+    res = (
+        A.anchor_derivative(g.matrix)
+        - np.einsum("dab,dc->abc", conn.gamma, g.matrix)
+        - np.einsum("dac,bd->abc", conn_star.gamma, g.matrix)
+    )
+    return Residual("conjugation", ETensor(0, 3, A.rank, A.coords, res))
 
 
 def mean_connection(pair):
@@ -203,14 +190,8 @@ def quasi_statistical_check(A, g, conn):
 
 
 def _quasi_statistical_residual(A, g, Q, T):
-    r = A.rank
-    res = zeros_array((r, r, r), A.coords)
-    for a, b, c in itertools.product(range(r), repeat=3):
-        acc = Q.comps[a, b, c] - Q.comps[b, a, c]
-        for d in range(r):
-            acc = acc + T.comps[d, a, b] * g.matrix[d, c]
-        res[a, b, c] = acc
-    return Residual("quasi-statistical", ETensor(0, 3, r, A.coords, res))
+    res = Q.comps - np.swapaxes(Q.comps, 0, 1) + np.einsum("dab,dc->abc", T.comps, g.matrix)
+    return Residual("quasi-statistical", ETensor(0, 3, A.rank, A.coords, res))
 
 
 def conjugate_torsion_transfer_residual(A, g, conn):
@@ -237,18 +218,7 @@ def statistical_solve(A, S):
     residual helpers (they hold for every successful solve).
     """
     g, C, B = S.g, S.C, S.B
-    r = A.rank
-    extra1 = zeros_array((r, r, r), A.coords)
-    extra2 = zeros_array((r, r, r), A.coords)
-    for b, c, d in itertools.product(range(r), repeat=3):
-        extra1[b, c, d] = C.comps[b, c, d]
-        acc = -C.comps[b, c, d]
-        for m in range(r):
-            acc = acc - B.comps[m, c, d] * g.matrix[m, b]
-            acc = acc - B.comps[m, b, d] * g.matrix[m, c]
-            acc = acc + B.comps[m, b, c] * g.matrix[m, d]
-        extra2[b, c, d] = acc
-    nabla, nabla_star = _solve_affine_koszul(A, g, extra1, extra2)
+    nabla, nabla_star = _solve_affine_koszul(A, g, C.comps, _koszul_form(B.comps, g) - C.comps)
     derived = {nabla: Derived(A, nabla), nabla_star: Derived(A, nabla_star)}
     difference = derived[nabla].bracket - derived[nabla_star].bracket
     compat_residual = Residual("bracket-compatibility", B - difference)
@@ -286,19 +256,13 @@ def alpha_curvature_residual(A, pair, alpha):
     R_alpha = pair.derived(alpha_connection(pair, alpha)).curvature
     R, R_star, delta = D.curvature, D_star.curvature, pair.difference
     bracket_difference = (D.projected_bracket - D_star.projected_bracket).comps
-    r = A.rank
-    res = zeros_array((r, r, r, r), coords)
-    for a, b, c, d in itertools.product(range(r), repeat=4):
-        acc = R_alpha.comps[a, b, c, d]
-        acc = acc - s * R_star.comps[a, b, c, d] - t * R.comps[a, b, c, d]
-        inner = A.zero()
-        for e in range(r):
-            inner = inner + delta.comps[e, b, d] * delta.comps[a, c, e]
-            inner = inner - delta.comps[e, c, d] * delta.comps[a, b, e]
-            inner = inner + bracket_difference[e, b, c] * delta.comps[a, e, d]
-        acc = acc - quarter * inner
-        res[a, b, c, d] = acc
-    return Residual(f"alpha-curvature(alpha={alpha})", ETensor(1, 3, r, coords, res))
+    inner = (
+        np.einsum("ebd,ace->abcd", delta.comps, delta.comps)
+        - np.einsum("ecd,abe->abcd", delta.comps, delta.comps)
+        + np.einsum("ebc,aed->abcd", bracket_difference, delta.comps)
+    )
+    res = R_alpha.comps - R_star.comps * s - R.comps * t - inner * quarter
+    return Residual(f"alpha-curvature(alpha={alpha})", ETensor(1, 3, A.rank, coords, res))
 
 
 def alpha_flat_symmetry_residual(A, pair, alpha):

@@ -1,9 +1,11 @@
 """Typed (q, r) tensor algebra over the scalar field on a fixed frame.
 
 Components are stored densely in numpy object arrays of ScalarField; the frame
-rank never exceeds single digits here, so dense storage costs little and keeps
-every operation a transparent loop.  All indices are 0-based internally; the
-model-file layer converts from the 1-based convention used in the docs.
+rank never exceeds single digits here, so dense storage costs little.  Every
+contraction is one ``np.einsum`` over these arrays: numpy calls the scalar's
+own ``+`` and ``*``, so the arithmetic stays exact and keeps its zero-operand
+exits.  All indices are 0-based internally; the model-file layer converts
+from the 1-based convention used in the docs.
 """
 
 from __future__ import annotations
@@ -229,9 +231,6 @@ class EOneForm:
     @property
     def is_zero(self):
         return array_is_zero(self.comps)
-
-    def apply(self, u):
-        return sum(self.comps[a] * u.comps[a] for a in range(self.dim))
 
     def __sub__(self, other):
         return EOneForm(self.comps - other.comps)

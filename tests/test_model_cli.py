@@ -4,15 +4,17 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from leibniz_geo import courant, tangent
 from leibniz_geo.cli import main
-from leibniz_geo.errors import ParseError, SchemaError, ShapeError
-from leibniz_geo.expr import MAX_DEGREE
+from leibniz_geo.errors import ExprSyntaxError, ParseError, SchemaError, ShapeError
+from leibniz_geo.expr import MAX_CONSTANT_BITS, MAX_DEGREE, parse_expr
 from leibniz_geo.model import (
     MAX_RANK,
     dump_model,
@@ -265,6 +267,55 @@ def test_power_past_the_degree_cap_exits_two(tmp_path, text):
     record = single_error_record(err)
     assert record["error"] == "ParseError"
     assert f"exceeds {MAX_DEGREE}" in record["message"]
+
+
+def test_power_of_a_constant_past_the_size_cap_exits_two(tmp_path, capsysbinary):
+    path = tmp_path / "power.model"
+    path.write_text(doc_text(functions={"f": "(((3^100)^100)^100)^100"}))
+    start = time.perf_counter()
+    code = main(["validate", "--model", str(path), "--format", "json-lines"])
+    elapsed = time.perf_counter() - start
+    out, err = capsysbinary.readouterr()
+    assert code == 2
+    assert out == b""
+    record = single_error_record(err)
+    assert record["error"] == "ParseError"
+    assert f"exceeds {MAX_CONSTANT_BITS}" in record["message"]
+    assert elapsed < 1.0
+
+
+def test_constant_power_size_cap_admits_the_documented_powers():
+    assert parse_expr("7^1000", ("x1",)) == 7**1000
+    assert parse_expr("(1/7)^1000", ("x1",)) == Fraction(1, 7**1000)
+    assert parse_expr("1^100000", ("x1",)) == 1
+    assert parse_expr("(-1)^100001", ("x1",)) == -1
+    assert parse_expr("0^100000", ("x1",)) == 0
+    assert parse_expr("2^10000", ("x1",)) == 2**10000
+    with pytest.raises(ExprSyntaxError, match=f"10001 bits exceeds {MAX_CONSTANT_BITS}"):
+        parse_expr("2^10001", ("x1",))
+    with pytest.raises(ExprSyntaxError, match=f"15800 bits exceeds {MAX_CONSTANT_BITS}"):
+        parse_expr("(3^100)^100", ("x1",))
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (b"\x80", "ParseError"),
+        (doc_text(dimension=True).encode(), "SchemaError"),
+        (doc_text(rank=True).encode(), "SchemaError"),
+        (doc_text(kernel_sections=1).encode(), "SchemaError"),
+        (doc_text(rank=3).encode(), "ShapeError"),
+    ],
+    ids=["not-utf8", "boolean-dimension", "boolean-rank", "kernel-sections-not-a-list", "broadcast-shape"],
+)
+def test_inputs_the_fuzz_test_found_exit_two(tmp_path, capsysbinary, data, error):
+    path = tmp_path / "found.model"
+    path.write_bytes(data)
+    code = main(["validate", "--model", str(path), "--format", "json-lines"])
+    out, err = capsysbinary.readouterr()
+    assert code == 2
+    assert out == b""
+    assert single_error_record(err)["error"] == error
 
 
 def test_rank_past_the_cap_exits_two_before_allocating(tmp_path, capsysbinary):

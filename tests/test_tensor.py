@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle_linalg
 from leibniz_geo import (
     DegenerateMetric,
     EMetric,
@@ -18,6 +19,7 @@ from leibniz_geo import (
     metric_inverse,
 )
 from leibniz_geo.errors import NonUnique, NoSolution
+from leibniz_geo.expr import parse_expr
 from leibniz_geo.linalg import adj_det, solve
 from leibniz_geo.tensor import antisymmetrize, object_array, zeros_array
 
@@ -163,6 +165,27 @@ def test_determinant_and_invert():
         entry = sum((m[i][k] * inv[k][j] for k in range(3)), const(0))
         assert entry == const(1 if i == j else 0)
         assert adjugate[i][j] == det * inv[i][j]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [["x1", 0], [0, "-x1"]],
+        [["x1", 1], [1, "-x1"]],
+        [["x1", 0, 0], [0, "-x1", 0], [0, 0, "x2^2"]],
+        [["1 + x1^2"] * 3] * 3,
+    ],
+    ids=["diagonal", "off-diagonal", "rank-3", "singular"],
+)
+def test_zero_characteristic_coefficients_match_the_oracle(rows):
+    # Each matrix has a zero coefficient in its characteristic polynomial.
+    m = [[parse_expr(str(v), COORDS) for v in row] for row in rows]
+    adjugate, det = adj_det(m)
+    assert str(det) == str(oracle_linalg.determinant(m))
+    if not det.is_zero:
+        inverse = [[str(x) for x in row] for row in EMetric(m, COORDS).inverse]
+        assert inverse == [[str(x) for x in row] for row in oracle_linalg.invert(m)]
+        assert [[str(x / det) for x in row] for row in adjugate] == inverse
 
 
 def test_determinant_of_singular_matrix_is_zero():
