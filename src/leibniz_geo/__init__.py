@@ -15,17 +15,10 @@ from .connection import (
     Derived,
     EConnection,
     curvature,
-    curvature_eval,
-    difference_tensor,
     levi_civita_solve,
-    modified_bracket,
-    modified_bracket_coeffs,
     nonmetricity,
-    projected_modified_bracket,
     second_cov_and_ricci,
-    second_covariant_derivative,
     torsion,
-    torsion_eval,
 )
 from .errors import (
     CompatibilityFailure,
@@ -50,9 +43,7 @@ from .hessian import (
     conjugate_curvature_transfer_residual,
     constant_curvature_check,
     fundamental_theorem_residual,
-    function_form,
     hessian,
-    hessian_asymmetry,
     hessian_structure_check,
     hessian_symmetry_equivalences,
     projected_exterior_derivative,
@@ -66,27 +57,15 @@ from .statgeo import (
     conjugate_connection,
     conjugation_residual,
     mean_connection,
-    quasi_statistical_check,
     relative_torsion,
     statistical_solve,
     strong_conjugacy_residual,
 )
-from .tensor import (
-    EMetric,
-    EOneForm,
-    EPForm,
-    ETensor,
-    EVectorField,
-    contract,
-    is_antisymmetric_in,
-    is_totally_symmetric,
-    metric_inverse,
-)
+from .tensor import EMetric, EOneForm, EPForm, ETensor, EVectorField
 
 __version__ = "0.1.0"
 
-# The API that the README's library sections document; the other names
-# imported above stay importable for the tests.
+# The API that the README's library sections document, and nothing else.
 __all__ = [
     "Algebroid", "AlgebroidReport", "Residual", "builtin", "courant", "courant_pairing",
     "lie_algebra", "so3", "tangent",

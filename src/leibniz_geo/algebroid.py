@@ -2,12 +2,13 @@
 
 An ``Algebroid`` stores the structure data (anchor, bracket coefficients,
 locality coefficients, optional projector and kernel sections) as component
-arrays of exact scalar fields over a single chart.  Brackets on arbitrary
-sections are evaluated through the two Leibniz rules, and the axioms are
-validated as exact frame-level residuals: every axiom quantified over
-sections reduces to a structure-coefficient identity because the section
-dependence cancels between the two sides (the reductions are spelled out at
-each residual below).
+arrays of exact scalar fields over a single chart.  The axioms are validated
+as exact frame-level residuals: every axiom quantified over sections reduces
+to a structure-coefficient identity because the section dependence cancels
+between the two sides (the reductions are spelled out at each residual
+below).  The bracket of arbitrary sections, through the two Leibniz rules,
+is evaluated only as an independent cross-check, in
+``tests/oracle_geometry.py``.
 
 Index conventions (all 0-based internally, 1-based in the docs):
   anchor[a][i]        rho^i_a, action of the frame field X_a on coordinates
@@ -119,16 +120,8 @@ class Algebroid:
     def vector(self, entries):
         return EVectorField.from_list([self.field(v) for v in entries])
 
-    def frame_vector(self, a):
-        """The frame section X_a (0-based)."""
-        entries = [self.one() if b == a else self.zero() for b in range(self.rank)]
-        return EVectorField.from_list(entries)
-
     def zeros(self, *shape):
         return zeros_array(shape, self.coords)
-
-    def tensor(self, q, r, arr):
-        return ETensor(q, r, self.rank, self.coords, object_array(arr))
 
     # -- locality projector ---------------------------------------------------
 
@@ -161,28 +154,9 @@ class Algebroid:
         partials = object_array([[f.diff(i + 1) for f in comps.flat] for i in range(self.dim)])
         return np.einsum("bi,i...->b...", self.anchor, partials.reshape((self.dim, *comps.shape)))
 
-    def anchor_apply(self, u, f):
-        """rho(u)(f) = u^a rho(X_a)(f)."""
-        return np.einsum("a,a->", u.comps, self.anchor_derivative(f))
-
     def coboundary(self, f):
         """(Df)_a = rho(X_a)(f) as a one-form."""
         return EOneForm(self.anchor_derivative(f))
-
-    def bracket_eval(self, u, v):
-        """Bracket of arbitrary sections through the two Leibniz rules.
-
-        [u, v]^a = u^b v^c c^a_{bc} + rho(u)(v^a) - rho(v)(u^a)
-                   + L^{a d}_{b c} rho(X_d)(u^b) v^c
-        """
-        du, dv = self.anchor_derivative(u.comps), self.anchor_derivative(v.comps)
-        out = (
-            np.einsum("abc,b,c->a", self.bracket, u.comps, v.comps)
-            + np.einsum("b,ba->a", u.comps, dv)
-            - np.einsum("b,ba->a", v.comps, du)
-            + np.einsum("adbc,db,c->a", self.locality, du, v.comps)
-        )
-        return EVectorField(out)
 
     # -- axiom residuals ------------------------------------------------------
 

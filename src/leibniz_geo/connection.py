@@ -2,8 +2,10 @@
 
 Coefficients follow gamma[a][b][c] = e^a(nabla_{X_b} X_c).  Frame-level
 component formulas are used wherever the object is tensorial; section-level
-evaluators are provided for the non-tensorial operators (covariant
-derivatives, second covariant derivative) and for tensoriality cross-checks.
+evaluators are provided only for the non-tensorial operators (covariant
+derivatives, second covariant derivative).  The section-level torsion,
+curvature and modified brackets that cross-check tensoriality live in
+``tests/oracle_geometry.py``.
 
 Every frame contraction is one ``np.einsum`` over object arrays of
 ``ScalarField`` components, so the scalar's own ``+`` and ``*`` (with their
@@ -37,11 +39,6 @@ class EConnection:
     gamma: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_nested(cls, A, nested):
-        arr = object_array([[[A.field(v) for v in row] for row in plane] for plane in nested])
-        return cls(arr)
-
-    @classmethod
     def zero(cls, A):
         return cls(zeros_array((A.rank, A.rank, A.rank), A.coords))
 
@@ -60,14 +57,10 @@ class EConnection:
 # -- covariant derivatives ----------------------------------------------------
 
 
-def _vector_derivative(A, conn, v):
-    """(nabla v)^a_b = rho(X_b)(v^a) + Gamma^a_{bc} v^c, upper slot first."""
-    return frame_covariant_derivative(A, conn, ETensor(1, 0, A.rank, A.coords, v.comps)).comps
-
-
 def covariant_derivative_vector(A, conn, u, v):
-    """(nabla_u v)^a = u^b (nabla v)^a_b."""
-    return EVectorField(np.einsum("b,ab->a", u.comps, _vector_derivative(A, conn, v)))
+    """(nabla_u v)^a = u^b (nabla v)^a_b, with (nabla v)^a_b = rho(X_b)(v^a) + Gamma^a_{bc} v^c."""
+    nabla_v = frame_covariant_derivative(A, conn, ETensor(1, 0, A.rank, A.coords, v.comps))
+    return EVectorField(np.einsum("b,ab->a", u.comps, nabla_v.comps))
 
 
 # Index letters of a tensor's slots; b is the new slot, e the summed one.
@@ -112,21 +105,6 @@ def modified_bracket_coeffs(A, conn, projected=False):
     return A.bracket - np.einsum("edb,adec->abc", conn.gamma, L)
 
 
-def _locality_term(A, conn, u, v, L):
-    """L(e^a, nabla_{X_a} u, v) on sections, for a given locality array."""
-    return EVectorField(np.einsum("adbc,bd,c->a", L, _vector_derivative(A, conn, u), v.comps))
-
-
-def modified_bracket(A, conn, u, v):
-    """[u, v] minus the locality term built from the connection."""
-    return A.bracket_eval(u, v) - _locality_term(A, conn, u, v, A.locality)
-
-
-def projected_modified_bracket(A, conn, u, v):
-    """Projected variant: the locality term is pushed through the projector."""
-    return A.bracket_eval(u, v) - _locality_term(A, conn, u, v, A.locality_hat)
-
-
 # -- torsion, curvature, non-metricity ----------------------------------------
 
 
@@ -135,15 +113,6 @@ def torsion(D, projected=False):
     A, gamma = D.algebroid, D.conn.gamma
     mb = D.projected_bracket if projected else D.bracket
     return ETensor(1, 2, A.rank, A.coords, gamma - np.swapaxes(gamma, 1, 2) - mb.comps)
-
-
-def torsion_eval(A, conn, u, v):
-    """Section-level torsion, for tensoriality cross-checks."""
-    return (
-        covariant_derivative_vector(A, conn, u, v)
-        - covariant_derivative_vector(A, conn, v, u)
-        - modified_bracket(A, conn, u, v)
-    )
 
 
 def curvature(D):
@@ -164,15 +133,6 @@ def curvature(D):
         - np.einsum("ebc,aed->abcd", D.projected_bracket.comps, gamma)
     )
     return ETensor(1, 3, A.rank, A.coords, out)
-
-
-def curvature_eval(A, conn, u, v, w):
-    """Section-level curvature, for tensoriality cross-checks."""
-    first = covariant_derivative_vector(A, conn, u, covariant_derivative_vector(A, conn, v, w))
-    second = covariant_derivative_vector(A, conn, v, covariant_derivative_vector(A, conn, u, w))
-    bracket = projected_modified_bracket(A, conn, u, v)
-    third = covariant_derivative_vector(A, conn, bracket, w)
-    return first - second - third
 
 
 def nonmetricity(A, conn, g):

@@ -34,12 +34,6 @@ def hessian(A, conn, f):
     return frame_covariant_derivative(A, conn, df)
 
 
-def hessian_asymmetry(A, conn, f):
-    """The antisymmetric part residual H(f) - H(f)^T."""
-    H = hessian(A, conn, f)
-    return Residual("hessian-symmetry", H - H.swap_slots(1, 2))
-
-
 @dataclass(frozen=True)
 class HessianStructure:
     """Flat, projected-torsion-free connection with g the Hessian of f."""
@@ -66,34 +60,28 @@ def projected_exterior_derivative(D, omega):
 
     (d-hat w)_{a_1..a_{p+1}} = sum_i (-1)^{i+1} rho_{a_i}(w_{.. a_i-hat ..})
       + sum_{i<j} (-1)^{i+j} mhat^m_{a_i a_j} w_{m, .. a_i-hat .. a_j-hat ..},
-    where mhat are the projected modified bracket coefficients.  Requires an
-    admissible connection so the result is genuinely antisymmetric.
+    where mhat are the projected modified bracket coefficients.  The rho term
+    of slot i is rho(w) with its derivative axis moved to i, and the bracket
+    term of slots i < j is one contraction mhat^m_{ab} w_{m...} with its axes
+    a, b moved to i, j.  Requires an admissible connection so the result is
+    genuinely antisymmetric.
     """
     A = D.algebroid
     if A.projector is None:
         raise MissingProjector("projected exterior derivative needs a locality projector")
     if not D.admissible:
         raise NotAdmissible("projected exterior derivative requires an admissible connection")
-    mb_hat = D.projected_bracket.comps
-    d_omega = A.anchor_derivative(omega.comps)  # [a, ...] = rho(X_a)(w_{...})
-    r = A.rank
     p = omega.degree
-    out = zeros_array((r,) * (p + 1), A.coords)
-    for idx in itertools.product(range(r), repeat=p + 1):
-        acc = A.zero()
-        for i in range(p + 1):
-            rest = idx[:i] + idx[i + 1 :]
-            sign = 1 if i % 2 == 0 else -1
-            term = d_omega[(idx[i],) + rest]
-            acc = acc + term if sign > 0 else acc - term
-        for i in range(p + 1):
-            for j in range(i + 1, p + 1):
-                rest = tuple(idx[k] for k in range(p + 1) if k not in (i, j))
-                sign = 1 if (i + j) % 2 == 0 else -1
-                for m in range(r):
-                    term = mb_hat[m, idx[i], idx[j]] * omega.comps[(m,) + rest]
-                    acc = acc + term if sign > 0 else acc - term
-        out[idx] = acc
+    d_omega = A.anchor_derivative(omega.comps)  # [a, ...] = rho(X_a)(w_{...})
+    out = zeros_array((A.rank,) * (p + 1), A.coords)
+    for i in range(p + 1):
+        term = np.moveaxis(d_omega, 0, i)
+        out = out + term if i % 2 == 0 else out - term
+    if p:
+        mb_omega = np.einsum("mab,m...->ab...", D.projected_bracket.comps, omega.comps)
+        for i, j in itertools.combinations(range(p + 1), 2):
+            term = np.moveaxis(mb_omega, (0, 1), (i, j))
+            out = out + term if (i + j) % 2 == 0 else out - term
     return EPForm(p + 1, out)
 
 
@@ -265,8 +253,10 @@ def fundamental_theorem_residual(A, pair):
 def constant_curvature_check(D, g):
     """Decide whether R(D.conn)^a_{bcd} = kappa (g_{cd} d^a_b - g_{bd} d^a_c) exactly.
 
-    Returns (True, kappa) with an exact rational kappa when one exists (the
-    flat case yields kappa = 0), else (False, None).
+    kappa is read off the first nonzero entry of the model array, and R must
+    equal kappa times the model everywhere.  Returns (True, kappa) with an
+    exact rational kappa when one exists (the flat case yields kappa = 0),
+    else (False, None).
     """
     A = D.algebroid
     if A.projector is None:
@@ -274,25 +264,16 @@ def constant_curvature_check(D, g):
     if not D.admissible:
         raise NotAdmissible("constant curvature requires an admissible connection")
     R = D.curvature
-    r = A.rank
-    model = _constant_curvature_model(A, g)
     if R.is_zero:
         return True, Fraction(0)
-    kappa = None
-    for idx in itertools.product(range(r), repeat=4):
-        if not model[idx].is_zero:
-            candidate = R.comps[idx] / model[idx]
-            if candidate.is_constant:
-                kappa = candidate.as_rational()
-                break
-            return False, None
-    if kappa is None:
+    model = _constant_curvature_model(A, g)
+    first = next((idx for idx, entry in np.ndenumerate(model) if not entry.is_zero), None)
+    if first is None:
         return False, None
-    kappa_field = ScalarField.constant(kappa, A.coords)
-    for idx in itertools.product(range(r), repeat=4):
-        if not (R.comps[idx] - kappa_field * model[idx]).is_zero:
-            return False, None
-    return True, kappa
+    kappa = R.comps[first] / model[first]
+    if not kappa.is_constant or not array_is_zero(R.comps - model * kappa):
+        return False, None
+    return True, kappa.as_rational()
 
 
 def conjugate_curvature_transfer_residual(A, pair, kappa):

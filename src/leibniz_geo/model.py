@@ -19,13 +19,25 @@ from .connection import EConnection
 from .errors import ExprSyntaxError, ParseError, SchemaError, ShapeError, UnknownVariable
 from .expr import parse_expr
 from .scalar import ScalarField
-from .tensor import EMetric, ETensor, EVectorField, zeros_array
+from .tensor import (
+    EMetric,
+    ETensor,
+    EVectorField,
+    is_antisymmetric_in,
+    is_totally_symmetric,
+    zeros_array,
+)
 
 # The largest accepted rank.  Component arrays are dense: the locality holds
 # r^4 entries and the Koszul system of the exact solves r^3 x r^3, so a larger
 # frame is out of reach and would only exhaust memory at load time.  Rank 6
 # admits courant(3).
 MAX_RANK = 8
+
+# The most slots a tensor entry may declare (q + r).  A tensor holds
+# rank^(q+r) entries, and the largest arrays the engine builds, the locality
+# and the curvature, have four slots.
+MAX_TENSOR_SLOTS = 4
 
 _TOP_LEVEL_KEYS = {
     "dimension",
@@ -53,6 +65,10 @@ class ModelDocument:
     tensors: dict = field(default_factory=dict)
     functions: dict = field(default_factory=dict)
     source: str = ""
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_entry(value, coords, path):
@@ -128,9 +144,9 @@ def parse_model_text(text):
 
     n = _require(raw, "dimension")
     r = _require(raw, "rank")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not _is_int(n) or n < 0:
         raise SchemaError("dimension", "must be a non-negative integer")
-    if not isinstance(r, int) or isinstance(r, bool) or r <= 0:
+    if not _is_int(r) or r <= 0:
         raise SchemaError("rank", "must be a positive integer")
     if r > MAX_RANK:
         raise SchemaError("rank", f"must be at most {MAX_RANK}")
@@ -197,18 +213,18 @@ def _named_section(raw, key):
 
 
 def _load_tensor(entry, r, coords, path):
-    from .tensor import is_antisymmetric_in, is_totally_symmetric
-
     if not isinstance(entry, dict) or "type" not in entry or "components" not in entry:
         raise SchemaError(path, "tensor entries need 'type' and 'components'")
     declared = entry["type"]
     if (
         not isinstance(declared, list)
         or len(declared) != 2
-        or not all(isinstance(v, int) and v >= 0 for v in declared)
+        or not all(_is_int(v) and v >= 0 for v in declared)
     ):
         raise SchemaError(f"{path}.type", "must be a pair [q, r] of non-negative integers")
     q, rr = declared
+    if q + rr > MAX_TENSOR_SLOTS:
+        raise SchemaError(f"{path}.type", f"q + r must be at most {MAX_TENSOR_SLOTS}")
     comps = _load_array(entry["components"], (r,) * (q + rr), coords, f"{path}.components")
     tensor = ETensor(q, rr, r, coords, comps)
     symmetry = entry.get("symmetry")
@@ -216,6 +232,8 @@ def _load_tensor(entry, r, coords, path):
         if not is_totally_symmetric(tensor):
             raise SchemaError(f"{path}.symmetry", "components are not totally symmetric")
     elif isinstance(symmetry, list) and len(symmetry) == 3 and symmetry[0] == "antisymmetric_in":
+        if not all(_is_int(slot) for slot in symmetry[1:]):
+            raise SchemaError(f"{path}.symmetry", "slots must be integers")
         if not is_antisymmetric_in(tensor, symmetry[1], symmetry[2]):
             raise SchemaError(
                 f"{path}.symmetry",

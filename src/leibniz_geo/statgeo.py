@@ -184,22 +184,14 @@ def strong_conjugacy_residual(A, pair):
     return Residual("strong-conjugacy", pair.relative_torsion)
 
 
-def quasi_statistical_check(A, g, conn):
-    """Residual of Q(u,v,w) - Q(v,u,w) + g(T(u,v), w)."""
-    return _quasi_statistical_residual(A, g, nonmetricity(A, conn, g), Derived(A, conn).torsion)
-
-
 def _quasi_statistical_residual(A, g, Q, T):
+    """Residual of Q(u,v,w) - Q(v,u,w) + g(T(u,v), w) for given Q and T."""
     res = Q.comps - np.swapaxes(Q.comps, 0, 1) + np.einsum("dab,dc->abc", T.comps, g.matrix)
     return Residual("quasi-statistical", ETensor(0, 3, A.rank, A.coords, res))
 
 
-def conjugate_torsion_transfer_residual(A, g, conn):
-    """For a quasi-statistical (g, nabla): T(nabla*) minus the bracket difference."""
-    return _torsion_transfer_residual(ConjugatePair(A, g, conn, conjugate_connection(A, g, conn)))
-
-
 def _torsion_transfer_residual(pair):
+    """For a quasi-statistical (g, nabla): T(nabla*) minus the bracket difference."""
     D, D_star = pair.derived(pair.nabla), pair.derived(pair.nabla_star)
     difference = D.bracket - D_star.bracket
     return Residual("conjugate-torsion-transfer", D_star.torsion - difference)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -76,11 +75,6 @@ class ETensor(ComponentSummaries):
     def zeros(cls, q, r, dim, coords):
         return cls(q, r, dim, tuple(coords), zeros_array((dim,) * (q + r), coords))
 
-    @classmethod
-    def from_array(cls, q, r, arr, coords):
-        arr = object_array(arr)
-        return cls(q, r, arr.shape[0] if arr.ndim else 0, tuple(coords), arr)
-
     def __add__(self, other):
         self._check_compatible(other)
         return ETensor(self.q, self.r, self.dim, self.coords, self.comps + other.comps)
@@ -120,20 +114,6 @@ class ETensor(ComponentSummaries):
             raise SlotMismatch(f"slots {i} and {j} differ in variance")
 
 
-def contract(t, upper_slot, lower_slot):
-    """Trace over one contravariant and one covariant slot (each 1-based)."""
-    if not 1 <= upper_slot <= t.q:
-        raise SlotMismatch(f"upper slot {upper_slot} out of range 1..{t.q}")
-    if not 1 <= lower_slot <= t.r:
-        raise SlotMismatch(f"lower slot {lower_slot} out of range 1..{t.r}")
-    axis1 = upper_slot - 1
-    axis2 = t.q + lower_slot - 1
-    traced = np.trace(t.comps, axis1=axis1, axis2=axis2)
-    if t.q + t.r == 2:
-        traced = object_array(traced)
-    return ETensor(t.q - 1, t.r - 1, t.dim, t.coords, traced)
-
-
 def is_totally_symmetric(t):
     """True iff the covariant block is invariant under every permutation."""
     if t.q != 0:
@@ -149,38 +129,6 @@ def is_antisymmetric_in(t, i, j):
     """True iff the tensor flips sign under transposing global slots i, j (1-based)."""
     swapped = t.swap_slots(i, j)
     return array_is_zero(t.comps + swapped.comps)
-
-
-def antisymmetrize(t):
-    """Full antisymmetrization over the covariant slots of a (0, p) tensor."""
-    if t.q != 0:
-        raise SlotMismatch("antisymmetrization acts on covariant slots only")
-    acc = zeros_array(t.comps.shape, t.coords)
-    count = 0
-    for perm in itertools.permutations(range(t.r)):
-        sign = _parity(perm)
-        permuted = np.transpose(t.comps, perm)
-        acc = acc + permuted if sign > 0 else acc - permuted
-        count += 1
-    inv = ScalarField.constant(Fraction(1, count), t.coords)
-    return ETensor(0, t.r, t.dim, t.coords, acc * inv)
-
-
-def _parity(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        current = start
-        while not seen[current]:
-            seen[current] = True
-            current = perm[current]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,11 +238,3 @@ class EMetric:
 
     def lower_tensor(self):
         return ETensor(0, 2, self.dim, self.coords, self.matrix)
-
-    def inverse_tensor(self):
-        return ETensor(2, 0, self.dim, self.coords, self.inverse)
-
-
-def metric_inverse(g):
-    """The exact inverse of an EMetric as a (2, 0) tensor."""
-    return g.inverse_tensor()

@@ -5,10 +5,16 @@ anchor actions, the bracket and the axioms of an algebroid, the modified
 bracket, covariant derivatives, torsion, curvature and the Ricci sums, the
 Koszul system and its right-hand sides, the conjugate connection, the
 statistical, alpha-curvature, fundamental-theorem and constant-curvature
-residuals, the Hessian symmetry report and the SSp3 difference.  Each one
-builds what it reads itself, through ``frame_apply`` below; none calls a
-converted kernel of the engine.  ``test_geometry_oracle.py`` compares the
-engine against them component by component.
+residuals, the constant-curvature decision, the Hessian symmetry report and
+the SSp3 difference.  Each one builds what it reads itself, through
+``frame_apply`` below; none calls a converted kernel of the engine.
+``test_geometry_oracle.py`` compares the engine against them component by
+component.
+
+The section-level evaluators (``anchor_apply``, ``bracket_eval``,
+``torsion_eval``, ``curvature_eval``) have no counterpart in the engine, which
+works on frames only: ``test_connection.py`` contracts the engine's frame
+tensors with sections and compares them with these independent routes.
 """
 
 from __future__ import annotations
@@ -206,6 +212,28 @@ def locality_term(A, conn, u, v, L):
             acc = acc + L[a, d, b, c] * covu * v.comps[c]
         out.append(acc)
     return EVectorField.from_list(out)
+
+
+def modified_bracket(A, conn, u, v, L):
+    """[u, v] minus the locality term L(e^a, nabla_{X_a} u, v), for a given locality array."""
+    return bracket_eval(A, u, v) - locality_term(A, conn, u, v, L)
+
+
+def torsion_eval(A, conn, u, v):
+    """Section-level torsion nabla_u v - nabla_v u - mb(u, v)."""
+    return (
+        covariant_derivative_vector(A, conn, u, v)
+        - covariant_derivative_vector(A, conn, v, u)
+        - modified_bracket(A, conn, u, v, A.locality)
+    )
+
+
+def curvature_eval(A, conn, u, v, w):
+    """Section-level curvature nabla_u nabla_v w - nabla_v nabla_u w - nabla_{mbhat(u, v)} w."""
+    first = covariant_derivative_vector(A, conn, u, covariant_derivative_vector(A, conn, v, w))
+    second = covariant_derivative_vector(A, conn, v, covariant_derivative_vector(A, conn, u, w))
+    bracket = modified_bracket(A, conn, u, v, locality_hat(A))
+    return first - second - covariant_derivative_vector(A, conn, bracket, w)
 
 
 def admissibility_residual(A, conn):
@@ -538,6 +566,30 @@ def constant_curvature_model(A, g):
             acc = acc - g.matrix[b, d]
         model[a, b, c, d] = acc
     return model
+
+
+def constant_curvature_check(A, conn, g):
+    """(True, kappa) when R^a_{bcd} = kappa (g_{cd} d^a_b - g_{bd} d^a_c) exactly, else (False, None)."""
+    R = curvature(A, conn)
+    r = A.rank
+    model = constant_curvature_model(A, g)
+    if R.is_zero:
+        return True, Fraction(0)
+    kappa = None
+    for idx in itertools.product(range(r), repeat=4):
+        if not model[idx].is_zero:
+            candidate = R.comps[idx] / model[idx]
+            if candidate.is_constant:
+                kappa = candidate.as_rational()
+                break
+            return False, None
+    if kappa is None:
+        return False, None
+    kappa_field = ScalarField.constant(kappa, A.coords)
+    for idx in itertools.product(range(r), repeat=4):
+        if not (R.comps[idx] - kappa_field * model[idx]).is_zero:
+            return False, None
+    return True, kappa
 
 
 def conjugate_curvature_transfer_residual(A, g, conn_star, kappa):

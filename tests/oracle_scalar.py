@@ -227,13 +227,3 @@ class ScalarField:
     def __str__(self):
         """Canonical form in the expression grammar (caret powers)."""
         return repr(self).replace("**", "^")
-
-
-def partial_derivative(a, i):
-    """Functional form of :meth:`ScalarField.diff`."""
-    return a.diff(i)
-
-
-def eval_at(a, point):
-    """Functional form of :meth:`ScalarField.eval_at`."""
-    return a.eval_at(point)

@@ -27,7 +27,6 @@ from leibniz_geo import (
     courant,
     courant_pairing,
     curvature,
-    difference_tensor,
     fundamental_theorem_residual,
     hessian_structure_check,
     hessian_symmetry_equivalences,
@@ -41,7 +40,7 @@ from leibniz_geo import (
     tangent,
     torsion,
 )
-from leibniz_geo.connection import Derived, second_cov_and_ricci
+from leibniz_geo.connection import Derived, difference_tensor, second_cov_and_ricci
 from leibniz_geo.errors import ParseError, SchemaError, ShapeError
 from leibniz_geo.model import parse_model_text
 from leibniz_geo.statgeo import alpha_flat_symmetry_residual

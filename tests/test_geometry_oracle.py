@@ -1,13 +1,14 @@
 """Differential tests: the einsum kernels against the index loops they replaced
 (``oracle_geometry``).
 
-Every frame contraction of the engine (the algebroid's anchor actions,
-bracket and axioms, the modified bracket, covariant derivatives, torsion,
-curvature, the Ricci sums, the Koszul system and its right-hand sides, the
-conjugate connection and the pair residuals, the Hessian symmetry report and
-the SSp3 difference) must print the same, component by component, as the
-old loop.  The inputs are the bundled documents (so3 has a point base), fixed
-and hypothesis-drawn connections of tangent(2) and courant(1), and the Koszul
+Every frame contraction of the engine (the algebroid's anchor actions and
+axioms, the modified bracket, covariant derivatives, torsion, curvature, the
+Ricci sums, the Koszul system and its right-hand sides, the conjugate
+connection and the pair residuals, the projected exterior derivative, the
+constant-curvature decision, the Hessian symmetry report and the SSp3
+difference) must print the same, component by component, as the old loop.
+The inputs are the bundled documents (so3 has a point base), fixed and
+hypothesis-drawn connections of tangent(2) and courant(1), and the Koszul
 systems of a dense courant(2) metric and of the canonical courant(3) pairing.
 """
 
@@ -26,6 +27,7 @@ from leibniz_geo import (
     ConjugatePair,
     Derived,
     EMetric,
+    EPForm,
     ScalarField,
     StatisticalStructure,
     alpha_curvature_residual,
@@ -33,6 +35,7 @@ from leibniz_geo import (
     conjugate_connection,
     conjugate_curvature_transfer_residual,
     conjugation_residual,
+    constant_curvature_check,
     courant,
     courant_pairing,
     curvature,
@@ -40,11 +43,8 @@ from leibniz_geo import (
     hessian,
     hessian_symmetry_equivalences,
     linalg,
-    modified_bracket,
-    modified_bracket_coeffs,
     nonmetricity,
-    projected_modified_bracket,
-    quasi_statistical_check,
+    projected_exterior_derivative,
     relative_torsion,
     second_cov_and_ricci,
     so3,
@@ -57,10 +57,11 @@ from leibniz_geo.connection import (
     _koszul_system,
     covariant_derivative_vector,
     frame_covariant_derivative,
+    modified_bracket_coeffs,
 )
-from leibniz_geo.hessian import _constant_curvature_model, _default_probes
+from leibniz_geo.hessian import _constant_curvature_model, _default_probes, function_form
 from leibniz_geo.model import load_model
-from leibniz_geo.statgeo import admissibility_locality_residual
+from leibniz_geo.statgeo import _quasi_statistical_residual, admissibility_locality_residual
 from leibniz_geo.tensor import ETensor, zeros_array
 from conftest import make_rng, random_connection, random_metric
 
@@ -176,10 +177,13 @@ def compare_algebroid(A, functions, sections):
             same(report.entries[key].tensor, array)
     for f in functions:
         same(A.coboundary(f), old.coboundary(A, f))
-        for u in sections:
-            assert str(A.anchor_apply(u, f)) == str(old.anchor_apply(A, u, f))
-    for u, v in zip(sections, sections[1:]):
-        same(A.bracket_eval(u, v), old.bracket_eval(A, u, v))
+
+
+def forms(functions, sections):
+    """Forms of degree 0, 1 and 2 from the probe functions and sections."""
+    u, v = sections[0].comps, sections[1].comps
+    two_form = np.multiply.outer(u, v) - np.multiply.outer(v, u)
+    return [function_form(f) for f in functions[:2]] + [EPForm(1, u), EPForm(2, two_form)]
 
 
 def compare_connection(A, conn, metrics, functions, sections):
@@ -192,14 +196,12 @@ def compare_connection(A, conn, metrics, functions, sections):
     same(frame_covariant_derivative(A, conn, D.torsion), old.frame_covariant_derivative(A, conn, D.torsion))
     for g in metrics:
         same(nonmetricity(A, conn, g), old.nonmetricity(A, conn, g))
-        inverse = g.inverse_tensor()
+        inverse = ETensor(2, 0, A.rank, A.coords, g.inverse)
         same(frame_covariant_derivative(A, conn, inverse), old.frame_covariant_derivative(A, conn, inverse))
     for f in functions:
         same(hessian(A, conn, f), old.hessian(A, conn, f))
     for u, v in zip(sections, sections[1:]):
         same(covariant_derivative_vector(A, conn, u, v), old.covariant_derivative_vector(A, conn, u, v))
-        bracket = old.bracket_eval(A, u, v)
-        same(modified_bracket(A, conn, u, v), bracket - old.locality_term(A, conn, u, v, A.locality))
     if A.projector is None:
         return
     same(modified_bracket_coeffs(A, conn, projected=True), old.modified_bracket_coeffs(A, conn, True))
@@ -208,9 +210,12 @@ def compare_connection(A, conn, metrics, functions, sections):
     same(D.anchored_projected_torsion.tensor, old.anchored_projected_torsion(A, conn))
     assert D.anchored_projected_torsion.is_zero == old.anchored_projected_torsion_vanishes(A, conn)
     same_report(hessian_symmetry_equivalences(D, functions), old.hessian_symmetry_equivalences(A, conn, functions))
-    hat = old.locality_hat(A)
+    if D.admissible:
+        for g in metrics:
+            assert constant_curvature_check(D, g) == old.constant_curvature_check(A, conn, g)
+        for omega in forms(functions, sections):
+            same(projected_exterior_derivative(D, omega), old.projected_exterior_derivative(A, conn, omega))
     for u, v, w in zip(sections, sections[1:], sections[2:]):
-        same(projected_modified_bracket(A, conn, u, v), old.bracket_eval(A, u, v) - old.locality_term(A, conn, u, v, hat))
         second, residual = second_cov_and_ricci(D, u, v, w)
         old_second, old_residual = old.second_cov_and_ricci(A, conn, u, v, w)
         same(second, old_second)
@@ -222,7 +227,8 @@ def compare_pair(A, g, conn):
     same(star.gamma, old.conjugate_connection(A, g, conn).gamma)
     for first, second in ((conn, star), (conn, conn), (star, conn)):
         same_residual(conjugation_residual(A, g, first, second), old.conjugation_residual(A, g, first, second))
-    same_residual(quasi_statistical_check(A, g, conn), old.quasi_statistical_residual(A, g, conn))
+    quasi_statistical = _quasi_statistical_residual(A, g, nonmetricity(A, conn, g), Derived(A, conn).torsion)
+    same_residual(quasi_statistical, old.quasi_statistical_residual(A, g, conn))
     same(ssp3_difference(A, g, conn), old.ssp3_difference(A, g, conn, star))
     D, D_star = Derived(A, conn), Derived(A, star)
     same(relative_torsion(D, D_star), old.relative_torsion(A, conn, star))
@@ -351,7 +357,26 @@ def test_point_base_entries_are_scalar_fields():
         conjugate_connection(A, g, conn).gamma,
         A.anchor_derivative(g.matrix),
         A.coboundary(A.one()).comps,
-        np.array([A.anchor_apply(A.frame_vector(0), A.one())], dtype=object),
+        projected_exterior_derivative(D, function_form(A.field(2))).comps,
     ]
     for array in arrays:
         assert array.size and all(isinstance(x, ScalarField) for x in array.flat)
+
+
+def test_constant_curvature_rejects_a_kappa_that_holds_only_at_the_first_entry():
+    # Gamma^1_{22} = x1 on the flat metric of tangent(2) (1-based indices):
+    # R^1_{122} = 1 is kappa = 1 times the first nonzero model entry, but
+    # R^2_{121} = 0 where kappa times the model is -1.
+    A = tangent(2)
+    g = EMetric([[A.one(), A.zero()], [A.zero(), A.one()]], A.coords)
+    gamma = zeros_array((2, 2, 2), A.coords)
+    gamma[0, 1, 1] = A.x(1)
+    conn = EConnection(gamma)
+    D = Derived(A, conn)
+    model = _constant_curvature_model(A, g)
+    first = next(idx for idx, entry in np.ndenumerate(model) if not entry.is_zero)
+    assert first == (0, 0, 1, 1)
+    assert str(D.curvature.comps[first] / model[first]) == "1"
+    assert D.curvature.comps[1, 0, 1, 0].is_zero and str(model[1, 0, 1, 0]) == "-1"
+    assert constant_curvature_check(D, g) == (False, None)
+    assert old.constant_curvature_check(A, conn, g) == (False, None)

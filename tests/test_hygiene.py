@@ -56,3 +56,23 @@ def test_package_all_is_the_readme_api():
         assert not isinstance(getattr(leibniz_geo, name), types.ModuleType), name
     assert len(set(leibniz_geo.__all__)) == len(leibniz_geo.__all__)
     assert set(leibniz_geo.__all__) == documented
+
+
+def bound_names(source):
+    """The names the top-level statements of a module source bind."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            names.update(n.id for target in node.targets for n in ast.walk(target) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_package_init_binds_only_the_public_api():
+    import leibniz_geo
+
+    source = (ROOT / "src" / "leibniz_geo" / "__init__.py").read_text()
+    assert bound_names(source) == set(leibniz_geo.__all__) | {"__version__", "__all__"}

@@ -17,6 +17,7 @@ from leibniz_geo.errors import ExprSyntaxError, ParseError, SchemaError, ShapeEr
 from leibniz_geo.expr import MAX_CONSTANT_BITS, MAX_DEGREE, parse_expr
 from leibniz_geo.model import (
     MAX_RANK,
+    MAX_TENSOR_SLOTS,
     dump_model,
     export_algebroid,
     load_model,
@@ -297,25 +298,51 @@ def test_constant_power_size_cap_admits_the_documented_powers():
         parse_expr("(3^100)^100", ("x1",))
 
 
+def tensor_doc(**entry):
+    """A rank-2 document whose one tensor entry T is a (0, 2) tensor with the given overrides."""
+    tensor = {"type": [0, 2], "components": {}, **entry}
+    return doc_text(
+        dimension=0, rank=2, coordinates=[], anchor={}, bracket={}, locality={}, tensors={"T": tensor}
+    ).encode()
+
+
 @pytest.mark.parametrize(
-    "data, error",
+    "data, error, where",
     [
-        (b"\x80", "ParseError"),
-        (doc_text(dimension=True).encode(), "SchemaError"),
-        (doc_text(rank=True).encode(), "SchemaError"),
-        (doc_text(kernel_sections=1).encode(), "SchemaError"),
-        (doc_text(rank=3).encode(), "ShapeError"),
+        (b"\x80", "ParseError", ""),
+        (doc_text(dimension=True).encode(), "SchemaError", "dimension:"),
+        (doc_text(rank=True).encode(), "SchemaError", "rank:"),
+        (doc_text(kernel_sections=1).encode(), "SchemaError", "kernel_sections:"),
+        (doc_text(rank=3).encode(), "ShapeError", ""),
+        (tensor_doc(type=[40, 40]), "SchemaError", "tensors.T.type:"),
+        (tensor_doc(type=[1, MAX_TENSOR_SLOTS]), "SchemaError", "tensors.T.type:"),
+        (tensor_doc(type=[True, 2]), "SchemaError", "tensors.T.type:"),
+        (tensor_doc(symmetry=["antisymmetric_in", "1", 2]), "SchemaError", "tensors.T.symmetry:"),
+        (tensor_doc(symmetry=["antisymmetric_in", 1.5, 2]), "SchemaError", "tensors.T.symmetry:"),
+        (tensor_doc(symmetry=["antisymmetric_in", 1, True]), "SchemaError", "tensors.T.symmetry:"),
     ],
-    ids=["not-utf8", "boolean-dimension", "boolean-rank", "kernel-sections-not-a-list", "broadcast-shape"],
+    ids=[
+        "not-utf8", "boolean-dimension", "boolean-rank", "kernel-sections-not-a-list", "broadcast-shape",
+        "tensor-type-of-80-slots", "tensor-type-past-the-slot-cap", "boolean-tensor-type",
+        "string-symmetry-slot", "fractional-symmetry-slot", "boolean-symmetry-slot",
+    ],
 )
-def test_inputs_the_fuzz_test_found_exit_two(tmp_path, capsysbinary, data, error):
+def test_inputs_the_fuzz_test_found_exit_two(tmp_path, capsysbinary, data, error, where):
     path = tmp_path / "found.model"
     path.write_bytes(data)
     code = main(["validate", "--model", str(path), "--format", "json-lines"])
     out, err = capsysbinary.readouterr()
     assert code == 2
     assert out == b""
-    assert single_error_record(err)["error"] == error
+    record = single_error_record(err)
+    assert record["error"] == error
+    assert record["message"].startswith(where)
+
+
+def test_tensor_slot_cap_admits_the_four_slot_arrays():
+    assert MAX_TENSOR_SLOTS == 4
+    for declared in ([1, 3], [0, 4], [4, 0]):
+        assert parse_model_text(tensor_doc(type=declared).decode()).tensors["T"].comps.shape == (2,) * 4
 
 
 def test_rank_past_the_cap_exits_two_before_allocating(tmp_path, capsysbinary):

@@ -21,11 +21,9 @@ from leibniz_geo import (
     courant,
     courant_pairing,
     curvature,
-    difference_tensor,
     levi_civita_solve,
     mean_connection,
     nonmetricity,
-    quasi_statistical_check,
     relative_torsion,
     statistical_solve,
     strong_conjugacy_residual,
@@ -33,13 +31,15 @@ from leibniz_geo import (
     torsion,
 )
 from leibniz_geo import checks, connection, statgeo
+from leibniz_geo.connection import difference_tensor
 from leibniz_geo.errors import CompatibilityFailure
 from leibniz_geo.model import load_model
 from leibniz_geo.statgeo import (
+    _quasi_statistical_residual,
     _solve_affine_koszul,
+    _torsion_transfer_residual,
     admissibility_locality_residual,
     alpha_flat_symmetry_residual,
-    conjugate_torsion_transfer_residual,
 )
 from leibniz_geo.tensor import ETensor, zeros_array
 from conftest import (
@@ -267,8 +267,10 @@ def test_quasi_statistical_transfer():
     pair = statistical_solve(
         A, StatisticalStructure(g, C, ETensor.zeros(1, 2, 2, A.coords))
     )
-    assert quasi_statistical_check(A, g, pair.nabla).is_zero
-    assert conjugate_torsion_transfer_residual(A, g, pair.nabla).is_zero
+    T = Derived(A, pair.nabla).torsion
+    assert _quasi_statistical_residual(A, g, nonmetricity(A, pair.nabla, g), T).is_zero
+    doublet = ConjugatePair(A, g, pair.nabla, conjugate_connection(A, g, pair.nabla))
+    assert _torsion_transfer_residual(doublet).is_zero
 
 
 def test_alpha_family_endpoints_and_laws():

@@ -1,4 +1,4 @@
-"""Tensor containers, contractions, symmetry predicates, exact linear algebra."""
+"""Tensor containers, symmetry predicates, exact linear algebra."""
 
 import itertools
 from fractions import Fraction
@@ -13,15 +13,11 @@ from leibniz_geo import (
     ETensor,
     ScalarField,
     SlotMismatch,
-    contract,
-    is_antisymmetric_in,
-    is_totally_symmetric,
-    metric_inverse,
 )
 from leibniz_geo.errors import NonUnique, NoSolution
 from leibniz_geo.expr import parse_expr
 from leibniz_geo.linalg import adj_det, solve
-from leibniz_geo.tensor import antisymmetrize, object_array, zeros_array
+from leibniz_geo.tensor import is_antisymmetric_in, is_totally_symmetric, object_array, zeros_array
 
 COORDS = ("x1", "x2")
 
@@ -65,22 +61,6 @@ def test_type_mismatch_rejected():
         a + b
 
 
-def test_contract_matches_manual_trace():
-    x1, x2 = xs()
-    arr = object_array([[const(1), x1], [x2, x1 * x2]])
-    t = ETensor(1, 1, 2, COORDS, arr)
-    traced = contract(t, 1, 1)
-    assert traced.comps[()] == const(1) + x1 * x2
-
-
-def test_contract_slot_bounds():
-    t = tensor_from([[1, 0], [0, 1]], 1, 1)
-    with pytest.raises(SlotMismatch):
-        contract(t, 2, 1)
-    with pytest.raises(SlotMismatch):
-        contract(t, 1, 2)
-
-
 def test_swap_slots_variance_guard():
     t = tensor_from([[1, 2], [3, 4]], 1, 1)
     with pytest.raises(SlotMismatch):
@@ -96,17 +76,6 @@ def test_symmetry_predicates():
     assert not is_antisymmetric_in(sym, 1, 2)
 
 
-def test_antisymmetrize_projects_onto_forms():
-    x1, x2 = xs()
-    arr = object_array([[x1, x2], [const(0), x1 * x2]])
-    t = ETensor(0, 2, 2, COORDS, arr)
-    a = antisymmetrize(t)
-    assert is_antisymmetric_in(a, 1, 2)
-    half = const(Fraction(1, 2))
-    assert a.comps[0, 1] == (x2 - const(0)) * half
-    assert antisymmetrize(a).comps[0, 1] == a.comps[0, 1]
-
-
 def test_p_form_validation():
     x1, _ = xs()
     with pytest.raises(SlotMismatch):
@@ -118,8 +87,7 @@ def test_p_form_validation():
 def test_metric_validation_and_inverse():
     x1, _ = xs()
     g = EMetric([[const(1), const(0)], [const(0), x1 * x1]], COORDS)
-    inv = metric_inverse(g)
-    assert inv.comps[1, 1] * (x1 * x1) == const(1)
+    assert g.inverse[1, 1] * (x1 * x1) == const(1)
     with pytest.raises(SlotMismatch):
         EMetric([[const(1), const(2)], [const(3), const(1)]], COORDS)
     with pytest.raises(DegenerateMetric):
