@@ -6,6 +6,14 @@ and returns one record per residual.  Identities whose hypotheses fail on an
 instance are reported as "not-applicable" rather than skipped silently, so a
 report always accounts for every declared object deterministically.
 
+A check is written as a generator of items, in report order.  An item is
+either a finished ``CheckResult`` (a not-applicable record, or a verdict that
+is a boolean or a note rather than a residual) or a ``(label, residual)``
+pair, the residual being an ``ETensor`` or a helper's ``Residual``.  The
+``_runner`` decorator collects the items into the list of records that
+``check_<id>`` returns, judging each pair by its exact zero test in
+``_from_residual``.
+
 ``run_all`` and ``run_check`` hand every runner one context per call.  It
 holds a single ``Derived`` per connection and a single ``ConjugatePair`` per
 (metric, connection), the pairs sharing the context's ``Derived``s, so each
@@ -22,7 +30,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebroid import Residual
 from .connection import Derived, difference_tensor, nonmetricity, second_cov_and_ricci
 from .errors import LeibnizGeoError
 from .hessian import (
@@ -61,6 +68,7 @@ ALPHA_VALUES = (
 
 _NOT_STRONG = "pair not strongly conjugate and admissible"
 _NOT_JOINTLY_ADMISSIBLE = "pair not jointly admissible"
+_NO_PROJECTOR = "no locality projector"
 
 
 @dataclass(frozen=True)
@@ -83,14 +91,28 @@ class CheckResult:
         return record
 
 
-def _from_residual(name, residual, note=""):
-    status = "pass" if residual.is_zero else "fail"
-    tensor = residual.tensor
-    return CheckResult(name, status, tensor.nonzero_count(), tensor.max_degree(), note)
+def _from_residual(name, residual):
+    """The record of a residual: an ``ETensor`` or a ``Residual`` wrapping one."""
+    tensor = getattr(residual, "tensor", residual)
+    status = "pass" if tensor.is_zero else "fail"
+    return CheckResult(name, status, tensor.nonzero_count(), tensor.max_degree())
 
 
 def _na(name, note):
     return CheckResult(name, "not-applicable", note=note)
+
+
+def _runner(check):
+    """Turn a generator of check items into a runner returning its records."""
+
+    @functools.wraps(check)
+    def run(ctx):
+        return [
+            item if isinstance(item, CheckResult) else _from_residual(*item)
+            for item in check(ctx)
+        ]
+
+    return run
 
 
 def _connections(doc):
@@ -139,263 +161,189 @@ def _probe_sections(A, count, seed):
 # -- bracket/connection layer -------------------------------------------------
 
 
+@_runner
 def check_eb12(ctx):
     """Torsion and curvature antisymmetry for admissible connections."""
-    A = ctx.A
-    results = []
     for name, conn in _connections(ctx.doc):
         D = ctx.derived(conn)
         if not D.admissible:
-            results.append(_na(f"eb12[{name}]", "connection not admissible"))
+            yield _na(f"eb12[{name}]", "connection not admissible")
             continue
-        T = D.torsion
-        results.append(_from_residual(f"eb12[{name}]:torsion", Residual("t", T + T.swap_slots(2, 3))))
-        if A.projector is not None:
-            R = D.curvature
-            results.append(
-                _from_residual(f"eb12[{name}]:curvature", Residual("r", R + R.swap_slots(2, 3)))
-            )
+        yield f"eb12[{name}]:torsion", D.torsion + D.torsion.swap_slots(2, 3)
+        if ctx.A.projector is None:
+            yield _na(f"eb12[{name}]:curvature", _NO_PROJECTOR)
         else:
-            results.append(_na(f"eb12[{name}]:curvature", "no locality projector"))
-    return results
+            yield f"eb12[{name}]:curvature", D.curvature + D.curvature.swap_slots(2, 3)
 
 
+@_runner
 def check_eb14(ctx):
     """Ricci identity on probe sections; holds for every connection."""
-    A = ctx.A
-    if A.projector is None:
-        return [_na("eb14", "no locality projector")]
-    probes = _probe_sections(A, 9, seed=11)
-    results = []
+    if ctx.A.projector is None:
+        yield _na("eb14", _NO_PROJECTOR)
+        return
+    probes = _probe_sections(ctx.A, 9, seed=11)
     for name, conn in _connections(ctx.doc):
         for index in range(3):
             u, v, w = probes[3 * index : 3 * index + 3]
-            _, residual = second_cov_and_ricci(ctx.derived(conn), u, v, w)
-            results.append(_from_residual(f"eb14[{name}]:probe-{index}", residual))
-    return results
+            yield f"eb14[{name}]:probe-{index}", second_cov_and_ricci(ctx.derived(conn), u, v, w)[1]
 
 
 # -- conjugation layer --------------------------------------------------------
 
 
+@_runner
 def check_ssp1(ctx):
     """Strongly conjugate admissible pairs have opposite torsions."""
-    results = []
     for label, pair in ctx.pairs:
         if not pair.strongly_conjugate_and_admissible:
-            results.append(_na(f"SSp1[{label}]", _NOT_STRONG))
-            continue
-        T_sum = pair.derived(pair.nabla).torsion + pair.derived(pair.nabla_star).torsion
-        results.append(_from_residual(f"SSp1[{label}]", Residual("t", T_sum)))
-    return results
+            yield _na(f"SSp1[{label}]", _NOT_STRONG)
+        else:
+            yield f"SSp1[{label}]", pair.torsion_sum
 
 
+@_runner
 def check_ssp2(ctx):
     """An admissible connection with an admissible strong conjugate is torsion-free."""
-    results = []
     for label, pair in ctx.pairs:
         if not pair.strongly_conjugate_and_admissible:
-            results.append(_na(f"SSp2[{label}]", _NOT_STRONG))
-            continue
-        T = pair.derived(pair.nabla).torsion
-        results.append(_from_residual(f"SSp2[{label}]", Residual("t", T)))
-    return results
+            yield _na(f"SSp2[{label}]", _NOT_STRONG)
+        else:
+            yield f"SSp2[{label}]", pair.derived(pair.nabla).torsion
 
 
+@_runner
 def check_ssp3(ctx):
     """Q(nabla, g) = -Q(nabla*, g) = g(Delta(nabla*, nabla)(u, v), w)."""
     A = ctx.A
-    r = A.rank
-    results = []
     for label, pair in ctx.pairs:
         g, Q, delta = pair.g, pair.nonmetricity, pair.difference
-        Q_star = nonmetricity(A, pair.nabla_star, g)
-        results.append(_from_residual(f"SSp3[{label}]:opposite", Residual("q", Q + Q_star)))
+        yield f"SSp3[{label}]:opposite", Q + nonmetricity(A, pair.nabla_star, g)
         # Delta(nabla*, nabla) = -Delta(nabla, nabla*).
         res = Q.comps + np.einsum("eab,ec->abc", delta.comps, g.matrix)
-        results.append(
-            _from_residual(
-                f"SSp3[{label}]:difference", Residual("q", ETensor(0, 3, r, A.coords, res))
-            )
-        )
-    return results
+        yield f"SSp3[{label}]:difference", ETensor(0, 3, A.rank, A.coords, res)
 
 
+@_runner
 def check_ssp4(ctx):
     """An admissible strong conjugate forces the Levi-Civita self-pair."""
-    results = []
     for label, pair in ctx.pairs:
         if not pair.strongly_conjugate_and_admissible:
-            results.append(_na(f"SSp4[{label}]", _NOT_STRONG))
+            yield _na(f"SSp4[{label}]", _NOT_STRONG)
             continue
-        results.append(
-            _from_residual(f"SSp4[{label}]:self-conjugate", Residual("d", pair.difference))
-        )
-        results.append(
-            _from_residual(
-                f"SSp4[{label}]:metric-compatible", Residual("q", pair.nonmetricity)
-            )
-        )
-    return results
+        yield f"SSp4[{label}]:self-conjugate", pair.difference
+        yield f"SSp4[{label}]:metric-compatible", pair.nonmetricity
 
 
+@_runner
 def check_ssp5(ctx):
     """Statistical-solve postconditions for the document's (C, B) data."""
     A = ctx.A
-    r = A.rank
     tensors = ctx.doc.tensors
-    results = []
     for label, g in sorted(ctx.doc.metrics.items()):
-        C = tensors.get("C", ETensor.zeros(0, 3, r, A.coords))
-        B = tensors.get("B", ETensor.zeros(1, 2, r, A.coords))
+        C = tensors.get("C", ETensor.zeros(0, 3, A.rank, A.coords))
+        B = tensors.get("B", ETensor.zeros(1, 2, A.rank, A.coords))
         try:
-            structure = StatisticalStructure(g, C, B)
-            pair = statistical_solve(A, structure)
+            pair = statistical_solve(A, StatisticalStructure(g, C, B))
         except LeibnizGeoError as exc:
-            results.append(_na(f"SSp5[{label}]", f"solve not applicable: {exc}"))
+            yield _na(f"SSp5[{label}]", f"solve not applicable: {exc}")
             continue
-        results.append(
-            _from_residual(f"SSp5[{label}]:skewness", Residual("q", pair.nonmetricity + C))
-        )
-        D, D_star = pair.derived(pair.nabla), pair.derived(pair.nabla_star)
-        results.append(
-            _from_residual(f"SSp5[{label}]:torsion-free", Residual("t", D.torsion))
-        )
-        results.append(
-            _from_residual(
-                f"SSp5[{label}]:conjugate-torsion",
-                Residual("t", D_star.torsion - B),
-            )
-        )
-    return results
+        yield f"SSp5[{label}]:skewness", pair.nonmetricity + C
+        yield f"SSp5[{label}]:torsion-free", pair.derived(pair.nabla).torsion
+        yield f"SSp5[{label}]:conjugate-torsion", pair.derived(pair.nabla_star).torsion - B
 
 
+@_runner
 def check_ssp6(ctx):
     """Quasi-statistical structures fix the conjugate's torsion."""
-    A = ctx.A
-    results = []
     for label, pair in ctx.pairs:
         T = pair.derived(pair.nabla).torsion
-        if not _quasi_statistical_residual(A, pair.g, pair.nonmetricity, T).is_zero:
-            results.append(_na(f"SSp6[{label}]", "doublet is not quasi-statistical"))
-            continue
-        results.append(_from_residual(f"SSp6[{label}]", _torsion_transfer_residual(pair)))
-    return results
+        if not _quasi_statistical_residual(ctx.A, pair.g, pair.nonmetricity, T).is_zero:
+            yield _na(f"SSp6[{label}]", "doublet is not quasi-statistical")
+        else:
+            yield f"SSp6[{label}]", _torsion_transfer_residual(pair)
 
 
+@_runner
 def check_ssp7(ctx):
     """Relative torsion antisymmetry for admissible conjugate pairs."""
-    results = []
     for label, pair in ctx.pairs:
         if not pair.jointly_admissible:
-            results.append(_na(f"SSp7[{label}]", _NOT_JOINTLY_ADMISSIBLE))
-            continue
-        res = pair.relative_torsion + pair.relative_torsion_star.swap_slots(2, 3)
-        results.append(_from_residual(f"SSp7[{label}]", Residual("rt", res)))
-    return results
+            yield _na(f"SSp7[{label}]", _NOT_JOINTLY_ADMISSIBLE)
+        else:
+            res = pair.relative_torsion + pair.relative_torsion_star.swap_slots(2, 3)
+            yield f"SSp7[{label}]", res
 
 
+@_runner
 def check_ssp8(ctx):
     """T(nabla, nabla*) + T(nabla*, nabla) = T(nabla) + T(nabla*)."""
-    results = []
     for label, pair in ctx.pairs:
-        total = pair.derived(pair.nabla).torsion + pair.derived(pair.nabla_star).torsion
-        res = pair.relative_torsion + pair.relative_torsion_star - total
-        results.append(_from_residual(f"SSp8[{label}]", Residual("rt", res)))
-    return results
+        res = pair.relative_torsion + pair.relative_torsion_star - pair.torsion_sum
+        yield f"SSp8[{label}]", res
 
 
+@_runner
 def check_ssp9(ctx):
     """The mean connection is metric-compatible with half the total torsion."""
     A = ctx.A
     half = ScalarField.constant(Fraction(1, 2), A.coords)
-    results = []
     for label, pair in ctx.pairs:
         mean = mean_connection(pair)
-        results.append(
-            _from_residual(
-                f"SSp9[{label}]:metric-compatible", Residual("q", nonmetricity(A, mean, pair.g))
-            )
-        )
-        T_mean = pair.derived(mean).torsion
-        T_sum = pair.derived(pair.nabla).torsion + pair.derived(pair.nabla_star).torsion
-        T_half = T_sum.scale(half)
-        results.append(
-            _from_residual(f"SSp9[{label}]:torsion-mean", Residual("t", T_mean - T_half))
-        )
-    return results
+        yield f"SSp9[{label}]:metric-compatible", nonmetricity(A, mean, pair.g)
+        T_half = pair.torsion_sum.scale(half)
+        yield f"SSp9[{label}]:torsion-mean", pair.derived(mean).torsion - T_half
 
 
+@_runner
 def check_ssp10(ctx):
     """Conjugation, torsion, and nonmetricity of the alpha family."""
     A = ctx.A
-    results = []
     for label, pair in ctx.pairs:
         g, Q = pair.g, pair.nonmetricity
         T, T_star = pair.derived(pair.nabla).torsion, pair.derived(pair.nabla_star).torsion
         for alpha in ALPHA_VALUES:
             conn_alpha = alpha_connection(pair, alpha)
-            expect = alpha_connection(pair, -alpha)
             conj = conjugate_connection(A, g, conn_alpha)
-            results.append(
-                _from_residual(
-                    f"SSp10[{label}]:involution(alpha={alpha})",
-                    Residual("d", difference_tensor(A, conj, expect)),
-                )
+            yield (
+                f"SSp10[{label}]:involution(alpha={alpha})",
+                difference_tensor(A, conj, alpha_connection(pair, -alpha)),
             )
             s = ScalarField.constant((1 + alpha) / 2, A.coords)
             t = ScalarField.constant((1 - alpha) / 2, A.coords)
-            T_expect = T_star.scale(s) + T.scale(t)
-            results.append(
-                _from_residual(
-                    f"SSp10[{label}]:torsion(alpha={alpha})",
-                    Residual("t", pair.derived(conn_alpha).torsion - T_expect),
-                )
-            )
+            T_alpha = pair.derived(conn_alpha).torsion
+            yield f"SSp10[{label}]:torsion(alpha={alpha})", T_alpha - T_star.scale(s) - T.scale(t)
             factor = ScalarField.constant(Fraction(alpha), A.coords)
-            results.append(
-                _from_residual(
-                    f"SSp10[{label}]:nonmetricity(alpha={alpha})",
-                    Residual("q", nonmetricity(A, conn_alpha, g) + Q.scale(factor)),
-                )
+            yield (
+                f"SSp10[{label}]:nonmetricity(alpha={alpha})",
+                nonmetricity(A, conn_alpha, g) + Q.scale(factor),
             )
-    return results
 
 
+@_runner
 def check_ssp11(ctx):
     """Curvature decomposition of the alpha family."""
-    A = ctx.A
-    if A.projector is None:
-        return [_na("SSp11", "no locality projector")]
-    results = []
+    if ctx.A.projector is None:
+        yield _na("SSp11", _NO_PROJECTOR)
+        return
     for label, pair in ctx.pairs:
         for alpha in ALPHA_VALUES:
-            results.append(
-                _from_residual(
-                    f"SSp11[{label}]:alpha={alpha}", alpha_curvature_residual(A, pair, alpha)
-                )
-            )
-    return results
+            yield f"SSp11[{label}]:alpha={alpha}", alpha_curvature_residual(ctx.A, pair, alpha)
 
 
+@_runner
 def check_sse8(ctx):
     """Joint admissibility forces antisymmetry of the locality difference."""
-    results = []
     for label, pair in ctx.pairs:
         if not pair.jointly_admissible:
-            results.append(_na(f"SSe8[{label}]", _NOT_JOINTLY_ADMISSIBLE))
-            continue
-        residual = admissibility_locality_residual(
-            pair.derived(pair.nabla), pair.derived(pair.nabla_star)
-        )
-        results.append(_from_residual(f"SSe8[{label}]", residual))
-    return results
+            yield _na(f"SSe8[{label}]", _NOT_JOINTLY_ADMISSIBLE)
+        else:
+            yield f"SSe8[{label}]", admissibility_locality_residual(pair)
 
 
+@_runner
 def check_sse25(ctx):
     """Endpoint identities of the alpha family."""
-    A = ctx.A
-    results = []
     for label, pair in ctx.pairs:
         endpoints = (
             ("alpha=1-is-conjugate", alpha_connection(pair, 1), pair.nabla_star),
@@ -403,182 +351,141 @@ def check_sse25(ctx):
             ("alpha=0-is-mean", alpha_connection(pair, 0), mean_connection(pair)),
         )
         for tag, got, expect in endpoints:
-            results.append(
-                _from_residual(
-                    f"SSe25[{label}]:{tag}", Residual("d", difference_tensor(A, got, expect))
-                )
-            )
-    return results
+            yield f"SSe25[{label}]:{tag}", difference_tensor(ctx.A, got, expect)
 
 
+@_runner
 def check_ss29(ctx):
     """Flat conjugate pairs have an alpha-symmetric curvature family."""
-    A = ctx.A
-    if A.projector is None:
-        return [_na("SS29", "no locality projector")]
-    results = []
+    if ctx.A.projector is None:
+        yield _na("SS29", _NO_PROJECTOR)
+        return
     for label, pair in ctx.pairs:
         R, R_star = pair.derived(pair.nabla).curvature, pair.derived(pair.nabla_star).curvature
         if not (R.is_zero and R_star.is_zero):
-            results.append(_na(f"SS29[{label}]", "pair is not flat"))
+            yield _na(f"SS29[{label}]", "pair is not flat")
             continue
         for alpha in ALPHA_VALUES:
-            results.append(
-                _from_residual(
-                    f"SS29[{label}]:alpha={alpha}",
-                    alpha_flat_symmetry_residual(A, pair, alpha),
-                )
-            )
-    return results
+            yield f"SS29[{label}]:alpha={alpha}", alpha_flat_symmetry_residual(ctx.A, pair, alpha)
 
 
 # -- hessian layer ------------------------------------------------------------
 
 
+def _hessian_asymmetry(A, conn, prefix):
+    """H(f) - H(f)^T of conn for each default probe function f."""
+    for index, f in enumerate(_default_probes(A)):
+        H = hessian(A, conn, f)
+        yield f"{prefix}:probe-{index}", H - H.swap_slots(1, 2)
+
+
+@_runner
 def check_lp1(ctx):
     """Three-way Hessian symmetry equivalence report."""
-    A = ctx.A
-    if A.projector is None:
-        return [_na("lp1", "no locality projector")]
-    results = []
+    if ctx.A.projector is None:
+        yield _na("lp1", _NO_PROJECTOR)
+        return
     for name, conn in _connections(ctx.doc):
         report = hessian_symmetry_equivalences(ctx.derived(conn))
         for key, value in report.entries.items():
             label = f"lp1[{name}]:{key}"
-            if isinstance(value, Residual):
-                results.append(_from_residual(label, value))
-            elif isinstance(value, str):
-                results.append(CheckResult(label, "pass", note=value))
+            if isinstance(value, str):
+                yield CheckResult(label, "pass", note=value)
+            elif isinstance(value, bool):
+                yield CheckResult(label, "pass" if value else "fail")
             else:
-                results.append(CheckResult(label, "pass" if value else "fail"))
-    return results
+                yield label, value
 
 
+@_runner
 def check_lp2(ctx):
     """Hessian structures are Codazzi; includes the lc3 statistical shadow."""
-    A = ctx.A
-    if A.projector is None:
-        return [_na("lp2", "no locality projector")]
+    if ctx.A.projector is None:
+        yield _na("lp2", _NO_PROJECTOR)
+        return
     if not ctx.doc.functions:
-        return [_na("lp2", "no potential function declared")]
-    results = []
+        yield _na("lp2", "no potential function declared")
+        return
     for fname, f in sorted(ctx.doc.functions.items()):
         for label, pair in ctx.pairs:
-            report = hessian_structure_check(pair.derived(pair.nabla), pair.g, f)
-            structural = ("flat", "projected-torsion-free", "metric-equals-hessian")
-            is_structure = all(
-                report.entries[key].is_zero
-                if isinstance(report.entries[key], Residual)
-                else report.entries[key]
-                for key in structural
-            )
-            if not is_structure:
-                results.append(_na(f"lp2[{label}:{fname}]", "not a Hessian structure"))
+            entries = hessian_structure_check(pair.derived(pair.nabla), pair.g, f).entries
+            # The report certifies the Codazzi property only for a Hessian structure.
+            if "codazzi" not in entries:
+                yield _na(f"lp2[{label}:{fname}]", "not a Hessian structure")
                 continue
-            results.append(_from_residual(f"lp2[{label}:{fname}]:codazzi", report.entries["codazzi"]))
-            if "statistical-invariants" in report.entries:
-                results.append(
-                    CheckResult(
-                        f"lc3[{label}:{fname}]",
-                        "pass" if report.entries["statistical-invariants"] else "fail",
-                    )
-                )
-    return results
+            yield f"lp2[{label}:{fname}]:codazzi", entries["codazzi"]
+            if "statistical-invariants" in entries:
+                holds = entries["statistical-invariants"]
+                yield CheckResult(f"lc3[{label}:{fname}]", "pass" if holds else "fail")
 
 
+@_runner
 def check_lp3(ctx):
     """Fundamental theorem residual with holonomy preconditions."""
-    A = ctx.A
-    if A.projector is None:
-        return [_na("lp3", "no locality projector")]
-    results = []
+    if ctx.A.projector is None:
+        yield _na("lp3", _NO_PROJECTOR)
+        return
     for label, pair in ctx.pairs:
-        outcome = fundamental_theorem_residual(A, pair)
-        if not outcome.applicable:
-            note = "anholonomic frame"
-            if outcome.obstruction is not None:
-                summary = outcome.obstruction.summary()
-                note += (
-                    f"; obstruction nonzero components = "
-                    f"{summary['residual_nonzero_components']}"
-                )
-            results.append(_na(f"lp3[{label}]", note))
+        outcome = fundamental_theorem_residual(ctx.A, pair)
+        if outcome.applicable:
+            yield f"lp3[{label}]", outcome
             continue
-        results.append(_from_residual(f"lp3[{label}]", outcome))
-    return results
+        note = "anholonomic frame"
+        if outcome.obstruction is not None:
+            nonzero = outcome.obstruction.tensor.nonzero_count()
+            note += f"; obstruction nonzero components = {nonzero}"
+        yield _na(f"lp3[{label}]", note)
 
 
+@_runner
 def check_lc1(ctx):
     """Projected torsion with image in ker rho still gives symmetric Hessians."""
-    A = ctx.A
-    if A.projector is None:
-        return [_na("lc1", "no locality projector")]
-    results = []
+    if ctx.A.projector is None:
+        yield _na("lc1", _NO_PROJECTOR)
+        return
     for name, conn in _connections(ctx.doc):
         if not ctx.derived(conn).anchored_projected_torsion.is_zero:
-            results.append(_na(f"lc1[{name}]", "projected torsion image escapes ker rho"))
-            continue
-        for index, f in enumerate(_default_probes(A)):
-            H = hessian(A, conn, f)
-            results.append(
-                _from_residual(
-                    f"lc1[{name}]:probe-{index}", Residual("h", H - H.swap_slots(1, 2))
-                )
-            )
-    return results
+            yield _na(f"lc1[{name}]", "projected torsion image escapes ker rho")
+        else:
+            yield from _hessian_asymmetry(ctx.A, conn, f"lc1[{name}]")
 
 
+@_runner
 def check_lc2(ctx):
     """Torsion transfer makes the conjugate's Hessian symmetric too."""
-    A = ctx.A
-    if A.projector is None:
-        return [_na("lc2", "no locality projector")]
-    results = []
+    if ctx.A.projector is None:
+        yield _na("lc2", _NO_PROJECTOR)
+        return
     for label, pair in ctx.pairs:
         D, D_star = pair.derived(pair.nabla), pair.derived(pair.nabla_star)
         if not D.projected_torsion.is_zero:
-            results.append(_na(f"lc2[{label}]", "connection not projected-torsion-free"))
-            continue
-        T_diff = D.torsion - D_star.torsion
-        bracket_diff = D.bracket - D_star.bracket
-        if not (T_diff - bracket_diff).is_zero:
-            results.append(_na(f"lc2[{label}]", "torsion-transfer hypothesis fails"))
-            continue
-        for index, f in enumerate(_default_probes(A)):
-            H = hessian(A, pair.nabla_star, f)
-            results.append(
-                _from_residual(
-                    f"lc2[{label}]:probe-{index}", Residual("h", H - H.swap_slots(1, 2))
-                )
-            )
-    return results
+            yield _na(f"lc2[{label}]", "connection not projected-torsion-free")
+        elif not (D.torsion - D_star.torsion - pair.bracket_difference).is_zero:
+            yield _na(f"lc2[{label}]", "torsion-transfer hypothesis fails")
+        else:
+            yield from _hessian_asymmetry(ctx.A, pair.nabla_star, f"lc2[{label}]")
 
 
+@_runner
 def check_lc4(ctx):
     """Constant curvature transfers to the conjugate under lp3 hypotheses."""
-    A = ctx.A
-    if A.projector is None:
-        return [_na("lc4", "no locality projector")]
-    results = []
+    if ctx.A.projector is None:
+        yield _na("lc4", _NO_PROJECTOR)
+        return
     for label, pair in ctx.pairs:
         if not pair.holonomic:
-            results.append(_na(f"lc4[{label}]", "anholonomic frame"))
+            yield _na(f"lc4[{label}]", "anholonomic frame")
             continue
         D = pair.derived(pair.nabla)
         if not D.admissible:
-            results.append(_na(f"lc4[{label}]", "connection not admissible"))
+            yield _na(f"lc4[{label}]", "connection not admissible")
             continue
         constant, kappa = constant_curvature_check(D, pair.g)
         if not constant:
-            results.append(_na(f"lc4[{label}]", "connection has no constant curvature"))
-            continue
-        results.append(
-            _from_residual(
-                f"lc4[{label}]:kappa={kappa}",
-                conjugate_curvature_transfer_residual(A, pair, kappa),
-            )
-        )
-    return results
+            yield _na(f"lc4[{label}]", "connection has no constant curvature")
+        else:
+            residual = conjugate_curvature_transfer_residual(ctx.A, pair, kappa)
+            yield f"lc4[{label}]:kappa={kappa}", residual
 
 
 REGISTRY = {

@@ -22,10 +22,21 @@ constant is bounded by size instead: the base's integer log2 (one less than
 the bit length of the larger of its numerator's magnitude and its
 denominator), times the exponent, may reach ``MAX_CONSTANT_BITS``.  This is
 0 for 0, 1 and -1, whose powers stay one bit long.
+
+A product, quotient or power is bounded by the term products it may form,
+counted from its operands' term counts (a field has the terms of its
+numerator plus those of its denominator) before sympy runs it.  For a * b
+and a / b that is terms(a) * terms(b).  A power p^k of a polynomial with n
+terms has C(n + k - 1, k) multinomial terms, each a product of up to n
+factors, so it counts n * C(n + k - 1, k), summed over numerator and
+denominator.  Past ``MAX_TERMS`` the operation raises ``ExprSyntaxError`` at
+its operator (a power at its exponent, like the other power caps).  Sums are
+not bounded.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 
@@ -41,7 +52,13 @@ MAX_DEGREE = 100
 # Largest size (base integer log2 times exponent) that a power of a constant may reach.
 MAX_CONSTANT_BITS = 10_000
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^()]))")
+# Most term products that one product, quotient or power may form.
+MAX_TERMS = 20_000
+
+# The grammar's NAME token; a coordinate name must match it whole.
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({NAME.pattern})|([-+*/^()]))")
 
 
 def tokenize(text):
@@ -116,11 +133,11 @@ class _Parser:
     def term(self):
         node = self.factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
                 rhs = self.factor()
-                node = ("mul" if value == "*" else "div", node, rhs)
+                node = ("mul" if value == "*" else "div", node, rhs, pos)
             else:
                 return node
 
@@ -174,13 +191,30 @@ _BINARY = {
 }
 
 
+def _terms(field):
+    return len(field.frac.numer) + len(field.frac.denom)
+
+
+def _power_terms(field, k):
+    """n * C(n + k - 1, k) for the numerator and the denominator of field^k."""
+    sizes = (len(field.frac.numer), len(field.frac.denom))
+    return sum(n * math.comb(n + k - 1, k) for n in sizes if n)
+
+
+def _check_terms(count, what, position):
+    if count > MAX_TERMS:
+        raise ExprSyntaxError(f"{what} of {count} term products exceeds {MAX_TERMS}", position)
+
+
 def ast_to_field(node, coords):
     """Lower an AST to a ScalarField over the given coordinates.
 
     Iterative post-order walk, left operand first, so a long flat chain (a
     left-deep tree) does not exhaust the interpreter stack.  A parsed pow
     node carries its exponent's text position as a fourth element, where a
-    power past ``MAX_DEGREE`` or ``MAX_CONSTANT_BITS`` is reported.
+    power past ``MAX_DEGREE``, ``MAX_CONSTANT_BITS`` or ``MAX_TERMS`` is
+    reported; a parsed mul or div node carries its operator's position, where
+    one past ``MAX_TERMS`` is reported.
     """
     values = []
     stack = [(node, False)]
@@ -212,10 +246,16 @@ def ast_to_field(node, coords):
                     raise ExprSyntaxError(
                         f"power of a constant of {bits} bits exceeds {MAX_CONSTANT_BITS}", position
                     )
+            _check_terms(_power_terms(base, node[2]), "power", position)
             values.append(base ** node[2])
         elif op in _BINARY:
             rhs = values.pop()
-            values.append(_BINARY[op](values.pop(), rhs))
+            lhs = values.pop()
+            if op in ("mul", "div"):
+                position = node[3] if len(node) > 3 else None
+                name = "product" if op == "mul" else "quotient"
+                _check_terms(_terms(lhs) * _terms(rhs), name, position)
+            values.append(_BINARY[op](lhs, rhs))
         else:
             raise AssertionError(f"unreachable AST node {op!r}")
     return values.pop()

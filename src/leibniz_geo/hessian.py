@@ -222,7 +222,8 @@ def fundamental_theorem_residual(A, pair):
     the frame-dependent obstruction term
     O_{abcd} = -g(nabla_{L(e^e, Delta(X_e, X_a), X_b)} X_c, X_d)
     reported alongside for experimentation; its locality term is the bracket
-    difference L(e^e, Delta(X_e, u), v) = mb(nabla*)(u, v) - mb(nabla)(u, v).
+    difference L(e^e, Delta(X_e, u), v) = mb(nabla*)(u, v) - mb(nabla)(u, v),
+    so O_{abcd} = (mb(nabla) - mb(nabla*))^m_{ab} Gamma^n_{mc} g_{nd}.
     """
     if A.projector is None:
         raise MissingProjector("fundamental theorem residual needs a locality projector")
@@ -237,8 +238,8 @@ def fundamental_theorem_residual(A, pair):
     )
     obstruction = None
     if not applicable:
-        lam = (D_star.bracket - D.bracket).comps
-        obs = -np.einsum("mab,nmc,nd->abcd", lam, pair.nabla.gamma, g.matrix)
+        difference = pair.bracket_difference.comps
+        obs = np.einsum("mab,nmc,nd->abcd", difference, pair.nabla.gamma, g.matrix)
         obstruction = Residual("holonomy-obstruction", ETensor(0, 4, r, A.coords, obs))
     return FlaggedResidual(
         "fundamental-theorem",

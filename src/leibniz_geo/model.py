@@ -16,8 +16,8 @@ import numpy as np
 
 from .algebroid import Algebroid
 from .connection import EConnection
-from .errors import ExprSyntaxError, ParseError, SchemaError, ShapeError, UnknownVariable
-from .expr import parse_expr
+from .errors import ExprSyntaxError, ParseError, SchemaError, ShapeError, SlotMismatch, UnknownVariable
+from .expr import NAME, parse_expr
 from .scalar import ScalarField
 from .tensor import (
     EMetric,
@@ -154,9 +154,11 @@ def parse_model_text(text):
     if (
         not isinstance(coords, list)
         or len(coords) != n
-        or not all(isinstance(c, str) for c in coords)
+        or not all(isinstance(c, str) and NAME.fullmatch(c) for c in coords)
     ):
-        raise SchemaError("coordinates", f"must be a list of {n} names")
+        raise SchemaError("coordinates", f"must be a list of {n} names that expressions can use")
+    if len(set(coords)) != n:
+        raise SchemaError("coordinates", "names must be distinct")
     coords = tuple(coords)
 
     anchor = _load_array(_require(raw, "anchor"), (r, n), coords, "anchor")
@@ -228,19 +230,23 @@ def _load_tensor(entry, r, coords, path):
     comps = _load_array(entry["components"], (r,) * (q + rr), coords, f"{path}.components")
     tensor = ETensor(q, rr, r, coords, comps)
     symmetry = entry.get("symmetry")
-    if symmetry == "totally_symmetric":
-        if not is_totally_symmetric(tensor):
-            raise SchemaError(f"{path}.symmetry", "components are not totally symmetric")
-    elif isinstance(symmetry, list) and len(symmetry) == 3 and symmetry[0] == "antisymmetric_in":
-        if not all(_is_int(slot) for slot in symmetry[1:]):
-            raise SchemaError(f"{path}.symmetry", "slots must be integers")
-        if not is_antisymmetric_in(tensor, symmetry[1], symmetry[2]):
-            raise SchemaError(
-                f"{path}.symmetry",
-                f"components are not antisymmetric in slots {symmetry[1]},{symmetry[2]}",
-            )
-    elif symmetry is not None:
-        raise SchemaError(f"{path}.symmetry", "unknown symmetry flag")
+    try:
+        if symmetry == "totally_symmetric":
+            if not is_totally_symmetric(tensor):
+                raise SchemaError(f"{path}.symmetry", "components are not totally symmetric")
+        elif isinstance(symmetry, list) and len(symmetry) == 3 and symmetry[0] == "antisymmetric_in":
+            if not all(_is_int(slot) for slot in symmetry[1:]):
+                raise SchemaError(f"{path}.symmetry", "slots must be integers")
+            if not is_antisymmetric_in(tensor, symmetry[1], symmetry[2]):
+                raise SchemaError(
+                    f"{path}.symmetry",
+                    f"components are not antisymmetric in slots {symmetry[1]},{symmetry[2]}",
+                )
+        elif symmetry is not None:
+            raise SchemaError(f"{path}.symmetry", "unknown symmetry flag")
+    except SlotMismatch as exc:
+        # Slots out of range, of mixed variance, or total symmetry on a contravariant slot.
+        raise SchemaError(f"{path}.symmetry", str(exc)) from exc
     return tensor
 
 

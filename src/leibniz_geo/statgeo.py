@@ -88,6 +88,16 @@ class ConjugatePair:
         return _read_only(relative_torsion(D_star, D))
 
     @functools.cached_property
+    def torsion_sum(self):
+        """T(nabla) + T(nabla*)."""
+        return _read_only(self.derived(self.nabla).torsion + self.derived(self.nabla_star).torsion)
+
+    @functools.cached_property
+    def bracket_difference(self):
+        """mb(nabla) - mb(nabla*)."""
+        return _read_only(self.derived(self.nabla).bracket - self.derived(self.nabla_star).bracket)
+
+    @functools.cached_property
     def mean(self):
         """Coefficient average of the pair; always metric compatible."""
         half = ScalarField.constant(Fraction(1, 2), self.algebroid.coords)
@@ -192,9 +202,8 @@ def _quasi_statistical_residual(A, g, Q, T):
 
 def _torsion_transfer_residual(pair):
     """For a quasi-statistical (g, nabla): T(nabla*) minus the bracket difference."""
-    D, D_star = pair.derived(pair.nabla), pair.derived(pair.nabla_star)
-    difference = D.bracket - D_star.bracket
-    return Residual("conjugate-torsion-transfer", D_star.torsion - difference)
+    T_star = pair.derived(pair.nabla_star).torsion
+    return Residual("conjugate-torsion-transfer", T_star - pair.bracket_difference)
 
 
 # -- statistical solve --------------------------------------------------------
@@ -264,8 +273,8 @@ def alpha_flat_symmetry_residual(A, pair, alpha):
     return Residual(f"alpha-flat-symmetry(alpha={alpha})", plus - minus)
 
 
-def admissibility_locality_residual(D, D_star):
+def admissibility_locality_residual(pair):
     """Antisymmetry of lam(u, v) = L(e^a, Delta(X_a, u), v), required when both
     connections are admissible; lam = mb(nabla*) - mb(nabla) exactly."""
-    lam = D_star.bracket - D.bracket
+    lam = -pair.bracket_difference
     return Residual("locality-difference-antisymmetry", lam + lam.swap_slots(2, 3))

@@ -158,19 +158,12 @@ class EVectorField:
     def __neg__(self):
         return EVectorField(-self.comps)
 
-    def scale(self, factor):
-        return EVectorField(self.comps * factor)
-
 
 @dataclass(frozen=True, eq=False)
 class EOneForm:
     """Covariant counterpart of EVectorField: components w_a; compares by identity."""
 
     comps: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_list(cls, entries):
-        return cls(object_array(list(entries)))
 
     @property
     def dim(self):
@@ -179,9 +172,6 @@ class EOneForm:
     @property
     def is_zero(self):
         return array_is_zero(self.comps)
-
-    def __sub__(self, other):
-        return EOneForm(self.comps - other.comps)
 
 
 @dataclass(frozen=True, eq=False)

@@ -54,7 +54,7 @@ def anchor_apply(A, u, f):
 
 def coboundary(A, f):
     """(Df)_a = rho(X_a)(f) as a one-form."""
-    return EOneForm.from_list([frame_apply(A, a, f) for a in range(A.rank)])
+    return EOneForm(object_array([frame_apply(A, a, f) for a in range(A.rank)]))
 
 
 def locality_hat(A):

@@ -3,10 +3,12 @@
 The files in ``tests/golden`` hold the exact stdout of the commands below,
 captured from earlier versions of the engine: ``check-all``, ``export-builtin``
 and ``levi-civita`` before the FracField scalar kernel, the other single-shot
-commands before the per-connection ``Derived`` context.  Any change to a
-canonical string, a record or its order shows here.
+commands before the per-connection ``Derived`` context, and the runs on
+courant1 without its projector before the check runners became generators.
+Any change to a canonical string, a record or its order shows here.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -64,10 +66,31 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("golden, argv", CASES, ids=[case[0] for case in CASES])
-def test_output_is_byte_identical_to_capture(golden, argv):
+# Every bundled model has a projector; these runs hold the records of the
+# "no locality projector" gates.
+NO_PROJECTOR = [
+    ("check-all_courant1_noprojector.jsonl", ["check-all", "--format", "json-lines"]),
+    ("check-lc3_courant1_noprojector.txt", ["check", "lc3"]),
+]
+
+
+def assert_matches_capture(golden, argv):
     proc = subprocess.run(
         [sys.executable, "-m", "leibniz_geo.cli", *argv], capture_output=True, cwd=ROOT
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("golden, argv", CASES, ids=[case[0] for case in CASES])
+def test_output_is_byte_identical_to_capture(golden, argv):
+    assert_matches_capture(golden, argv)
+
+
+@pytest.mark.parametrize("golden, argv", NO_PROJECTOR, ids=[case[0] for case in NO_PROJECTOR])
+def test_gates_without_a_projector_match_capture(tmp_path, golden, argv):
+    document = json.loads((MODELS / "courant1.model").read_text())
+    del document["projector"]
+    path = tmp_path / "courant1_noprojector.model"
+    path.write_text(json.dumps(document))
+    assert_matches_capture(golden, [*argv, "--model", str(path)])

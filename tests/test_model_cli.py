@@ -14,7 +14,7 @@ import pytest
 from leibniz_geo import courant, tangent
 from leibniz_geo.cli import main
 from leibniz_geo.errors import ExprSyntaxError, ParseError, SchemaError, ShapeError
-from leibniz_geo.expr import MAX_CONSTANT_BITS, MAX_DEGREE, parse_expr
+from leibniz_geo.expr import MAX_CONSTANT_BITS, MAX_DEGREE, MAX_TERMS, parse_expr
 from leibniz_geo.model import (
     MAX_RANK,
     MAX_TENSOR_SLOTS,
@@ -285,6 +285,26 @@ def test_power_of_a_constant_past_the_size_cap_exits_two(tmp_path, capsysbinary)
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("exponent", [20, 25])
+def test_product_past_the_term_cap_exits_two_at_once(tmp_path, capsysbinary, exponent):
+    path = tmp_path / "product.model"
+    factor = f"(1+x1+x2+x3)^{exponent}"
+    path.write_text(doc_text(
+        dimension=3, coordinates=["x1", "x2", "x3"], anchor={}, functions={"f": f"{factor}*{factor}"}
+    ))
+    start = time.perf_counter()
+    code = main(["validate", "--model", str(path), "--format", "json-lines"])
+    elapsed = time.perf_counter() - start
+    out, err = capsysbinary.readouterr()
+    assert code == 2
+    assert out == b""
+    record = single_error_record(err)
+    assert record["error"] == "ParseError"
+    assert record["message"].startswith("functions.f:")
+    assert f"exceeds {MAX_TERMS}" in record["message"]
+    assert elapsed < 1.0
+
+
 def test_constant_power_size_cap_admits_the_documented_powers():
     assert parse_expr("7^1000", ("x1",)) == 7**1000
     assert parse_expr("(1/7)^1000", ("x1",)) == Fraction(1, 7**1000)
@@ -320,11 +340,23 @@ def tensor_doc(**entry):
         (tensor_doc(symmetry=["antisymmetric_in", "1", 2]), "SchemaError", "tensors.T.symmetry:"),
         (tensor_doc(symmetry=["antisymmetric_in", 1.5, 2]), "SchemaError", "tensors.T.symmetry:"),
         (tensor_doc(symmetry=["antisymmetric_in", 1, True]), "SchemaError", "tensors.T.symmetry:"),
+        (tensor_doc(symmetry=["antisymmetric_in", 1, 9]), "SchemaError", "tensors.T.symmetry:"),
+        (tensor_doc(symmetry=["antisymmetric_in", 0, 1]), "SchemaError", "tensors.T.symmetry:"),
+        (tensor_doc(symmetry=["antisymmetric_in", -1, 2]), "SchemaError", "tensors.T.symmetry:"),
+        (tensor_doc(type=[1, 1], symmetry=["antisymmetric_in", 1, 2]), "SchemaError",
+         "tensors.T.symmetry:"),
+        (tensor_doc(type=[1, 2], symmetry="totally_symmetric"), "SchemaError", "tensors.T.symmetry:"),
+        (doc_text(dimension=2, coordinates=["x1", "x1"], anchor={}).encode(), "SchemaError",
+         "coordinates:"),
+        (doc_text(coordinates=["x 1"]).encode(), "SchemaError", "coordinates:"),
     ],
     ids=[
         "not-utf8", "boolean-dimension", "boolean-rank", "kernel-sections-not-a-list", "broadcast-shape",
         "tensor-type-of-80-slots", "tensor-type-past-the-slot-cap", "boolean-tensor-type",
         "string-symmetry-slot", "fractional-symmetry-slot", "boolean-symmetry-slot",
+        "symmetry-slot-out-of-range", "symmetry-slot-zero", "symmetry-slot-negative",
+        "antisymmetry-across-variance", "total-symmetry-with-an-upper-slot",
+        "repeated-coordinate", "coordinate-no-expression-can-name",
     ],
 )
 def test_inputs_the_fuzz_test_found_exit_two(tmp_path, capsysbinary, data, error, where):

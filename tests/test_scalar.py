@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibniz_geo import ExprSyntaxError, PoleAtPoint, ScalarField, UnknownVariable
-from leibniz_geo.expr import MAX_DEGREE, MAX_NESTING, parse_ast, parse_expr
+from leibniz_geo.expr import MAX_DEGREE, MAX_NESTING, MAX_TERMS, parse_ast, parse_expr
 
 COORDS = ("x1", "x2")
 
@@ -143,6 +143,20 @@ def test_powers_up_to_the_degree_cap_parse():
 )
 def test_power_past_the_degree_cap_is_a_syntax_error(text, position):
     with pytest.raises(ExprSyntaxError, match=f"exceeds {MAX_DEGREE}") as excinfo:
+        f(text)
+    assert excinfo.value.position == position
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("(1+x1+x2)^20*(1+x1+x2)^20", 12),
+        ("(1+x1+x2)^20/(1+x1+x2)^20", 12),
+        ("(1+x1+x2+x1*x2+x1^2+x2^2)^16", 26),
+    ],
+)
+def test_operation_past_the_term_cap_is_a_syntax_error(text, position):
+    with pytest.raises(ExprSyntaxError, match=f"exceeds {MAX_TERMS}") as excinfo:
         f(text)
     assert excinfo.value.position == position
 

@@ -126,7 +126,7 @@ def test_relative_torsion_antisymmetry_for_admissible_pairs():
         r = A.rank
         for a, b, c in itertools.product(range(r), repeat=3):
             assert (rel.comps[a, b, c] + rel_star.comps[a, c, b]).is_zero
-        assert admissibility_locality_residual(Derived(A, conn), Derived(A, conn_star)).is_zero
+        assert admissibility_locality_residual(ConjugatePair(A, eta, conn, conn_star)).is_zero
     assert found > 0
 
 
