@@ -3,7 +3,6 @@
 from .algebroid import (
     Algebroid,
     AlgebroidReport,
-    Residual,
     builtin,
     courant,
     courant_pairing,
@@ -38,7 +37,6 @@ from .errors import (
     UnknownVariable,
 )
 from .hessian import (
-    FlaggedResidual,
     HessianStructure,
     conjugate_curvature_transfer_residual,
     constant_curvature_check,
@@ -56,10 +54,8 @@ from .statgeo import (
     alpha_curvature_residual,
     conjugate_connection,
     conjugation_residual,
-    mean_connection,
     relative_torsion,
     statistical_solve,
-    strong_conjugacy_residual,
 )
 from .tensor import EMetric, EOneForm, EPForm, ETensor, EVectorField
 
@@ -67,20 +63,19 @@ __version__ = "0.1.0"
 
 # The API that the README's library sections document, and nothing else.
 __all__ = [
-    "Algebroid", "AlgebroidReport", "Residual", "builtin", "courant", "courant_pairing",
-    "lie_algebra", "so3", "tangent",
+    "Algebroid", "AlgebroidReport", "builtin", "courant", "courant_pairing", "lie_algebra",
+    "so3", "tangent",
     "Derived", "EConnection", "curvature", "levi_civita_solve", "nonmetricity",
     "second_cov_and_ricci", "torsion",
     "CompatibilityFailure", "DegenerateMetric", "ExprSyntaxError", "InvalidStructure",
     "LeibnizGeoError", "MissingProjector", "NonUnique", "NoSolution", "NotAdmissible",
     "ParseError", "PoleAtPoint", "SchemaError", "ShapeError", "SlotMismatch",
     "UnknownVariable",
-    "FlaggedResidual", "HessianStructure", "conjugate_curvature_transfer_residual",
+    "HessianStructure", "conjugate_curvature_transfer_residual",
     "constant_curvature_check", "fundamental_theorem_residual", "hessian",
     "hessian_structure_check", "hessian_symmetry_equivalences", "projected_exterior_derivative",
     "Rational", "ScalarField",
     "ConjugatePair", "StatisticalStructure", "alpha_connection", "alpha_curvature_residual",
-    "conjugate_connection", "conjugation_residual", "mean_connection", "relative_torsion",
-    "statistical_solve", "strong_conjugacy_residual",
+    "conjugate_connection", "conjugation_residual", "relative_torsion", "statistical_solve",
     "EMetric", "EOneForm", "EPForm", "ETensor", "EVectorField",
 ]

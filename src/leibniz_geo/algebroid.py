@@ -29,40 +29,17 @@ import numpy as np
 from .errors import InvalidStructureConstants, MissingProjector
 from .expr import parse_expr
 from .scalar import ScalarField
-from .tensor import (
-    ComponentSummaries,
-    ETensor,
-    EOneForm,
-    EVectorField,
-    object_array,
-    zeros_array,
-)
-
-
-@dataclass(frozen=True)
-class Residual:
-    """Exact LHS - RHS of an identity; zero iff the identity holds."""
-
-    name: str
-    tensor: ETensor
-
-    @property
-    def is_zero(self):
-        return self.tensor.is_zero
-
-    def summary(self):
-        return {
-            "check": self.name,
-            "residual_nonzero_components": self.tensor.nonzero_count(),
-            "residual_max_degree": self.tensor.max_degree(),
-        }
+from .tensor import ComponentSummaries, EOneForm, EVectorField, object_array, zeros_array
 
 
 @dataclass
 class AlgebroidReport:
-    """Named outcomes of a validation batch; entries are bools or Residuals."""
+    """Named outcomes of a validation batch.
 
-    name: str
+    An entry is a residual (a ``ComponentSummaries``, judged by its zero
+    test), a bool verdict, or an informational clause string.
+    """
+
     entries: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
 
@@ -74,13 +51,10 @@ class AlgebroidReport:
 
     @property
     def ok(self):
-        for value in self.entries.values():
-            if isinstance(value, Residual):
-                if not value.is_zero:
-                    return False
-            elif not value:
-                return False
-        return True
+        return all(
+            value.is_zero if isinstance(value, ComponentSummaries) else value
+            for value in self.entries.values()
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,49 +149,34 @@ class Algebroid:
             - np.einsum("bci->ibc", d_anchor)
             + np.einsum("cbi->ibc", d_anchor)
         )
-        return Residual("anchor-compatibility", _loose_tensor(res, self.coords))
+        return _RawResidualTensor(res)
 
     def validate_projector(self):
         """Projector axioms: idempotence, image of P.L in ker rho, identity on ker."""
         if self.projector is None:
             raise MissingProjector("algebroid has no locality projector")
         P = self.projector
-        report = AlgebroidReport("projector")
+        report = AlgebroidReport()
         idem = np.einsum("af,fb->ab", P, P) - P
-        report.record("idempotent", Residual("P.P - P", _loose_tensor(idem, self.coords)))
+        report.record("idempotent", _RawResidualTensor(idem))
         image = np.einsum("ai,adec->idec", self.anchor, self.locality_hat)
-        report.record(
-            "projected_locality_in_kernel",
-            Residual("rho o (P.L)", _loose_tensor(image, self.coords)),
-        )
+        report.record("projected_locality_in_kernel", _RawResidualTensor(image))
 
         if not self.kernel_sections:
             report.warn("no kernel sections supplied; identity-on-kernel check skipped")
         for idx, k in enumerate(self.kernel_sections):
             fixed = np.einsum("ab,b->a", P, k.comps) - k.comps
-            report.record(
-                f"fixes_kernel_section_{idx}",
-                Residual("P(k) - k", _loose_tensor(fixed, self.coords)),
-            )
+            report.record(f"fixes_kernel_section_{idx}", _RawResidualTensor(fixed))
             anchored = np.einsum("ai,a->i", self.anchor, k.comps)
-            report.record(
-                f"annihilates_kernel_section_{idx}",
-                Residual("rho(k)", _loose_tensor(anchored, self.coords)),
-            )
+            report.record(f"annihilates_kernel_section_{idx}", _RawResidualTensor(anchored))
         return report
 
 
-def _loose_tensor(arr, coords):
-    """Wrap a mixed-index residual array whose axes may differ in length."""
-    return _RawResidualTensor(arr, coords)
-
-
 class _RawResidualTensor(ComponentSummaries):
-    """Residual carrier for arrays mixing frame and coordinate axes."""
+    """The components of a residual whose axes mix frame and coordinate indices."""
 
-    def __init__(self, comps, coords):
+    def __init__(self, comps):
         self.comps = comps
-        self.coords = tuple(coords)
 
 
 # -- built-in structures ------------------------------------------------------
@@ -228,7 +187,6 @@ def tangent(n, coords=None):
     if coords is None:
         coords = tuple(f"x{i + 1}" for i in range(n))
     coords = tuple(coords)
-    zero = ScalarField.constant(0, coords)
     one = ScalarField.constant(1, coords)
     anchor = zeros_array((n, n), coords)
     projector = zeros_array((n, n), coords)

@@ -9,10 +9,12 @@ report always accounts for every declared object deterministically.
 A check is written as a generator of items, in report order.  An item is
 either a finished ``CheckResult`` (a not-applicable record, or a verdict that
 is a boolean or a note rather than a residual) or a ``(label, residual)``
-pair, the residual being an ``ETensor`` or a helper's ``Residual``.  The
-``_runner`` decorator collects the items into the list of records that
-``check_<id>`` returns, judging each pair by its exact zero test in
-``_from_residual``.
+pair.  A residual is the tensor an identity sets to zero: an ``ETensor``, or
+the component carrier of a residual whose axes mix frame and coordinate
+indices.  Hypotheses are gates read from ``Derived`` and ``ConjugatePair``
+before the residual is built.  The ``_runner`` decorator collects the items
+into the list of records that ``check_<id>`` returns, judging each pair by
+its exact zero test in ``_from_residual``.
 
 ``run_all`` and ``run_check`` hand every runner one context per call.  It
 holds a single ``Derived`` per connection and a single ``ConjugatePair`` per
@@ -52,7 +54,6 @@ from .statgeo import (
     alpha_curvature_residual,
     alpha_flat_symmetry_residual,
     conjugate_connection,
-    mean_connection,
     statistical_solve,
 )
 from .tensor import ETensor
@@ -92,10 +93,9 @@ class CheckResult:
 
 
 def _from_residual(name, residual):
-    """The record of a residual: an ``ETensor`` or a ``Residual`` wrapping one."""
-    tensor = getattr(residual, "tensor", residual)
-    status = "pass" if tensor.is_zero else "fail"
-    return CheckResult(name, status, tensor.nonzero_count(), tensor.max_degree())
+    """The record of a residual tensor: pass exactly when it is zero."""
+    status = "pass" if residual.is_zero else "fail"
+    return CheckResult(name, status, residual.nonzero_count(), residual.max_degree())
 
 
 def _na(name, note):
@@ -289,10 +289,9 @@ def check_ssp9(ctx):
     A = ctx.A
     half = ScalarField.constant(Fraction(1, 2), A.coords)
     for label, pair in ctx.pairs:
-        mean = mean_connection(pair)
-        yield f"SSp9[{label}]:metric-compatible", nonmetricity(A, mean, pair.g)
+        yield f"SSp9[{label}]:metric-compatible", nonmetricity(A, pair.mean, pair.g)
         T_half = pair.torsion_sum.scale(half)
-        yield f"SSp9[{label}]:torsion-mean", pair.derived(mean).torsion - T_half
+        yield f"SSp9[{label}]:torsion-mean", pair.derived(pair.mean).torsion - T_half
 
 
 @_runner
@@ -348,7 +347,7 @@ def check_sse25(ctx):
         endpoints = (
             ("alpha=1-is-conjugate", alpha_connection(pair, 1), pair.nabla_star),
             ("alpha=-1-is-nabla", alpha_connection(pair, -1), pair.nabla),
-            ("alpha=0-is-mean", alpha_connection(pair, 0), mean_connection(pair)),
+            ("alpha=0-is-mean", alpha_connection(pair, 0), pair.mean),
         )
         for tag, got, expect in endpoints:
             yield f"SSe25[{label}]:{tag}", difference_tensor(ctx.A, got, expect)
@@ -426,15 +425,12 @@ def check_lp3(ctx):
         yield _na("lp3", _NO_PROJECTOR)
         return
     for label, pair in ctx.pairs:
-        outcome = fundamental_theorem_residual(ctx.A, pair)
-        if outcome.applicable:
-            yield f"lp3[{label}]", outcome
-            continue
-        note = "anholonomic frame"
-        if outcome.obstruction is not None:
-            nonzero = outcome.obstruction.tensor.nonzero_count()
-            note += f"; obstruction nonzero components = {nonzero}"
-        yield _na(f"lp3[{label}]", note)
+        if pair.holonomic:
+            yield f"lp3[{label}]", fundamental_theorem_residual(ctx.A, pair)
+        else:
+            nonzero = pair.holonomy_obstruction.nonzero_count()
+            note = f"anholonomic frame; obstruction nonzero components = {nonzero}"
+            yield _na(f"lp3[{label}]", note)
 
 
 @_runner

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import checks as checks_module
-from .algebroid import Residual, builtin
+from .algebroid import builtin
 from .checks import CheckResult, _from_residual
 from .connection import Derived, levi_civita_solve, nonmetricity
 from .errors import LeibnizGeoError, MissingInput, UnknownCommand
@@ -27,11 +27,10 @@ from .statgeo import (
     StatisticalStructure,
     conjugate_connection,
     conjugation_residual,
-    mean_connection,
     alpha_connection,
     statistical_solve,
 )
-from .tensor import ETensor
+from .tensor import ComponentSummaries, ETensor
 
 
 def _dump_components(tensor):
@@ -78,7 +77,16 @@ def _pick(objects, kind, name):
 
 
 # Each handler yields the report of one command: a CheckResult, or a
-# (name, value) item whose value is a Residual or a computed ETensor.
+# (name, value) item.  As in checks.py, a bare value is a residual, judged by
+# its zero test; a computed array the command shows rather than judges is
+# wrapped in _Shown.
+
+
+class _Shown(ComponentSummaries):
+    """Components a command shows; their record always passes."""
+
+    def __init__(self, comps):
+        self.comps = comps
 
 
 def _validate(A, doc, args):
@@ -86,10 +94,7 @@ def _validate(A, doc, args):
     if A.projector is not None:
         report = A.validate_projector()
         for key, value in report.entries.items():
-            if isinstance(value, Residual):
-                yield f"projector:{key}", value
-            else:
-                yield CheckResult(f"projector:{key}", "pass" if value else "fail")
+            yield f"projector:{key}", value
         for warning in report.warnings:
             yield CheckResult("projector:warning", "not-applicable", note=warning)
     for name, conn in sorted(doc.connections.items()):
@@ -98,7 +103,7 @@ def _validate(A, doc, args):
 
 def _torsion(A, doc, args):
     name, conn = _pick(doc.connections, "connection", args.connection)
-    yield f"torsion[{name}]", Derived(A, conn).torsion
+    yield f"torsion[{name}]", _Shown(Derived(A, conn).torsion.comps)
 
 
 def _curvature(A, doc, args):
@@ -107,37 +112,37 @@ def _curvature(A, doc, args):
         raise MissingInput(
             "curvature needs a locality projector: add a 'projector' block to the model"
         )
-    yield f"curvature[{name}]", Derived(A, conn).curvature
+    yield f"curvature[{name}]", _Shown(Derived(A, conn).curvature.comps)
 
 
 def _nonmetricity(A, doc, args):
     cname, conn = _pick(doc.connections, "connection", args.connection)
     mname, g = _pick(doc.metrics, "metric", args.metric)
-    yield f"nonmetricity[{mname}:{cname}]", nonmetricity(A, conn, g)
+    yield f"nonmetricity[{mname}:{cname}]", _Shown(nonmetricity(A, conn, g).comps)
 
 
 def _levi_civita(A, doc, args):
     mname, g = _pick(doc.metrics, "metric", args.metric)
     conn = levi_civita_solve(A, g)
-    yield f"levi-civita[{mname}]:gamma", ETensor(1, 2, A.rank, A.coords, conn.gamma)
-    yield f"levi-civita[{mname}]:torsion-free", Residual("t", Derived(A, conn).torsion)
-    yield f"levi-civita[{mname}]:metric-compatible", Residual("q", nonmetricity(A, conn, g))
+    yield f"levi-civita[{mname}]:gamma", _Shown(conn.gamma)
+    yield f"levi-civita[{mname}]:torsion-free", Derived(A, conn).torsion
+    yield f"levi-civita[{mname}]:metric-compatible", nonmetricity(A, conn, g)
 
 
 def _conjugate(A, doc, args):
     cname, conn = _pick(doc.connections, "connection", args.connection)
     mname, g = _pick(doc.metrics, "metric", args.metric)
     conn_star = conjugate_connection(A, g, conn)
-    yield f"conjugate[{mname}:{cname}]:gamma", ETensor(1, 2, A.rank, A.coords, conn_star.gamma)
+    yield f"conjugate[{mname}:{cname}]:gamma", _Shown(conn_star.gamma)
     yield f"conjugate[{mname}:{cname}]:conjugation", conjugation_residual(A, g, conn, conn_star)
 
 
 def _mean(A, doc, args):
     cname, conn = _pick(doc.connections, "connection", args.connection)
     mname, g = _pick(doc.metrics, "metric", args.metric)
-    mean = mean_connection(ConjugatePair(A, g, conn, conjugate_connection(A, g, conn)))
-    yield f"mean[{mname}:{cname}]:gamma", ETensor(1, 2, A.rank, A.coords, mean.gamma)
-    yield f"mean[{mname}:{cname}]:metric-compatible", Residual("q", nonmetricity(A, mean, g))
+    mean = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn)).mean
+    yield f"mean[{mname}:{cname}]:gamma", _Shown(mean.gamma)
+    yield f"mean[{mname}:{cname}]:metric-compatible", nonmetricity(A, mean, g)
 
 
 def _alpha(A, doc, args):
@@ -148,38 +153,27 @@ def _alpha(A, doc, args):
     except (ValueError, ZeroDivisionError) as exc:
         raise MissingInput(f"--alpha must be an exact rational P/Q: {exc}") from exc
     pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
-    conn_alpha = alpha_connection(pair, alpha)
-    yield (
-        f"alpha[{mname}:{cname}:alpha={alpha}]:gamma",
-        ETensor(1, 2, A.rank, A.coords, conn_alpha.gamma),
-    )
+    yield f"alpha[{mname}:{cname}:alpha={alpha}]:gamma", _Shown(alpha_connection(pair, alpha).gamma)
 
 
 def _statistical_solve(A, doc, args):
     mname, g = _pick(doc.metrics, "metric", args.metric)
-    r = A.rank
     C = doc.tensors.get("C")
     if C is None:
         raise MissingInput(
             "statistical-solve needs a (0,3) tensor named 'C' in the model's tensors"
         )
-    B = doc.tensors.get("B", ETensor.zeros(1, 2, r, A.coords))
+    B = doc.tensors.get("B", ETensor.zeros(1, 2, A.rank, A.coords))
     pair = statistical_solve(A, StatisticalStructure(g, C, B))
-    yield f"statistical-solve[{mname}]:gamma", ETensor(1, 2, r, A.coords, pair.nabla.gamma)
-    yield (
-        f"statistical-solve[{mname}]:gamma-star",
-        ETensor(1, 2, r, A.coords, pair.nabla_star.gamma),
-    )
-    yield (
-        f"statistical-solve[{mname}]:skewness",
-        Residual("q", nonmetricity(A, pair.nabla, g) + C),
-    )
+    yield f"statistical-solve[{mname}]:gamma", _Shown(pair.nabla.gamma)
+    yield f"statistical-solve[{mname}]:gamma-star", _Shown(pair.nabla_star.gamma)
+    yield f"statistical-solve[{mname}]:skewness", nonmetricity(A, pair.nabla, g) + C
 
 
 def _hessian(A, doc, args):
     cname, conn = _pick(doc.connections, "connection", args.connection)
     fname, f = _pick(doc.functions, "function", args.function)
-    yield f"hessian[{cname}:{fname}]", hessian(A, conn, f)
+    yield f"hessian[{cname}:{fname}]", _Shown(hessian(A, conn, f).comps)
 
 
 def _dhat(A, doc, args):
@@ -190,7 +184,7 @@ def _dhat(A, doc, args):
             "dhat needs a locality projector: add a 'projector' block to the model"
         )
     derivative = projected_exterior_derivative(Derived(A, conn), function_form(f))
-    yield f"dhat[{cname}:{fname}]", ETensor(0, 1, A.rank, A.coords, derivative.comps)
+    yield f"dhat[{cname}:{fname}]", _Shown(derivative.comps)
 
 
 def _check(A, doc, args):
@@ -236,14 +230,13 @@ def run(command, doc, args):
             records.append(item.to_record())
             continue
         name, value = item
-        if isinstance(value, Residual):
-            result, tensor = _from_residual(name, value), value.tensor
-        else:
+        if isinstance(value, _Shown):
             result = CheckResult(name, "pass", value.nonzero_count(), value.max_degree())
-            tensor = value
+        else:
+            result = _from_residual(name, value)
         record = result.to_record()
         if args.dump_residuals:
-            record["components"] = _dump_components(tensor)
+            record["components"] = _dump_components(value)
         records.append(record)
     return records
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .algebroid import Residual, _loose_tensor
+from .algebroid import _RawResidualTensor
 from .errors import MissingProjector, SlotMismatch
 from .tensor import ETensor, EVectorField, object_array, zeros_array
 
@@ -191,9 +191,8 @@ class Derived:
     def anchored_projected_torsion(self):
         """rho(T-hat(X_b, X_c)) as coordinate components [i, b, c]; zero iff the
         image of the projected torsion lies in ker rho."""
-        A = self.algebroid
-        rho_T = np.einsum("ai,abc->ibc", A.anchor, self.projected_torsion.comps)
-        return Residual("anchor-composed-projected-torsion", _read_only(_loose_tensor(rho_T, A.coords)))
+        rho_T = np.einsum("ai,abc->ibc", self.algebroid.anchor, self.projected_torsion.comps)
+        return _read_only(_RawResidualTensor(rho_T))
 
     @functools.cached_property
     def curvature(self):
@@ -205,7 +204,7 @@ class Derived:
         """mb(u, v) + mb(v, u); zero iff nabla is admissible, that is, iff
         [u, v] + [v, u] = L(e^a, nabla_{X_a} u, v) + L(e^a, nabla_{X_a} v, u)."""
         mb = self.bracket
-        return Residual("admissibility", _read_only(mb + mb.swap_slots(2, 3)))
+        return _read_only(mb + mb.swap_slots(2, 3))
 
     @functools.cached_property
     def admissible(self):
@@ -227,8 +226,7 @@ def second_cov_and_ricci(D, u, v, w):
     that_vec = EVectorField(np.einsum("abc,b,c->a", D.projected_torsion.comps, u.comps, v.comps))
     correction = covariant_derivative_vector(A, conn, that_vec, w)
     residual_vec = second_uv - second_vu - r_vec + correction
-    tensor = ETensor(1, 0, A.rank, A.coords, residual_vec.comps)
-    return second_uv, Residual("ricci-identity", tensor)
+    return second_uv, ETensor(1, 0, A.rank, A.coords, residual_vec.comps)
 
 
 # -- Koszul-type solves -------------------------------------------------------

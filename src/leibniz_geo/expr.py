@@ -30,8 +30,13 @@ and a / b that is terms(a) * terms(b).  A power p^k of a polynomial with n
 terms has C(n + k - 1, k) multinomial terms, each a product of up to n
 factors, so it counts n * C(n + k - 1, k), summed over numerator and
 denominator.  Past ``MAX_TERMS`` the operation raises ``ExprSyntaxError`` at
-its operator (a power at its exponent, like the other power caps).  Sums are
-not bounded.
+its operator (a power at its exponent, like the other power caps).
+
+A sum or difference of polynomials is linear in their terms and has no cap.
+When an operand has a denominator other than 1, the sum cross-multiplies
+numerators and denominators and then cancels a gcd of the results, whose
+cost grows much faster than the term products: terms(a) * terms(b) may reach
+only ``MAX_SUM_TERMS``, else ``ExprSyntaxError`` is raised at the operator.
 """
 
 from __future__ import annotations
@@ -54,6 +59,9 @@ MAX_CONSTANT_BITS = 10_000
 
 # Most term products that one product, quotient or power may form.
 MAX_TERMS = 20_000
+
+# Most term products that one sum or difference with a denominator may form.
+MAX_SUM_TERMS = 2_000
 
 # The grammar's NAME token; a coordinate name must match it whole.
 NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -122,11 +130,11 @@ class _Parser:
     def expr(self):
         node = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
                 rhs = self.term()
-                node = ("add" if value == "+" else "sub", node, rhs)
+                node = ("add" if value == "+" else "sub", node, rhs, pos)
             else:
                 return node
 
@@ -201,9 +209,9 @@ def _power_terms(field, k):
     return sum(n * math.comb(n + k - 1, k) for n in sizes if n)
 
 
-def _check_terms(count, what, position):
-    if count > MAX_TERMS:
-        raise ExprSyntaxError(f"{what} of {count} term products exceeds {MAX_TERMS}", position)
+def _check_terms(count, what, position, cap=MAX_TERMS):
+    if count > cap:
+        raise ExprSyntaxError(f"{what} of {count} term products exceeds {cap}", position)
 
 
 def ast_to_field(node, coords):
@@ -213,8 +221,8 @@ def ast_to_field(node, coords):
     left-deep tree) does not exhaust the interpreter stack.  A parsed pow
     node carries its exponent's text position as a fourth element, where a
     power past ``MAX_DEGREE``, ``MAX_CONSTANT_BITS`` or ``MAX_TERMS`` is
-    reported; a parsed mul or div node carries its operator's position, where
-    one past ``MAX_TERMS`` is reported.
+    reported; a parsed add, sub, mul or div node carries its operator's
+    position, where one past ``MAX_SUM_TERMS`` or ``MAX_TERMS`` is reported.
     """
     values = []
     stack = [(node, False)]
@@ -251,10 +259,12 @@ def ast_to_field(node, coords):
         elif op in _BINARY:
             rhs = values.pop()
             lhs = values.pop()
+            position = node[3] if len(node) > 3 else None
+            count = _terms(lhs) * _terms(rhs)
             if op in ("mul", "div"):
-                position = node[3] if len(node) > 3 else None
-                name = "product" if op == "mul" else "quotient"
-                _check_terms(_terms(lhs) * _terms(rhs), name, position)
+                _check_terms(count, "product" if op == "mul" else "quotient", position)
+            elif not (lhs.frac.denom.is_one and rhs.frac.denom.is_one):
+                _check_terms(count, "sum of fractions", position, MAX_SUM_TERMS)
             values.append(_BINARY[op](lhs, rhs))
         else:
             raise AssertionError(f"unreachable AST node {op!r}")

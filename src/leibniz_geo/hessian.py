@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebroid import AlgebroidReport, Residual
+from .algebroid import AlgebroidReport
 from .connection import Derived, frame_covariant_derivative, nonmetricity
 from .errors import InvalidStructure, MissingProjector, NotAdmissible
 from .scalar import ScalarField
@@ -104,7 +104,7 @@ def hessian_symmetry_equivalences(D, probe_functions=None):
     A, conn = D.algebroid, D.conn
     if A.projector is None:
         raise MissingProjector("the symmetry equivalences need a locality projector")
-    report = AlgebroidReport("hessian-symmetry-equivalences")
+    report = AlgebroidReport()
     r = A.rank
     T_hat = D.projected_torsion
     clause1 = D.anchored_projected_torsion.is_zero
@@ -123,10 +123,7 @@ def hessian_symmetry_equivalences(D, probe_functions=None):
         report.record("clause-3-one-form-derivative", "holds" if clause3 else "fails")
         # d-hat Omega(u, v) - [(nabla_u Omega)(v) - (nabla_v Omega)(u)]
         # equals Omega(T-hat(u, v)) for any admissible connection.
-        report.record(
-            "one-form-identity",
-            Residual("one-form-identity", ETensor(1, 2, r, A.coords, res3 - T_hat.comps)),
-        )
+        report.record("one-form-identity", ETensor(1, 2, r, A.coords, res3 - T_hat.comps))
     else:
         report.warn("connection not admissible: the one-form clause is not applicable")
 
@@ -147,10 +144,7 @@ def hessian_symmetry_equivalences(D, probe_functions=None):
         H = hessian(A, conn, f).comps
         correction = np.einsum("abc,a->bc", T_hat.comps, A.anchor_derivative(f))
         probe = H - H.T + correction
-        report.record(
-            f"probe-identity-{index}",
-            Residual(f"probe-{index}", ETensor(0, 2, r, A.coords, probe)),
-        )
+        report.record(f"probe-identity-{index}", ETensor(0, 2, r, A.coords, probe))
 
     return report
 
@@ -180,17 +174,15 @@ def hessian_structure_check(D, g, f):
     A, conn = D.algebroid, D.conn
     if A.projector is None:
         raise MissingProjector("hessian structure check needs a locality projector")
-    report = AlgebroidReport("hessian-structure")
-    report.record("flat", Residual("curvature", D.curvature))
-    report.record("projected-torsion-free", Residual("projected-torsion", D.projected_torsion))
-    H = hessian(A, conn, f)
-    report.record("metric-equals-hessian", Residual("metric-minus-hessian", g.lower_tensor() - H))
+    report = AlgebroidReport()
+    report.record("flat", D.curvature)
+    report.record("projected-torsion-free", D.projected_torsion)
+    report.record("metric-equals-hessian", g.lower_tensor() - hessian(A, conn, f))
     report.record("metric-nondegenerate", not g.det.is_zero)
     if not report.ok:
         return report
     Q = nonmetricity(A, conn, g)
-    codazzi = Q - Q.swap_slots(1, 2)
-    report.record("codazzi", Residual("codazzi", codazzi))
+    report.record("codazzi", Q - Q.swap_slots(1, 2))
     if D.admissible:
         try:
             StatisticalStructure(g, Q, D.torsion)
@@ -204,51 +196,19 @@ def hessian_structure_check(D, g, f):
     return report
 
 
-@dataclass(frozen=True)
-class FlaggedResidual(Residual):
-    """Residual carrying an applicability verdict and obstruction data."""
-
-    applicable: bool = True
-    precondition: Residual | None = None
-    precondition_star: Residual | None = None
-    obstruction: Residual | None = None
-
-
 def fundamental_theorem_residual(A, pair):
-    """Residual of g(R(u,v)w, z) + g(R*(u,v)z, w).
+    """g(R(u,v)w, z) + g(R*(u,v)z, w) as a (0, 4) tensor.
 
-    Applicable when both projected modified brackets are holonomic on the
-    working frame; otherwise the residual is still computed but flagged, with
-    the frame-dependent obstruction term
-    O_{abcd} = -g(nabla_{L(e^e, Delta(X_e, X_a), X_b)} X_c, X_d)
-    reported alongside for experimentation; its locality term is the bracket
-    difference L(e^e, Delta(X_e, u), v) = mb(nabla*)(u, v) - mb(nabla)(u, v),
-    so O_{abcd} = (mb(nabla) - mb(nabla*))^m_{ab} Gamma^n_{mc} g_{nd}.
+    The theorem asserts it vanishes when the pair is ``holonomic`` (both
+    projected modified brackets vanish on the working frame); on other
+    frames ``pair.holonomy_obstruction`` is the term the theorem drops.
     """
     if A.projector is None:
         raise MissingProjector("fundamental theorem residual needs a locality projector")
-    D, D_star = pair.derived(pair.nabla), pair.derived(pair.nabla_star)
-    pre = Residual("holonomy-precondition", D.projected_bracket)
-    pre_star = Residual("holonomy-precondition", D_star.projected_bracket)
-    applicable = pair.holonomic
-    R, R_star, g = D.curvature, D_star.curvature, pair.g
-    r = A.rank
-    res = np.einsum("eabc,ed->abcd", R.comps, g.matrix) + np.einsum(
-        "eabd,ec->abcd", R_star.comps, g.matrix
-    )
-    obstruction = None
-    if not applicable:
-        difference = pair.bracket_difference.comps
-        obs = np.einsum("mab,nmc,nd->abcd", difference, pair.nabla.gamma, g.matrix)
-        obstruction = Residual("holonomy-obstruction", ETensor(0, 4, r, A.coords, obs))
-    return FlaggedResidual(
-        "fundamental-theorem",
-        ETensor(0, 4, r, A.coords, res),
-        applicable=applicable,
-        precondition=pre,
-        precondition_star=pre_star,
-        obstruction=obstruction,
-    )
+    R, R_star = pair.derived(pair.nabla).curvature, pair.derived(pair.nabla_star).curvature
+    g = pair.g.matrix
+    res = np.einsum("eabc,ed->abcd", R.comps, g) + np.einsum("eabd,ec->abcd", R_star.comps, g)
+    return ETensor(0, 4, A.rank, A.coords, res)
 
 
 def constant_curvature_check(D, g):
@@ -283,7 +243,7 @@ def conjugate_curvature_transfer_residual(A, pair, kappa):
     kappa_field = ScalarField.constant(Fraction(kappa), A.coords)
     R_star = pair.derived(pair.nabla_star).curvature.comps
     res = R_star - _constant_curvature_model(A, pair.g) * kappa_field
-    return Residual("conjugate-constant-curvature", ETensor(1, 3, A.rank, A.coords, res))
+    return ETensor(1, 3, A.rank, A.coords, res)
 
 
 def _constant_curvature_model(A, g):

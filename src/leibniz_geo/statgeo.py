@@ -22,7 +22,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebroid import Residual
 from .connection import (
     Derived,
     EConnection,
@@ -117,6 +116,20 @@ class ConjugatePair:
         )
 
     @functools.cached_property
+    def holonomy_obstruction(self):
+        """The term that obstructs the fundamental theorem off a ``holonomic`` frame.
+
+        O_{abcd} = -g(nabla_{L(e^e, Delta(X_e, X_a), X_b)} X_c, X_d), whose
+        locality term L(e^e, Delta(X_e, u), v) is mb(nabla*)(u, v) - mb(nabla)(u, v),
+        so O_{abcd} = (mb(nabla) - mb(nabla*))^m_{ab} Gamma^n_{mc} g_{nd}.
+        """
+        A = self.algebroid
+        obs = np.einsum(
+            "mab,nmc,nd->abcd", self.bracket_difference.comps, self.nabla.gamma, self.g.matrix
+        )
+        return _read_only(ETensor(0, 4, A.rank, A.coords, obs))
+
+    @functools.cached_property
     def strongly_conjugate_and_admissible(self):
         """Hypothesis of SSp1, SSp2 and SSp4."""
         return self.relative_torsion.is_zero and self.jointly_admissible
@@ -154,12 +167,7 @@ def conjugation_residual(A, g, conn, conn_star):
         - np.einsum("dab,dc->abc", conn.gamma, g.matrix)
         - np.einsum("dac,bd->abc", conn_star.gamma, g.matrix)
     )
-    return Residual("conjugation", ETensor(0, 3, A.rank, A.coords, res))
-
-
-def mean_connection(pair):
-    """Coefficient average of the pair; always metric compatible."""
-    return pair.mean
+    return ETensor(0, 3, A.rank, A.coords, res)
 
 
 def alpha_connection(pair, alpha):
@@ -189,21 +197,16 @@ def relative_torsion(D, D_prime):
     return ETensor(1, 2, A.rank, A.coords, out)
 
 
-def strong_conjugacy_residual(A, pair):
-    """Zero iff the pair is strongly conjugate (equals its relative torsion)."""
-    return Residual("strong-conjugacy", pair.relative_torsion)
-
-
 def _quasi_statistical_residual(A, g, Q, T):
-    """Residual of Q(u,v,w) - Q(v,u,w) + g(T(u,v), w) for given Q and T."""
+    """Q(u,v,w) - Q(v,u,w) + g(T(u,v), w) for given Q and T; zero on quasi-statistical data."""
     res = Q.comps - np.swapaxes(Q.comps, 0, 1) + np.einsum("dab,dc->abc", T.comps, g.matrix)
-    return Residual("quasi-statistical", ETensor(0, 3, A.rank, A.coords, res))
+    return ETensor(0, 3, A.rank, A.coords, res)
 
 
 def _torsion_transfer_residual(pair):
     """For a quasi-statistical (g, nabla): T(nabla*) minus the bracket difference."""
     T_star = pair.derived(pair.nabla_star).torsion
-    return Residual("conjugate-torsion-transfer", T_star - pair.bracket_difference)
+    return T_star - pair.bracket_difference
 
 
 # -- statistical solve --------------------------------------------------------
@@ -222,7 +225,7 @@ def statistical_solve(A, S):
     nabla, nabla_star = _solve_affine_koszul(A, g, C.comps, _koszul_form(B.comps, g) - C.comps)
     derived = {nabla: Derived(A, nabla), nabla_star: Derived(A, nabla_star)}
     difference = derived[nabla].bracket - derived[nabla_star].bracket
-    compat_residual = Residual("bracket-compatibility", B - difference)
+    compat_residual = B - difference
     if not compat_residual.is_zero:
         raise CompatibilityFailure(
             "solved pair violates the bracket-difference compatibility condition",
@@ -263,18 +266,18 @@ def alpha_curvature_residual(A, pair, alpha):
         + np.einsum("ebc,aed->abcd", bracket_difference, delta.comps)
     )
     res = R_alpha.comps - R_star.comps * s - R.comps * t - inner * quarter
-    return Residual(f"alpha-curvature(alpha={alpha})", ETensor(1, 3, A.rank, coords, res))
+    return ETensor(1, 3, A.rank, coords, res)
 
 
 def alpha_flat_symmetry_residual(A, pair, alpha):
     """R(nabla^(alpha)) - R(nabla^(-alpha)); zero when the pair is flat."""
     plus = pair.derived(alpha_connection(pair, alpha)).curvature
     minus = pair.derived(alpha_connection(pair, -Fraction(alpha))).curvature
-    return Residual(f"alpha-flat-symmetry(alpha={alpha})", plus - minus)
+    return plus - minus
 
 
 def admissibility_locality_residual(pair):
     """Antisymmetry of lam(u, v) = L(e^a, Delta(X_a, u), v), required when both
     connections are admissible; lam = mb(nabla*) - mb(nabla) exactly."""
     lam = -pair.bracket_difference
-    return Residual("locality-difference-antisymmetry", lam + lam.swap_slots(2, 3))
+    return lam + lam.swap_slots(2, 3)

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from leibniz_geo.algebroid import AlgebroidReport, Residual
+from leibniz_geo.algebroid import AlgebroidReport
 from leibniz_geo.connection import EConnection, difference_tensor
 from leibniz_geo.errors import MissingProjector
 from leibniz_geo.hessian import _default_probes
@@ -247,7 +247,7 @@ def admissibility_residual(A, conn):
                 acc = acc - conn.gamma[e, d, b] * A.locality[a, d, e, c]
                 acc = acc - conn.gamma[e, d, c] * A.locality[a, d, e, b]
         res[a, b, c] = acc
-    return Residual("admissibility", ETensor(1, 2, r, A.coords, res))
+    return ETensor(1, 2, r, A.coords, res)
 
 
 def admissibility_locality_residual(A, conn, conn_star):
@@ -264,7 +264,7 @@ def admissibility_locality_residual(A, conn, conn_star):
     res = zeros_array((r, r, r), A.coords)
     for m, b, c in itertools.product(range(r), repeat=3):
         res[m, b, c] = lam[m, b, c] + lam[m, c, b]
-    return Residual("locality-difference-antisymmetry", ETensor(1, 2, r, A.coords, res))
+    return ETensor(1, 2, r, A.coords, res)
 
 
 def nonmetricity(A, conn, g):
@@ -462,7 +462,7 @@ def conjugation_residual(A, g, conn, conn_star):
             acc = acc - conn.gamma[d, a, b] * g.matrix[d, c]
             acc = acc - conn_star.gamma[d, a, c] * g.matrix[b, d]
         res[a, b, c] = acc
-    return Residual("conjugation", ETensor(0, 3, r, A.coords, res))
+    return ETensor(0, 3, r, A.coords, res)
 
 
 def relative_torsion(A, conn, conn_prime):
@@ -491,7 +491,7 @@ def quasi_statistical_residual(A, g, conn):
         for d in range(r):
             acc = acc + T.comps[d, a, b] * g.matrix[d, c]
         res[a, b, c] = acc
-    return Residual("quasi-statistical", ETensor(0, 3, r, A.coords, res))
+    return ETensor(0, 3, r, A.coords, res)
 
 
 def ssp3_difference(A, g, conn, conn_star):
@@ -530,7 +530,7 @@ def alpha_curvature_residual(A, conn, conn_star, alpha):
             inner = inner + bracket_difference[e, b, c] * delta.comps[a, e, d]
         acc = acc - quarter * inner
         res[a, b, c, d] = acc
-    return Residual(f"alpha-curvature(alpha={alpha})", ETensor(1, 3, r, coords, res))
+    return ETensor(1, 3, r, coords, res)
 
 
 def fundamental_theorem_terms(A, g, conn, conn_star):
@@ -605,7 +605,7 @@ def conjugate_curvature_transfer_residual(A, g, conn_star, kappa):
         if a == c:
             acc = acc + kappa_field * g.matrix[b, d]
         res[a, b, c, d] = acc
-    return Residual("conjugate-constant-curvature", ETensor(1, 3, r, A.coords, res))
+    return ETensor(1, 3, r, A.coords, res)
 
 
 # -- Hessian symmetry ---------------------------------------------------------
@@ -663,7 +663,7 @@ def anchored_projected_torsion(A, conn):
 
 def hessian_symmetry_equivalences(A, conn, probe_functions=None):
     """The three-way Hessian symmetry report of conn."""
-    report = AlgebroidReport("hessian-symmetry-equivalences")
+    report = AlgebroidReport()
     r = A.rank
     T_hat = torsion(A, conn, projected=True)
     clause1 = array_is_zero(anchored_projected_torsion(A, conn))
@@ -690,10 +690,7 @@ def hessian_symmetry_equivalences(A, conn, probe_functions=None):
                 identity3[m, b, c] = res3[m, b, c] - T_hat.comps[m, b, c]
         clause3 = array_is_zero(res3)
         report.record("clause-3-one-form-derivative", "holds" if clause3 else "fails")
-        report.record(
-            "one-form-identity",
-            Residual("one-form-identity", ETensor(1, 2, r, A.coords, identity3)),
-        )
+        report.record("one-form-identity", ETensor(1, 2, r, A.coords, identity3))
     else:
         report.warn("connection not admissible: the one-form clause is not applicable")
 
@@ -719,8 +716,5 @@ def hessian_symmetry_equivalences(A, conn, probe_functions=None):
                 A.zero(),
             )
             probe[b, c] = H.comps[b, c] - H.comps[c, b] + correction
-        report.record(
-            f"probe-identity-{index}",
-            Residual(f"probe-{index}", ETensor(0, 2, r, A.coords, probe)),
-        )
+        report.record(f"probe-identity-{index}", ETensor(0, 2, r, A.coords, probe))
     return report

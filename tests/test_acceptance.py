@@ -31,12 +31,10 @@ from leibniz_geo import (
     hessian_structure_check,
     hessian_symmetry_equivalences,
     levi_civita_solve,
-    mean_connection,
     nonmetricity,
     relative_torsion,
     so3,
     statistical_solve,
-    strong_conjugacy_residual,
     tangent,
     torsion,
 )
@@ -176,7 +174,7 @@ def test_criterion_03_conjugation():
             assert (Q.comps[a, b, c] - paired).is_zero
         pair = ConjugatePair(A, g, conn, conn_star)
         # Mean connection is metric-compatible.
-        assert nonmetricity(A, mean_connection(pair), g).is_zero
+        assert nonmetricity(A, pair.mean, g).is_zero
         # SSp8: rel + rel* = T + T*.
         rel = relative_torsion(Derived(A, conn), Derived(A, conn_star))
         rel_star = relative_torsion(Derived(A, conn_star), Derived(A, conn))
@@ -252,12 +250,12 @@ def test_criterion_05_strong_conjugacy():
     g = polar_metric(A)
     lc = levi_civita_solve(A, g)
     pair = ConjugatePair(A, g, lc, conjugate_connection(A, g, lc))
-    assert strong_conjugacy_residual(A, pair).is_zero
+    assert pair.relative_torsion.is_zero
     passing += 1
     instances = [(A, g, lc)] + conjugate_instances(10, seed=501)
     for A_i, g_i, conn in instances:
         pair = ConjugatePair(A_i, g_i, conn, conjugate_connection(A_i, g_i, conn))
-        strong = strong_conjugacy_residual(A_i, pair).is_zero
+        strong = pair.relative_torsion.is_zero
         admissible = (
             Derived(A_i, pair.nabla).admissibility.is_zero
             and Derived(A_i, pair.nabla_star).admissibility.is_zero
@@ -380,16 +378,14 @@ def test_criterion_09_fundamental_theorem():
         g = random_metric(A, rng, constant=rng.random() < 0.5)
         conn = random_connection(A, rng, degree=1)
         pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
-        res = fundamental_theorem_residual(A, pair)
-        assert res.applicable
-        assert res.is_zero
+        assert pair.holonomic
+        assert fundamental_theorem_residual(A, pair).is_zero
     # lc4 on the kappa = -1 instance: the conjugate (the same connection)
     # has constant curvature -1 as well.
     g_hyp = hyperbolic_metric(A)
     lc = levi_civita_solve(A, g_hyp)
     pair = ConjugatePair(A, g_hyp, lc, conjugate_connection(A, g_hyp, lc))
-    res = fundamental_theorem_residual(A, pair)
-    assert res.applicable and res.is_zero
+    assert pair.holonomic and fundamental_theorem_residual(A, pair).is_zero
     assert conjugate_curvature_transfer_residual(A, pair, Fraction(-1)).is_zero
     # Anholonomic L != 0 instance: flagged not applicable, nonzero obstruction.
     Cour = courant(1)
@@ -399,9 +395,8 @@ def test_criterion_09_fundamental_theorem():
         conn = eta_compatible_connection(Cour, eta, rng)
     g = random_metric(Cour, rng, constant=True)
     pair = ConjugatePair(Cour, g, conn, conjugate_connection(Cour, g, conn))
-    res = fundamental_theorem_residual(Cour, pair)
-    assert not res.applicable
-    assert res.obstruction is not None and not res.obstruction.is_zero
+    assert not pair.holonomic
+    assert not pair.holonomy_obstruction.is_zero
 
 
 @criterion(10, "torsion/curvature antisymmetry for admissible connections")

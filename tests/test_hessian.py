@@ -255,11 +255,10 @@ def test_fundamental_theorem_on_holonomic_pairs():
         g = random_metric(A, rng)
         conn = random_connection(A, rng, degree=1)
         pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
-        res = fundamental_theorem_residual(A, pair)
-        assert res.applicable
-        assert res.precondition.is_zero and res.precondition_star.is_zero
-        assert res.is_zero
-        assert res.obstruction is None
+        assert pair.holonomic
+        assert pair.derived(pair.nabla).projected_bracket.is_zero
+        assert pair.derived(pair.nabla_star).projected_bracket.is_zero
+        assert fundamental_theorem_residual(A, pair).is_zero
 
 
 def test_fundamental_theorem_flags_anholonomic_frames():
@@ -273,11 +272,9 @@ def test_fundamental_theorem_flags_anholonomic_frames():
     # difference tensor and hence a visible obstruction.
     g = random_metric(A, rng, constant=True)
     pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
-    res = fundamental_theorem_residual(A, pair)
-    assert not res.applicable
-    assert not res.precondition.is_zero
-    assert res.obstruction is not None
-    assert not res.obstruction.is_zero
+    assert not pair.holonomic
+    assert not pair.derived(pair.nabla).projected_bracket.is_zero
+    assert not pair.holonomy_obstruction.is_zero
 
 
 def test_torsion_transfer_gives_symmetric_conjugate_hessian():
@@ -333,6 +330,5 @@ def test_constant_curvature_transfers_to_conjugate():
     )
     conn = levi_civita_solve(A, g_hyp)
     pair = ConjugatePair(A, g_hyp, conn, conjugate_connection(A, g_hyp, conn))
-    res = fundamental_theorem_residual(A, pair)
-    assert res.applicable and res.is_zero
+    assert pair.holonomic and fundamental_theorem_residual(A, pair).is_zero
     assert conjugate_curvature_transfer_residual(A, pair, Fraction(-1)).is_zero

@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package or of the tests imports a name it never reads."""
+"""Source hygiene: no module of the package or of the tests imports a name it never
+reads, and no function of the package assigns a local it never reads."""
 
 import ast
 import re
@@ -37,6 +38,51 @@ def test_no_unused_imports():
 def test_scan_finds_unused_names_only():
     source = "from __future__ import annotations\nimport os.path\nfrom fractions import Fraction as F\n\nos.sep\n"
     assert unused_imports(source) == [(3, "F")]
+
+
+def unused_locals(source):
+    """(line, name) for each plain name that a function body assigns but never reads.
+
+    Tuple-unpacking targets and ``_`` names are skipped; a read anywhere in the
+    function, nested functions included, counts.
+    """
+    unused = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {node.id for node in ast.walk(func) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                unused.update(
+                    (node.lineno, target.id)
+                    for target in node.targets
+                    if isinstance(target, ast.Name) and not target.id.startswith("_") and target.id not in read
+                )
+    return sorted(unused)
+
+
+def test_no_unused_locals():
+    unused = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "src" / "leibniz_geo").glob("*.py"))
+        for line, name in unused_locals(path.read_text())
+    ]
+    assert not unused, "assigned but never read:\n" + "\n".join(unused)
+
+
+def test_local_scan_skips_unpacking_and_underscore_names():
+    source = (
+        "def f(g):\n"
+        "    a, b = g()\n"
+        "    _ = g()\n"
+        "    kept = 1\n"
+        "    dead = 2\n"
+        "    kept = kept + 1\n"
+        "    def inner():\n"
+        "        return b\n"
+        "    return inner\n"
+    )
+    assert unused_locals(source) == [(5, "dead")]
 
 
 def test_package_all_is_the_readme_api():

@@ -14,7 +14,7 @@ import pytest
 from leibniz_geo import courant, tangent
 from leibniz_geo.cli import main
 from leibniz_geo.errors import ExprSyntaxError, ParseError, SchemaError, ShapeError
-from leibniz_geo.expr import MAX_CONSTANT_BITS, MAX_DEGREE, MAX_TERMS, parse_expr
+from leibniz_geo.expr import MAX_CONSTANT_BITS, MAX_DEGREE, MAX_SUM_TERMS, MAX_TERMS, parse_expr
 from leibniz_geo.model import (
     MAX_RANK,
     MAX_TENSOR_SLOTS,
@@ -302,6 +302,27 @@ def test_product_past_the_term_cap_exits_two_at_once(tmp_path, capsysbinary, exp
     assert record["error"] == "ParseError"
     assert record["message"].startswith("functions.f:")
     assert f"exceeds {MAX_TERMS}" in record["message"]
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("summands", [20, 30])
+def test_sum_of_fractions_past_the_sum_cap_exits_two_at_once(tmp_path, capsysbinary, summands):
+    # Unbounded, 20 summands took 7.9 s to parse and 30 took 164 s.
+    path = tmp_path / "sum.model"
+    text = " + ".join(f"1/(x1+{k}*x2+x3^2+{k})" for k in range(1, summands + 1))
+    path.write_text(doc_text(
+        dimension=3, coordinates=["x1", "x2", "x3"], anchor={}, functions={"f": text}
+    ))
+    start = time.perf_counter()
+    code = main(["validate", "--model", str(path), "--format", "json-lines"])
+    elapsed = time.perf_counter() - start
+    out, err = capsysbinary.readouterr()
+    assert code == 2
+    assert out == b""
+    record = single_error_record(err)
+    assert record["error"] == "ParseError"
+    assert record["message"].startswith("functions.f:")
+    assert f"exceeds {MAX_SUM_TERMS}" in record["message"]
     assert elapsed < 1.0
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibniz_geo import ExprSyntaxError, PoleAtPoint, ScalarField, UnknownVariable
-from leibniz_geo.expr import MAX_DEGREE, MAX_NESTING, MAX_TERMS, parse_ast, parse_expr
+from leibniz_geo.expr import MAX_DEGREE, MAX_NESTING, MAX_SUM_TERMS, MAX_TERMS, parse_ast, parse_expr
 
 COORDS = ("x1", "x2")
 
@@ -159,6 +159,25 @@ def test_operation_past_the_term_cap_is_a_syntax_error(text, position):
     with pytest.raises(ExprSyntaxError, match=f"exceeds {MAX_TERMS}") as excinfo:
         f(text)
     assert excinfo.value.position == position
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("1/(1+x1+x2+x3)^6 + 1/(2+x1+x2+x3)^6", 17),
+        ("1/(1+x1+x2+x3)^6 - x1/(2+x1+x2+x3)^6", 17),
+    ],
+)
+def test_sum_of_fractions_past_the_sum_cap_is_a_syntax_error(text, position):
+    with pytest.raises(ExprSyntaxError, match=f"exceeds {MAX_SUM_TERMS}") as excinfo:
+        parse_expr(text, ("x1", "x2", "x3"))
+    assert excinfo.value.position == position
+
+
+def test_polynomial_sums_are_not_capped():
+    # 861 * 861 term products, linear in cost for polynomials.
+    total = parse_expr("(1+x1+x2)^40 + (1+x2+x3)^40", ("x1", "x2", "x3"))
+    assert total.frac.denom.is_one and len(total.frac.numer) == 1681
 
 
 def test_unary_plus_is_the_identity():

@@ -22,11 +22,9 @@ from leibniz_geo import (
     courant_pairing,
     curvature,
     levi_civita_solve,
-    mean_connection,
     nonmetricity,
     relative_torsion,
     statistical_solve,
-    strong_conjugacy_residual,
     tangent,
     torsion,
 )
@@ -96,8 +94,7 @@ def test_nonmetricity_difference_identity():
 def test_mean_connection_is_metric_compatible():
     for A, g, conn in instances(10, seed=107):
         pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
-        mean = mean_connection(pair)
-        assert nonmetricity(A, mean, g).is_zero
+        assert nonmetricity(A, pair.mean, g).is_zero
 
 
 def test_relative_torsion_sum_identity():
@@ -137,7 +134,7 @@ def test_levi_civita_self_pair_is_strongly_conjugate():
     lc = levi_civita_solve(A, g)
     pair = ConjugatePair(A, g, lc, conjugate_connection(A, g, lc))
     assert difference_tensor(A, pair.nabla, pair.nabla_star).is_zero
-    assert strong_conjugacy_residual(A, pair).is_zero
+    assert pair.relative_torsion.is_zero
     assert torsion(Derived(A, lc)).is_zero
     assert nonmetricity(A, lc, g).is_zero
 
@@ -146,7 +143,7 @@ def test_generic_pair_is_not_strongly_conjugate():
     found_failing = False
     for A, g, conn in instances(6, seed=127):
         pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
-        if not strong_conjugacy_residual(A, pair).is_zero:
+        if not pair.relative_torsion.is_zero:
             found_failing = True
     assert found_failing
 
@@ -156,7 +153,7 @@ def test_strong_conjugacy_forces_levi_civita():
     # be torsion-free, metric-compatible, and self-conjugate.
     for A, g, conn in instances(25, seed=131):
         pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
-        strong = strong_conjugacy_residual(A, pair).is_zero
+        strong = pair.relative_torsion.is_zero
         admissible = (
             Derived(A, pair.nabla).admissibility.is_zero
             and Derived(A, pair.nabla_star).admissibility.is_zero
@@ -278,7 +275,7 @@ def test_alpha_family_endpoints_and_laws():
         pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
         assert difference_tensor(A, alpha_connection(pair, 1), pair.nabla_star).is_zero
         assert difference_tensor(A, alpha_connection(pair, -1), pair.nabla).is_zero
-        assert difference_tensor(A, alpha_connection(pair, 0), mean_connection(pair)).is_zero
+        assert difference_tensor(A, alpha_connection(pair, 0), pair.mean).is_zero
         Q = nonmetricity(A, pair.nabla, g)
         for alpha in ALPHAS:
             conn_alpha = alpha_connection(pair, alpha)
@@ -362,7 +359,7 @@ def test_cached_pair_objects_are_read_only():
         alone.curvature,
     ]
     arrays = [tensor.comps for tensor in tensors]
-    arrays += [alpha_connection(pair, 2).gamma, mean_connection(pair).gamma]
+    arrays += [alpha_connection(pair, 2).gamma, pair.mean.gamma]
     for array in arrays:
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = A.one()
@@ -401,11 +398,12 @@ def test_check_run_derives_each_object_once_per_pair(monkeypatch, name):
     # on flat pairs.
     alphas = set(checks.ALPHA_VALUES)
     negated = {-alpha for alpha in alphas} - alphas
-    flat = 0
+    flat = holonomic = 0
     for g in doc.metrics.values():
         for conn in doc.connections.values():
             star = conjugate_connection(A, g, conn)
             flat += curvature(Derived(A, conn)).is_zero and curvature(Derived(A, star)).is_zero
+            holonomic += ConjugatePair(A, g, conn, star).holonomic
     alpha_curvatures = pairs * len(alphas) + flat * len(negated)
 
     curvatures = _count_calls(monkeypatch, connection, "curvature")
@@ -442,8 +440,9 @@ def test_check_run_derives_each_object_once_per_pair(monkeypatch, name):
     stars = {id(star) for args, _, star in conjugates if id(args[2]) in documents}
     assert len(stars) == pairs
     assert documents | stars <= {conn for conn, projected in inputs if not projected}
-    # One fundamental-theorem residual per pair: lc4 reads the pair's gate.
-    assert len(theorems) == pairs
+    # One fundamental-theorem residual per holonomic pair, the pairs lp3
+    # reports: lp3 and lc4 read the pair's gate first.
+    assert len(theorems) == holonomic
     # Nothing outlives the call: checking the document again derives again.
     first = counts()
     checks.run_all(doc)
