@@ -57,7 +57,7 @@ from .statgeo import (
     relative_torsion,
     statistical_solve,
 )
-from .tensor import EMetric, EOneForm, EPForm, ETensor, EVectorField
+from .tensor import EMetric, ETensor
 
 __version__ = "0.1.0"
 
@@ -77,5 +77,5 @@ __all__ = [
     "Rational", "ScalarField",
     "ConjugatePair", "StatisticalStructure", "alpha_connection", "alpha_curvature_residual",
     "conjugate_connection", "conjugation_residual", "relative_torsion", "statistical_solve",
-    "EMetric", "EOneForm", "EPForm", "ETensor", "EVectorField",
+    "EMetric", "ETensor",
 ]

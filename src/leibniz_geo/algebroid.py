@@ -29,7 +29,7 @@ import numpy as np
 from .errors import InvalidStructureConstants, MissingProjector
 from .expr import parse_expr
 from .scalar import ScalarField
-from .tensor import ComponentSummaries, EOneForm, EVectorField, object_array, zeros_array
+from .tensor import ComponentSummaries, ETensor, object_array, zeros_array
 
 
 @dataclass
@@ -92,7 +92,8 @@ class Algebroid:
         return ScalarField.coordinate(i, self.coords)
 
     def vector(self, entries):
-        return EVectorField.from_list([self.field(v) for v in entries])
+        """The section with components ``entries`` as a (1, 0) tensor."""
+        return ETensor(1, 0, self.rank, self.coords, object_array([self.field(v) for v in entries]))
 
     def zeros(self, *shape):
         return zeros_array(shape, self.coords)
@@ -129,8 +130,8 @@ class Algebroid:
         return np.einsum("bi,i...->b...", self.anchor, partials.reshape((self.dim, *comps.shape)))
 
     def coboundary(self, f):
-        """(Df)_a = rho(X_a)(f) as a one-form."""
-        return EOneForm(self.anchor_derivative(f))
+        """(Df)_a = rho(X_a)(f) as a (0, 1) tensor."""
+        return ETensor(0, 1, self.rank, self.coords, self.anchor_derivative(f))
 
     # -- axiom residuals ------------------------------------------------------
 
@@ -149,7 +150,7 @@ class Algebroid:
             - np.einsum("bci->ibc", d_anchor)
             + np.einsum("cbi->ibc", d_anchor)
         )
-        return _RawResidualTensor(res)
+        return ComponentSummaries(res)
 
     def validate_projector(self):
         """Projector axioms: idempotence, image of P.L in ker rho, identity on ker."""
@@ -158,28 +159,28 @@ class Algebroid:
         P = self.projector
         report = AlgebroidReport()
         idem = np.einsum("af,fb->ab", P, P) - P
-        report.record("idempotent", _RawResidualTensor(idem))
+        report.record("idempotent", ComponentSummaries(idem))
         image = np.einsum("ai,adec->idec", self.anchor, self.locality_hat)
-        report.record("projected_locality_in_kernel", _RawResidualTensor(image))
+        report.record("projected_locality_in_kernel", ComponentSummaries(image))
 
         if not self.kernel_sections:
             report.warn("no kernel sections supplied; identity-on-kernel check skipped")
         for idx, k in enumerate(self.kernel_sections):
             fixed = np.einsum("ab,b->a", P, k.comps) - k.comps
-            report.record(f"fixes_kernel_section_{idx}", _RawResidualTensor(fixed))
+            report.record(f"fixes_kernel_section_{idx}", ComponentSummaries(fixed))
             anchored = np.einsum("ai,a->i", self.anchor, k.comps)
-            report.record(f"annihilates_kernel_section_{idx}", _RawResidualTensor(anchored))
+            report.record(f"annihilates_kernel_section_{idx}", ComponentSummaries(anchored))
         return report
 
 
-class _RawResidualTensor(ComponentSummaries):
-    """The components of a residual whose axes mix frame and coordinate indices."""
-
-    def __init__(self, comps):
-        self.comps = comps
-
-
 # -- built-in structures ------------------------------------------------------
+
+
+def _identity(r, coords):
+    """The r x r identity as an object array; row a is the frame field X_a."""
+    eye = zeros_array((r, r), coords)
+    np.einsum("aa->a", eye)[...] = ScalarField.constant(1, coords)
+    return eye
 
 
 def tangent(n, coords=None):
@@ -187,19 +188,13 @@ def tangent(n, coords=None):
     if coords is None:
         coords = tuple(f"x{i + 1}" for i in range(n))
     coords = tuple(coords)
-    one = ScalarField.constant(1, coords)
-    anchor = zeros_array((n, n), coords)
-    projector = zeros_array((n, n), coords)
-    for a in range(n):
-        anchor[a, a] = one
-        projector[a, a] = one
     return Algebroid(
         coords=coords,
         rank=n,
-        anchor=anchor,
+        anchor=_identity(n, coords),
         bracket=zeros_array((n, n, n), coords),
         locality=zeros_array((n, n, n, n), coords),
-        projector=projector,
+        projector=_identity(n, coords),
         kernel_sections=(),
     )
 
@@ -228,24 +223,14 @@ def lie_algebra(structure_constants):
             raise InvalidStructureConstants(
                 f"constants not antisymmetric at ({a + 1},{b + 1},{c + 1})"
             )
-    one = ScalarField.constant(1, coords)
-    projector = zeros_array((r, r), coords)
-    for a in range(r):
-        projector[a, a] = one
-    kernel = tuple(
-        EVectorField.from_list(
-            [one if b == a else ScalarField.constant(0, coords) for b in range(r)]
-        )
-        for a in range(r)
-    )
     return Algebroid(
         coords=coords,
         rank=r,
         anchor=zeros_array((r, 0), coords),
         bracket=arr,
         locality=zeros_array((r, r, r, r), coords),
-        projector=projector,
-        kernel_sections=kernel,
+        projector=_identity(r, coords),
+        kernel_sections=tuple(ETensor(1, 0, r, coords, row) for row in _identity(r, coords)),
     )
 
 
@@ -261,7 +246,6 @@ def courant(n, coords=None):
         coords = tuple(f"x{i + 1}" for i in range(n))
     coords = tuple(coords)
     r = 2 * n
-    zero = ScalarField.constant(0, coords)
     one = ScalarField.constant(1, coords)
     anchor = zeros_array((r, n), coords)
     for a in range(n):
@@ -275,10 +259,7 @@ def courant(n, coords=None):
     projector = zeros_array((r, r), coords)
     for a in range(n, r):
         projector[a, a] = one
-    kernel = tuple(
-        EVectorField.from_list([one if b == a else zero for b in range(r)])
-        for a in range(n, r)
-    )
+    kernel = tuple(ETensor(1, 0, r, coords, row) for row in _identity(r, coords)[n:])
     return Algebroid(
         coords=coords,
         rank=r,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from .algebroid import builtin
 from .checks import CheckResult, _from_residual
 from .connection import Derived, levi_civita_solve, nonmetricity
 from .errors import LeibnizGeoError, MissingInput, UnknownCommand
+from .expr import MAX_CONSTANT_BITS
 from .hessian import function_form, hessian, projected_exterior_derivative
 from .model import dump_model, export_algebroid, load_model
 from .statgeo import (
@@ -85,9 +87,6 @@ def _pick(objects, kind, name):
 class _Shown(ComponentSummaries):
     """Components a command shows; their record always passes."""
 
-    def __init__(self, comps):
-        self.comps = comps
-
 
 def _validate(A, doc, args):
     yield "pre-leibniz", A.validate_pre_leibniz()
@@ -145,13 +144,38 @@ def _mean(A, doc, args):
     yield f"mean[{mname}:{cname}]:metric-compatible", nonmetricity(A, mean, g)
 
 
+# The decimal exponent of an --alpha such as 1e-3, as Fraction reads it.
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
+
+
+def _parse_alpha(text):
+    """--alpha as an exact rational, its size bounded like an expression constant.
+
+    Fraction expands an exponent e into 10^|e|, so an exponent past
+    MAX_CONSTANT_BITS in magnitude is refused before Fraction runs (the
+    interpreter caps the mantissa at 4300 digits, so no nonzero value written
+    with such an exponent meets the bound below).  Then the integer log2 of
+    the numerator's magnitude and of the denominator may reach
+    MAX_CONSTANT_BITS.
+    """
+    exponent = _EXPONENT.search(text)
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > len(str(MAX_CONSTANT_BITS)) or int(digits or "0") > MAX_CONSTANT_BITS:
+        raise MissingInput(f"--alpha exponent exceeds {MAX_CONSTANT_BITS} in magnitude")
+    try:
+        alpha = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MissingInput(f"--alpha must be an exact rational P/Q: {exc}") from exc
+    bits = max(abs(alpha.numerator), alpha.denominator).bit_length() - 1
+    if bits > MAX_CONSTANT_BITS:
+        raise MissingInput(f"--alpha of {bits} bits exceeds {MAX_CONSTANT_BITS}")
+    return alpha
+
+
 def _alpha(A, doc, args):
     cname, conn = _pick(doc.connections, "connection", args.connection)
     mname, g = _pick(doc.metrics, "metric", args.metric)
-    try:
-        alpha = Fraction(args.alpha) if args.alpha is not None else Fraction(0)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MissingInput(f"--alpha must be an exact rational P/Q: {exc}") from exc
+    alpha = _parse_alpha(args.alpha) if args.alpha is not None else Fraction(0)
     pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
     yield f"alpha[{mname}:{cname}:alpha={alpha}]:gamma", _Shown(alpha_connection(pair, alpha).gamma)
 
@@ -183,7 +207,7 @@ def _dhat(A, doc, args):
         raise MissingInput(
             "dhat needs a locality projector: add a 'projector' block to the model"
         )
-    derivative = projected_exterior_derivative(Derived(A, conn), function_form(f))
+    derivative = projected_exterior_derivative(Derived(A, conn), function_form(A, f))
     yield f"dhat[{cname}:{fname}]", _Shown(derivative.comps)
 
 

@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .algebroid import _RawResidualTensor
 from .errors import MissingProjector, SlotMismatch
-from .tensor import ETensor, EVectorField, object_array, zeros_array
+from .tensor import ComponentSummaries, ETensor, object_array, zeros_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,8 +58,8 @@ class EConnection:
 
 def covariant_derivative_vector(A, conn, u, v):
     """(nabla_u v)^a = u^b (nabla v)^a_b, with (nabla v)^a_b = rho(X_b)(v^a) + Gamma^a_{bc} v^c."""
-    nabla_v = frame_covariant_derivative(A, conn, ETensor(1, 0, A.rank, A.coords, v.comps))
-    return EVectorField(np.einsum("b,ab->a", u.comps, nabla_v.comps))
+    nabla_v = frame_covariant_derivative(A, conn, v)
+    return A.vector(np.einsum("b,ab->a", u.comps, nabla_v.comps))
 
 
 # Index letters of a tensor's slots; b is the new slot, e the summed one.
@@ -192,7 +191,7 @@ class Derived:
         """rho(T-hat(X_b, X_c)) as coordinate components [i, b, c]; zero iff the
         image of the projected torsion lies in ker rho."""
         rho_T = np.einsum("ai,abc->ibc", self.algebroid.anchor, self.projected_torsion.comps)
-        return _read_only(_RawResidualTensor(rho_T))
+        return _read_only(ComponentSummaries(rho_T))
 
     @functools.cached_property
     def curvature(self):
@@ -222,11 +221,10 @@ def second_cov_and_ricci(D, u, v, w):
     A, conn = D.algebroid, D.conn
     second_uv = second_covariant_derivative(A, conn, u, v, w)
     second_vu = second_covariant_derivative(A, conn, v, u, w)
-    r_vec = EVectorField(np.einsum("abcd,b,c,d->a", D.curvature.comps, u.comps, v.comps, w.comps))
-    that_vec = EVectorField(np.einsum("abc,b,c->a", D.projected_torsion.comps, u.comps, v.comps))
+    r_vec = A.vector(np.einsum("abcd,b,c,d->a", D.curvature.comps, u.comps, v.comps, w.comps))
+    that_vec = A.vector(np.einsum("abc,b,c->a", D.projected_torsion.comps, u.comps, v.comps))
     correction = covariant_derivative_vector(A, conn, that_vec, w)
-    residual_vec = second_uv - second_vu - r_vec + correction
-    return second_uv, ETensor(1, 0, A.rank, A.coords, residual_vec.comps)
+    return second_uv, second_uv - second_vu - r_vec + correction
 
 
 # -- Koszul-type solves -------------------------------------------------------

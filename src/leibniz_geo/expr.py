@@ -21,7 +21,10 @@ exponent, before it is expanded.  A constant has degree 0, so a power of a
 constant is bounded by size instead: the base's integer log2 (one less than
 the bit length of the larger of its numerator's magnitude and its
 denominator), times the exponent, may reach ``MAX_CONSTANT_BITS``.  This is
-0 for 0, 1 and -1, whose powers stay one bit long.
+0 for 0, 1 and -1, whose powers stay one bit long.  An integer literal is
+bounded the same way, as a power with exponent 1: one whose integer log2
+exceeds ``MAX_CONSTANT_BITS`` raises ``ExprSyntaxError`` at the literal,
+before ``int()`` reads its digits.
 
 A product, quotient or power is bounded by the term products it may form,
 counted from its operands' term counts (a field has the terms of its
@@ -33,10 +36,11 @@ denominator.  Past ``MAX_TERMS`` the operation raises ``ExprSyntaxError`` at
 its operator (a power at its exponent, like the other power caps).
 
 A sum or difference of polynomials is linear in their terms and has no cap.
-When an operand has a denominator other than 1, the sum cross-multiplies
-numerators and denominators and then cancels a gcd of the results, whose
-cost grows much faster than the term products: terms(a) * terms(b) may reach
-only ``MAX_SUM_TERMS``, else ``ExprSyntaxError`` is raised at the operator.
+When an operand of a sum, difference, product or quotient has a denominator
+other than 1, the operation cross-multiplies numerators and denominators and
+then cancels a gcd of the results, whose cost grows much faster than the
+term products: terms(a) * terms(b) may reach only ``MAX_FRACTION_TERMS``,
+else ``ExprSyntaxError`` is raised at the operator.
 """
 
 from __future__ import annotations
@@ -60,8 +64,8 @@ MAX_CONSTANT_BITS = 10_000
 # Most term products that one product, quotient or power may form.
 MAX_TERMS = 20_000
 
-# Most term products that one sum or difference with a denominator may form.
-MAX_SUM_TERMS = 2_000
+# Most term products that one operation with an operand's denominator other than 1 may form.
+MAX_FRACTION_TERMS = 2_000
 
 # The grammar's NAME token; a coordinate name must match it whole.
 NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -82,13 +86,30 @@ def tokenize(text):
                 break
             raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", at)
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
+            tokens.append(("int", int_literal(m.group(1), m.start(1)), m.start(1)))
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2), m.start(2)))
         else:
             tokens.append(("op", m.group(3), m.start(3)))
         pos = m.end()
     return tokens
+
+
+def int_literal(text, position=None):
+    """The value of a decimal integer literal with an optional leading '-'.
+
+    A literal whose integer log2 exceeds ``MAX_CONSTANT_BITS`` raises
+    ``ExprSyntaxError`` at ``position``.  d significant digits are at least
+    8^(d - 1), so one with 3 (d - 1) past the cap is refused before
+    ``int()`` reads it, and ``int()`` never reads more than
+    ``MAX_CONSTANT_BITS`` / 3 + 1 digits.
+    """
+    digits = text.lstrip("-").lstrip("0")
+    if 3 * (len(digits) - 1) <= MAX_CONSTANT_BITS:
+        value = int(digits or "0")
+        if value.bit_length() - 1 <= MAX_CONSTANT_BITS:
+            return -value if text.startswith("-") else value
+    raise ExprSyntaxError(f"integer literal of more than {MAX_CONSTANT_BITS} bits", position)
 
 
 class _Parser:
@@ -197,6 +218,7 @@ _BINARY = {
     "mul": operator.mul,
     "div": operator.truediv,
 }
+_OPERATION = {"add": "sum", "sub": "sum", "mul": "product", "div": "quotient"}
 
 
 def _terms(field):
@@ -222,7 +244,7 @@ def ast_to_field(node, coords):
     node carries its exponent's text position as a fourth element, where a
     power past ``MAX_DEGREE``, ``MAX_CONSTANT_BITS`` or ``MAX_TERMS`` is
     reported; a parsed add, sub, mul or div node carries its operator's
-    position, where one past ``MAX_SUM_TERMS`` or ``MAX_TERMS`` is reported.
+    position, where one past ``MAX_FRACTION_TERMS`` or ``MAX_TERMS`` is reported.
     """
     values = []
     stack = [(node, False)]
@@ -261,10 +283,11 @@ def ast_to_field(node, coords):
             lhs = values.pop()
             position = node[3] if len(node) > 3 else None
             count = _terms(lhs) * _terms(rhs)
-            if op in ("mul", "div"):
-                _check_terms(count, "product" if op == "mul" else "quotient", position)
-            elif not (lhs.frac.denom.is_one and rhs.frac.denom.is_one):
-                _check_terms(count, "sum of fractions", position, MAX_SUM_TERMS)
+            what = _OPERATION[op]
+            if not (lhs.frac.denom.is_one and rhs.frac.denom.is_one):
+                _check_terms(count, f"{what} of fractions", position, MAX_FRACTION_TERMS)
+            elif op in ("mul", "div"):
+                _check_terms(count, what, position)
             values.append(_BINARY[op](lhs, rhs))
         else:
             raise AssertionError(f"unreachable AST node {op!r}")

@@ -15,23 +15,20 @@ import numpy as np
 
 from .algebroid import AlgebroidReport
 from .connection import Derived, frame_covariant_derivative, nonmetricity
-from .errors import InvalidStructure, MissingProjector, NotAdmissible
+from .errors import InvalidStructure, MissingProjector, NotAdmissible, SlotMismatch
 from .scalar import ScalarField
 from .statgeo import StatisticalStructure
-from .tensor import EPForm, ETensor, array_is_zero, object_array, zeros_array
+from .tensor import ETensor, array_is_zero, is_antisymmetric_in, object_array, zeros_array
 
 
-def function_form(f):
-    """Wrap a scalar field as a degree-0 form for the exterior derivative."""
-    arr = np.empty((), dtype=object)
-    arr[()] = f
-    return EPForm(0, arr)
+def function_form(A, f):
+    """A scalar field as a (0, 0) tensor, the degree-0 form of the exterior derivative."""
+    return ETensor(0, 0, A.rank, A.coords, object_array(f))
 
 
 def hessian(A, conn, f):
     """H_{ab} = rho_a((Df)_b) - Gamma^c_{ab} (Df)_c = (nabla Df)_{ab} as a (0, 2) tensor."""
-    df = ETensor(0, 1, A.rank, A.coords, A.coboundary(f).comps)
-    return frame_covariant_derivative(A, conn, df)
+    return frame_covariant_derivative(A, conn, A.coboundary(f))
 
 
 @dataclass(frozen=True)
@@ -64,14 +61,16 @@ def projected_exterior_derivative(D, omega):
     of slot i is rho(w) with its derivative axis moved to i, and the bracket
     term of slots i < j is one contraction mhat^m_{ab} w_{m...} with its axes
     a, b moved to i, j.  Requires an admissible connection so the result is
-    genuinely antisymmetric.
+    genuinely antisymmetric.  The form w and the result are checked to be
+    covariant and antisymmetric in every pair of slots (else SlotMismatch).
     """
+    _check_form(omega)
     A = D.algebroid
     if A.projector is None:
         raise MissingProjector("projected exterior derivative needs a locality projector")
     if not D.admissible:
         raise NotAdmissible("projected exterior derivative requires an admissible connection")
-    p = omega.degree
+    p = omega.r
     d_omega = A.anchor_derivative(omega.comps)  # [a, ...] = rho(X_a)(w_{...})
     out = zeros_array((A.rank,) * (p + 1), A.coords)
     for i in range(p + 1):
@@ -82,7 +81,17 @@ def projected_exterior_derivative(D, omega):
         for i, j in itertools.combinations(range(p + 1), 2):
             term = np.moveaxis(mb_omega, (0, 1), (i, j))
             out = out + term if (i + j) % 2 == 0 else out - term
-    return EPForm(p + 1, out)
+    return _check_form(ETensor(0, p + 1, A.rank, A.coords, out))
+
+
+def _check_form(t):
+    """t itself, once it is a (0, p) tensor antisymmetric in every pair of slots."""
+    if t.q:
+        raise SlotMismatch(f"a form has covariant slots only, got type ({t.q},{t.r})")
+    for i, j in itertools.combinations(range(1, t.r + 1), 2):
+        if not is_antisymmetric_in(t, i, j):
+            raise SlotMismatch(f"components not antisymmetric in slots {i},{j}")
+    return t
 
 
 def hessian_symmetry_equivalences(D, probe_functions=None):
@@ -116,8 +125,9 @@ def hessian_symmetry_equivalences(D, probe_functions=None):
     if D.admissible:
         res3 = zeros_array((r, r, r), A.coords)
         for m in range(r):
-            omega = EPForm(1, object_array([A.one() if a == m else A.zero() for a in range(r)]))
-            nabla_omega = frame_covariant_derivative(A, conn, omega.as_tensor(r, A.coords)).comps
+            coframe = object_array([A.one() if a == m else A.zero() for a in range(r)])
+            omega = ETensor(0, 1, r, A.coords, coframe)
+            nabla_omega = frame_covariant_derivative(A, conn, omega).comps
             res3[m] = projected_exterior_derivative(D, omega).comps - (nabla_omega - nabla_omega.T)
         clause3 = array_is_zero(res3)
         report.record("clause-3-one-form-derivative", "holds" if clause3 else "fails")

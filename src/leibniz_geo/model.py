@@ -17,12 +17,11 @@ import numpy as np
 from .algebroid import Algebroid
 from .connection import EConnection
 from .errors import ExprSyntaxError, ParseError, SchemaError, ShapeError, SlotMismatch, UnknownVariable
-from .expr import NAME, parse_expr
+from .expr import MAX_CONSTANT_BITS, NAME, int_literal, parse_expr
 from .scalar import ScalarField
 from .tensor import (
     EMetric,
     ETensor,
-    EVectorField,
     is_antisymmetric_in,
     is_totally_symmetric,
     zeros_array,
@@ -131,9 +130,17 @@ def load_model(path):
     return document
 
 
+def _json_int(text):
+    """A JSON integer, refused past ``expr.MAX_CONSTANT_BITS`` like an expression literal."""
+    try:
+        return int_literal(text)
+    except ExprSyntaxError as exc:
+        raise ParseError(f"JSON integer of more than {MAX_CONSTANT_BITS} bits") from exc
+
+
 def parse_model_text(text):
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
@@ -173,7 +180,7 @@ def parse_model_text(text):
         raise SchemaError("kernel_sections", "must be a list of sections")
     for index, entry in enumerate(sections):
         comps = _load_array(entry, (r,), coords, f"kernel_sections[{index}]")
-        kernel_sections.append(EVectorField(comps))
+        kernel_sections.append(ETensor(1, 0, r, coords, comps))
     algebroid = Algebroid(
         coords=coords,
         rank=r,

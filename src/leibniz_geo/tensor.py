@@ -1,11 +1,14 @@
 """Typed (q, r) tensor algebra over the scalar field on a fixed frame.
 
-Components are stored densely in numpy object arrays of ScalarField; the frame
-rank never exceeds single digits here, so dense storage costs little.  Every
-contraction is one ``np.einsum`` over these arrays: numpy calls the scalar's
-own ``+`` and ``*``, so the arithmetic stays exact and keeps its zero-operand
-exits.  All indices are 0-based internally; the model-file layer converts
-from the 1-based convention used in the docs.
+``ETensor`` is the one component-array type: a section of the bundle is a
+(1, 0) tensor, a one-form a (0, 1) tensor, a p-form an antisymmetric (0, p)
+tensor, and a residual such as T, R or Q is the tensor that its identity
+sets to zero.  Components are stored densely in numpy object arrays of
+ScalarField; the frame rank never exceeds single digits here, so dense
+storage costs little.  Every contraction is one ``np.einsum`` over these
+arrays: numpy calls the scalar's own ``+`` and ``*``, so the arithmetic stays
+exact and keeps its zero-operand exits.  All indices are 0-based internally;
+the model-file layer converts from the 1-based convention used in the docs.
 """
 
 from __future__ import annotations
@@ -38,7 +41,14 @@ def array_is_zero(arr):
 
 
 class ComponentSummaries:
-    """Zero test and residual summaries over a ``comps`` array of scalars."""
+    """Zero test and residual summaries over a ``comps`` array of scalars.
+
+    Used bare for a residual array that carries no (q, r) type, such as one
+    whose axes mix frame and coordinate indices.
+    """
+
+    def __init__(self, comps):
+        self.comps = comps
 
     @property
     def is_zero(self):
@@ -129,77 +139,6 @@ def is_antisymmetric_in(t, i, j):
     """True iff the tensor flips sign under transposing global slots i, j (1-based)."""
     swapped = t.swap_slots(i, j)
     return array_is_zero(t.comps + swapped.comps)
-
-
-@dataclass(frozen=True, eq=False)
-class EVectorField:
-    """Section of the bundle: components v^a on the fixed frame; compares by identity."""
-
-    comps: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_list(cls, entries):
-        return cls(object_array(list(entries)))
-
-    @property
-    def dim(self):
-        return self.comps.shape[0]
-
-    @property
-    def is_zero(self):
-        return array_is_zero(self.comps)
-
-    def __add__(self, other):
-        return EVectorField(self.comps + other.comps)
-
-    def __sub__(self, other):
-        return EVectorField(self.comps - other.comps)
-
-    def __neg__(self):
-        return EVectorField(-self.comps)
-
-
-@dataclass(frozen=True, eq=False)
-class EOneForm:
-    """Covariant counterpart of EVectorField: components w_a; compares by identity."""
-
-    comps: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self):
-        return self.comps.shape[0]
-
-    @property
-    def is_zero(self):
-        return array_is_zero(self.comps)
-
-
-@dataclass(frozen=True, eq=False)
-class EPForm:
-    """Fully antisymmetric (0, p) tensor, stored dense and validated; compares by identity."""
-
-    degree: int
-    comps: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.degree != self.comps.ndim:
-            raise SlotMismatch(f"degree {self.degree} does not match rank {self.comps.ndim}")
-        for i in range(self.degree):
-            for j in range(i + 1, self.degree):
-                swapped = np.swapaxes(self.comps, i, j)
-                if not array_is_zero(self.comps + swapped):
-                    raise SlotMismatch(f"components not antisymmetric in slots {i + 1},{j + 1}")
-
-    @property
-    def dim(self):
-        return self.comps.shape[0] if self.degree else 0
-
-    @property
-    def is_zero(self):
-        return array_is_zero(self.comps)
-
-    def as_tensor(self, dim, coords):
-        return ETensor(0, self.degree, dim, tuple(coords), self.comps)
 
 
 class EMetric:

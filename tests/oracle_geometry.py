@@ -29,7 +29,7 @@ from leibniz_geo.connection import EConnection, difference_tensor
 from leibniz_geo.errors import MissingProjector
 from leibniz_geo.hessian import _default_probes
 from leibniz_geo.scalar import ScalarField
-from leibniz_geo.tensor import EOneForm, EPForm, ETensor, EVectorField, array_is_zero, object_array, zeros_array
+from leibniz_geo.tensor import ETensor, array_is_zero, object_array, zeros_array
 
 
 # -- the algebroid ------------------------------------------------------------
@@ -54,7 +54,7 @@ def anchor_apply(A, u, f):
 
 def coboundary(A, f):
     """(Df)_a = rho(X_a)(f) as a one-form."""
-    return EOneForm(object_array([frame_apply(A, a, f) for a in range(A.rank)]))
+    return ETensor(0, 1, A.rank, A.coords, object_array([frame_apply(A, a, f) for a in range(A.rank)]))
 
 
 def locality_hat(A):
@@ -84,7 +84,7 @@ def bracket_eval(A, u, v):
                 for d in range(r):
                     acc = acc + A.locality[a, d, b, c] * frame_apply(A, d, u.comps[b]) * v.comps[c]
         out.append(acc)
-    return EVectorField.from_list(out)
+    return A.vector(out)
 
 
 def validate_pre_leibniz(A):
@@ -175,7 +175,7 @@ def covariant_derivative_vector(A, conn, u, v):
                 term = term + conn.gamma[a, b, c] * v.comps[c]
             acc = acc + u.comps[b] * term
         out.append(acc)
-    return EVectorField.from_list(out)
+    return A.vector(out)
 
 
 def frame_covariant_derivative(A, conn, t):
@@ -211,7 +211,7 @@ def locality_term(A, conn, u, v, L):
                 covu = covu + conn.gamma[b, d, e] * u.comps[e]
             acc = acc + L[a, d, b, c] * covu * v.comps[c]
         out.append(acc)
-    return EVectorField.from_list(out)
+    return A.vector(out)
 
 
 def modified_bracket(A, conn, u, v, L):
@@ -339,11 +339,11 @@ def second_cov_and_ricci(A, conn, u, v, w):
         for b, c in itertools.product(range(r), repeat=2):
             tacc = tacc + That.comps[a, b, c] * u.comps[b] * v.comps[c]
         that_uv.append(tacc)
-    r_vec = EVectorField.from_list(r_uvw)
-    that_vec = EVectorField.from_list(that_uv)
+    r_vec = A.vector(r_uvw)
+    that_vec = A.vector(that_uv)
     correction = covariant_derivative_vector(A, conn, that_vec, w)
     residual_vec = second_uv - second_vu - r_vec + correction
-    return second_uv, ETensor(1, 0, r, A.coords, residual_vec.comps)
+    return second_uv, residual_vec
 
 
 # -- Koszul systems -----------------------------------------------------------
@@ -615,7 +615,7 @@ def projected_exterior_derivative(A, conn, omega):
     """(d-hat w) from the projected modified bracket of conn."""
     mb_hat = modified_bracket_coeffs(A, conn, projected=True)
     r = A.rank
-    p = omega.degree
+    p = omega.r
     out = zeros_array((r,) * (p + 1), A.coords)
     for idx in itertools.product(range(r), repeat=p + 1):
         acc = A.zero()
@@ -632,7 +632,7 @@ def projected_exterior_derivative(A, conn, omega):
                     term = mb_hat[m, idx[i], idx[j]] * omega.comps[(m,) + rest]
                     acc = acc + term if sign > 0 else acc - term
         out[idx] = acc
-    return EPForm(p + 1, out)
+    return ETensor(0, p + 1, r, A.coords, out)
 
 
 def anchored_projected_torsion_vanishes(A, conn):
@@ -676,13 +676,11 @@ def hessian_symmetry_equivalences(A, conn, probe_functions=None):
         res3 = zeros_array((r, r, r), A.coords)
         identity3 = zeros_array((r, r, r), A.coords)
         for m in range(r):
-            omega = EPForm(1, object_array(
+            omega = ETensor(0, 1, r, A.coords, object_array(
                 [A.one() if a == m else A.zero() for a in range(r)]
             ))
             d_omega = projected_exterior_derivative(A, conn, omega)
-            nabla_omega = frame_covariant_derivative(
-                A, conn, ETensor(0, 1, r, A.coords, omega.comps)
-            )
+            nabla_omega = frame_covariant_derivative(A, conn, omega)
             for b, c in itertools.product(range(r), repeat=2):
                 res3[m, b, c] = d_omega.comps[b, c] - (
                     nabla_omega.comps[b, c] - nabla_omega.comps[c, b]

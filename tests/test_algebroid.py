@@ -18,7 +18,6 @@ from leibniz_geo import (
 )
 from leibniz_geo.connection import Derived
 from leibniz_geo.errors import InvalidStructureConstants, MissingProjector
-from leibniz_geo.tensor import EVectorField
 from oracle_geometry import anchor_apply, bracket_eval
 from conftest import (
     eta_compatible_connection,
@@ -85,8 +84,8 @@ def test_bracket_right_leibniz_rule(any_builtin):
     u = A.vector([random_polynomial(A, rng) for _ in range(A.rank)])
     v = A.vector([random_polynomial(A, rng) for _ in range(A.rank)])
     f = random_polynomial(A, rng)
-    lhs = bracket_eval(A, u, EVectorField(v.comps * f))
-    rhs = EVectorField(bracket_eval(A, u, v).comps * f + v.comps * anchor_apply(A, u, f))
+    lhs = bracket_eval(A, u, v.scale(f))
+    rhs = bracket_eval(A, u, v).scale(f) + v.scale(anchor_apply(A, u, f))
     assert (lhs - rhs).is_zero
 
 
@@ -96,7 +95,7 @@ def test_bracket_left_leibniz_rule_with_locality(any_builtin):
     u = A.vector([random_polynomial(A, rng) for _ in range(A.rank)])
     v = A.vector([random_polynomial(A, rng) for _ in range(A.rank)])
     f = random_polynomial(A, rng)
-    lhs = bracket_eval(A, EVectorField(u.comps * f), v)
+    lhs = bracket_eval(A, u.scale(f), v)
     # [fu, v] = -rho(v)(f) u + f [u, v] + L(Df, u, v)
     locality_term = A.zeros(A.rank)
     df = A.coboundary(f)

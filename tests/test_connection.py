@@ -31,7 +31,7 @@ from leibniz_geo.connection import (
     modified_bracket_coeffs,
 )
 from leibniz_geo.model import load_model
-from leibniz_geo.tensor import EPForm, ETensor, EVectorField, array_is_zero, object_array
+from leibniz_geo.tensor import ETensor, array_is_zero, object_array
 from oracle_geometry import anchor_apply, curvature_eval, koszul_connection, torsion_eval
 from conftest import (
     classical_christoffel,
@@ -61,12 +61,12 @@ def test_covariant_derivative_leibniz_in_function():
     u = A.vector([random_polynomial(A, rng) for _ in range(2)])
     v = A.vector([random_polynomial(A, rng) for _ in range(2)])
     f = random_polynomial(A, rng)
-    lhs = covariant_derivative_vector(A, conn, u, EVectorField(v.comps * f))
-    rhs = EVectorField(covariant_derivative_vector(A, conn, u, v).comps * f + v.comps * anchor_apply(A, u, f))
+    lhs = covariant_derivative_vector(A, conn, u, v.scale(f))
+    rhs = covariant_derivative_vector(A, conn, u, v).scale(f) + v.scale(anchor_apply(A, u, f))
     assert (lhs - rhs).is_zero
     # Tensorial in the direction argument.
-    lhs2 = covariant_derivative_vector(A, conn, EVectorField(u.comps * f), v)
-    rhs2 = EVectorField(covariant_derivative_vector(A, conn, u, v).comps * f)
+    lhs2 = covariant_derivative_vector(A, conn, u.scale(f), v)
+    rhs2 = covariant_derivative_vector(A, conn, u, v).scale(f)
     assert (lhs2 - rhs2).is_zero
 
 
@@ -266,7 +266,7 @@ def test_connections_tensors_and_pairs_compare_by_identity():
     one_form = A.coboundary(A.x(1))
     assert one_form == one_form and not one_form == A.coboundary(A.x(1))
     assert array_is_zero(one_form.comps - A.coboundary(A.x(1)).comps)
-    two_form = EPForm(2, object_array([[A.zero(), A.one()], [-A.one(), A.zero()]]))
-    assert not two_form == EPForm(2, two_form.comps.copy())
+    two_form = ETensor(0, 2, 2, A.coords, object_array([[A.zero(), A.one()], [-A.one(), A.zero()]]))
+    assert not two_form == ETensor(0, 2, 2, A.coords, two_form.comps.copy())
     for value in (u, one_form, two_form):
         assert {value: 1}[value] == 1

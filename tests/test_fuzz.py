@@ -4,10 +4,14 @@ only on stderr, and never a traceback.
 Documents are drawn around a valid minimal one, with top-level fields
 replaced by arbitrary JSON values and expression-like strings, so that the
 draws reach past the JSON parser into the schema, shape, expression and
-structure checks.
+structure checks.  Some carry an integer literal of up to 5000 digits, as a
+JSON number or inside an expression, past the interpreter's 4300-digit limit
+on ``int()``.  The ``alpha`` command is also drawn ``--alpha`` texts, exponent
+forms among them.
 """
 
 import json
+import time
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -37,9 +41,23 @@ json_values = st.recursive(
     | st.dictionaries(st.sampled_from(["g", "c", "1", "1,1", "type", "components"]), children, max_size=3),
     max_leaves=10,
 )
+# Where a drawn literal goes: "@" marks it, since json.dumps cannot write
+# an integer of more than 4300 digits.
+PLACES = {"dimension": "@", "anchor": [["@"]], "metrics": {"g": [["@"]]}, "functions": {"f": "@"}}
+
+
+@st.composite
+def literal_documents(draw):
+    """The valid document with one long integer literal, bare or in an expression."""
+    digits = draw(st.sampled_from("0179")) * draw(st.sampled_from([4301, 5000]) | st.integers(1, 5000))
+    literal = digits if draw(st.booleans()) else json.dumps(f"x1 + {digits}")
+    place = draw(st.sampled_from(sorted(PLACES)))
+    return json.dumps({**BASE, place: PLACES[place]}).replace('"@"', literal)
+
+
 documents = st.dictionaries(st.sampled_from(FIELDS), json_values, max_size=3).map(
     lambda changes: json.dumps({**BASE, **changes})
-)
+) | literal_documents()
 inputs = documents.map(str.encode) | st.binary(max_size=64)
 fuzz = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -66,3 +84,25 @@ def test_cli_exit_codes_and_stderr_hold_for_any_input(tmp_path, capsysbinary, da
         assert json.loads(line)["status"] == "error"
     if code == 2:
         assert out == b"" and err
+
+
+alpha_texts = (
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-200_000, 200_000))
+    | st.from_regex(r"\A-?[0-9_]{1,5}(\.[0-9]{0,3})?([eE][-+]?[0-9_]{1,7})?\Z")
+    | st.text(alphabet="0123456789eE+-./_ ", max_size=12)
+)
+
+
+@settings(fuzz, max_examples=25)
+@given(alpha=alpha_texts)
+def test_alpha_exit_codes_hold_for_any_text(tmp_path, capsysbinary, alpha):
+    path = tmp_path / "base.model"
+    path.write_text(json.dumps(BASE))
+    start = time.perf_counter()
+    code = main(["alpha", "--model", str(path), f"--alpha={alpha}", "--format", "json-lines"])
+    elapsed = time.perf_counter() - start
+    out, err = capsysbinary.readouterr()
+    assert code in (0, 2)
+    assert b"Traceback" not in out + err
+    assert (out == b"") == (code == 2) and (err == b"") == (code == 0)
+    assert elapsed < 1.0

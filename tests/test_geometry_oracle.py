@@ -27,7 +27,6 @@ from leibniz_geo import (
     ConjugatePair,
     Derived,
     EMetric,
-    EPForm,
     ScalarField,
     StatisticalStructure,
     alpha_curvature_residual,
@@ -174,11 +173,13 @@ def compare_algebroid(A, functions, sections):
         same(A.coboundary(f), old.coboundary(A, f))
 
 
-def forms(functions, sections):
+def forms(A, functions, sections):
     """Forms of degree 0, 1 and 2 from the probe functions and sections."""
     u, v = sections[0].comps, sections[1].comps
     two_form = np.multiply.outer(u, v) - np.multiply.outer(v, u)
-    return [function_form(f) for f in functions[:2]] + [EPForm(1, u), EPForm(2, two_form)]
+    return [function_form(A, f) for f in functions[:2]] + [
+        ETensor(0, 1, A.rank, A.coords, u), ETensor(0, 2, A.rank, A.coords, two_form)
+    ]
 
 
 def compare_connection(A, conn, metrics, functions, sections):
@@ -208,7 +209,7 @@ def compare_connection(A, conn, metrics, functions, sections):
     if D.admissible:
         for g in metrics:
             assert constant_curvature_check(D, g) == old.constant_curvature_check(A, conn, g)
-        for omega in forms(functions, sections):
+        for omega in forms(A, functions, sections):
             same(projected_exterior_derivative(D, omega), old.projected_exterior_derivative(A, conn, omega))
     for u, v, w in zip(sections, sections[1:], sections[2:]):
         second, residual = second_cov_and_ricci(D, u, v, w)
@@ -347,7 +348,7 @@ def test_point_base_entries_are_scalar_fields():
         conjugate_connection(A, g, conn).gamma,
         A.anchor_derivative(g.matrix),
         A.coboundary(A.one()).comps,
-        projected_exterior_derivative(D, function_form(A.field(2))).comps,
+        projected_exterior_derivative(D, function_form(A, A.field(2))).comps,
     ]
     for array in arrays:
         assert array.size and all(isinstance(x, ScalarField) for x in array.flat)

@@ -9,7 +9,6 @@ from leibniz_geo import (
     ConjugatePair,
     EConnection,
     EMetric,
-    EPForm,
     HessianStructure,
     conjugate_connection,
     conjugate_curvature_transfer_residual,
@@ -86,8 +85,8 @@ def test_hessian_agrees_with_second_covariant_derivative():
 def test_projected_exterior_derivative_of_function():
     A = tangent(2)
     f = A.field("x1*x2")
-    df = projected_exterior_derivative(Derived(A, flat_connection(A)), function_form(f))
-    assert df.degree == 1
+    df = projected_exterior_derivative(Derived(A, flat_connection(A)), function_form(A, f))
+    assert (df.q, df.r) == (0, 1)
     assert (df.comps[0] - A.x(2)).is_zero
     assert (df.comps[1] - A.x(1)).is_zero
 
@@ -98,7 +97,7 @@ def test_projected_exterior_derivative_squares_to_zero_on_functions():
     rng = make_rng(71)
     conn = eta_compatible_connection(A, eta, rng)
     f = A.field("x1^3 + x1")
-    df = projected_exterior_derivative(Derived(A, conn), function_form(f))
+    df = projected_exterior_derivative(Derived(A, conn), function_form(A, f))
     ddf = projected_exterior_derivative(Derived(A, conn), df)
     assert all(ddf.comps[idx].is_zero for idx in itertools.product(range(2), repeat=2))
 
@@ -107,7 +106,7 @@ def test_projected_exterior_derivative_matches_classical_de_rham():
     # On the tangent builtin with the zero connection, d-hat is the usual d.
     A = tangent(2)
     x1, x2 = A.x(1), A.x(2)
-    omega = EPForm(1, object_array([A.zero(), x1]))  # omega = x1 dx2
+    omega = ETensor(0, 1, 2, A.coords, object_array([A.zero(), x1]))  # omega = x1 dx2
     d_omega = projected_exterior_derivative(Derived(A, flat_connection(A)), omega)
     # d(x1 dx2) = dx1 ^ dx2: components (d omega)_{12} = 1, antisymmetric.
     assert (d_omega.comps[0, 1] - A.one()).is_zero
@@ -128,14 +127,14 @@ def test_projected_exterior_derivative_guards():
     )
     with pytest.raises(MissingProjector):
         projected_exterior_derivative(
-            Derived(stripped, flat_connection(A)), function_form(A.one())
+            Derived(stripped, flat_connection(A)), function_form(A, A.one())
         )
     Cour = courant(1)
     rng = make_rng(73)
     bad = random_connection(Cour, rng, degree=1)
     assert not Derived(Cour, bad).admissibility.is_zero
     with pytest.raises(NotAdmissible):
-        projected_exterior_derivative(Derived(Cour, bad), function_form(Cour.one()))
+        projected_exterior_derivative(Derived(Cour, bad), function_form(Cour, Cour.one()))
 
 
 def test_symmetry_equivalences_all_hold_for_flat_tangent():

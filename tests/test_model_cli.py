@@ -14,7 +14,7 @@ import pytest
 from leibniz_geo import courant, tangent
 from leibniz_geo.cli import main
 from leibniz_geo.errors import ExprSyntaxError, ParseError, SchemaError, ShapeError
-from leibniz_geo.expr import MAX_CONSTANT_BITS, MAX_DEGREE, MAX_SUM_TERMS, MAX_TERMS, parse_expr
+from leibniz_geo.expr import MAX_CONSTANT_BITS, MAX_DEGREE, MAX_FRACTION_TERMS, MAX_TERMS, parse_expr
 from leibniz_geo.model import (
     MAX_RANK,
     MAX_TENSOR_SLOTS,
@@ -322,7 +322,44 @@ def test_sum_of_fractions_past_the_sum_cap_exits_two_at_once(tmp_path, capsysbin
     record = single_error_record(err)
     assert record["error"] == "ParseError"
     assert record["message"].startswith("functions.f:")
-    assert f"exceeds {MAX_SUM_TERMS}" in record["message"]
+    assert f"exceeds {MAX_FRACTION_TERMS}" in record["message"]
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("factors", [16, 24])
+def test_product_of_fractions_past_the_fraction_cap_exits_two_at_once(tmp_path, capsysbinary, factors):
+    # Unbounded, 16 factors took 3.65 s to parse and 24 took 77 s.
+    path = tmp_path / "product.model"
+    text = "*".join(f"(x1+{k}*x2+x3^2+{k})/(x1*x3+{k}*x2^2+1)" for k in range(1, factors + 1))
+    path.write_text(doc_text(
+        dimension=3, coordinates=["x1", "x2", "x3"], anchor={}, functions={"f": text}
+    ))
+    start = time.perf_counter()
+    code = main(["validate", "--model", str(path), "--format", "json-lines"])
+    elapsed = time.perf_counter() - start
+    out, err = capsysbinary.readouterr()
+    assert code == 2
+    assert out == b""
+    record = single_error_record(err)
+    assert record["error"] == "ParseError"
+    assert record["message"].startswith("functions.f: product of fractions")
+    assert f"exceeds {MAX_FRACTION_TERMS}" in record["message"]
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("alpha", ["1e5000", "1e10000000"])
+def test_alpha_past_the_constant_size_cap_exits_two_at_once(capsysbinary, alpha):
+    model = str(MODELS / "courant1.model")
+    start = time.perf_counter()
+    code = main(["alpha", "--model", model, "--alpha", alpha, "--format", "json-lines"])
+    elapsed = time.perf_counter() - start
+    out, err = capsysbinary.readouterr()
+    assert code == 2
+    assert out == b""
+    record = single_error_record(err)
+    assert record["error"] == "MissingInput"
+    assert record["message"].startswith("--alpha")
+    assert f"exceeds {MAX_CONSTANT_BITS}" in record["message"]
     assert elapsed < 1.0
 
 
@@ -370,6 +407,9 @@ def tensor_doc(**entry):
         (doc_text(dimension=2, coordinates=["x1", "x1"], anchor={}).encode(), "SchemaError",
          "coordinates:"),
         (doc_text(coordinates=["x 1"]).encode(), "SchemaError", "coordinates:"),
+        (doc_text(functions={"f": "@"}).replace('"@"', "9" * 5000).encode(), "ParseError",
+         "JSON integer of more than"),
+        (doc_text(functions={"f": "9" * 5000}).encode(), "ParseError", "functions.f: integer literal"),
     ],
     ids=[
         "not-utf8", "boolean-dimension", "boolean-rank", "kernel-sections-not-a-list", "broadcast-shape",
@@ -377,7 +417,8 @@ def tensor_doc(**entry):
         "string-symmetry-slot", "fractional-symmetry-slot", "boolean-symmetry-slot",
         "symmetry-slot-out-of-range", "symmetry-slot-zero", "symmetry-slot-negative",
         "antisymmetry-across-variance", "total-symmetry-with-an-upper-slot",
-        "repeated-coordinate", "coordinate-no-expression-can-name",
+        "repeated-coordinate", "coordinate-no-expression-can-name", "json-number-of-5000-digits",
+        "expression-literal-of-5000-digits",
     ],
 )
 def test_inputs_the_fuzz_test_found_exit_two(tmp_path, capsysbinary, data, error, where):

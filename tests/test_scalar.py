@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibniz_geo import ExprSyntaxError, PoleAtPoint, ScalarField, UnknownVariable
-from leibniz_geo.expr import MAX_DEGREE, MAX_NESTING, MAX_SUM_TERMS, MAX_TERMS, parse_ast, parse_expr
+from leibniz_geo.expr import (
+    MAX_CONSTANT_BITS,
+    MAX_DEGREE,
+    MAX_FRACTION_TERMS,
+    MAX_NESTING,
+    MAX_TERMS,
+    parse_ast,
+    parse_expr,
+)
 
 COORDS = ("x1", "x2")
 
@@ -169,9 +177,33 @@ def test_operation_past_the_term_cap_is_a_syntax_error(text, position):
     ],
 )
 def test_sum_of_fractions_past_the_sum_cap_is_a_syntax_error(text, position):
-    with pytest.raises(ExprSyntaxError, match=f"exceeds {MAX_SUM_TERMS}") as excinfo:
+    with pytest.raises(ExprSyntaxError, match=f"exceeds {MAX_FRACTION_TERMS}") as excinfo:
         parse_expr(text, ("x1", "x2", "x3"))
     assert excinfo.value.position == position
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("1/(1+x1+x2+x3)^6 * (2+x1+x2+x3)^6", 17),
+        ("(1+x1+x2+x3)^6 / (x1/(2+x1+x2+x3)^6)", 15),
+    ],
+)
+def test_product_of_fractions_past_the_fraction_cap_is_a_syntax_error(text, position):
+    # 85 * 85 term products, under MAX_TERMS but past the fraction cap.
+    with pytest.raises(ExprSyntaxError, match=f"of fractions of 7225 term products exceeds {MAX_FRACTION_TERMS}") as excinfo:
+        parse_expr(text, ("x1", "x2", "x3"))
+    assert excinfo.value.position == position
+
+
+def test_integer_literal_size_cap():
+    # A literal is capped like a power of a constant with exponent 1.
+    assert f(str(2**MAX_CONSTANT_BITS)) == f(f"2^{MAX_CONSTANT_BITS}")
+    assert f("0" * 5000 + "1") == f("1")
+    for text, position in [(str(2 ** (MAX_CONSTANT_BITS + 1)), 0), ("x1 + " + "9" * 5000, 5), ("x1^" + "7" * 4000, 3)]:
+        with pytest.raises(ExprSyntaxError, match=f"integer literal of more than {MAX_CONSTANT_BITS} bits") as excinfo:
+            f(text)
+        assert excinfo.value.position == position
 
 
 def test_polynomial_sums_are_not_capped():

@@ -8,12 +8,15 @@ import pytest
 import oracle_linalg
 from leibniz_geo import (
     DegenerateMetric,
+    EConnection,
     EMetric,
-    EPForm,
     ETensor,
     ScalarField,
     SlotMismatch,
+    projected_exterior_derivative,
+    tangent,
 )
+from leibniz_geo.connection import Derived
 from leibniz_geo.errors import NonUnique, NoSolution
 from leibniz_geo.expr import parse_expr
 from leibniz_geo.linalg import adj_det, solve
@@ -61,6 +64,18 @@ def test_type_mismatch_rejected():
         a + b
 
 
+def test_sections_and_forms_of_different_types_do_not_add():
+    A = tangent(2)
+    section, one_form = A.vector([1, "x1"]), A.coboundary(A.x(2))
+    assert (section.q, section.r, one_form.q, one_form.r) == (1, 0, 0, 1)
+    with pytest.raises(SlotMismatch):
+        section + one_form
+    with pytest.raises(SlotMismatch):
+        one_form - section
+    with pytest.raises(SlotMismatch):
+        section + tangent(3).vector([1, 0, 0])
+
+
 def test_swap_slots_variance_guard():
     t = tensor_from([[1, 2], [3, 4]], 1, 1)
     with pytest.raises(SlotMismatch):
@@ -77,11 +92,17 @@ def test_symmetry_predicates():
 
 
 def test_p_form_validation():
+    # The projected exterior derivative takes and returns antisymmetric (0, p) tensors.
     x1, _ = xs()
-    with pytest.raises(SlotMismatch):
-        EPForm(2, object_array([[x1, x1], [x1, x1]]))
-    good = EPForm(2, object_array([[const(0), x1], [-x1, const(0)]]))
-    assert good.degree == 2
+    A = tangent(2)
+    D = Derived(A, EConnection.zero(A))
+    with pytest.raises(SlotMismatch, match="not antisymmetric in slots 1,2"):
+        projected_exterior_derivative(D, ETensor(0, 2, 2, COORDS, object_array([[x1, x1], [x1, x1]])))
+    with pytest.raises(SlotMismatch, match="covariant slots only"):
+        projected_exterior_derivative(D, tensor_from([[0, 1], [-1, 0]], 1, 1))
+    good = ETensor(0, 2, 2, COORDS, object_array([[const(0), x1], [-x1, const(0)]]))
+    d_good = projected_exterior_derivative(D, good)
+    assert (d_good.q, d_good.r) == (0, 3) and d_good.is_zero
 
 
 def test_metric_validation_and_inverse():
