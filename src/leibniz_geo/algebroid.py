@@ -24,12 +24,10 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InvalidStructureConstants, MissingProjector
 from .expr import parse_expr
 from .scalar import ScalarField
-from .tensor import ComponentSummaries, ETensor, object_array, zeros_array
+from .tensor import ComponentSummaries, Components, ETensor, contract, object_array
 
 
 @dataclass
@@ -63,10 +61,10 @@ class Algebroid:
 
     coords: tuple
     rank: int
-    anchor: np.ndarray = field(repr=False)
-    bracket: np.ndarray = field(repr=False)
-    locality: np.ndarray = field(repr=False)
-    projector: np.ndarray | None = field(repr=False, default=None)
+    anchor: Components = field(repr=False)
+    bracket: Components = field(repr=False)
+    locality: Components = field(repr=False)
+    projector: Components | None = field(repr=False, default=None)
     kernel_sections: tuple = ()
 
     @property
@@ -93,10 +91,8 @@ class Algebroid:
 
     def vector(self, entries):
         """The section with components ``entries`` as a (1, 0) tensor."""
-        return ETensor(1, 0, self.rank, self.coords, object_array([self.field(v) for v in entries]))
-
-    def zeros(self, *shape):
-        return zeros_array(shape, self.coords)
+        comps = object_array([self.field(v) for v in entries], self.coords)
+        return ETensor(1, 0, self.rank, self.coords, comps)
 
     # -- locality projector ---------------------------------------------------
 
@@ -104,13 +100,11 @@ class Algebroid:
     def locality_hat(self):
         """P-projected locality coefficients Lhat^{a d}_{e c} = P^a_f L^{f d}_{e c}.
 
-        Built on first access and kept, read-only, on the instance.
+        Built on first access and kept on the instance.
         """
         if self.projector is None:
             raise MissingProjector("algebroid has no locality projector")
-        hat = np.einsum("af,fdec->adec", self.projector, self.locality)
-        hat.flags.writeable = False
-        return hat
+        return contract("af,fdec->adec", self.projector, self.locality)
 
     # -- basic actions --------------------------------------------------------
 
@@ -118,16 +112,21 @@ class Algebroid:
         """rho(X_b)(f) for every frame field X_b and every entry f of comps.
 
         The result has the frame axis b first, then the axes of comps (a
-        single scalar field counts as a 0-d array).  Each entry is
+        single scalar field counts as a 0-d array).  Each nonzero entry is
         differentiated once per coordinate, and this is the one place where
-        the coordinate axis is contracted: on a point base every derivative
-        is the zero field.
+        the coordinate axis is contracted: on a point base there is none, and
+        every derivative is the zero field.
         """
-        comps = np.asarray(comps, dtype=object)
-        if not self.dim:
-            return self.zeros(self.rank, *comps.shape)
-        partials = object_array([[f.diff(i + 1) for f in comps.flat] for i in range(self.dim)])
-        return np.einsum("bi,i...->b...", self.anchor, partials.reshape((self.dim, *comps.shape)))
+        if isinstance(comps, ScalarField):
+            comps = object_array(comps, self.coords)
+        partials = {}
+        for idx, f in comps.entries.items():
+            for i in range(self.dim):
+                df = f.diff(i + 1)
+                if not df.is_zero:
+                    partials[(i, *idx)] = df
+        partials = Components((self.dim, *comps.shape), self.coords, partials)
+        return contract("bi,i...->b...", self.anchor, partials)
 
     def coboundary(self, f):
         """(Df)_a = rho(X_a)(f) as a (0, 1) tensor."""
@@ -146,9 +145,9 @@ class Algebroid:
         """
         d_anchor = self.anchor_derivative(self.anchor)  # [b, c, i] = rho^j_b d_j rho^i_c
         res = (
-            np.einsum("ai,abc->ibc", self.anchor, self.bracket)
-            - np.einsum("bci->ibc", d_anchor)
-            + np.einsum("cbi->ibc", d_anchor)
+            contract("ai,abc->ibc", self.anchor, self.bracket)
+            - contract("bci->ibc", d_anchor)
+            + contract("cbi->ibc", d_anchor)
         )
         return ComponentSummaries(res)
 
@@ -158,17 +157,17 @@ class Algebroid:
             raise MissingProjector("algebroid has no locality projector")
         P = self.projector
         report = AlgebroidReport()
-        idem = np.einsum("af,fb->ab", P, P) - P
+        idem = contract("af,fb->ab", P, P) - P
         report.record("idempotent", ComponentSummaries(idem))
-        image = np.einsum("ai,adec->idec", self.anchor, self.locality_hat)
+        image = contract("ai,adec->idec", self.anchor, self.locality_hat)
         report.record("projected_locality_in_kernel", ComponentSummaries(image))
 
         if not self.kernel_sections:
             report.warn("no kernel sections supplied; identity-on-kernel check skipped")
         for idx, k in enumerate(self.kernel_sections):
-            fixed = np.einsum("ab,b->a", P, k.comps) - k.comps
+            fixed = contract("ab,b->a", P, k.comps) - k.comps
             report.record(f"fixes_kernel_section_{idx}", ComponentSummaries(fixed))
-            anchored = np.einsum("ai,a->i", self.anchor, k.comps)
+            anchored = contract("ai,a->i", self.anchor, k.comps)
             report.record(f"annihilates_kernel_section_{idx}", ComponentSummaries(anchored))
         return report
 
@@ -176,11 +175,16 @@ class Algebroid:
 # -- built-in structures ------------------------------------------------------
 
 
-def _identity(r, coords):
-    """The r x r identity as an object array; row a is the frame field X_a."""
-    eye = zeros_array((r, r), coords)
-    np.einsum("aa->a", eye)[...] = ScalarField.constant(1, coords)
-    return eye
+def _diagonal(shape, coords, diagonal):
+    """The array of the given shape with ones at (a, a) for a in ``diagonal``."""
+    one = ScalarField.constant(1, coords)
+    return Components(shape, coords, {(a, a): one for a in diagonal})
+
+
+def _frame_sections(r, coords, frame):
+    """The frame fields X_a, a in ``frame``, as (1, 0) tensors."""
+    one = ScalarField.constant(1, coords)
+    return tuple(ETensor(1, 0, r, coords, Components((r,), coords, {(a,): one})) for a in frame)
 
 
 def tangent(n, coords=None):
@@ -191,10 +195,10 @@ def tangent(n, coords=None):
     return Algebroid(
         coords=coords,
         rank=n,
-        anchor=_identity(n, coords),
-        bracket=zeros_array((n, n, n), coords),
-        locality=zeros_array((n, n, n, n), coords),
-        projector=_identity(n, coords),
+        anchor=_diagonal((n, n), coords, range(n)),
+        bracket=Components((n, n, n), coords),
+        locality=Components((n, n, n, n), coords),
+        projector=_diagonal((n, n), coords, range(n)),
         kernel_sections=(),
     )
 
@@ -213,7 +217,8 @@ def lie_algebra(structure_constants):
                 for row in plane
             ]
             for plane in structure_constants
-        ]
+        ],
+        coords,
     )
     r = arr.shape[0]
     if arr.shape != (r, r, r):
@@ -226,11 +231,11 @@ def lie_algebra(structure_constants):
     return Algebroid(
         coords=coords,
         rank=r,
-        anchor=zeros_array((r, 0), coords),
+        anchor=Components((r, 0), coords),
         bracket=arr,
-        locality=zeros_array((r, r, r, r), coords),
-        projector=_identity(r, coords),
-        kernel_sections=tuple(ETensor(1, 0, r, coords, row) for row in _identity(r, coords)),
+        locality=Components((r, r, r, r), coords),
+        projector=_diagonal((r, r), coords, range(r)),
+        kernel_sections=_frame_sections(r, coords, range(r)),
     )
 
 
@@ -247,27 +252,19 @@ def courant(n, coords=None):
     coords = tuple(coords)
     r = 2 * n
     one = ScalarField.constant(1, coords)
-    anchor = zeros_array((r, n), coords)
+    pairing = {}
     for a in range(n):
-        anchor[a, a] = one
-    eta = zeros_array((r, r), coords)
-    for a in range(n):
-        eta[a, n + a] = one
-        eta[n + a, a] = one
+        pairing[a, n + a] = pairing[n + a, a] = one
+    eta = Components((r, r), coords, pairing)
     # eta is an involution, so eta^{ab} has the same components.
-    locality = np.einsum("ec,da->adec", eta, eta)
-    projector = zeros_array((r, r), coords)
-    for a in range(n, r):
-        projector[a, a] = one
-    kernel = tuple(ETensor(1, 0, r, coords, row) for row in _identity(r, coords)[n:])
     return Algebroid(
         coords=coords,
         rank=r,
-        anchor=anchor,
-        bracket=zeros_array((r, r, r), coords),
-        locality=locality,
-        projector=projector,
-        kernel_sections=kernel,
+        anchor=_diagonal((r, n), coords, range(n)),
+        bracket=Components((r, r, r), coords),
+        locality=contract("ec,da->adec", eta, eta),
+        projector=_diagonal((r, r), coords, range(n, r)),
+        kernel_sections=_frame_sections(r, coords, range(n, r)),
     )
 
 

@@ -30,8 +30,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .connection import Derived, difference_tensor, nonmetricity, second_cov_and_ricci
 from .errors import LeibnizGeoError
 from .hessian import (
@@ -56,7 +54,7 @@ from .statgeo import (
     conjugate_connection,
     statistical_solve,
 )
-from .tensor import ETensor
+from .tensor import ETensor, contract
 
 ALPHA_VALUES = (
     Fraction(-1),
@@ -220,7 +218,7 @@ def check_ssp3(ctx):
         g, Q, delta = pair.g, pair.nonmetricity, pair.difference
         yield f"SSp3[{label}]:opposite", Q + nonmetricity(A, pair.nabla_star, g)
         # Delta(nabla*, nabla) = -Delta(nabla, nabla*).
-        res = Q.comps + np.einsum("eab,ec->abc", delta.comps, g.matrix)
+        res = Q.comps + contract("eab,ec->abc", delta.comps, g.matrix)
         yield f"SSp3[{label}]:difference", ETensor(0, 3, A.rank, A.coords, res)
 
 

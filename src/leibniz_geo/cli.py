@@ -14,8 +14,6 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import checks as checks_module
 from .algebroid import builtin
 from .checks import CheckResult, _from_residual
@@ -38,8 +36,7 @@ from .tensor import ComponentSummaries, ETensor
 def _dump_components(tensor):
     return {
         ",".join(str(i + 1) for i in idx): str(value)
-        for idx, value in np.ndenumerate(tensor.comps)
-        if not value.is_zero
+        for idx, value in sorted(tensor.comps.entries.items())
     }
 
 
@@ -147,18 +144,29 @@ def _mean(A, doc, args):
 # The decimal exponent of an --alpha such as 1e-3, as Fraction reads it.
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*$")
 
+# The most digits Fraction may read into one integer of an --alpha: d
+# significant digits are at least 8^(d - 1), so an integer of more digits
+# exceeds MAX_CONSTANT_BITS (as in ``expr.int_literal``).
+_MAX_ALPHA_DIGITS = MAX_CONSTANT_BITS // 3 + 1
+
 
 def _parse_alpha(text):
     """--alpha as an exact rational, its size bounded like an expression constant.
 
-    Fraction expands an exponent e into 10^|e|, so an exponent past
-    MAX_CONSTANT_BITS in magnitude is refused before Fraction runs (the
-    interpreter caps the mantissa at 4300 digits, so no nonzero value written
-    with such an exponent meets the bound below).  Then the integer log2 of
-    the numerator's magnitude and of the denominator may reach
-    MAX_CONSTANT_BITS.
+    Before Fraction runs, two spellings are refused: a mantissa whose
+    numerator or denominator (P and Q of P/Q, or the digits of a decimal on
+    both sides of its point) has more than _MAX_ALPHA_DIGITS digits, and an
+    exponent past MAX_CONSTANT_BITS in magnitude, which Fraction would expand
+    into 10^|e|.  Then the integer log2 of the numerator's magnitude and of
+    the denominator may reach MAX_CONSTANT_BITS.
     """
     exponent = _EXPONENT.search(text)
+    mantissa = text[: exponent.start()] if exponent else text
+    if any(sum(c.isdecimal() for c in part) > _MAX_ALPHA_DIGITS for part in mantissa.split("/")):
+        raise MissingInput(
+            f"--alpha with a numerator or denominator of more than {_MAX_ALPHA_DIGITS} digits"
+            f" exceeds {MAX_CONSTANT_BITS} bits"
+        )
     digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
     if len(digits) > len(str(MAX_CONSTANT_BITS)) or int(digits or "0") > MAX_CONSTANT_BITS:
         raise MissingInput(f"--alpha exponent exceeds {MAX_CONSTANT_BITS} in magnitude")

@@ -7,23 +7,22 @@ derivatives, second covariant derivative).  The section-level torsion,
 curvature and modified brackets that cross-check tensoriality live in
 ``tests/oracle_geometry.py``.
 
-Every frame contraction is one ``np.einsum`` over object arrays of
-``ScalarField`` components, so the scalar's own ``+`` and ``*`` (with their
-zero-operand exits) do the arithmetic.  The anchor derivatives rho(X_b)(.) of
-a whole component array come from one ``Algebroid.anchor_derivative`` call,
-and the Koszul system is written into diagonal views of its matrix.
+Every frame contraction is one ``tensor.contract`` call over the sparse
+``Components`` stores, so only nonzero entries meet the scalar's own ``+``
+and ``*``.  The anchor derivatives rho(X_b)(.) of a whole component array come
+from one ``Algebroid.anchor_derivative`` call, and the Koszul system is
+written index by index from the nonzero entries of the metric and locality.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import linalg
 from .errors import MissingProjector, SlotMismatch
-from .tensor import ComponentSummaries, ETensor, object_array, zeros_array
+from .tensor import ComponentSummaries, Components, ETensor, contract, object_array, sum_terms
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,11 +34,11 @@ class EConnection:
     ``difference_tensor(A, a, b).is_zero``.
     """
 
-    gamma: np.ndarray = field(repr=False)
+    gamma: Components = field(repr=False)
 
     @classmethod
     def zero(cls, A):
-        return cls(zeros_array((A.rank, A.rank, A.rank), A.coords))
+        return cls(Components((A.rank,) * 3, A.coords))
 
     @property
     def rank(self):
@@ -50,7 +49,7 @@ class EConnection:
 
     def scale_combination(self, coeff_self, other, coeff_other):
         """Affine combination coeff_self * self + coeff_other * other."""
-        return EConnection(self.gamma * coeff_self + other.gamma * coeff_other)
+        return EConnection(self.gamma.scale(coeff_self) + other.gamma.scale(coeff_other))
 
 
 # -- covariant derivatives ----------------------------------------------------
@@ -59,7 +58,7 @@ class EConnection:
 def covariant_derivative_vector(A, conn, u, v):
     """(nabla_u v)^a = u^b (nabla v)^a_b, with (nabla v)^a_b = rho(X_b)(v^a) + Gamma^a_{bc} v^c."""
     nabla_v = frame_covariant_derivative(A, conn, v)
-    return A.vector(np.einsum("b,ab->a", u.comps, nabla_v.comps))
+    return ETensor(1, 0, A.rank, A.coords, contract("b,ab->a", u.comps, nabla_v.comps))
 
 
 # Index letters of a tensor's slots; b is the new slot, e the summed one.
@@ -71,17 +70,17 @@ def frame_covariant_derivative(A, conn, t):
 
     (nabla_{X_b} t) = rho(X_b) d t + Gamma^a_{be} t^{e...} (each upper slot)
                       - Gamma^e_{bc} t_{...e...} (each lower slot),
-    one einsum per slot, its subscripts built from (q, r).
+    one contraction per slot, its subscripts built from (q, r).
     """
     slots = _SLOTS[: t.q + t.r]
     out = slots[: t.q] + "b" + slots[t.q :]
-    result = np.einsum(f"b{slots}->{out}", A.anchor_derivative(t.comps))
+    result = contract(f"b{slots}->{out}", A.anchor_derivative(t.comps))
     for k, s in enumerate(slots):
         swapped = slots[:k] + "e" + slots[k + 1 :]
         if k < t.q:
-            result = result + np.einsum(f"{s}be,{swapped}->{out}", conn.gamma, t.comps)
+            result = result + contract(f"{s}be,{swapped}->{out}", conn.gamma, t.comps)
         else:
-            result = result - np.einsum(f"eb{s},{swapped}->{out}", conn.gamma, t.comps)
+            result = result - contract(f"eb{s},{swapped}->{out}", conn.gamma, t.comps)
     return ETensor(t.q, t.r + 1, A.rank, A.coords, result)
 
 
@@ -101,7 +100,7 @@ def modified_bracket_coeffs(A, conn, projected=False):
     mb^a_{bc} = c^a_{bc} - Gamma^e_{db} L^{a d}_{e c}  (Lhat when projected).
     """
     L = A.locality_hat if projected else A.locality
-    return A.bracket - np.einsum("edb,adec->abc", conn.gamma, L)
+    return A.bracket - contract("edb,adec->abc", conn.gamma, L)
 
 
 # -- torsion, curvature, non-metricity ----------------------------------------
@@ -111,7 +110,7 @@ def torsion(D, projected=False):
     """T^a_{bc} = Gamma^a_{bc} - Gamma^a_{cb} - mb^a_{bc} (mbhat when projected)."""
     A, gamma = D.algebroid, D.conn.gamma
     mb = D.projected_bracket if projected else D.bracket
-    return ETensor(1, 2, A.rank, A.coords, gamma - np.swapaxes(gamma, 1, 2) - mb.comps)
+    return ETensor(1, 2, A.rank, A.coords, gamma - contract("acb->abc", gamma) - mb.comps)
 
 
 def curvature(D):
@@ -125,11 +124,11 @@ def curvature(D):
         raise MissingProjector("curvature needs a locality projector")
     d_gamma = A.anchor_derivative(gamma)  # [b, a, c, d] = rho(X_b)(G^a_{cd})
     out = (
-        np.einsum("bacd->abcd", d_gamma)
-        - np.einsum("cabd->abcd", d_gamma)
-        + np.einsum("ecd,abe->abcd", gamma, gamma)
-        - np.einsum("ebd,ace->abcd", gamma, gamma)
-        - np.einsum("ebc,aed->abcd", D.projected_bracket.comps, gamma)
+        contract("bacd->abcd", d_gamma)
+        - contract("cabd->abcd", d_gamma)
+        + contract("ecd,abe->abcd", gamma, gamma)
+        - contract("ebd,ace->abcd", gamma, gamma)
+        - contract("ebc,aed->abcd", D.projected_bracket.comps, gamma)
     )
     return ETensor(1, 3, A.rank, A.coords, out)
 
@@ -142,18 +141,11 @@ def nonmetricity(A, conn, g):
 # -- the derived objects of one connection ------------------------------------
 
 
-def _read_only(value):
-    """Lock the component array of a kept derived object."""
-    array = value.gamma if isinstance(value, EConnection) else value.comps
-    array.flags.writeable = False
-    return value
-
-
 @dataclass(frozen=True, eq=False)
 class Derived:
     """The objects derived from one connection on an algebroid.
 
-    Each member is built on first access and kept, read-only, so every
+    Each member is built on first access and kept, so every
     check or pair handed the same ``Derived`` shares it.  The modified
     brackets are the one place where the connection meets the locality;
     torsion, curvature and admissibility read them from here.  Equality and
@@ -166,7 +158,7 @@ class Derived:
     def _bracket(self, projected):
         A = self.algebroid
         coeffs = modified_bracket_coeffs(A, self.conn, projected=projected)
-        return _read_only(ETensor(1, 2, A.rank, A.coords, coeffs))
+        return ETensor(1, 2, A.rank, A.coords, coeffs)
 
     @functools.cached_property
     def bracket(self):
@@ -180,30 +172,30 @@ class Derived:
 
     @functools.cached_property
     def torsion(self):
-        return _read_only(torsion(self))
+        return torsion(self)
 
     @functools.cached_property
     def projected_torsion(self):
-        return _read_only(torsion(self, projected=True))
+        return torsion(self, projected=True)
 
     @functools.cached_property
     def anchored_projected_torsion(self):
         """rho(T-hat(X_b, X_c)) as coordinate components [i, b, c]; zero iff the
         image of the projected torsion lies in ker rho."""
-        rho_T = np.einsum("ai,abc->ibc", self.algebroid.anchor, self.projected_torsion.comps)
-        return _read_only(ComponentSummaries(rho_T))
+        rho_T = contract("ai,abc->ibc", self.algebroid.anchor, self.projected_torsion.comps)
+        return ComponentSummaries(rho_T)
 
     @functools.cached_property
     def curvature(self):
         """R(nabla); needs the locality projector."""
-        return _read_only(curvature(self))
+        return curvature(self)
 
     @functools.cached_property
     def admissibility(self):
         """mb(u, v) + mb(v, u); zero iff nabla is admissible, that is, iff
         [u, v] + [v, u] = L(e^a, nabla_{X_a} u, v) + L(e^a, nabla_{X_a} v, u)."""
         mb = self.bracket
-        return _read_only(mb + mb.swap_slots(2, 3))
+        return mb + mb.swap_slots(2, 3)
 
     @functools.cached_property
     def admissible(self):
@@ -221,8 +213,9 @@ def second_cov_and_ricci(D, u, v, w):
     A, conn = D.algebroid, D.conn
     second_uv = second_covariant_derivative(A, conn, u, v, w)
     second_vu = second_covariant_derivative(A, conn, v, u, w)
-    r_vec = A.vector(np.einsum("abcd,b,c,d->a", D.curvature.comps, u.comps, v.comps, w.comps))
-    that_vec = A.vector(np.einsum("abc,b,c->a", D.projected_torsion.comps, u.comps, v.comps))
+    r_vec = contract("abcd,b,c,d->a", D.curvature.comps, u.comps, v.comps, w.comps)
+    that_vec = contract("abc,b,c->a", D.projected_torsion.comps, u.comps, v.comps)
+    r_vec, that_vec = (ETensor(1, 0, A.rank, A.coords, comps) for comps in (r_vec, that_vec))
     correction = covariant_derivative_vector(A, conn, that_vec, w)
     return second_uv, second_uv - second_vu - r_vec + correction
 
@@ -232,8 +225,8 @@ def second_cov_and_ricci(D, u, v, w):
 
 def _koszul_form(X, g):
     """-g(X(v, w), u) - g(X(u, w), v) + g(X(u, v), w) of a (1, 2) array X, at (u, v, w) = (X_b, X_c, X_d)."""
-    lowered = np.einsum("mcd,mb->bcd", X, g.matrix)  # g(X(X_c, X_d), X_b)
-    return np.einsum("dbc->bcd", lowered) - lowered - np.einsum("cbd->bcd", lowered)
+    lowered = contract("mcd,mb->bcd", X, g.matrix)  # g(X(X_c, X_d), X_b)
+    return contract("dbc->bcd", lowered) - lowered - contract("cbd->bcd", lowered)
 
 
 def levi_civita_solve(A, g):
@@ -244,7 +237,7 @@ def levi_civita_solve(A, g):
     r^3-by-r^3 linear system; rank deficiency or inconsistency is surfaced
     as NonUnique / NoSolution rather than silently resolved.
     """
-    (conn,) = _solve_affine_koszul(A, g, zeros_array((A.rank,) * 3, A.coords))
+    (conn,) = _solve_affine_koszul(A, g, Components((A.rank,) * 3, A.coords))
     return conn
 
 
@@ -253,34 +246,47 @@ def _solve_affine_koszul(A, g, *extra_rhs):
 
     The one assembly of the Koszul system, eliminated once for all right-hand
     sides: the Levi-Civita solve passes a zero extra, the statistical solve
-    its two (C, B) terms.  Returns one connection per extra.
+    its two (C, B) terms.  Returns one connection per extra.  The system
+    becomes dense rows of scalars only here, where ``linalg.solve`` reads it.
     """
     r = A.rank
     matrix, koszul = _koszul_system(A, g)
-    rhs = [(koszul + extra).reshape(r**3).tolist() for extra in extra_rhs]
-    solutions = linalg.solve(matrix.reshape(r**3, r**3).tolist(), *rhs)
-    return [EConnection(object_array(solution).reshape(r, r, r)) for solution in solutions]
+    rhs = [(koszul + extra).reshape((r**3,)).tolist() for extra in extra_rhs]
+    solutions = linalg.solve(matrix.tolist(), *rhs)
+    return [EConnection(object_array(solution, A.coords).reshape((r, r, r))) for solution in solutions]
 
 
 def _koszul_system(A, g):
-    """The Koszul system M Gamma = K: M with axes (b, c, d, e, p, q) for row (b, c, d)
-    and unknown Gamma^e_{pq}, and K[b, c, d] from the anchor and the algebroid bracket.
+    """The Koszul system M Gamma = K: M with row (b, c, d) and column (e, p, q),
+    each triple flattened row-major, for unknown Gamma^e_{pq}, and K[b, c, d]
+    from the anchor and the algebroid bracket.
 
     2 g(nabla_{X_b} X_c, X_d) gives 2 G^e_{bc} g_{ed}; the connection part of
     Koszul[mb(nabla)] moves left as the locality contraction
-    lg[x, p, e, y] = g_{mx} L^{m p}_{e y}.  Both are written into diagonal
-    views of M.
+    lg[x, p, e, y] = g_{mx} L^{m p}_{e y}.  Each nonzero entry of g and of lg
+    adds to the entries of M it reaches, for every value of the free index.
     """
     r = A.rank
-    lg = np.einsum("mx,mpey->xpey", g.matrix, A.locality)
-    matrix = zeros_array((r,) * 6, A.coords)
-    np.einsum("bcdebc->bcde", matrix)[...] += 2 * g.matrix.T
-    # - mb^m_{cd} g_{mb} gives + G^e_{pc} L^{m p}_{e d} g_{mb},
-    np.einsum("bcdepc->bcdep", matrix)[...] -= np.einsum("bped->bdep", lg)[:, None]
-    # - mb^m_{bd} g_{mc} + mb^m_{bc} g_{md} gives + G^e_{pb} (L^{m p}_{e d} g_{mc} - L^{m p}_{e c} g_{md}).
-    np.einsum("bcdepb->bcdep", matrix)[...] -= np.einsum("cped->cdep", lg) - np.einsum("dpec->cdep", lg)
+    lg = contract("mx,mpey->xpey", g.matrix, A.locality)
+    free = range(r)
+
+    def flat(a, b, c):
+        return (a * r + b) * r + c
+
+    def terms():
+        for (e, d), value in g.matrix.entries.items():
+            twice = value + value
+            yield from (((flat(b, c, d), flat(e, b, c)), twice) for b, c in itertools.product(free, free))
+        for (x, p, e, y), value in lg.entries.items():
+            # - mb^m_{cd} g_{mb} gives + G^e_{pc} L^{m p}_{e d} g_{mb},
+            yield from (((flat(x, c, y), flat(e, p, c)), -value) for c in free)
+            # - mb^m_{bd} g_{mc} + mb^m_{bc} g_{md} gives + G^e_{pb} (L^{m p}_{e d} g_{mc} - L^{m p}_{e c} g_{md}).
+            yield from (((flat(b, x, y), flat(e, p, b)), -value) for b in free)
+            yield from (((flat(b, y, x), flat(e, p, b)), value) for b in free)
+
+    matrix = sum_terms((r**3, r**3), A.coords, terms())
     dg = A.anchor_derivative(g.matrix)  # [b, c, d] = rho(X_b)(g_{cd})
-    koszul = dg + np.einsum("cbd->bcd", dg) - np.einsum("dbc->bcd", dg) + _koszul_form(A.bracket, g)
+    koszul = dg + contract("cbd->bcd", dg) - contract("dbc->bcd", dg) + _koszul_form(A.bracket, g)
     return matrix, koszul
 
 

@@ -11,19 +11,24 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .algebroid import AlgebroidReport
 from .connection import Derived, frame_covariant_derivative, nonmetricity
 from .errors import InvalidStructure, MissingProjector, NotAdmissible, SlotMismatch
 from .scalar import ScalarField
 from .statgeo import StatisticalStructure
-from .tensor import ETensor, array_is_zero, is_antisymmetric_in, object_array, zeros_array
+from .tensor import (
+    Components,
+    ETensor,
+    contract,
+    is_antisymmetric_in,
+    object_array,
+    sum_terms,
+)
 
 
 def function_form(A, f):
     """A scalar field as a (0, 0) tensor, the degree-0 form of the exterior derivative."""
-    return ETensor(0, 0, A.rank, A.coords, object_array(f))
+    return ETensor(0, 0, A.rank, A.coords, object_array(f, A.coords))
 
 
 def hessian(A, conn, f):
@@ -57,11 +62,11 @@ def projected_exterior_derivative(D, omega):
 
     (d-hat w)_{a_1..a_{p+1}} = sum_i (-1)^{i+1} rho_{a_i}(w_{.. a_i-hat ..})
       + sum_{i<j} (-1)^{i+j} mhat^m_{a_i a_j} w_{m, .. a_i-hat .. a_j-hat ..},
-    where mhat are the projected modified bracket coefficients.  The rho term
-    of slot i is rho(w) with its derivative axis moved to i, and the bracket
-    term of slots i < j is one contraction mhat^m_{ab} w_{m...} with its axes
-    a, b moved to i, j.  Requires an admissible connection so the result is
-    genuinely antisymmetric.  The form w and the result are checked to be
+    where mhat are the projected modified bracket coefficients.  With the
+    result's slots labelled s_1 .. s_{p+1}, the rho term of slot i reads
+    rho(w) with its derivative axis labelled s_i, and the bracket term of
+    slots i < j is the contraction mhat^m_{s_i s_j} w_{m...}.  Requires an
+    admissible connection so the result is genuinely antisymmetric.  The form w and the result are checked to be
     covariant and antisymmetric in every pair of slots (else SlotMismatch).
     """
     _check_form(omega)
@@ -71,16 +76,17 @@ def projected_exterior_derivative(D, omega):
     if not D.admissible:
         raise NotAdmissible("projected exterior derivative requires an admissible connection")
     p = omega.r
+    slots = "abcdefghijklnopqrstuvwxyz"[: p + 1]  # m is the summed label
     d_omega = A.anchor_derivative(omega.comps)  # [a, ...] = rho(X_a)(w_{...})
-    out = zeros_array((A.rank,) * (p + 1), A.coords)
-    for i in range(p + 1):
-        term = np.moveaxis(d_omega, 0, i)
+    mhat = D.projected_bracket.comps
+    out = Components((A.rank,) * (p + 1), A.coords)
+    for i, s in enumerate(slots):
+        term = contract(f"{s}{slots.replace(s, '')}->{slots}", d_omega)
         out = out + term if i % 2 == 0 else out - term
-    if p:
-        mb_omega = np.einsum("mab,m...->ab...", D.projected_bracket.comps, omega.comps)
-        for i, j in itertools.combinations(range(p + 1), 2):
-            term = np.moveaxis(mb_omega, (0, 1), (i, j))
-            out = out + term if (i + j) % 2 == 0 else out - term
+    for (i, s), (j, t) in itertools.combinations(enumerate(slots), 2):
+        rest = slots.replace(s, "").replace(t, "")
+        term = contract(f"m{s}{t},m{rest}->{slots}", mhat, omega.comps)
+        out = out + term if (i + j) % 2 == 0 else out - term
     return _check_form(ETensor(0, p + 1, A.rank, A.coords, out))
 
 
@@ -123,13 +129,15 @@ def hessian_symmetry_equivalences(D, probe_functions=None):
 
     clause3 = None
     if D.admissible:
-        res3 = zeros_array((r, r, r), A.coords)
+        entries = {}  # res3[m] is the residual of the coframe one-form e^m
         for m in range(r):
-            coframe = object_array([A.one() if a == m else A.zero() for a in range(r)])
-            omega = ETensor(0, 1, r, A.coords, coframe)
+            omega = ETensor(0, 1, r, A.coords, Components((r,), A.coords, {(m,): A.one()}))
             nabla_omega = frame_covariant_derivative(A, conn, omega).comps
-            res3[m] = projected_exterior_derivative(D, omega).comps - (nabla_omega - nabla_omega.T)
-        clause3 = array_is_zero(res3)
+            skew = nabla_omega - contract("ab->ba", nabla_omega)
+            res = projected_exterior_derivative(D, omega).comps - skew
+            entries.update(((m, *idx), value) for idx, value in res.entries.items())
+        res3 = Components((r, r, r), A.coords, entries)
+        clause3 = res3.is_zero
         report.record("clause-3-one-form-derivative", "holds" if clause3 else "fails")
         # d-hat Omega(u, v) - [(nabla_u Omega)(v) - (nabla_v Omega)(u)]
         # equals Omega(T-hat(u, v)) for any admissible connection.
@@ -152,8 +160,8 @@ def hessian_symmetry_equivalences(D, probe_functions=None):
         probe_functions = _default_probes(A)
     for index, f in enumerate(probe_functions):
         H = hessian(A, conn, f).comps
-        correction = np.einsum("abc,a->bc", T_hat.comps, A.anchor_derivative(f))
-        probe = H - H.T + correction
+        correction = contract("abc,a->bc", T_hat.comps, A.anchor_derivative(f))
+        probe = H - contract("ab->ba", H) + correction
         report.record(f"probe-identity-{index}", ETensor(0, 2, r, A.coords, probe))
 
     return report
@@ -217,14 +225,14 @@ def fundamental_theorem_residual(A, pair):
         raise MissingProjector("fundamental theorem residual needs a locality projector")
     R, R_star = pair.derived(pair.nabla).curvature, pair.derived(pair.nabla_star).curvature
     g = pair.g.matrix
-    res = np.einsum("eabc,ed->abcd", R.comps, g) + np.einsum("eabd,ec->abcd", R_star.comps, g)
+    res = contract("eabc,ed->abcd", R.comps, g) + contract("eabd,ec->abcd", R_star.comps, g)
     return ETensor(0, 4, A.rank, A.coords, res)
 
 
 def constant_curvature_check(D, g):
     """Decide whether R(D.conn)^a_{bcd} = kappa (g_{cd} d^a_b - g_{bd} d^a_c) exactly.
 
-    kappa is read off the first nonzero entry of the model array, and R must
+    kappa is read off the row-major first nonzero entry of the model array, and R must
     equal kappa times the model everywhere.  Returns (True, kappa) with an
     exact rational kappa when one exists (the flat case yields kappa = 0),
     else (False, None).
@@ -238,11 +246,11 @@ def constant_curvature_check(D, g):
     if R.is_zero:
         return True, Fraction(0)
     model = _constant_curvature_model(A, g)
-    first = next((idx for idx, entry in np.ndenumerate(model) if not entry.is_zero), None)
-    if first is None:
+    if model.is_zero:
         return False, None
+    first = min(model.entries)
     kappa = R.comps[first] / model[first]
-    if not kappa.is_constant or not array_is_zero(R.comps - model * kappa):
+    if not kappa.is_constant or not (R.comps - model.scale(kappa)).is_zero:
         return False, None
     return True, kappa.as_rational()
 
@@ -252,13 +260,17 @@ def conjugate_curvature_transfer_residual(A, pair, kappa):
     fundamental-theorem hypotheses when nabla has constant curvature kappa."""
     kappa_field = ScalarField.constant(Fraction(kappa), A.coords)
     R_star = pair.derived(pair.nabla_star).curvature.comps
-    res = R_star - _constant_curvature_model(A, pair.g) * kappa_field
+    res = R_star - _constant_curvature_model(A, pair.g).scale(kappa_field)
     return ETensor(1, 3, A.rank, A.coords, res)
 
 
 def _constant_curvature_model(A, g):
-    """g_{cd} d^a_b - g_{bd} d^a_c, written into diagonal views of a zero array."""
-    model = zeros_array((A.rank,) * 4, A.coords)
-    np.einsum("aacd->acd", model)[...] += g.matrix
-    np.einsum("abad->abd", model)[...] -= g.matrix
-    return model
+    """g_{cd} d^a_b - g_{bd} d^a_c, written index by index from the entries of g."""
+    r = A.rank
+
+    def terms():
+        for (x, y), value in g.matrix.entries.items():
+            yield from (((a, a, x, y), value) for a in range(r))
+            yield from (((a, x, a, y), -value) for a in range(r))
+
+    return sum_terms((r,) * 4, A.coords, terms())

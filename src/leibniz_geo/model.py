@@ -9,10 +9,9 @@ rejected with errors that name the offending path.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .algebroid import Algebroid
 from .connection import EConnection
@@ -20,17 +19,18 @@ from .errors import ExprSyntaxError, ParseError, SchemaError, ShapeError, SlotMi
 from .expr import MAX_CONSTANT_BITS, NAME, int_literal, parse_expr
 from .scalar import ScalarField
 from .tensor import (
+    Components,
     EMetric,
     ETensor,
+    flatten_nested,
     is_antisymmetric_in,
     is_totally_symmetric,
-    zeros_array,
 )
 
-# The largest accepted rank.  Component arrays are dense: the locality holds
-# r^4 entries and the Koszul system of the exact solves r^3 x r^3, so a larger
-# frame is out of reach and would only exhaust memory at load time.  Rank 6
-# admits courant(3).
+# The largest accepted rank.  A dense document spells out all r^4 locality
+# entries, and the exact solves hand linalg dense r^3 x r^3 Koszul rows, so a
+# larger frame is out of reach and would only exhaust memory.  Rank 6 admits
+# courant(3).
 MAX_RANK = 8
 
 # The most slots a tensor entry may declare (q + r).  A tensor holds
@@ -85,8 +85,8 @@ def _parse_entry(value, coords, path):
 
 def _load_array(raw, shape, coords, path):
     """Dense nested lists or a sparse map keyed '<i>,<j>,...' (1-based)."""
-    arr = zeros_array(shape, coords)
     if isinstance(raw, dict):
+        entries = {}
         for key, value in raw.items():
             try:
                 idx = tuple(int(part) - 1 for part in key.split(","))
@@ -94,21 +94,23 @@ def _load_array(raw, shape, coords, path):
                 raise SchemaError(f"{path}[{key!r}]", "sparse key must be comma-separated integers") from exc
             if len(idx) != len(shape) or any(not 0 <= i < s for i, s in zip(idx, shape)):
                 raise ShapeError(path, f"sparse key {key!r} out of range for shape {shape}")
-            arr[idx] = _parse_entry(value, coords, f"{path}[{key!r}]")
-        return arr
-    if not isinstance(raw, list):
+            entries[idx] = _parse_entry(value, coords, f"{path}[{key!r}]")
+    elif isinstance(raw, list):
+        # The nesting must have exactly the expected shape: a smaller or a
+        # ragged one is an error, never filled up.
+        try:
+            nested_shape, leaves = flatten_nested(raw)
+        except ValueError as exc:
+            raise ShapeError(path, f"expected shape {shape}") from exc
+        if nested_shape != shape:
+            raise ShapeError(path, f"expected shape {shape}")
+        entries = {
+            idx: _parse_entry(value, coords, f"{path}{list(i + 1 for i in idx)}")
+            for idx, value in zip(itertools.product(*map(range, shape)), leaves)
+        }
+    else:
         raise SchemaError(path, "expected a nested list or a sparse map")
-    # Built as its own array, not assigned into one of the expected shape,
-    # so that numpy cannot broadcast a smaller nesting up to it.
-    try:
-        probe = np.array(raw, dtype=object)
-    except ValueError as exc:
-        raise ShapeError(path, f"expected shape {shape}") from exc
-    if probe.shape != shape:
-        raise ShapeError(path, f"expected shape {shape}")
-    for idx in np.ndindex(shape):
-        arr[idx] = _parse_entry(probe[idx], coords, f"{path}{list(i + 1 for i in idx)}")
-    return arr
+    return Components(shape, coords, {idx: f for idx, f in entries.items() if not f.is_zero})
 
 
 def _require(document, key):
@@ -260,13 +262,13 @@ def _load_tensor(entry, r, coords, path):
 # -- export -------------------------------------------------------------------
 
 
-def _dump_array(arr):
+def _dump_array(comps):
     """Dense nested-list encoding with canonical expression strings."""
-    if isinstance(arr, ScalarField):
-        return str(arr)
-    if arr.ndim == 0:
-        return str(arr[()])
-    return [_dump_array(arr[i]) for i in range(arr.shape[0])]
+
+    def strings(nested):
+        return [strings(x) for x in nested] if isinstance(nested, list) else str(nested)
+
+    return strings(comps.tolist())
 
 
 def export_algebroid(A, metrics=None, connections=None, tensors=None, functions=None):

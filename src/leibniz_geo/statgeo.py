@@ -20,12 +20,9 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .connection import (
     Derived,
     EConnection,
-    _read_only,
     _koszul_form,
     _solve_affine_koszul,
     difference_tensor,
@@ -33,7 +30,7 @@ from .connection import (
 )
 from .errors import CompatibilityFailure, InvalidStructure, MissingProjector
 from .scalar import ScalarField
-from .tensor import ETensor, is_antisymmetric_in, is_totally_symmetric
+from .tensor import ETensor, contract, is_antisymmetric_in, is_totally_symmetric
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,7 +38,7 @@ class ConjugatePair:
     """A metric with two connections jointly preserving it.
 
     The pair builds the objects of (g, nabla, nabla*) together once each, as
-    read-only properties.  The objects of one connection (nabla, nabla*, the
+    cached properties.  The objects of one connection (nabla, nabla*, the
     mean, an alpha-connection) come from ``derived(conn)``: one ``Derived``
     per connection object, kept in a memo that a check call shares among all
     its pairs.  Equality and hashing are by identity.
@@ -67,40 +64,40 @@ class ConjugatePair:
     @functools.cached_property
     def difference(self):
         """Delta(nabla, nabla*) = nabla - nabla*."""
-        return _read_only(difference_tensor(self.algebroid, self.nabla, self.nabla_star))
+        return difference_tensor(self.algebroid, self.nabla, self.nabla_star)
 
     @functools.cached_property
     def nonmetricity(self):
         """Q(nabla, g)."""
-        return _read_only(nonmetricity(self.algebroid, self.nabla, self.g))
+        return nonmetricity(self.algebroid, self.nabla, self.g)
 
     @functools.cached_property
     def relative_torsion(self):
         """T(nabla, nabla*)."""
         D, D_star = self.derived(self.nabla), self.derived(self.nabla_star)
-        return _read_only(relative_torsion(D, D_star))
+        return relative_torsion(D, D_star)
 
     @functools.cached_property
     def relative_torsion_star(self):
         """T(nabla*, nabla)."""
         D, D_star = self.derived(self.nabla), self.derived(self.nabla_star)
-        return _read_only(relative_torsion(D_star, D))
+        return relative_torsion(D_star, D)
 
     @functools.cached_property
     def torsion_sum(self):
         """T(nabla) + T(nabla*)."""
-        return _read_only(self.derived(self.nabla).torsion + self.derived(self.nabla_star).torsion)
+        return self.derived(self.nabla).torsion + self.derived(self.nabla_star).torsion
 
     @functools.cached_property
     def bracket_difference(self):
         """mb(nabla) - mb(nabla*)."""
-        return _read_only(self.derived(self.nabla).bracket - self.derived(self.nabla_star).bracket)
+        return bracket_difference(self.derived(self.nabla), self.derived(self.nabla_star))
 
     @functools.cached_property
     def mean(self):
         """Coefficient average of the pair; always metric compatible."""
         half = ScalarField.constant(Fraction(1, 2), self.algebroid.coords)
-        return _read_only(self.nabla.scale_combination(half, self.nabla_star, half))
+        return self.nabla.scale_combination(half, self.nabla_star, half)
 
     @functools.cached_property
     def jointly_admissible(self):
@@ -124,10 +121,10 @@ class ConjugatePair:
         so O_{abcd} = (mb(nabla) - mb(nabla*))^m_{ab} Gamma^n_{mc} g_{nd}.
         """
         A = self.algebroid
-        obs = np.einsum(
+        obs = contract(
             "mab,nmc,nd->abcd", self.bracket_difference.comps, self.nabla.gamma, self.g.matrix
         )
-        return _read_only(ETensor(0, 4, A.rank, A.coords, obs))
+        return ETensor(0, 4, A.rank, A.coords, obs)
 
     @functools.cached_property
     def strongly_conjugate_and_admissible(self):
@@ -156,16 +153,16 @@ class StatisticalStructure:
 
 def conjugate_connection(A, g, conn):
     """The unique conjugate: Gamma*^d_{ac} = g^{db}(rho_a(g_{bc}) - Gamma^e_{ab} g_{ec})."""
-    inner = A.anchor_derivative(g.matrix) - np.einsum("eab,ec->abc", conn.gamma, g.matrix)
-    return EConnection(np.einsum("db,abc->dac", g.inverse, inner))
+    inner = A.anchor_derivative(g.matrix) - contract("eab,ec->abc", conn.gamma, g.matrix)
+    return EConnection(contract("db,abc->dac", g.inverse, inner))
 
 
 def conjugation_residual(A, g, conn, conn_star):
     """Frame residual of the joint metric-preservation condition."""
     res = (
         A.anchor_derivative(g.matrix)
-        - np.einsum("dab,dc->abc", conn.gamma, g.matrix)
-        - np.einsum("dac,bd->abc", conn_star.gamma, g.matrix)
+        - contract("dab,dc->abc", conn.gamma, g.matrix)
+        - contract("dac,bd->abc", conn_star.gamma, g.matrix)
     )
     return ETensor(0, 3, A.rank, A.coords, res)
 
@@ -184,22 +181,27 @@ def alpha_connection(pair, alpha):
         coords = pair.algebroid.coords
         s = ScalarField.constant((1 + alpha) / 2, coords)
         t = ScalarField.constant((1 - alpha) / 2, coords)
-        family[alpha] = _read_only(pair.nabla_star.scale_combination(s, pair.nabla, t))
+        family[alpha] = pair.nabla_star.scale_combination(s, pair.nabla, t)
     return family[alpha]
+
+
+def bracket_difference(D, D_prime):
+    """mb(nabla) - mb(nabla') of the connections of two ``Derived``s."""
+    return D.bracket - D_prime.bracket
 
 
 def relative_torsion(D, D_prime):
     """T(nabla, nabla')^a_{bc} = G^a_{bc} - G'^a_{cb} - (mb + mb')^a_{bc} / 2."""
     A = D.algebroid
     half = ScalarField.constant(Fraction(1, 2), A.coords)
-    mean_bracket = (D.bracket.comps + D_prime.bracket.comps) * half
-    out = D.conn.gamma - np.swapaxes(D_prime.conn.gamma, 1, 2) - mean_bracket
+    mean_bracket = (D.bracket.comps + D_prime.bracket.comps).scale(half)
+    out = D.conn.gamma - contract("acb->abc", D_prime.conn.gamma) - mean_bracket
     return ETensor(1, 2, A.rank, A.coords, out)
 
 
 def _quasi_statistical_residual(A, g, Q, T):
     """Q(u,v,w) - Q(v,u,w) + g(T(u,v), w) for given Q and T; zero on quasi-statistical data."""
-    res = Q.comps - np.swapaxes(Q.comps, 0, 1) + np.einsum("dab,dc->abc", T.comps, g.matrix)
+    res = Q.comps - contract("bac->abc", Q.comps) + contract("dab,dc->abc", T.comps, g.matrix)
     return ETensor(0, 3, A.rank, A.coords, res)
 
 
@@ -224,8 +226,7 @@ def statistical_solve(A, S):
     g, C, B = S.g, S.C, S.B
     nabla, nabla_star = _solve_affine_koszul(A, g, C.comps, _koszul_form(B.comps, g) - C.comps)
     derived = {nabla: Derived(A, nabla), nabla_star: Derived(A, nabla_star)}
-    difference = derived[nabla].bracket - derived[nabla_star].bracket
-    compat_residual = B - difference
+    compat_residual = B - bracket_difference(derived[nabla], derived[nabla_star])
     if not compat_residual.is_zero:
         raise CompatibilityFailure(
             "solved pair violates the bracket-difference compatibility condition",
@@ -259,13 +260,13 @@ def alpha_curvature_residual(A, pair, alpha):
     D, D_star = pair.derived(pair.nabla), pair.derived(pair.nabla_star)
     R_alpha = pair.derived(alpha_connection(pair, alpha)).curvature
     R, R_star, delta = D.curvature, D_star.curvature, pair.difference
-    bracket_difference = (D.projected_bracket - D_star.projected_bracket).comps
+    projected_difference = (D.projected_bracket - D_star.projected_bracket).comps
     inner = (
-        np.einsum("ebd,ace->abcd", delta.comps, delta.comps)
-        - np.einsum("ecd,abe->abcd", delta.comps, delta.comps)
-        + np.einsum("ebc,aed->abcd", bracket_difference, delta.comps)
+        contract("ebd,ace->abcd", delta.comps, delta.comps)
+        - contract("ecd,abe->abcd", delta.comps, delta.comps)
+        + contract("ebc,aed->abcd", projected_difference, delta.comps)
     )
-    res = R_alpha.comps - R_star.comps * s - R.comps * t - inner * quarter
+    res = R_alpha.comps - R_star.comps.scale(s) - R.comps.scale(t) - inner.scale(quarter)
     return ETensor(1, 3, A.rank, coords, res)
 
 

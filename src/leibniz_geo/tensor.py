@@ -3,45 +3,291 @@
 ``ETensor`` is the one component-array type: a section of the bundle is a
 (1, 0) tensor, a one-form a (0, 1) tensor, a p-form an antisymmetric (0, p)
 tensor, and a residual such as T, R or Q is the tensor that its identity
-sets to zero.  Components are stored densely in numpy object arrays of
-ScalarField; the frame rank never exceeds single digits here, so dense
-storage costs little.  Every contraction is one ``np.einsum`` over these
-arrays: numpy calls the scalar's own ``+`` and ``*``, so the arithmetic stays
-exact and keeps its zero-operand exits.  All indices are 0-based internally;
-the model-file layer converts from the 1-based convention used in the docs.
+sets to zero.  Its components live in a ``Components`` store: an immutable
+sparse array holding a shape and its nonzero ScalarField entries keyed by
+index tuple.  Most entries of the structure and connection arrays are zero,
+and a zero entry is never stored, multiplied or added.  Every contraction is
+one ``contract`` call with einsum subscripts, a hash join on the nonzero
+entries in which the scalar's own ``+`` and ``*`` do the exact arithmetic.
+All indices are 0-based internally; the model-file layer converts from the
+1-based convention used in the docs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
+import string
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import linalg
 from .errors import DegenerateMetric, SlotMismatch
 from .scalar import ScalarField
 
 
-def zeros_array(shape, coords):
-    arr = np.empty(shape, dtype=object)
-    zero = ScalarField.constant(0, coords)
-    arr[...] = zero
-    return arr
+class Components:
+    """Immutable sparse array of ScalarField: a ``shape`` and the nonzero
+    ``entries``, keyed by index tuple.
+
+    Every constructor keeps ``entries`` free of zero fields, so ``is_zero`` is
+    an empty test.  Reading an index that holds no entry gives the zero field;
+    an index must name every axis.
+    """
+
+    __slots__ = ("shape", "coords", "entries")
+
+    def __init__(self, shape, coords, entries=None):
+        self.shape = tuple(shape)
+        self.coords = tuple(coords)
+        self.entries = {} if entries is None else entries
+
+    # Not iterable: a partial index is an error, not a row.
+    __iter__ = None
+
+    @property
+    def is_zero(self):
+        return not self.entries
+
+    def __getitem__(self, idx):
+        if not isinstance(idx, tuple):
+            idx = (idx,)
+        if len(idx) != len(self.shape) or not all(0 <= i < n for i, n in zip(idx, self.shape)):
+            raise IndexError(f"index {idx} out of range for shape {self.shape}")
+        value = self.entries.get(idx)
+        return ScalarField.constant(0, self.coords) if value is None else value
+
+    def tolist(self):
+        """Dense nested lists in row-major order; a 0-d store gives its one field."""
+        flat = [ScalarField.constant(0, self.coords)] * math.prod(self.shape)
+        for idx, value in self.entries.items():
+            flat[_ravel(idx, self.shape)] = value
+
+        def nest(flat, shape):
+            if len(shape) < 2:
+                return flat
+            step = len(flat) // shape[0] if shape[0] else 0
+            return [nest(flat[i * step : (i + 1) * step], shape[1:]) for i in range(shape[0])]
+
+        return nest(flat, self.shape) if self.shape else flat[0]
+
+    def reshape(self, shape):
+        """The same entries in row-major order under a new shape of equal size."""
+        shape = tuple(shape)
+        if math.prod(shape) != math.prod(self.shape):
+            raise ValueError(f"cannot reshape {self.shape} to {shape}")
+        entries = {}
+        for idx, value in self.entries.items():
+            flat, new = _ravel(idx, self.shape), []
+            for n in reversed(shape):
+                flat, i = divmod(flat, n)
+                new.append(i)
+            entries[tuple(reversed(new))] = value
+        return Components(shape, self.coords, entries)
+
+    def __add__(self, other):
+        return self._merge(other, operator.add, lambda value: value)
+
+    def __sub__(self, other):
+        return self._merge(other, operator.sub, operator.neg)
+
+    def _merge(self, other, op, alone):
+        """op entrywise; ``alone`` maps an entry of other that self lacks."""
+        if self.shape != other.shape:
+            raise ValueError(f"shapes {self.shape} and {other.shape} differ")
+        entries = dict(self.entries)
+        for idx, value in other.entries.items():
+            mine = entries.get(idx)
+            if mine is None:
+                entries[idx] = alone(value)
+                continue
+            total = op(mine, value)
+            if total.is_zero:
+                del entries[idx]
+            else:
+                entries[idx] = total
+        return Components(self.shape, self.coords, entries)
+
+    def __neg__(self):
+        return Components(self.shape, self.coords, {i: -v for i, v in self.entries.items()})
+
+    def scale(self, factor):
+        if factor.is_zero:
+            return Components(self.shape, self.coords)
+        return Components(self.shape, self.coords, {i: v * factor for i, v in self.entries.items()})
 
 
-def object_array(nested):
-    arr = np.empty(np.shape(nested), dtype=object)
-    arr[...] = nested
-    return arr
+def _ravel(idx, shape):
+    """The row-major position of an index."""
+    flat = 0
+    for i, n in zip(idx, shape):
+        flat = flat * n + i
+    return flat
 
 
-def array_is_zero(arr):
-    return all(entry.is_zero for entry in arr.flat)
+def flatten_nested(nested):
+    """(shape, leaves in row-major order) of nested lists; a non-list is 0-d.
+
+    Raises ValueError on a ragged nesting.
+    """
+    shape, level = [], [nested]
+    while level and all(isinstance(x, (list, tuple)) for x in level):
+        lengths = {len(x) for x in level}
+        if len(lengths) > 1:
+            raise ValueError("ragged nesting")
+        shape.append(lengths.pop())
+        level = [leaf for x in level for leaf in x]
+    if any(isinstance(x, (list, tuple)) for x in level):
+        raise ValueError("ragged nesting")
+    return tuple(shape), level
+
+
+def object_array(nested, coords=None):
+    """The Components of nested lists of ScalarField (a bare field is 0-d).
+
+    ``coords`` defaults to those of the first entry; raises ValueError on a
+    ragged nesting.
+    """
+    shape, leaves = flatten_nested(nested)
+    if coords is None:
+        coords = leaves[0].coords if leaves else ()
+    indices = itertools.product(*map(range, shape))
+    return Components(
+        shape, coords, {idx: f for idx, f in zip(indices, leaves) if not f.is_zero}
+    )
+
+
+def sum_terms(shape, coords, terms):
+    """The Components whose entry at each index is the sum of the terms given for it.
+
+    ``terms`` yields (index, ScalarField) pairs; this is how an array is
+    written index by index.
+    """
+    return Components(shape, coords, _sums(terms))
+
+
+def _sums(terms):
+    """{index: the sum of the values given for it} for (index, value) terms, zero sums dropped."""
+    entries = {}
+    for idx, value in terms:
+        prev = entries.get(idx)
+        entries[idx] = value if prev is None else prev + value
+    return {i: v for i, v in entries.items() if not v.is_zero}
+
+
+# -- contract -----------------------------------------------------------------
+
+# Labels for the axes that '...' stands for; subscripts use lowercase letters.
+_ELLIPSIS_LABELS = string.ascii_uppercase
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(subscripts, ndims):
+    """Operand labels with '...' expanded (right-aligned, as einsum does) and the
+    output labels of explicit-output einsum subscripts."""
+    lhs, arrow, output = subscripts.replace(" ", "").partition("->")
+    specs = lhs.split(",")
+    if not arrow or len(specs) != len(ndims):
+        raise ValueError(f"subscripts {subscripts!r} need '->' and one term per operand")
+    width = max(
+        (nd - len(s) + 3 for s, nd in zip(specs, ndims) if "..." in s), default=0
+    )
+    fill = _ELLIPSIS_LABELS[:width]
+    inputs = []
+    for spec, ndim in zip(specs, ndims):
+        if "..." in spec:
+            head, tail = spec.split("...")
+            spec = head + fill[width - (ndim - len(head) - len(tail)) :] + tail
+        if len(spec) != ndim:
+            raise ValueError(f"subscripts {subscripts!r} do not match an operand of {ndim} axes")
+        inputs.append(spec)
+    output = output.replace("...", fill)
+    if len(set(output)) != len(output) or not set(output) <= set("".join(inputs)):
+        raise ValueError(f"bad output subscripts in {subscripts!r}")
+    return tuple(inputs), output
+
+
+def _getter(positions):
+    """index tuple -> the tuple of its entries at ``positions``."""
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda idx: (idx[p],)
+    return operator.itemgetter(*positions) if positions else lambda idx: ()
+
+
+def _rows(labels, operand):
+    """(distinct labels, entries keyed by them): a repeated label keeps the diagonal."""
+    distinct = "".join(dict.fromkeys(labels))
+    if distinct == labels:
+        return labels, operand.entries
+    first = [labels.index(label) for label in labels]
+    pick = _getter([labels.index(label) for label in distinct])
+    rows = {
+        pick(idx): value
+        for idx, value in operand.entries.items()
+        if all(idx[i] == idx[f] for i, f in enumerate(first))
+    }
+    return distinct, rows
+
+
+def _join(bound, rows, labels, other, keep):
+    """Multiply rows (keyed by the labels ``bound``) with other's entries on their
+    shared labels, then sum over the labels not in ``keep``."""
+    shared = [label for label in labels if label in bound]
+    new = "".join(label for label in labels if label not in bound)
+    index = {}
+    key_other, ext_other = _getter([labels.index(s) for s in shared]), _getter([labels.index(n) for n in new])
+    for idx, value in other.items():
+        index.setdefault(key_other(idx), []).append((ext_other(idx), value))
+    joined = bound + new
+    kept = "".join(label for label in joined if label in keep)
+    key_rows, project = _getter([bound.index(s) for s in shared]), _getter([joined.index(k) for k in kept])
+    products = (
+        (project(idx + ext), value * factor)
+        for idx, value in rows.items()
+        for ext, factor in index.get(key_rows(idx), ())
+    )
+    return kept, _sums(products)
+
+
+def contract(subscripts, *operands):
+    """numpy-einsum contraction of Components, with explicit output subscripts.
+
+    The operands' nonzero entries are hash-joined on their shared labels one
+    operand at a time; a label is summed out as soon as no later operand and
+    not the output carries it.  '...' and repeated labels (a diagonal) are
+    read as einsum reads them.  Returns the Components in the output order.
+    """
+    inputs, output = _plan(subscripts, tuple(len(op.shape) for op in operands))
+    sizes = {}
+    for labels, operand in zip(inputs, operands):
+        for label, n in zip(labels, operand.shape):
+            if sizes.setdefault(label, n) != n:
+                raise ValueError(f"label {label!r} spans axes of sizes {sizes[label]} and {n}")
+    shape = tuple(sizes[label] for label in output)
+    bound, rows = _rows(inputs[0], operands[0])
+    for k in range(1, len(operands)):
+        labels, other = _rows(inputs[k], operands[k])
+        bound, rows = _join(bound, rows, labels, other, set(output).union(*inputs[k + 1 :]))
+    if bound != output:
+        order = _getter([bound.index(label) for label in output])
+        # Only a single operand can still carry labels to sum out.
+        rows = _sums((order(idx), value) for idx, value in rows.items())
+    return Components(shape, operands[0].coords, rows)
+
+
+def permute(comps, order):
+    """Axes reordered: axis k of the result is axis order[k] of comps."""
+    labels = string.ascii_lowercase[: len(comps.shape)]
+    return contract(f"{labels}->{''.join(labels[k] for k in order)}", comps)
+
+
+# -- summaries and tensors ------------------------------------------------------
 
 
 class ComponentSummaries:
-    """Zero test and residual summaries over a ``comps`` array of scalars.
+    """Zero test and residual summaries over a ``comps`` store.
 
     Used bare for a residual array that carries no (q, r) type, such as one
     whose axes mix frame and coordinate indices.
@@ -52,19 +298,18 @@ class ComponentSummaries:
 
     @property
     def is_zero(self):
-        return array_is_zero(self.comps)
+        return self.comps.is_zero
 
     def nonzero_count(self):
-        return sum(0 if entry.is_zero else 1 for entry in self.comps.flat)
+        return len(self.comps.entries)
 
     def max_degree(self):
-        degrees = [entry.total_degree() for entry in self.comps.flat if not entry.is_zero]
-        return max(degrees, default=0)
+        return max((entry.total_degree() for entry in self.comps.entries.values()), default=0)
 
 
 @dataclass(frozen=True, eq=False)
 class ETensor(ComponentSummaries):
-    """Dense (q, r)-type tensor: q contravariant then r covariant slots.
+    """(q, r)-type tensor: q contravariant then r covariant slots.
 
     Equality and hashing are by identity; two tensors have equal components
     when ``(a - b).is_zero``.
@@ -74,7 +319,7 @@ class ETensor(ComponentSummaries):
     r: int
     dim: int
     coords: tuple
-    comps: np.ndarray = field(repr=False)
+    comps: Components = field(repr=False)
 
     def __post_init__(self):
         expected = (self.dim,) * (self.q + self.r)
@@ -83,7 +328,7 @@ class ETensor(ComponentSummaries):
 
     @classmethod
     def zeros(cls, q, r, dim, coords):
-        return cls(q, r, dim, tuple(coords), zeros_array((dim,) * (q + r), coords))
+        return cls(q, r, dim, tuple(coords), Components((dim,) * (q + r), coords))
 
     def __add__(self, other):
         self._check_compatible(other)
@@ -97,7 +342,7 @@ class ETensor(ComponentSummaries):
         return ETensor(self.q, self.r, self.dim, self.coords, -self.comps)
 
     def scale(self, factor):
-        return ETensor(self.q, self.r, self.dim, self.coords, self.comps * factor)
+        return ETensor(self.q, self.r, self.dim, self.coords, self.comps.scale(factor))
 
     def _check_compatible(self, other):
         if not isinstance(other, ETensor):
@@ -111,9 +356,9 @@ class ETensor(ComponentSummaries):
     def swap_slots(self, i, j):
         """Transpose two global slots (1-based); both must share variance."""
         self._check_same_variance(i, j)
-        return ETensor(
-            self.q, self.r, self.dim, self.coords, np.swapaxes(self.comps, i - 1, j - 1)
-        )
+        order = list(range(self.q + self.r))
+        order[i - 1], order[j - 1] = j - 1, i - 1
+        return ETensor(self.q, self.r, self.dim, self.coords, permute(self.comps, order))
 
     def _check_same_variance(self, i, j):
         total = self.q + self.r
@@ -128,38 +373,41 @@ def is_totally_symmetric(t):
     """True iff the covariant block is invariant under every permutation."""
     if t.q != 0:
         raise SlotMismatch("total symmetry is checked on covariant slots only")
-    for perm in itertools.permutations(range(t.r)):
-        permuted = np.transpose(t.comps, perm)
-        if not array_is_zero(t.comps - permuted):
-            return False
-    return True
+    return all(
+        (t.comps - permute(t.comps, order)).is_zero
+        for order in itertools.permutations(range(t.r))
+    )
 
 
 def is_antisymmetric_in(t, i, j):
     """True iff the tensor flips sign under transposing global slots i, j (1-based)."""
-    swapped = t.swap_slots(i, j)
-    return array_is_zero(t.comps + swapped.comps)
+    return (t.comps + t.swap_slots(i, j).comps).is_zero
 
 
 class EMetric:
     """Symmetric invertible (0, 2) tensor with its exact cached inverse."""
 
     def __init__(self, matrix, coords):
-        matrix = object_array(matrix)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        coords = tuple(coords)
+        if not isinstance(matrix, Components):
+            matrix = object_array(matrix, coords)
+        if len(matrix.shape) != 2 or matrix.shape[0] != matrix.shape[1]:
             raise SlotMismatch(f"metric must be square, got shape {matrix.shape}")
-        r = matrix.shape[0]
-        for a in range(r):
-            for b in range(a + 1, r):
-                if not (matrix[a, b] - matrix[b, a]).is_zero:
-                    raise SlotMismatch(f"metric not symmetric at ({a + 1},{b + 1})")
-        adjugate, det = linalg.adj_det(matrix)
+        asymmetric = [
+            (min(a, b), max(a, b))
+            for (a, b), value in matrix.entries.items()
+            if not (value - matrix[b, a]).is_zero
+        ]
+        if asymmetric:
+            a, b = min(asymmetric)
+            raise SlotMismatch(f"metric not symmetric at ({a + 1},{b + 1})")
+        adjugate, det = linalg.adj_det(matrix.tolist())
         if det.is_zero:
             raise DegenerateMetric("metric determinant is the zero scalar field")
-        self.coords = tuple(coords)
+        self.coords = coords
         self.matrix = matrix
         self.det = det
-        self.inverse = object_array([[entry / det for entry in row] for row in adjugate])
+        self.inverse = object_array([[entry / det for entry in row] for row in adjugate], coords)
 
     @property
     def dim(self):

@@ -11,8 +11,34 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from leibniz_geo import EConnection, EMetric, ScalarField
-from leibniz_geo.tensor import ETensor, zeros_array
+from leibniz_geo.tensor import ETensor, object_array
+
+
+def zeros_array(shape, coords):
+    """A writable numpy object array of zero fields, for building test inputs."""
+    arr = np.empty(shape, dtype=object)
+    arr[...] = ScalarField.constant(0, coords)
+    return arr
+
+
+def store(arr, coords=None):
+    """The engine's component store of a numpy object array (or nested lists)."""
+    return object_array(np.asarray(arr, dtype=object).tolist(), coords)
+
+
+def dense(comps):
+    """A component store as a numpy object array."""
+    arr = np.empty(comps.shape, dtype=object)
+    for idx in np.ndindex(comps.shape):
+        arr[idx] = comps[idx]
+    return arr
+
+
+def array_is_zero(arr):
+    return all(entry.is_zero for entry in np.asarray(arr, dtype=object).flat)
 
 
 def classical_christoffel(A, g):
@@ -29,7 +55,7 @@ def classical_christoffel(A, g):
                 - g.matrix[b, c].diff(d + 1)
             )
         gamma[a, b, c] = acc * half
-    return EConnection(gamma)
+    return EConnection(store(gamma, A.coords))
 
 
 def classical_riemann(A, conn):
@@ -42,7 +68,7 @@ def classical_riemann(A, conn):
             acc = acc + conn.gamma[e, c, d] * conn.gamma[a, b, e]
             acc = acc - conn.gamma[e, b, d] * conn.gamma[a, c, e]
         out[a, b, c, d] = acc
-    return ETensor(1, 3, r, A.coords, out)
+    return ETensor(1, 3, r, A.coords, store(out, A.coords))
 
 
 def random_polynomial(A, rng, degree=2):
@@ -65,7 +91,7 @@ def random_connection(A, rng, degree=2):
     gamma = zeros_array((r, r, r), A.coords)
     for idx in itertools.product(range(r), repeat=3):
         gamma[idx] = random_polynomial(A, rng, degree)
-    return EConnection(gamma)
+    return EConnection(store(gamma, A.coords))
 
 
 def random_constant_connection(A, rng):
@@ -73,7 +99,7 @@ def random_constant_connection(A, rng):
     gamma = zeros_array((r, r, r), A.coords)
     for idx in itertools.product(range(r), repeat=3):
         gamma[idx] = A.field(rng.randint(-3, 3))
-    return EConnection(gamma)
+    return EConnection(store(gamma, A.coords))
 
 
 def random_metric(A, rng, constant=False):
@@ -112,7 +138,7 @@ def eta_compatible_connection(Cour, eta, rng, degree=1):
         gamma[a, d, b] = sum(
             (omega[d, b, c] * eta.inverse[c, a] for c in range(r)), Cour.zero()
         )
-    return EConnection(gamma)
+    return EConnection(store(gamma, Cour.coords))
 
 
 def make_rng(seed):

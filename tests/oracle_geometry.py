@@ -1,4 +1,4 @@
-"""The geometry formulas as explicit index loops, before they became einsums.
+"""The geometry formulas as explicit index loops, before they became contractions.
 
 Every function keeps its earlier loop body with a scalar accumulator: the
 anchor actions, the bracket and the axioms of an algebroid, the modified
@@ -29,7 +29,8 @@ from leibniz_geo.connection import EConnection, difference_tensor
 from leibniz_geo.errors import MissingProjector
 from leibniz_geo.hessian import _default_probes
 from leibniz_geo.scalar import ScalarField
-from leibniz_geo.tensor import ETensor, array_is_zero, object_array, zeros_array
+from leibniz_geo.tensor import ETensor, object_array
+from conftest import array_is_zero, dense, store, zeros_array
 
 
 # -- the algebroid ------------------------------------------------------------
@@ -60,7 +61,7 @@ def coboundary(A, f):
 def locality_hat(A):
     """Lhat^{a d}_{e c} = P^a_f L^{f d}_{e c}."""
     r = A.rank
-    hat = A.zeros(r, r, r, r)
+    hat = zeros_array((r, r, r, r), A.coords)
     for a, d, e, c in itertools.product(range(r), repeat=4):
         hat[a, d, e, c] = sum(
             (A.projector[a, f] * A.locality[f, d, e, c] for f in range(r)),
@@ -90,7 +91,7 @@ def bracket_eval(A, u, v):
 def validate_pre_leibniz(A):
     """rho^i_a c^a_{bc} - (rho^j_b d_j rho^i_c - rho^j_c d_j rho^i_b) as an [i, b, c] array."""
     r, n = A.rank, A.dim
-    res = A.zeros(n, r, r)
+    res = zeros_array((n, r, r), A.coords)
     for i, b, c in itertools.product(range(n), range(r), range(r)):
         acc = A.zero()
         for a in range(r):
@@ -106,7 +107,7 @@ def validate_projector(A):
     """The projector residual arrays, keyed like the entries of the engine's report."""
     r, n = A.rank, A.dim
     arrays = {}
-    idem = A.zeros(r, r)
+    idem = zeros_array((r, r), A.coords)
     for a, b in itertools.product(range(r), repeat=2):
         acc = -A.projector[a, b]
         for f in range(r):
@@ -114,19 +115,19 @@ def validate_projector(A):
         idem[a, b] = acc
     arrays["idempotent"] = idem
     hat = locality_hat(A)
-    image = A.zeros(n, r, r, r)
+    image = zeros_array((n, r, r, r), A.coords)
     for i, d, e, c in itertools.product(range(n), range(r), range(r), range(r)):
         image[i, d, e, c] = sum((A.anchor[a, i] * hat[a, d, e, c] for a in range(r)), A.zero())
     arrays["projected_locality_in_kernel"] = image
     for idx, k in enumerate(A.kernel_sections):
-        fixed = A.zeros(r)
+        fixed = zeros_array((r,), A.coords)
         for a in range(r):
             acc = -k.comps[a]
             for b in range(r):
                 acc = acc + A.projector[a, b] * k.comps[b]
             fixed[a] = acc
         arrays[f"fixes_kernel_section_{idx}"] = fixed
-        anchored = A.zeros(n)
+        anchored = zeros_array((n,), A.coords)
         for i in range(n):
             anchored[i] = sum((A.anchor[a, i] * k.comps[a] for a in range(r)), A.zero())
         arrays[f"annihilates_kernel_section_{idx}"] = anchored
@@ -136,11 +137,11 @@ def validate_projector(A):
 def courant_locality(A):
     """L^{a d}_{e c} = eta_{e c} eta^{d a} of a courant(n) structure."""
     r, n = A.rank, A.rank // 2
-    eta = A.zeros(r, r)
+    eta = zeros_array((r, r), A.coords)
     for a in range(n):
         eta[a, n + a] = A.one()
         eta[n + a, a] = A.one()
-    locality = A.zeros(r, r, r, r)
+    locality = zeros_array((r, r, r, r), A.coords)
     for a, d, e, c in itertools.product(range(r), repeat=4):
         locality[a, d, e, c] = eta[e, c] * eta[d, a]
     return locality
@@ -196,7 +197,7 @@ def frame_covariant_derivative(A, conn, t):
                     acc = acc - conn.gamma[e, b, idx[slot]] * t.comps[swapped]
             pos = t.q
             out[idx[:pos] + (b,) + idx[pos:]] = acc
-    return ETensor(t.q, t.r + 1, r, A.coords, out)
+    return ETensor(t.q, t.r + 1, r, A.coords, store(out))
 
 
 def locality_term(A, conn, u, v, L):
@@ -239,7 +240,7 @@ def curvature_eval(A, conn, u, v, w):
 def admissibility_residual(A, conn):
     """c^a_{bc} + c^a_{cb} - G^e_{db} L^{a d}_{e c} - G^e_{dc} L^{a d}_{e b}."""
     r = A.rank
-    res = A.zeros(r, r, r)
+    res = zeros_array((r, r, r), A.coords)
     for a, b, c in itertools.product(range(r), repeat=3):
         acc = A.bracket[a, b, c] + A.bracket[a, c, b]
         for d in range(r):
@@ -247,7 +248,7 @@ def admissibility_residual(A, conn):
                 acc = acc - conn.gamma[e, d, b] * A.locality[a, d, e, c]
                 acc = acc - conn.gamma[e, d, c] * A.locality[a, d, e, b]
         res[a, b, c] = acc
-    return ETensor(1, 2, r, A.coords, res)
+    return ETensor(1, 2, r, A.coords, store(res))
 
 
 def admissibility_locality_residual(A, conn, conn_star):
@@ -264,7 +265,7 @@ def admissibility_locality_residual(A, conn, conn_star):
     res = zeros_array((r, r, r), A.coords)
     for m, b, c in itertools.product(range(r), repeat=3):
         res[m, b, c] = lam[m, b, c] + lam[m, c, b]
-    return ETensor(1, 2, r, A.coords, res)
+    return ETensor(1, 2, r, A.coords, store(res))
 
 
 def nonmetricity(A, conn, g):
@@ -277,7 +278,7 @@ def nonmetricity(A, conn, g):
             acc = acc - conn.gamma[d, a, b] * g.matrix[d, c]
             acc = acc - conn.gamma[d, a, c] * g.matrix[b, d]
         out[a, b, c] = acc
-    return ETensor(0, 3, r, A.coords, out)
+    return ETensor(0, 3, r, A.coords, store(out))
 
 
 def hessian(A, conn, f):
@@ -290,13 +291,13 @@ def hessian(A, conn, f):
         for c in range(r):
             acc = acc - conn.gamma[c, a, b] * df[c]
         comps[a, b] = acc
-    return ETensor(0, 2, r, A.coords, comps)
+    return ETensor(0, 2, r, A.coords, store(comps))
 
 
 def torsion(A, conn, projected=False):
     """T^a_{bc} = Gamma^a_{bc} - Gamma^a_{cb} - mb^a_{bc} (mbhat when projected)."""
     mb = modified_bracket_coeffs(A, conn, projected)
-    return ETensor(1, 2, A.rank, A.coords, conn.gamma - np.swapaxes(conn.gamma, 1, 2) - mb)
+    return ETensor(1, 2, A.rank, A.coords, store(dense(conn.gamma) - np.swapaxes(dense(conn.gamma), 1, 2) - mb))
 
 
 def curvature(A, conn):
@@ -313,7 +314,7 @@ def curvature(A, conn):
             acc = acc - conn.gamma[e, b, d] * conn.gamma[a, c, e]
             acc = acc - mb_hat[e, b, c] * conn.gamma[a, e, d]
         out[a, b, c, d] = acc
-    return ETensor(1, 3, r, A.coords, out)
+    return ETensor(1, 3, r, A.coords, store(out))
 
 
 def second_cov_and_ricci(A, conn, u, v, w):
@@ -379,7 +380,7 @@ def koszul_connection(A, bracket_coeffs, g):
             for d in range(r):
                 acc = acc + g.inverse[a, d] * rhs[d]
             gamma[a, b, c] = acc * half
-    return EConnection(gamma)
+    return EConnection(store(gamma))
 
 
 def koszul_system(A, g, *extra_rhs):
@@ -449,7 +450,7 @@ def conjugate_connection(A, g, conn):
                     inner = inner - conn.gamma[e, a, b] * g.matrix[e, c]
                 acc = acc + g.inverse[d, b] * inner
             gamma[d, a, c] = acc
-    return EConnection(gamma)
+    return EConnection(store(gamma))
 
 
 def conjugation_residual(A, g, conn, conn_star):
@@ -462,7 +463,7 @@ def conjugation_residual(A, g, conn, conn_star):
             acc = acc - conn.gamma[d, a, b] * g.matrix[d, c]
             acc = acc - conn_star.gamma[d, a, c] * g.matrix[b, d]
         res[a, b, c] = acc
-    return ETensor(0, 3, r, A.coords, res)
+    return ETensor(0, 3, r, A.coords, store(res))
 
 
 def relative_torsion(A, conn, conn_prime):
@@ -478,7 +479,7 @@ def relative_torsion(A, conn, conn_prime):
             - conn_prime.gamma[a, c, b]
             - (mb[a, b, c] + mb_prime[a, b, c]) * half
         )
-    return ETensor(1, 2, r, A.coords, out)
+    return ETensor(1, 2, r, A.coords, store(out))
 
 
 def quasi_statistical_residual(A, g, conn):
@@ -491,7 +492,7 @@ def quasi_statistical_residual(A, g, conn):
         for d in range(r):
             acc = acc + T.comps[d, a, b] * g.matrix[d, c]
         res[a, b, c] = acc
-    return ETensor(0, 3, r, A.coords, res)
+    return ETensor(0, 3, r, A.coords, store(res))
 
 
 def ssp3_difference(A, g, conn, conn_star):
@@ -504,7 +505,7 @@ def ssp3_difference(A, g, conn, conn_star):
         for e in range(r):
             acc = acc + delta.comps[e, a, b] * g.matrix[e, c]
         res[a, b, c] = acc
-    return ETensor(0, 3, r, A.coords, res)
+    return ETensor(0, 3, r, A.coords, store(res))
 
 
 def alpha_curvature_residual(A, conn, conn_star, alpha):
@@ -530,7 +531,7 @@ def alpha_curvature_residual(A, conn, conn_star, alpha):
             inner = inner + bracket_difference[e, b, c] * delta.comps[a, e, d]
         acc = acc - quarter * inner
         res[a, b, c, d] = acc
-    return ETensor(1, 3, r, coords, res)
+    return ETensor(1, 3, r, coords, store(res))
 
 
 def fundamental_theorem_terms(A, g, conn, conn_star):
@@ -605,7 +606,7 @@ def conjugate_curvature_transfer_residual(A, g, conn_star, kappa):
         if a == c:
             acc = acc + kappa_field * g.matrix[b, d]
         res[a, b, c, d] = acc
-    return ETensor(1, 3, r, A.coords, res)
+    return ETensor(1, 3, r, A.coords, store(res))
 
 
 # -- Hessian symmetry ---------------------------------------------------------
@@ -632,7 +633,7 @@ def projected_exterior_derivative(A, conn, omega):
                     term = mb_hat[m, idx[i], idx[j]] * omega.comps[(m,) + rest]
                     acc = acc + term if sign > 0 else acc - term
         out[idx] = acc
-    return ETensor(0, p + 1, r, A.coords, out)
+    return ETensor(0, p + 1, r, A.coords, store(out))
 
 
 def anchored_projected_torsion_vanishes(A, conn):
@@ -688,7 +689,7 @@ def hessian_symmetry_equivalences(A, conn, probe_functions=None):
                 identity3[m, b, c] = res3[m, b, c] - T_hat.comps[m, b, c]
         clause3 = array_is_zero(res3)
         report.record("clause-3-one-form-derivative", "holds" if clause3 else "fails")
-        report.record("one-form-identity", ETensor(1, 2, r, A.coords, identity3))
+        report.record("one-form-identity", ETensor(1, 2, r, A.coords, store(identity3)))
     else:
         report.warn("connection not admissible: the one-form clause is not applicable")
 
@@ -714,5 +715,5 @@ def hessian_symmetry_equivalences(A, conn, probe_functions=None):
                 A.zero(),
             )
             probe[b, c] = H.comps[b, c] - H.comps[c, b] + correction
-        report.record(f"probe-identity-{index}", ETensor(0, 2, r, A.coords, probe))
+        report.record(f"probe-identity-{index}", ETensor(0, 2, r, A.coords, store(probe)))
     return report

@@ -42,7 +42,7 @@ from leibniz_geo.connection import Derived, difference_tensor, second_cov_and_ri
 from leibniz_geo.errors import ParseError, SchemaError, ShapeError
 from leibniz_geo.model import parse_model_text
 from leibniz_geo.statgeo import alpha_flat_symmetry_residual
-from leibniz_geo.tensor import ETensor, zeros_array
+from leibniz_geo.tensor import ETensor
 from conftest import (
     classical_christoffel,
     classical_riemann,
@@ -52,6 +52,8 @@ from conftest import (
     random_constant_connection,
     random_metric,
     random_polynomial,
+    store,
+    zeros_array,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,7 +90,7 @@ def symmetric_constant_tensor(A, rng):
     }
     for idx in itertools.product(range(r), repeat=3):
         comps[idx] = values[tuple(sorted(idx))]
-    return ETensor(0, 3, r, A.coords, comps)
+    return ETensor(0, 3, r, A.coords, store(comps))
 
 
 def conjugate_instances(count, seed):

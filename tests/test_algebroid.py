@@ -97,7 +97,7 @@ def test_bracket_left_leibniz_rule_with_locality(any_builtin):
     f = random_polynomial(A, rng)
     lhs = bracket_eval(A, u.scale(f), v)
     # [fu, v] = -rho(v)(f) u + f [u, v] + L(Df, u, v)
-    locality_term = A.zeros(A.rank)
+    locality_term = [A.zero()] * A.rank
     df = A.coboundary(f)
     for a in range(A.rank):
         acc = A.zero()
@@ -157,8 +157,7 @@ def test_locality_hat_is_built_once_and_read_only():
     A = courant(1)
     hat = A.locality_hat
     assert A.locality_hat is hat
-    assert not hat.flags.writeable
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         hat[0, 0, 0, 0] = A.one()
     L = A.locality
     for a, d, e, c in itertools.product(range(A.rank), repeat=4):

@@ -29,7 +29,7 @@ from leibniz_geo import (
 from leibniz_geo.connection import Derived, covariant_derivative_vector
 from leibniz_geo.errors import MissingProjector, NotAdmissible
 from leibniz_geo.hessian import function_form
-from leibniz_geo.tensor import ETensor, object_array, zeros_array
+from leibniz_geo.tensor import ETensor, object_array
 from oracle_geometry import anchor_apply
 from conftest import (
     eta_compatible_connection,
@@ -37,6 +37,8 @@ from conftest import (
     random_connection,
     random_metric,
     random_polynomial,
+    store,
+    zeros_array,
 )
 
 
@@ -154,7 +156,7 @@ def test_symmetry_equivalences_all_fail_together():
     A = tangent(2)
     raw = zeros_array((2, 2, 2), A.coords)
     raw[0, 0, 1] = A.one()
-    conn = EConnection(raw)
+    conn = EConnection(store(raw))
     assert not torsion(Derived(A, conn), projected=True).is_zero
     report = hessian_symmetry_equivalences(Derived(A, conn))
     entries = dict(report.entries)
@@ -172,7 +174,7 @@ def test_symmetry_equivalences_kernel_escape():
     A = so3()
     raw = zeros_array((3, 3, 3), A.coords)
     raw[0, 0, 1] = A.one()
-    conn = EConnection(raw)
+    conn = EConnection(store(raw))
     assert not torsion(Derived(A, conn), projected=True).is_zero
     report = hessian_symmetry_equivalences(Derived(A, conn))
     entries = dict(report.entries)

@@ -1,8 +1,11 @@
 """Source hygiene: no module of the package or of the tests imports a name it never
-reads, and no function of the package assigns a local it never reads."""
+reads, no function of the package assigns a local it never reads, and the package
+never loads numpy (the tests use it as an oracle only)."""
 
 import ast
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -122,3 +125,22 @@ def test_package_init_binds_only_the_public_api():
 
     source = (ROOT / "src" / "leibniz_geo" / "__init__.py").read_text()
     assert bound_names(source) == set(leibniz_geo.__all__) | {"__version__", "__all__"}
+
+
+def test_no_package_module_imports_numpy():
+    importing = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "leibniz_geo").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+    ]
+    assert not importing, "imports numpy:\n" + "\n".join(importing)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # A fresh interpreter: this one has numpy loaded by the oracles.
+    probe = "import sys, leibniz_geo.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

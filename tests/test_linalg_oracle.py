@@ -30,8 +30,8 @@ from leibniz_geo import (
 )
 from leibniz_geo.errors import DegenerateMetric, LeibnizGeoError, NonUnique, NoSolution
 from leibniz_geo.model import load_model
-from leibniz_geo.tensor import ETensor, zeros_array
-from conftest import make_rng
+from leibniz_geo.tensor import ETensor
+from conftest import make_rng, store, zeros_array
 
 MODELS = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
 
@@ -100,7 +100,7 @@ def symmetric_c(A, values):
     comps = zeros_array((r, r, r), A.coords)
     for idx in itertools.product(range(r), repeat=3):
         comps[idx] = A.field(values[tuple(sorted(idx))])
-    return ETensor(0, 3, r, A.coords, comps)
+    return ETensor(0, 3, r, A.coords, store(comps))
 
 
 def solve_everything(A, g, C):

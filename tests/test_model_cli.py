@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from leibniz_geo import courant, tangent
-from leibniz_geo.cli import main
+from leibniz_geo.cli import _parse_alpha, main
 from leibniz_geo.errors import ExprSyntaxError, ParseError, SchemaError, ShapeError
 from leibniz_geo.expr import MAX_CONSTANT_BITS, MAX_DEGREE, MAX_FRACTION_TERMS, MAX_TERMS, parse_expr
 from leibniz_geo.model import (
@@ -66,9 +66,7 @@ def test_shipped_models_load_and_round_trip(path):
         for i, j in itertools.product(range(A.rank), repeat=2):
             assert (reloaded.metrics[name].matrix[i, j] - doc.metrics[name].matrix[i, j]).is_zero
     for name in doc.connections:
-        assert (
-            reloaded.connections[name].gamma == doc.connections[name].gamma
-        ).all()
+        assert reloaded.connections[name].gamma.entries == doc.connections[name].gamma.entries
     for name in doc.functions:
         assert reloaded.functions[name] == doc.functions[name]
 
@@ -361,6 +359,31 @@ def test_alpha_past_the_constant_size_cap_exits_two_at_once(capsysbinary, alpha)
     assert record["message"].startswith("--alpha")
     assert f"exceeds {MAX_CONSTANT_BITS}" in record["message"]
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    ["9" * 5000, "1/" + "7" * 5000, "0." + "0" * 5000 + "1", "9" * 5000 + "e2"],
+    ids=["integer", "denominator", "decimal", "with-exponent"],
+)
+def test_alpha_with_a_long_mantissa_exits_two_with_the_cli_message(capsysbinary, alpha):
+    model = str(MODELS / "courant1.model")
+    code = main(["alpha", "--model", model, "--alpha", alpha, "--format", "json-lines"])
+    out, err = capsysbinary.readouterr()
+    assert code == 2
+    assert out == b""
+    record = single_error_record(err)
+    assert record["error"] == "MissingInput"
+    assert record["message"].startswith("--alpha with a numerator or denominator of more than")
+    assert f"exceeds {MAX_CONSTANT_BITS} bits" in record["message"]
+    assert "set_int_max_str_digits" not in record["message"]
+
+
+def test_alpha_of_the_largest_size_still_parses():
+    digits = str(2**MAX_CONSTANT_BITS - 1)
+    assert len(digits) <= MAX_CONSTANT_BITS // 3 + 1
+    assert _parse_alpha(f"{digits}/{digits}") == 1
+    assert _parse_alpha("-1/2") == Fraction(-1, 2)
 
 
 def test_constant_power_size_cap_admits_the_documented_powers():

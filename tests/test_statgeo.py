@@ -39,14 +39,17 @@ from leibniz_geo.statgeo import (
     admissibility_locality_residual,
     alpha_flat_symmetry_residual,
 )
-from leibniz_geo.tensor import ETensor, zeros_array
+from leibniz_geo.tensor import Components, ETensor
 from conftest import (
     classical_christoffel,
     eta_compatible_connection,
     make_rng,
     random_connection,
     random_metric,
+    dense,
     random_polynomial,
+    store,
+    zeros_array,
 )
 
 ALPHAS = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
@@ -172,19 +175,17 @@ def symmetric_tensor(A, rng, degree=0):
         values[idx] = random_polynomial(A, rng, degree)
     for idx in itertools.product(range(r), repeat=3):
         comps[idx] = values[tuple(sorted(idx))]
-    return ETensor(0, 3, r, A.coords, comps)
+    return ETensor(0, 3, r, A.coords, store(comps))
 
 
 def test_statistical_structure_invariants_enforced():
     A = tangent(2)
     rng = make_rng(137)
     g = random_metric(A, rng, constant=True)
-    bad_C = ETensor.zeros(0, 3, 2, A.coords).comps.copy()
-    bad_C[0, 0, 1] = A.one()
+    bad_C = Components((2, 2, 2), A.coords, {(0, 0, 1): A.one()})
     with pytest.raises(ValueError):
         StatisticalStructure(g, ETensor(0, 3, 2, A.coords, bad_C), ETensor.zeros(1, 2, 2, A.coords))
-    bad_B = ETensor.zeros(1, 2, 2, A.coords).comps.copy()
-    bad_B[0, 0, 0] = A.one()
+    bad_B = Components((2, 2, 2), A.coords, {(0, 0, 0): A.one()})
     with pytest.raises(ValueError):
         StatisticalStructure(g, ETensor.zeros(0, 3, 2, A.coords), ETensor(1, 2, 2, A.coords, bad_B))
 
@@ -236,7 +237,7 @@ def test_nonzero_B_requires_bracket_support():
     raw = zeros_array((2, 2, 2), A.coords)
     raw[0, 0, 1] = A.one()
     raw[0, 1, 0] = -A.one()
-    B = ETensor(1, 2, 2, A.coords, raw)
+    B = ETensor(1, 2, 2, A.coords, store(raw))
     with pytest.raises(CompatibilityFailure):
         statistical_solve(A, StatisticalStructure(g, C, B))
 
@@ -247,7 +248,7 @@ def test_koszul_solve_on_courant_with_generic_metric():
     A = courant(1)
     rng = make_rng(150)
     g = random_metric(A, rng, constant=True)
-    (nabla,) = _solve_affine_koszul(A, g, zeros_array((A.rank,) * 3, A.coords))
+    (nabla,) = _solve_affine_koszul(A, g, Components((A.rank,) * 3, A.coords))
     assert torsion(Derived(A, nabla)).is_zero
     assert nonmetricity(A, nabla, g).is_zero
     lc = levi_civita_solve(A, g)
@@ -361,8 +362,8 @@ def test_cached_pair_objects_are_read_only():
     arrays = [tensor.comps for tensor in tensors]
     arrays += [alpha_connection(pair, 2).gamma, pair.mean.gamma]
     for array in arrays:
-        with pytest.raises(ValueError):
-            array[(0,) * array.ndim] = A.one()
+        with pytest.raises(TypeError):
+            array[(0,) * len(array.shape)] = A.one()
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -456,9 +457,9 @@ def test_sse25_endpoints_are_built_by_the_alpha_formula(monkeypatch):
     combine = EConnection.scale_combination
 
     def shifted(self, coeff_self, other, coeff_other):
-        gamma = combine(self, coeff_self, other, coeff_other).gamma.copy()
+        gamma = dense(combine(self, coeff_self, other, coeff_other).gamma)
         gamma[0, 0, 0] = gamma[0, 0, 0] + 1
-        return EConnection(gamma)
+        return EConnection(store(gamma))
 
     monkeypatch.setattr(EConnection, "scale_combination", shifted)
     results = checks.run_check("SSe25", doc)
