@@ -100,7 +100,8 @@ class Algebroid:
     def locality_hat(self):
         """P-projected locality coefficients Lhat^{a d}_{e c} = P^a_f L^{f d}_{e c}.
 
-        Built on first access and kept on the instance.
+        Built on first access and kept on the instance.  The one place that
+        raises MissingProjector: whatever needs the projector reads this first.
         """
         if self.projector is None:
             raise MissingProjector("algebroid has no locality projector")
@@ -126,7 +127,8 @@ class Algebroid:
                 if not df.is_zero:
                     partials[(i, *idx)] = df
         partials = Components((self.dim, *comps.shape), self.coords, partials)
-        return contract("bi,i...->b...", self.anchor, partials)
+        axes = "acdefghjklmnopqrstuvwxyz"[: len(comps.shape)]
+        return contract(f"bi,i{axes}->b{axes}", self.anchor, partials)
 
     def coboundary(self, f):
         """(Df)_a = rho(X_a)(f) as a (0, 1) tensor."""
@@ -153,13 +155,11 @@ class Algebroid:
 
     def validate_projector(self):
         """Projector axioms: idempotence, image of P.L in ker rho, identity on ker."""
-        if self.projector is None:
-            raise MissingProjector("algebroid has no locality projector")
+        image = contract("ai,adec->idec", self.anchor, self.locality_hat)
         P = self.projector
         report = AlgebroidReport()
         idem = contract("af,fb->ab", P, P) - P
         report.record("idempotent", ComponentSummaries(idem))
-        image = contract("ai,adec->idec", self.anchor, self.locality_hat)
         report.record("projected_locality_in_kernel", ComponentSummaries(image))
 
         if not self.kernel_sections:

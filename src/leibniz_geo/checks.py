@@ -12,9 +12,11 @@ is a boolean or a note rather than a residual) or a ``(label, residual)``
 pair.  A residual is the tensor an identity sets to zero: an ``ETensor``, or
 the component carrier of a residual whose axes mix frame and coordinate
 indices.  Hypotheses are gates read from ``Derived`` and ``ConjugatePair``
-before the residual is built.  The ``_runner`` decorator collects the items
-into the list of records that ``check_<id>`` returns, judging each pair by
-its exact zero test in ``_from_residual``.
+before the residual is built.  The ``_check(id)`` decorator registers each
+check in ``REGISTRY`` where it is defined and collects its items into the
+list of records that ``check_<id>`` returns, judging each pair by its exact
+zero test in ``_from_residual``.  A check built on the projected modified
+bracket is declared ``needs_projector`` and so gated in one place.
 
 ``run_all`` and ``run_check`` hand every runner one context per call.  It
 holds a single ``Derived`` per connection and a single ``ConjugatePair`` per
@@ -51,6 +53,7 @@ from .statgeo import (
     alpha_connection,
     alpha_curvature_residual,
     alpha_flat_symmetry_residual,
+    alpha_weights,
     conjugate_connection,
     statistical_solve,
 )
@@ -100,17 +103,28 @@ def _na(name, note):
     return CheckResult(name, "not-applicable", note=note)
 
 
-def _runner(check):
-    """Turn a generator of check items into a runner returning its records."""
+REGISTRY = {}
 
-    @functools.wraps(check)
-    def run(ctx):
-        return [
-            item if isinstance(item, CheckResult) else _from_residual(*item)
-            for item in check(ctx)
-        ]
 
-    return run
+def _check(check_id, needs_projector=False):
+    """Register a generator of check items as the runner of check_id, which
+    returns their records, or only the "no locality projector" record when
+    the check is declared ``needs_projector`` and the algebroid has none."""
+
+    def register(check):
+        @functools.wraps(check)
+        def run(ctx):
+            if needs_projector and ctx.A.projector is None:
+                return [_na(check_id, _NO_PROJECTOR)]
+            return [
+                item if isinstance(item, CheckResult) else _from_residual(*item)
+                for item in check(ctx)
+            ]
+
+        REGISTRY[check_id] = run
+        return run
+
+    return register
 
 
 def _connections(doc):
@@ -159,7 +173,7 @@ def _probe_sections(A, count, seed):
 # -- bracket/connection layer -------------------------------------------------
 
 
-@_runner
+@_check("eb12")
 def check_eb12(ctx):
     """Torsion and curvature antisymmetry for admissible connections."""
     for name, conn in _connections(ctx.doc):
@@ -174,12 +188,9 @@ def check_eb12(ctx):
             yield f"eb12[{name}]:curvature", D.curvature + D.curvature.swap_slots(2, 3)
 
 
-@_runner
+@_check("eb14", needs_projector=True)
 def check_eb14(ctx):
     """Ricci identity on probe sections; holds for every connection."""
-    if ctx.A.projector is None:
-        yield _na("eb14", _NO_PROJECTOR)
-        return
     probes = _probe_sections(ctx.A, 9, seed=11)
     for name, conn in _connections(ctx.doc):
         for index in range(3):
@@ -190,7 +201,7 @@ def check_eb14(ctx):
 # -- conjugation layer --------------------------------------------------------
 
 
-@_runner
+@_check("SSp1")
 def check_ssp1(ctx):
     """Strongly conjugate admissible pairs have opposite torsions."""
     for label, pair in ctx.pairs:
@@ -200,7 +211,7 @@ def check_ssp1(ctx):
             yield f"SSp1[{label}]", pair.torsion_sum
 
 
-@_runner
+@_check("SSp2")
 def check_ssp2(ctx):
     """An admissible connection with an admissible strong conjugate is torsion-free."""
     for label, pair in ctx.pairs:
@@ -210,7 +221,7 @@ def check_ssp2(ctx):
             yield f"SSp2[{label}]", pair.derived(pair.nabla).torsion
 
 
-@_runner
+@_check("SSp3")
 def check_ssp3(ctx):
     """Q(nabla, g) = -Q(nabla*, g) = g(Delta(nabla*, nabla)(u, v), w)."""
     A = ctx.A
@@ -222,7 +233,7 @@ def check_ssp3(ctx):
         yield f"SSp3[{label}]:difference", ETensor(0, 3, A.rank, A.coords, res)
 
 
-@_runner
+@_check("SSp4")
 def check_ssp4(ctx):
     """An admissible strong conjugate forces the Levi-Civita self-pair."""
     for label, pair in ctx.pairs:
@@ -233,7 +244,7 @@ def check_ssp4(ctx):
         yield f"SSp4[{label}]:metric-compatible", pair.nonmetricity
 
 
-@_runner
+@_check("SSp5")
 def check_ssp5(ctx):
     """Statistical-solve postconditions for the document's (C, B) data."""
     A = ctx.A
@@ -251,7 +262,7 @@ def check_ssp5(ctx):
         yield f"SSp5[{label}]:conjugate-torsion", pair.derived(pair.nabla_star).torsion - B
 
 
-@_runner
+@_check("SSp6")
 def check_ssp6(ctx):
     """Quasi-statistical structures fix the conjugate's torsion."""
     for label, pair in ctx.pairs:
@@ -262,7 +273,7 @@ def check_ssp6(ctx):
             yield f"SSp6[{label}]", _torsion_transfer_residual(pair)
 
 
-@_runner
+@_check("SSp7")
 def check_ssp7(ctx):
     """Relative torsion antisymmetry for admissible conjugate pairs."""
     for label, pair in ctx.pairs:
@@ -273,7 +284,7 @@ def check_ssp7(ctx):
             yield f"SSp7[{label}]", res
 
 
-@_runner
+@_check("SSp8")
 def check_ssp8(ctx):
     """T(nabla, nabla*) + T(nabla*, nabla) = T(nabla) + T(nabla*)."""
     for label, pair in ctx.pairs:
@@ -281,7 +292,7 @@ def check_ssp8(ctx):
         yield f"SSp8[{label}]", res
 
 
-@_runner
+@_check("SSp9")
 def check_ssp9(ctx):
     """The mean connection is metric-compatible with half the total torsion."""
     A = ctx.A
@@ -292,7 +303,7 @@ def check_ssp9(ctx):
         yield f"SSp9[{label}]:torsion-mean", pair.derived(pair.mean).torsion - T_half
 
 
-@_runner
+@_check("SSp10")
 def check_ssp10(ctx):
     """Conjugation, torsion, and nonmetricity of the alpha family."""
     A = ctx.A
@@ -306,8 +317,7 @@ def check_ssp10(ctx):
                 f"SSp10[{label}]:involution(alpha={alpha})",
                 difference_tensor(A, conj, alpha_connection(pair, -alpha)),
             )
-            s = ScalarField.constant((1 + alpha) / 2, A.coords)
-            t = ScalarField.constant((1 - alpha) / 2, A.coords)
+            s, t = alpha_weights(alpha, A.coords)
             T_alpha = pair.derived(conn_alpha).torsion
             yield f"SSp10[{label}]:torsion(alpha={alpha})", T_alpha - T_star.scale(s) - T.scale(t)
             factor = ScalarField.constant(Fraction(alpha), A.coords)
@@ -317,18 +327,15 @@ def check_ssp10(ctx):
             )
 
 
-@_runner
+@_check("SSp11", needs_projector=True)
 def check_ssp11(ctx):
     """Curvature decomposition of the alpha family."""
-    if ctx.A.projector is None:
-        yield _na("SSp11", _NO_PROJECTOR)
-        return
     for label, pair in ctx.pairs:
         for alpha in ALPHA_VALUES:
             yield f"SSp11[{label}]:alpha={alpha}", alpha_curvature_residual(ctx.A, pair, alpha)
 
 
-@_runner
+@_check("SSe8")
 def check_sse8(ctx):
     """Joint admissibility forces antisymmetry of the locality difference."""
     for label, pair in ctx.pairs:
@@ -338,7 +345,7 @@ def check_sse8(ctx):
             yield f"SSe8[{label}]", admissibility_locality_residual(pair)
 
 
-@_runner
+@_check("SSe25")
 def check_sse25(ctx):
     """Endpoint identities of the alpha family."""
     for label, pair in ctx.pairs:
@@ -351,19 +358,16 @@ def check_sse25(ctx):
             yield f"SSe25[{label}]:{tag}", difference_tensor(ctx.A, got, expect)
 
 
-@_runner
+@_check("SS29", needs_projector=True)
 def check_ss29(ctx):
     """Flat conjugate pairs have an alpha-symmetric curvature family."""
-    if ctx.A.projector is None:
-        yield _na("SS29", _NO_PROJECTOR)
-        return
     for label, pair in ctx.pairs:
         R, R_star = pair.derived(pair.nabla).curvature, pair.derived(pair.nabla_star).curvature
         if not (R.is_zero and R_star.is_zero):
             yield _na(f"SS29[{label}]", "pair is not flat")
             continue
         for alpha in ALPHA_VALUES:
-            yield f"SS29[{label}]:alpha={alpha}", alpha_flat_symmetry_residual(ctx.A, pair, alpha)
+            yield f"SS29[{label}]:alpha={alpha}", alpha_flat_symmetry_residual(pair, alpha)
 
 
 # -- hessian layer ------------------------------------------------------------
@@ -376,12 +380,9 @@ def _hessian_asymmetry(A, conn, prefix):
         yield f"{prefix}:probe-{index}", H - H.swap_slots(1, 2)
 
 
-@_runner
+@_check("lp1", needs_projector=True)
 def check_lp1(ctx):
     """Three-way Hessian symmetry equivalence report."""
-    if ctx.A.projector is None:
-        yield _na("lp1", _NO_PROJECTOR)
-        return
     for name, conn in _connections(ctx.doc):
         report = hessian_symmetry_equivalences(ctx.derived(conn))
         for key, value in report.entries.items():
@@ -394,12 +395,9 @@ def check_lp1(ctx):
                 yield label, value
 
 
-@_runner
+@_check("lp2", needs_projector=True)
 def check_lp2(ctx):
     """Hessian structures are Codazzi; includes the lc3 statistical shadow."""
-    if ctx.A.projector is None:
-        yield _na("lp2", _NO_PROJECTOR)
-        return
     if not ctx.doc.functions:
         yield _na("lp2", "no potential function declared")
         return
@@ -416,12 +414,9 @@ def check_lp2(ctx):
                 yield CheckResult(f"lc3[{label}:{fname}]", "pass" if holds else "fail")
 
 
-@_runner
+@_check("lp3", needs_projector=True)
 def check_lp3(ctx):
     """Fundamental theorem residual with holonomy preconditions."""
-    if ctx.A.projector is None:
-        yield _na("lp3", _NO_PROJECTOR)
-        return
     for label, pair in ctx.pairs:
         if pair.holonomic:
             yield f"lp3[{label}]", fundamental_theorem_residual(ctx.A, pair)
@@ -431,12 +426,9 @@ def check_lp3(ctx):
             yield _na(f"lp3[{label}]", note)
 
 
-@_runner
+@_check("lc1", needs_projector=True)
 def check_lc1(ctx):
     """Projected torsion with image in ker rho still gives symmetric Hessians."""
-    if ctx.A.projector is None:
-        yield _na("lc1", _NO_PROJECTOR)
-        return
     for name, conn in _connections(ctx.doc):
         if not ctx.derived(conn).anchored_projected_torsion.is_zero:
             yield _na(f"lc1[{name}]", "projected torsion image escapes ker rho")
@@ -444,12 +436,9 @@ def check_lc1(ctx):
             yield from _hessian_asymmetry(ctx.A, conn, f"lc1[{name}]")
 
 
-@_runner
+@_check("lc2", needs_projector=True)
 def check_lc2(ctx):
     """Torsion transfer makes the conjugate's Hessian symmetric too."""
-    if ctx.A.projector is None:
-        yield _na("lc2", _NO_PROJECTOR)
-        return
     for label, pair in ctx.pairs:
         D, D_star = pair.derived(pair.nabla), pair.derived(pair.nabla_star)
         if not D.projected_torsion.is_zero:
@@ -460,12 +449,9 @@ def check_lc2(ctx):
             yield from _hessian_asymmetry(ctx.A, pair.nabla_star, f"lc2[{label}]")
 
 
-@_runner
+@_check("lc4", needs_projector=True)
 def check_lc4(ctx):
     """Constant curvature transfers to the conjugate under lp3 hypotheses."""
-    if ctx.A.projector is None:
-        yield _na("lc4", _NO_PROJECTOR)
-        return
     for label, pair in ctx.pairs:
         if not pair.holonomic:
             yield _na(f"lc4[{label}]", "anholonomic frame")
@@ -482,47 +468,16 @@ def check_lc4(ctx):
             yield f"lc4[{label}]:kappa={kappa}", residual
 
 
-REGISTRY = {
-    "eb12": check_eb12,
-    "eb14": check_eb14,
-    "SSe8": check_sse8,
-    "SSe25": check_sse25,
-    "SSp1": check_ssp1,
-    "SSp2": check_ssp2,
-    "SSp3": check_ssp3,
-    "SSp4": check_ssp4,
-    "SSp5": check_ssp5,
-    "SSp6": check_ssp6,
-    "SSp7": check_ssp7,
-    "SSp8": check_ssp8,
-    "SSp9": check_ssp9,
-    "SSp10": check_ssp10,
-    "SSp11": check_ssp11,
-    "SS29": check_ss29,
-    "lp1": check_lp1,
-    "lp2": check_lp2,
-    "lp3": check_lp3,
-    "lc1": check_lc1,
-    "lc2": check_lc2,
-    "lc3": check_lp2,
-    "lc4": check_lc4,
-}
+REGISTRY["lc3"] = check_lp2
 
 
 def run_check(check_id, doc):
-    if check_id not in REGISTRY:
-        raise KeyError(check_id)
+    """The records of one check; KeyError for an unknown id."""
     return REGISTRY[check_id](_Context(doc))
 
 
 def run_all(doc):
+    """The records of every check, each runner once, at its first id in report order."""
     ctx = _Context(doc)
-    results = []
-    seen = set()
-    for check_id in sorted(REGISTRY, key=str.lower):
-        runner = REGISTRY[check_id]
-        if runner in seen:
-            continue
-        seen.add(runner)
-        results.extend(runner(ctx))
-    return results
+    runners = dict.fromkeys(REGISTRY[check_id] for check_id in sorted(REGISTRY, key=str.lower))
+    return [record for runner in runners for record in runner(ctx)]

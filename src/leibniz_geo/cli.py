@@ -273,7 +273,17 @@ def run(command, doc, args):
     return records
 
 
-def _build_parser():
+def _parse_args(argv):
+    """argv parsed; '--alpha -P/Q' is read as '--alpha=-P/Q', since argparse
+    takes a '-P/Q' that is no plain negative number for an option.  As
+    argparse does, '--a', '--al', ... abbreviate '--alpha'."""
+    joined = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        option = joined[-1] if joined else ""
+        if len(option) > 2 and "--alpha".startswith(option) and re.match(r"-\d", arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
     parser = argparse.ArgumentParser(
         prog="leibniz-geo",
         description="Exact metric-connection geometry on pre-Leibniz algebroids.",
@@ -284,11 +294,11 @@ def _build_parser():
     parser.add_argument("--model", default=None, help="path to a model document")
     parser.add_argument("--connection", default=None)
     parser.add_argument("--metric", default=None)
-    parser.add_argument("--alpha", default=None, help="exact rational, e.g. 1/2")
+    parser.add_argument("--alpha", default=None, help="exact rational, e.g. 1/2 or -1/2")
     parser.add_argument("--function", default=None)
     parser.add_argument("--format", default="text", choices=("text", "json-lines"))
     parser.add_argument("--dump-residuals", action="store_true")
-    return parser
+    return parser.parse_args(joined)
 
 
 _BUILTINS = {
@@ -309,8 +319,7 @@ def _export_builtin(name):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         if args.command == "export-builtin":
             if not args.check_id:

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import linalg
-from .errors import MissingProjector, SlotMismatch
+from .errors import SlotMismatch
 from .tensor import ComponentSummaries, Components, ETensor, contract, object_array, sum_terms
 
 
@@ -119,16 +119,15 @@ def curvature(D):
     R^a_{bcd} = rho(X_b)(G^a_{cd}) - rho(X_c)(G^a_{bd})
                 + G^e_{cd} G^a_{be} - G^e_{bd} G^a_{ce} - mbhat^e_{bc} G^a_{ed}.
     """
+    mbhat = D.projected_bracket.comps
     A, gamma = D.algebroid, D.conn.gamma
-    if A.projector is None:
-        raise MissingProjector("curvature needs a locality projector")
     d_gamma = A.anchor_derivative(gamma)  # [b, a, c, d] = rho(X_b)(G^a_{cd})
     out = (
         contract("bacd->abcd", d_gamma)
         - contract("cabd->abcd", d_gamma)
         + contract("ecd,abe->abcd", gamma, gamma)
         - contract("ebd,ace->abcd", gamma, gamma)
-        - contract("ebc,aed->abcd", D.projected_bracket.comps, gamma)
+        - contract("ebc,aed->abcd", mbhat, gamma)
     )
     return ETensor(1, 3, A.rank, A.coords, out)
 

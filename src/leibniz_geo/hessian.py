@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .algebroid import AlgebroidReport
 from .connection import Derived, frame_covariant_derivative, nonmetricity
-from .errors import InvalidStructure, MissingProjector, NotAdmissible, SlotMismatch
+from .errors import InvalidStructure, NotAdmissible, SlotMismatch
 from .scalar import ScalarField
 from .statgeo import StatisticalStructure
 from .tensor import (
@@ -70,15 +70,12 @@ def projected_exterior_derivative(D, omega):
     covariant and antisymmetric in every pair of slots (else SlotMismatch).
     """
     _check_form(omega)
-    A = D.algebroid
-    if A.projector is None:
-        raise MissingProjector("projected exterior derivative needs a locality projector")
+    mhat = D.projected_bracket.comps
     if not D.admissible:
         raise NotAdmissible("projected exterior derivative requires an admissible connection")
-    p = omega.r
+    A, p = D.algebroid, omega.r
     slots = "abcdefghijklnopqrstuvwxyz"[: p + 1]  # m is the summed label
     d_omega = A.anchor_derivative(omega.comps)  # [a, ...] = rho(X_a)(w_{...})
-    mhat = D.projected_bracket.comps
     out = Components((A.rank,) * (p + 1), A.coords)
     for i, s in enumerate(slots):
         term = contract(f"{s}{slots.replace(s, '')}->{slots}", d_omega)
@@ -116,12 +113,10 @@ def hessian_symmetry_equivalences(D, probe_functions=None):
     with a nonzero projected torsion whose image hides inside ker rho — is
     reported through a warning instead of a failure.
     """
+    T_hat = D.projected_torsion
     A, conn = D.algebroid, D.conn
-    if A.projector is None:
-        raise MissingProjector("the symmetry equivalences need a locality projector")
     report = AlgebroidReport()
     r = A.rank
-    T_hat = D.projected_torsion
     clause1 = D.anchored_projected_torsion.is_zero
     clause2 = T_hat.is_zero
     report.record("clause-1-hessian-symmetric-for-all-f", "holds" if clause1 else "fails")
@@ -189,11 +184,8 @@ def hessian_structure_check(D, g, f):
     admissible connections, that (g, Q, T) satisfies the statistical-structure
     invariants.
     """
+    report = AlgebroidReport({"flat": D.curvature})
     A, conn = D.algebroid, D.conn
-    if A.projector is None:
-        raise MissingProjector("hessian structure check needs a locality projector")
-    report = AlgebroidReport()
-    report.record("flat", D.curvature)
     report.record("projected-torsion-free", D.projected_torsion)
     report.record("metric-equals-hessian", g.lower_tensor() - hessian(A, conn, f))
     report.record("metric-nondegenerate", not g.det.is_zero)
@@ -221,8 +213,6 @@ def fundamental_theorem_residual(A, pair):
     projected modified brackets vanish on the working frame); on other
     frames ``pair.holonomy_obstruction`` is the term the theorem drops.
     """
-    if A.projector is None:
-        raise MissingProjector("fundamental theorem residual needs a locality projector")
     R, R_star = pair.derived(pair.nabla).curvature, pair.derived(pair.nabla_star).curvature
     g = pair.g.matrix
     res = contract("eabc,ed->abcd", R.comps, g) + contract("eabd,ec->abcd", R_star.comps, g)
@@ -237,15 +227,12 @@ def constant_curvature_check(D, g):
     exact rational kappa when one exists (the flat case yields kappa = 0),
     else (False, None).
     """
-    A = D.algebroid
-    if A.projector is None:
-        raise MissingProjector("constant curvature check needs a locality projector")
+    R = D.curvature
     if not D.admissible:
         raise NotAdmissible("constant curvature requires an admissible connection")
-    R = D.curvature
     if R.is_zero:
         return True, Fraction(0)
-    model = _constant_curvature_model(A, g)
+    model = _constant_curvature_model(D.algebroid, g)
     if model.is_zero:
         return False, None
     first = min(model.entries)

@@ -28,7 +28,7 @@ from .connection import (
     difference_tensor,
     nonmetricity,
 )
-from .errors import CompatibilityFailure, InvalidStructure, MissingProjector
+from .errors import CompatibilityFailure, InvalidStructure
 from .scalar import ScalarField
 from .tensor import ETensor, contract, is_antisymmetric_in, is_totally_symmetric
 
@@ -178,11 +178,15 @@ def alpha_connection(pair, alpha):
     alpha = Fraction(alpha)
     family = pair._alpha_connections
     if alpha not in family:
-        coords = pair.algebroid.coords
-        s = ScalarField.constant((1 + alpha) / 2, coords)
-        t = ScalarField.constant((1 - alpha) / 2, coords)
+        s, t = alpha_weights(alpha, pair.algebroid.coords)
         family[alpha] = pair.nabla_star.scale_combination(s, pair.nabla, t)
     return family[alpha]
+
+
+def alpha_weights(alpha, coords):
+    """(1+alpha)/2 and (1-alpha)/2, the weights of nabla* and nabla in nabla^(alpha)."""
+    alpha = Fraction(alpha)
+    return tuple(ScalarField.constant(w, coords) for w in ((1 + alpha) / 2, (1 - alpha) / 2))
 
 
 def bracket_difference(D, D_prime):
@@ -250,27 +254,23 @@ def alpha_curvature_residual(A, pair, alpha):
     with Delta = Delta(nabla, nabla*) and the bracket difference taken
     between the two projected modified brackets.  Identically zero.
     """
-    if A.projector is None:
-        raise MissingProjector("alpha-curvature residual needs a locality projector")
-    alpha = Fraction(alpha)
-    coords = A.coords
-    s = ScalarField.constant((1 + alpha) / 2, coords)
-    t = ScalarField.constant((1 - alpha) / 2, coords)
-    quarter = ScalarField.constant((1 - alpha * alpha) / 4, coords)
     D, D_star = pair.derived(pair.nabla), pair.derived(pair.nabla_star)
+    projected_difference = (D.projected_bracket - D_star.projected_bracket).comps
+    alpha = Fraction(alpha)
+    s, t = alpha_weights(alpha, A.coords)
+    quarter = ScalarField.constant((1 - alpha * alpha) / 4, A.coords)
     R_alpha = pair.derived(alpha_connection(pair, alpha)).curvature
     R, R_star, delta = D.curvature, D_star.curvature, pair.difference
-    projected_difference = (D.projected_bracket - D_star.projected_bracket).comps
     inner = (
         contract("ebd,ace->abcd", delta.comps, delta.comps)
         - contract("ecd,abe->abcd", delta.comps, delta.comps)
         + contract("ebc,aed->abcd", projected_difference, delta.comps)
     )
     res = R_alpha.comps - R_star.comps.scale(s) - R.comps.scale(t) - inner.scale(quarter)
-    return ETensor(1, 3, A.rank, coords, res)
+    return ETensor(1, 3, A.rank, A.coords, res)
 
 
-def alpha_flat_symmetry_residual(A, pair, alpha):
+def alpha_flat_symmetry_residual(pair, alpha):
     """R(nabla^(alpha)) - R(nabla^(-alpha)); zero when the pair is flat."""
     plus = pair.derived(alpha_connection(pair, alpha)).curvature
     minus = pair.derived(alpha_connection(pair, -Fraction(alpha))).curvature

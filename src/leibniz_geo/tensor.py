@@ -178,34 +178,21 @@ def _sums(terms):
 
 # -- contract -----------------------------------------------------------------
 
-# Labels for the axes that '...' stands for; subscripts use lowercase letters.
-_ELLIPSIS_LABELS = string.ascii_uppercase
-
-
 @functools.lru_cache(maxsize=256)
 def _plan(subscripts, ndims):
-    """Operand labels with '...' expanded (right-aligned, as einsum does) and the
-    output labels of explicit-output einsum subscripts."""
+    """The operand labels and the output labels of explicit-output einsum
+    subscripts in which every term names each axis of its operand once."""
     lhs, arrow, output = subscripts.replace(" ", "").partition("->")
-    specs = lhs.split(",")
-    if not arrow or len(specs) != len(ndims):
+    inputs = tuple(lhs.split(","))
+    if not arrow or len(inputs) != len(ndims):
         raise ValueError(f"subscripts {subscripts!r} need '->' and one term per operand")
-    width = max(
-        (nd - len(s) + 3 for s, nd in zip(specs, ndims) if "..." in s), default=0
-    )
-    fill = _ELLIPSIS_LABELS[:width]
-    inputs = []
-    for spec, ndim in zip(specs, ndims):
-        if "..." in spec:
-            head, tail = spec.split("...")
-            spec = head + fill[width - (ndim - len(head) - len(tail)) :] + tail
-        if len(spec) != ndim:
-            raise ValueError(f"subscripts {subscripts!r} do not match an operand of {ndim} axes")
-        inputs.append(spec)
-    output = output.replace("...", fill)
+    for spec, ndim in zip(inputs, ndims):
+        # '...' repeats its dot, and a repeated label would ask for a diagonal.
+        if len(spec) != ndim or len(set(spec)) != ndim:
+            raise ValueError(f"subscripts {subscripts!r} do not label {ndim} axes once each")
     if len(set(output)) != len(output) or not set(output) <= set("".join(inputs)):
         raise ValueError(f"bad output subscripts in {subscripts!r}")
-    return tuple(inputs), output
+    return inputs, output
 
 
 def _getter(positions):
@@ -214,21 +201,6 @@ def _getter(positions):
         (p,) = positions
         return lambda idx: (idx[p],)
     return operator.itemgetter(*positions) if positions else lambda idx: ()
-
-
-def _rows(labels, operand):
-    """(distinct labels, entries keyed by them): a repeated label keeps the diagonal."""
-    distinct = "".join(dict.fromkeys(labels))
-    if distinct == labels:
-        return labels, operand.entries
-    first = [labels.index(label) for label in labels]
-    pick = _getter([labels.index(label) for label in distinct])
-    rows = {
-        pick(idx): value
-        for idx, value in operand.entries.items()
-        if all(idx[i] == idx[f] for i, f in enumerate(first))
-    }
-    return distinct, rows
 
 
 def _join(bound, rows, labels, other, keep):
@@ -256,8 +228,8 @@ def contract(subscripts, *operands):
 
     The operands' nonzero entries are hash-joined on their shared labels one
     operand at a time; a label is summed out as soon as no later operand and
-    not the output carries it.  '...' and repeated labels (a diagonal) are
-    read as einsum reads them.  Returns the Components in the output order.
+    not the output carries it.  '...' and repeated labels are refused with
+    ValueError.  Returns the Components in the output order.
     """
     inputs, output = _plan(subscripts, tuple(len(op.shape) for op in operands))
     sizes = {}
@@ -266,10 +238,10 @@ def contract(subscripts, *operands):
             if sizes.setdefault(label, n) != n:
                 raise ValueError(f"label {label!r} spans axes of sizes {sizes[label]} and {n}")
     shape = tuple(sizes[label] for label in output)
-    bound, rows = _rows(inputs[0], operands[0])
+    bound, rows = inputs[0], operands[0].entries
     for k in range(1, len(operands)):
-        labels, other = _rows(inputs[k], operands[k])
-        bound, rows = _join(bound, rows, labels, other, set(output).union(*inputs[k + 1 :]))
+        keep = set(output).union(*inputs[k + 1 :])
+        bound, rows = _join(bound, rows, inputs[k], operands[k].entries, keep)
     if bound != output:
         order = _getter([bound.index(label) for label in output])
         # Only a single operand can still carry labels to sum out.

@@ -241,7 +241,7 @@ def test_criterion_04_alpha_family():
     assert curvature(Derived(A, pair.nabla)).is_zero
     assert curvature(Derived(A, pair.nabla_star)).is_zero
     for alpha in alphas:
-        assert alpha_flat_symmetry_residual(A, pair, alpha).is_zero
+        assert alpha_flat_symmetry_residual(pair, alpha).is_zero
 
 
 @criterion(5, "strong conjugacy forces the Levi-Civita self-pair")

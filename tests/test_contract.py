@@ -4,9 +4,9 @@ numpy is the oracle here and only here: the engine's kernel is a hash join on
 the nonzero entries of sparse ``Components`` stores, and each subscript string
 the package passes (read from the source and recorded from check-all runs on
 the bundled models), together with the einsum strings the kernel replaced
-(ranks 1 to 4, '...' forms and the repeated-label diagonals of the old
-writable views), must give the same component strings as ``np.einsum`` on
-seeded random sparse arrays of ScalarField.
+(ranks 1 to 4), must give the same component strings as ``np.einsum`` on
+seeded random sparse arrays of ScalarField.  '...' and repeated labels are
+refused: every term names each axis of its operand once.
 """
 
 import itertools
@@ -28,16 +28,15 @@ from conftest import dense, store
 ROOT = Path(__file__).resolve().parent.parent
 COORDS = ("x1", "x2")
 
-# The np.einsum subscripts of the kernels before the sparse store, with the
-# diagonals that were written through as views.
+# The np.einsum subscripts of the kernels before the sparse store that label
+# each axis once.
 EINSUM_SUBSCRIPTS = (
-    "af,fdec->adec", "bi,i...->b...", "ai,abc->ibc", "bci->ibc", "cbi->ibc", "af,fb->ab",
-    "ai,adec->idec", "ab,b->a", "ai,a->i", "aa->a", "ec,da->adec", "eab,ec->abc", "b,ab->a",
+    "af,fdec->adec", "ai,abc->ibc", "bci->ibc", "cbi->ibc", "af,fb->ab",
+    "ai,adec->idec", "ab,b->a", "ai,a->i", "ec,da->adec", "eab,ec->abc", "b,ab->a",
     "edb,adec->abc", "bacd->abcd", "cabd->abcd", "ecd,abe->abcd", "ebd,ace->abcd",
     "ebc,aed->abcd", "abcd,b,c,d->a", "abc,b,c->a", "mcd,mb->bcd", "dbc->bcd", "cbd->bcd",
-    "mx,mpey->xpey", "bcdebc->bcde", "bcdepc->bcdep", "bped->bdep", "bcdepb->bcdep",
-    "cped->cdep", "dpec->cdep", "mab,m...->ab...", "abc,a->bc", "eabc,ed->abcd",
-    "eabd,ec->abcd", "aacd->acd", "abad->abd", "db,abc->dac", "dab,dc->abc", "dac,bd->abc",
+    "mx,mpey->xpey", "bped->bdep", "cped->cdep", "dpec->cdep", "abc,a->bc", "eabc,ed->abcd",
+    "eabd,ec->abcd", "db,abc->dac", "dab,dc->abc", "dac,bd->abc",
     "mab,nmc,nd->abcd", "bac->abc", "acb->abc", "ab->ba",
 )  # fmt: skip
 
@@ -83,21 +82,11 @@ def random_store(rng, shape, density):
 
 
 def random_operands(rng, subscripts):
-    """Operands for subscripts: each label gets a size in 1..3, '...' one to two axes."""
+    """Operands for subscripts: each label gets a size in 1..3."""
     lhs = subscripts.split("->")[0].split(",")
-    labels = set("".join(lhs).replace(".", ""))
-    sizes = {label: rng.randint(1, 3) for label in sorted(labels)}
-    ellipsis = [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
+    sizes = {label: rng.randint(1, 3) for label in sorted(set("".join(lhs)))}
     density = rng.choice((0.2, 0.5, 1.0))
-    operands = []
-    for spec in lhs:
-        head, _, tail = spec.partition("...")
-        shape = [sizes[label] for label in head]
-        if "..." in spec:
-            shape += ellipsis
-        shape += [sizes[label] for label in tail]
-        operands.append(random_store(rng, tuple(shape), density))
-    return operands
+    return [random_store(rng, tuple(sizes[label] for label in spec), density) for spec in lhs]
 
 
 def agrees_with_einsum(subscripts, operands):
@@ -114,8 +103,8 @@ def test_source_subscripts_are_covered():
 
 def test_every_subscript_matches_einsum(monkeypatch):
     subscripts = sorted(set(EINSUM_SUBSCRIPTS) | recorded_subscripts(monkeypatch))
-    # Ranks 1 to 4, the '...' forms and the diagonals are all among them.
-    assert {"ab,b->a", "abc,b,c->a", "abcd,b,c,d->a", "bi,i...->b...", "bcdebc->bcde"} <= set(subscripts)
+    # Ranks 1 to 4 and the anchor derivative of a scalar, a matrix and a connection.
+    assert {"ab,b->a", "abc,b,c->a", "abcd,b,c,d->a", "bi,i->b", "bi,iac->bac", "bi,iacd->bacd"} <= set(subscripts)
     rng = random.Random(13)
     for subscript in subscripts:
         for _ in range(3):
@@ -135,14 +124,15 @@ def test_an_empty_axis_sums_to_the_zero_store():
     # A point base: the anchor has no coordinate axis.
     anchor = Components((3, 0), COORDS)
     partials = Components((0, 2, 2), COORDS)
-    out = contract("bi,i...->b...", anchor, partials)
+    out = contract("bi,iac->bac", anchor, partials)
     assert out.shape == (3, 2, 2) and out.is_zero
 
 
 @pytest.mark.parametrize(
     "subscripts, shapes",
     [("ab,bc", [(2, 2), (2, 2)]), ("ab->ba", [(2, 2), (2, 2)]), ("ab,b->a", [(2, 2), (3,)]),
-     ("ab->aa", [(2, 2)]), ("ab->c", [(2, 2)]), ("abc->a", [(2, 2)])],
+     ("ab->aa", [(2, 2)]), ("ab->c", [(2, 2)]), ("abc->a", [(2, 2)]), ("aa->a", [(2, 2)]),
+     ("bi,i...->b...", [(2, 2), (2, 3, 3, 3)])],
 )  # fmt: skip
 def test_bad_subscripts_are_refused(subscripts, shapes):
     with pytest.raises(ValueError):

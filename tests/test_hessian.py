@@ -1,5 +1,6 @@
 """Hessians, the projected exterior derivative, and curvature pairing."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from leibniz_geo import (
     EConnection,
     EMetric,
     HessianStructure,
+    alpha_curvature_residual,
     conjugate_connection,
     conjugate_curvature_transfer_residual,
     constant_curvature_check,
@@ -137,6 +139,35 @@ def test_projected_exterior_derivative_guards():
     assert not Derived(Cour, bad).admissibility.is_zero
     with pytest.raises(NotAdmissible):
         projected_exterior_derivative(Derived(Cour, bad), function_form(Cour, Cour.one()))
+
+
+# The entry points built from the projected modified bracket, each called on
+# (algebroid, Derived, metric, pair).
+NEEDS_PROJECTOR = {
+    "locality_hat": lambda A, D, g, pair: A.locality_hat,
+    "validate_projector": lambda A, D, g, pair: A.validate_projector(),
+    "curvature": lambda A, D, g, pair: curvature(D),
+    "projected_exterior_derivative": lambda A, D, g, pair: projected_exterior_derivative(
+        D, function_form(A, A.one())
+    ),
+    "hessian_symmetry_equivalences": lambda A, D, g, pair: hessian_symmetry_equivalences(D),
+    "hessian_structure_check": lambda A, D, g, pair: hessian_structure_check(D, g, A.x(1)),
+    "fundamental_theorem_residual": lambda A, D, g, pair: fundamental_theorem_residual(A, pair),
+    "constant_curvature_check": lambda A, D, g, pair: constant_curvature_check(D, g),
+    "alpha_curvature_residual": lambda A, D, g, pair: alpha_curvature_residual(A, pair, Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NEEDS_PROJECTOR))
+def test_projector_is_decided_by_locality_hat_before_admissibility(entry):
+    A = dataclasses.replace(courant(1), projector=None, kernel_sections=())
+    conn = random_connection(A, make_rng(73), degree=1)
+    D = Derived(A, conn)
+    assert not D.admissible
+    g = courant_pairing(A)
+    pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
+    with pytest.raises(MissingProjector, match="^algebroid has no locality projector$"):
+        NEEDS_PROJECTOR[entry](A, D, g, pair)
 
 
 def test_symmetry_equivalences_all_hold_for_flat_tangent():

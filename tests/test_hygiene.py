@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package or of the tests imports a name it never
-reads, no function of the package assigns a local it never reads, and the package
-never loads numpy (the tests use it as an oracle only)."""
+reads, no function of the package assigns a local it never reads, the package
+never loads numpy (the tests use it as an oracle only), and only
+``Algebroid.locality_hat`` raises MissingProjector."""
 
 import ast
 import re
@@ -144,3 +145,15 @@ def test_cli_import_leaves_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_only_the_algebroid_raises_missing_projector():
+    # Algebroid.locality_hat decides the projector hypothesis for every caller.
+    raising = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "leibniz_geo").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and "MissingProjector" in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    ]
+    assert [entry.split(":")[0] for entry in raising] == ["algebroid.py"], raising

@@ -386,6 +386,17 @@ def test_alpha_of_the_largest_size_still_parses():
     assert _parse_alpha("-1/2") == Fraction(-1, 2)
 
 
+def test_alpha_takes_a_negative_rational_as_its_own_argument(capsysbinary):
+    # argparse alone reads '-1/2' as an option and leaves --alpha without a value.
+    model = str(MODELS / "tangent2_polar.model")
+    runs = []
+    for spelling in (["--alpha=-1/2"], ["--alpha", "-1/2"], ["--alp", "-1/2"], ["--alpha", "-0.5"]):
+        code = main(["alpha", "--model", model, *spelling, "--format", "json-lines"])
+        runs.append((code, capsysbinary.readouterr().out))
+    assert all(run == runs[0] for run in runs)
+    assert runs[0][0] == 0 and b"alpha=-1/2" in runs[0][1]
+
+
 def test_constant_power_size_cap_admits_the_documented_powers():
     assert parse_expr("7^1000", ("x1",)) == 7**1000
     assert parse_expr("(1/7)^1000", ("x1",)) == Fraction(1, 7**1000)

@@ -1,6 +1,7 @@
 """Conjugation, statistical solving, strong conjugacy, and the alpha family."""
 
 import itertools
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -31,7 +32,7 @@ from leibniz_geo import (
 from leibniz_geo import checks, connection, statgeo
 from leibniz_geo.connection import difference_tensor
 from leibniz_geo.errors import CompatibilityFailure
-from leibniz_geo.model import load_model
+from leibniz_geo.model import load_model, parse_model_text
 from leibniz_geo.statgeo import (
     _quasi_statistical_residual,
     _solve_affine_koszul,
@@ -314,7 +315,7 @@ def test_alpha_curvature_symmetry_for_flat_pairs():
     assert curvature(Derived(A, pair.nabla)).is_zero
     assert curvature(Derived(A, pair.nabla_star)).is_zero
     for alpha in ALPHAS:
-        assert alpha_flat_symmetry_residual(A, pair, alpha).is_zero
+        assert alpha_flat_symmetry_residual(pair, alpha).is_zero
 
 
 def test_ssp5_propagates_unexpected_errors(monkeypatch):
@@ -467,3 +468,16 @@ def test_sse25_endpoints_are_built_by_the_alpha_formula(monkeypatch):
     assert status["alpha=1-is-conjugate"] == "fail"
     assert status["alpha=-1-is-nabla"] == "fail"
     assert status["alpha=0-is-mean"] == "pass"
+
+
+# The checks built on the projected modified bracket; lc3 is reported by lp2.
+PROJECTOR_CHECKS = ("eb14", "SSp11", "SS29", "lp1", "lp2", "lc3", "lp3", "lc1", "lc2", "lc4")
+
+
+@pytest.mark.parametrize("check_id", PROJECTOR_CHECKS)
+def test_a_check_that_needs_the_projector_is_one_not_applicable_record_without_it(check_id):
+    document = json.loads((MODELS / "courant1.model").read_text())
+    del document["projector"]
+    results = checks.run_check(check_id, parse_model_text(json.dumps(document)))
+    label = "lp2" if check_id == "lc3" else check_id
+    assert results == [checks.CheckResult(label, "not-applicable", note="no locality projector")]
