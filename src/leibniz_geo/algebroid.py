@@ -27,7 +27,7 @@ from fractions import Fraction
 from .errors import InvalidStructureConstants, MissingProjector
 from .expr import parse_expr
 from .scalar import ScalarField
-from .tensor import ComponentSummaries, Components, ETensor, contract, object_array
+from .tensor import ComponentSummaries, Components, ETensor, contract, contract_sum, object_array
 
 
 @dataclass
@@ -146,10 +146,10 @@ class Algebroid:
         derivative terms on both sides for non-frame sections.
         """
         d_anchor = self.anchor_derivative(self.anchor)  # [b, c, i] = rho^j_b d_j rho^i_c
-        res = (
-            contract("ai,abc->ibc", self.anchor, self.bracket)
-            - contract("bci->ibc", d_anchor)
-            + contract("cbi->ibc", d_anchor)
+        res = contract_sum(
+            (1, "ai,abc->ibc", self.anchor, self.bracket),
+            (-1, "bci->ibc", d_anchor),
+            (1, "cbi->ibc", d_anchor),
         )
         return ComponentSummaries(res)
 
@@ -158,14 +158,14 @@ class Algebroid:
         image = contract("ai,adec->idec", self.anchor, self.locality_hat)
         P = self.projector
         report = AlgebroidReport()
-        idem = contract("af,fb->ab", P, P) - P
+        idem = contract_sum((1, "af,fb->ab", P, P), (-1, "ab->ab", P))
         report.record("idempotent", ComponentSummaries(idem))
         report.record("projected_locality_in_kernel", ComponentSummaries(image))
 
         if not self.kernel_sections:
             report.warn("no kernel sections supplied; identity-on-kernel check skipped")
         for idx, k in enumerate(self.kernel_sections):
-            fixed = contract("ab,b->a", P, k.comps) - k.comps
+            fixed = contract_sum((1, "ab,b->a", P, k.comps), (-1, "a->a", k.comps))
             report.record(f"fixes_kernel_section_{idx}", ComponentSummaries(fixed))
             anchored = contract("ai,a->i", self.anchor, k.comps)
             report.record(f"annihilates_kernel_section_{idx}", ComponentSummaries(anchored))

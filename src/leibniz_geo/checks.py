@@ -57,7 +57,7 @@ from .statgeo import (
     conjugate_connection,
     statistical_solve,
 )
-from .tensor import ETensor, contract
+from .tensor import ETensor, contract_sum
 
 ALPHA_VALUES = (
     Fraction(-1),
@@ -229,7 +229,7 @@ def check_ssp3(ctx):
         g, Q, delta = pair.g, pair.nonmetricity, pair.difference
         yield f"SSp3[{label}]:opposite", Q + nonmetricity(A, pair.nabla_star, g)
         # Delta(nabla*, nabla) = -Delta(nabla, nabla*).
-        res = Q.comps + contract("eab,ec->abc", delta.comps, g.matrix)
+        res = contract_sum((1, "abc->abc", Q.comps), (1, "eab,ec->abc", delta.comps, g.matrix))
         yield f"SSp3[{label}]:difference", ETensor(0, 3, A.rank, A.coords, res)
 
 

@@ -222,13 +222,12 @@ def _dhat(A, doc, args):
 def _check(A, doc, args):
     if not args.check_id:
         raise MissingInput("check requires a proposition id, e.g. 'check SSp3'")
-    try:
-        return checks_module.run_check(args.check_id, doc)
-    except KeyError as exc:
+    if args.check_id not in checks_module.REGISTRY:
         raise UnknownCommand(
             f"unknown check id {args.check_id!r}; known: "
             + ", ".join(sorted(checks_module.REGISTRY, key=str.lower))
-        ) from exc
+        )
+    return checks_module.run_check(args.check_id, doc)
 
 
 def _check_all(A, doc, args):

@@ -7,11 +7,12 @@ derivatives, second covariant derivative).  The section-level torsion,
 curvature and modified brackets that cross-check tensoriality live in
 ``tests/oracle_geometry.py``.
 
-Every frame contraction is one ``tensor.contract`` call over the sparse
-``Components`` stores, so only nonzero entries meet the scalar's own ``+``
-and ``*``.  The anchor derivatives rho(X_b)(.) of a whole component array come
-from one ``Algebroid.anchor_derivative`` call, and the Koszul system is
-written index by index from the nonzero entries of the metric and locality.
+Every frame contraction, and every signed sum of them (torsion, curvature,
+nabla t, the Koszul terms), is one ``tensor.contract_sum`` call over the
+sparse ``Components`` stores, which normalises each output entry once.  The
+anchor derivatives rho(X_b)(.) of a whole component array come from one
+``Algebroid.anchor_derivative`` call, and the Koszul system is written index
+by index from the nonzero entries of the metric and locality.
 """
 
 from __future__ import annotations
@@ -22,7 +23,15 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .errors import SlotMismatch
-from .tensor import ComponentSummaries, Components, ETensor, contract, object_array, sum_terms
+from .tensor import (
+    ComponentSummaries,
+    Components,
+    ETensor,
+    contract,
+    contract_sum,
+    object_array,
+    sum_terms,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,14 +83,14 @@ def frame_covariant_derivative(A, conn, t):
     """
     slots = _SLOTS[: t.q + t.r]
     out = slots[: t.q] + "b" + slots[t.q :]
-    result = contract(f"b{slots}->{out}", A.anchor_derivative(t.comps))
+    terms = [(1, f"b{slots}->{out}", A.anchor_derivative(t.comps))]
     for k, s in enumerate(slots):
         swapped = slots[:k] + "e" + slots[k + 1 :]
         if k < t.q:
-            result = result + contract(f"{s}be,{swapped}->{out}", conn.gamma, t.comps)
+            terms.append((1, f"{s}be,{swapped}->{out}", conn.gamma, t.comps))
         else:
-            result = result - contract(f"eb{s},{swapped}->{out}", conn.gamma, t.comps)
-    return ETensor(t.q, t.r + 1, A.rank, A.coords, result)
+            terms.append((-1, f"eb{s},{swapped}->{out}", conn.gamma, t.comps))
+    return ETensor(t.q, t.r + 1, A.rank, A.coords, contract_sum(*terms))
 
 
 def second_covariant_derivative(A, conn, u, v, w):
@@ -110,7 +119,8 @@ def torsion(D, projected=False):
     """T^a_{bc} = Gamma^a_{bc} - Gamma^a_{cb} - mb^a_{bc} (mbhat when projected)."""
     A, gamma = D.algebroid, D.conn.gamma
     mb = D.projected_bracket if projected else D.bracket
-    return ETensor(1, 2, A.rank, A.coords, gamma - contract("acb->abc", gamma) - mb.comps)
+    out = contract_sum((1, "abc->abc", gamma), (-1, "acb->abc", gamma), (-1, "abc->abc", mb.comps))
+    return ETensor(1, 2, A.rank, A.coords, out)
 
 
 def curvature(D):
@@ -122,12 +132,12 @@ def curvature(D):
     mbhat = D.projected_bracket.comps
     A, gamma = D.algebroid, D.conn.gamma
     d_gamma = A.anchor_derivative(gamma)  # [b, a, c, d] = rho(X_b)(G^a_{cd})
-    out = (
-        contract("bacd->abcd", d_gamma)
-        - contract("cabd->abcd", d_gamma)
-        + contract("ecd,abe->abcd", gamma, gamma)
-        - contract("ebd,ace->abcd", gamma, gamma)
-        - contract("ebc,aed->abcd", mbhat, gamma)
+    out = contract_sum(
+        (1, "bacd->abcd", d_gamma),
+        (-1, "cabd->abcd", d_gamma),
+        (1, "ecd,abe->abcd", gamma, gamma),
+        (-1, "ebd,ace->abcd", gamma, gamma),
+        (-1, "ebc,aed->abcd", mbhat, gamma),
     )
     return ETensor(1, 3, A.rank, A.coords, out)
 
@@ -222,10 +232,14 @@ def second_cov_and_ricci(D, u, v, w):
 # -- Koszul-type solves -------------------------------------------------------
 
 
-def _koszul_form(X, g):
-    """-g(X(v, w), u) - g(X(u, w), v) + g(X(u, v), w) of a (1, 2) array X, at (u, v, w) = (X_b, X_c, X_d)."""
-    lowered = contract("mcd,mb->bcd", X, g.matrix)  # g(X(X_c, X_d), X_b)
-    return contract("dbc->bcd", lowered) - lowered - contract("cbd->bcd", lowered)
+def _koszul_terms(X, g):
+    """The contract_sum terms of -g(X(v, w), u) - g(X(u, w), v) + g(X(u, v), w)
+    for a (1, 2) array X, at (u, v, w) = (X_b, X_c, X_d)."""
+    return [
+        (1, "mbc,md->bcd", X, g.matrix),
+        (-1, "mcd,mb->bcd", X, g.matrix),
+        (-1, "mbd,mc->bcd", X, g.matrix),
+    ]
 
 
 def levi_civita_solve(A, g):
@@ -285,7 +299,12 @@ def _koszul_system(A, g):
 
     matrix = sum_terms((r**3, r**3), A.coords, terms())
     dg = A.anchor_derivative(g.matrix)  # [b, c, d] = rho(X_b)(g_{cd})
-    koszul = dg + contract("cbd->bcd", dg) - contract("dbc->bcd", dg) + _koszul_form(A.bracket, g)
+    koszul = contract_sum(
+        (1, "bcd->bcd", dg),
+        (1, "cbd->bcd", dg),
+        (-1, "dbc->bcd", dg),
+        *_koszul_terms(A.bracket, g),
+    )
     return matrix, koszul
 
 

@@ -19,7 +19,7 @@ from .statgeo import StatisticalStructure
 from .tensor import (
     Components,
     ETensor,
-    contract,
+    contract_sum,
     is_antisymmetric_in,
     object_array,
     sum_terms,
@@ -76,15 +76,11 @@ def projected_exterior_derivative(D, omega):
     A, p = D.algebroid, omega.r
     slots = "abcdefghijklnopqrstuvwxyz"[: p + 1]  # m is the summed label
     d_omega = A.anchor_derivative(omega.comps)  # [a, ...] = rho(X_a)(w_{...})
-    out = Components((A.rank,) * (p + 1), A.coords)
-    for i, s in enumerate(slots):
-        term = contract(f"{s}{slots.replace(s, '')}->{slots}", d_omega)
-        out = out + term if i % 2 == 0 else out - term
+    terms = [((-1) ** i, f"{s}{slots.replace(s, '')}->{slots}", d_omega) for i, s in enumerate(slots)]
     for (i, s), (j, t) in itertools.combinations(enumerate(slots), 2):
         rest = slots.replace(s, "").replace(t, "")
-        term = contract(f"m{s}{t},m{rest}->{slots}", mhat, omega.comps)
-        out = out + term if (i + j) % 2 == 0 else out - term
-    return _check_form(ETensor(0, p + 1, A.rank, A.coords, out))
+        terms.append(((-1) ** (i + j), f"m{s}{t},m{rest}->{slots}", mhat, omega.comps))
+    return _check_form(ETensor(0, p + 1, A.rank, A.coords, contract_sum(*terms)))
 
 
 def _check_form(t):
@@ -128,8 +124,11 @@ def hessian_symmetry_equivalences(D, probe_functions=None):
         for m in range(r):
             omega = ETensor(0, 1, r, A.coords, Components((r,), A.coords, {(m,): A.one()}))
             nabla_omega = frame_covariant_derivative(A, conn, omega).comps
-            skew = nabla_omega - contract("ab->ba", nabla_omega)
-            res = projected_exterior_derivative(D, omega).comps - skew
+            res = contract_sum(
+                (1, "ab->ab", projected_exterior_derivative(D, omega).comps),
+                (-1, "ab->ab", nabla_omega),
+                (1, "ab->ba", nabla_omega),
+            )
             entries.update(((m, *idx), value) for idx, value in res.entries.items())
         res3 = Components((r, r, r), A.coords, entries)
         clause3 = res3.is_zero
@@ -155,8 +154,9 @@ def hessian_symmetry_equivalences(D, probe_functions=None):
         probe_functions = _default_probes(A)
     for index, f in enumerate(probe_functions):
         H = hessian(A, conn, f).comps
-        correction = contract("abc,a->bc", T_hat.comps, A.anchor_derivative(f))
-        probe = H - contract("ab->ba", H) + correction
+        probe = contract_sum(
+            (1, "ab->ab", H), (-1, "ab->ba", H), (1, "abc,a->bc", T_hat.comps, A.anchor_derivative(f))
+        )
         report.record(f"probe-identity-{index}", ETensor(0, 2, r, A.coords, probe))
 
     return report
@@ -215,7 +215,7 @@ def fundamental_theorem_residual(A, pair):
     """
     R, R_star = pair.derived(pair.nabla).curvature, pair.derived(pair.nabla_star).curvature
     g = pair.g.matrix
-    res = contract("eabc,ed->abcd", R.comps, g) + contract("eabd,ec->abcd", R_star.comps, g)
+    res = contract_sum((1, "eabc,ed->abcd", R.comps, g), (1, "eabd,ec->abcd", R_star.comps, g))
     return ETensor(0, 4, A.rank, A.coords, res)
 
 

@@ -1,6 +1,7 @@
 """Exact linear algebra on sympy's sparse DomainMatrix, for matrices given as
 rows of ScalarField: over QQ when every entry is constant, over the shared
-fraction field Q(coords) otherwise.  Results come back as ScalarField.
+fraction field Q(coords) otherwise.  Results come back as ScalarField; the
+results of one call share each distinct numerator and denominator polynomial.
 """
 
 from __future__ import annotations
@@ -21,9 +22,14 @@ def _domain_matrix(rows):
     element = (lambda e: e.frac.numer.LC) if domain is QQ else (lambda e: e.frac)
     entries = {i: {j: element(e) for j, e in row.items()} for i, row in nonzero.items() if row}
     zero = ScalarField(K.zero, coords, _normalized=True)  # shared by all zeros of a result
+    polys = {}  # one object per distinct numerator or denominator of the results
 
     def lift(x):
-        return ScalarField(K.convert_from(x, domain), coords) if x else zero
+        if not x:
+            return zero
+        frac = ScalarField._normal_form(K.convert_from(x, domain))
+        frac = frac.raw_new(*(polys.setdefault(p, p) for p in (frac.numer, frac.denom)))
+        return ScalarField(frac, coords, _normalized=True)
 
     return DomainMatrix(entries, (len(rows), len(rows[0])), domain), lift
 

@@ -17,15 +17,19 @@ form on top of it:
   representation is unique),
 * zero is stored as 0/1.
 
-Most operations in the geometry kernels have a zero operand; those return at
-once, without touching the polynomial kernel.  Sums, differences, products
-and derivatives of polynomials (denominator 1) are already in normal form and
-skip the gcd cancellation.  Values are immutable and hashable; all operations
-are pure.  Conversion to a sympy expression happens only for display.
+Operations with a zero operand return at once, without touching the
+polynomial kernel.  Sums, differences, products and derivatives of
+polynomials (denominator 1), and products with a constant, are already in
+normal form and skip the gcd cancellation.  The tensor kernels do not add
+and multiply fields one pair at a time: they sum products of numerators over
+their denominators and build each entry once with ``from_fraction``, which
+cancels once.  Values are immutable and hashable; all operations are pure.
+Conversion to a sympy expression happens only for display.
 """
 
 from __future__ import annotations
 
+import gc
 import operator
 from fractions import Fraction
 
@@ -35,6 +39,13 @@ from sympy.polys.fields import FracField
 from sympy.polys.orderings import grlex
 
 from .errors import DivisionByZero, PoleAtPoint
+
+# Importing sympy leaves about 50 000 container objects that live as long as
+# the interpreter.  Every full garbage collection would walk them again, about
+# 30 ms on a 2-core x86-64 VM, and the pause lands in whatever computation is
+# running when the collector's counters come due; frozen, a full collection
+# walks only the objects made since and takes about 2 ms.
+gc.freeze()
 
 # The exact rational scalar type used throughout the package.
 Rational = Fraction
@@ -54,6 +65,11 @@ def _field(coords):
         gens = tuple(sp.Symbol(name) for name in coords) or (_DUMMY,)
         K = _FIELDS[coords] = FracField(gens, QQ, grlex)
     return K
+
+
+def _is_one(poly):
+    """poly == 1, without the new polynomial that ``PolyElement.is_one`` builds."""
+    return len(poly) == 1 and poly.get(poly.ring.zero_monom) == QQ.one
 
 
 def _degree(poly):
@@ -100,6 +116,15 @@ class ScalarField:
             raise IndexError(f"coordinate index {i} out of range 1..{len(coords)}")
         return cls(_field(coords).gens[i - 1], coords, _normalized=True)
 
+    @classmethod
+    def from_fraction(cls, numer, denom, coords):
+        """numer/denom for polynomials of the ring of Q(coords), cancelled once;
+        a denom of None stands for 1 and needs no cancellation."""
+        K = _field(coords)
+        if denom is None:
+            return cls(K.raw_new(numer, K.ring.one), coords, _normalized=True)
+        return cls(K.raw_new(*numer.cancel(denom)), coords)
+
     # -- normal form ----------------------------------------------------------
 
     @staticmethod
@@ -117,7 +142,7 @@ class ScalarField:
     def _ring_op(self, other, op):
         """``op`` (+, - or *) on nonzero operands."""
         a, b = self.frac, other.frac
-        if a.denom.is_one and b.denom.is_one:
+        if _is_one(a.denom) and _is_one(b.denom):
             # Polynomials: the result is already in normal form.
             frac = a.raw_new(op(a.numer, b.numer), a.denom)
             return ScalarField(frac, self.coords, _normalized=True)
@@ -131,7 +156,7 @@ class ScalarField:
 
     @property
     def is_constant(self):
-        return self.frac.denom.is_one and self.frac.numer.is_ground
+        return self.frac.numer.is_ground and _is_one(self.frac.denom)
 
     def as_rational(self):
         """The value as an exact Rational; requires a constant field."""
@@ -190,6 +215,11 @@ class ScalarField:
             return self
         if other.is_zero:
             return other
+        if self.is_constant or other.is_constant:
+            # A rational multiple of a normal form is one too.
+            c, f = (self, other.frac) if self.is_constant else (other, self.frac)
+            frac = f.raw_new(f.numer.mul_ground(c.frac.numer.LC), f.denom)
+            return ScalarField(frac, self.coords, _normalized=True)
         return self._ring_op(other, operator.mul)
 
     __rmul__ = __mul__
@@ -243,7 +273,7 @@ class ScalarField:
         if self.is_constant:
             return ScalarField.constant(0, self.coords)
         f = self.frac
-        if f.denom.is_one:
+        if _is_one(f.denom):
             # A polynomial's derivative is a polynomial, already in normal form.
             derivative = f.numer.diff(f.field.ring.gens[i - 1])
             return ScalarField(f.raw_new(derivative, f.denom), self.coords, _normalized=True)

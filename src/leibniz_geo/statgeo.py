@@ -23,14 +23,14 @@ from fractions import Fraction
 from .connection import (
     Derived,
     EConnection,
-    _koszul_form,
+    _koszul_terms,
     _solve_affine_koszul,
     difference_tensor,
     nonmetricity,
 )
 from .errors import CompatibilityFailure, InvalidStructure
 from .scalar import ScalarField
-from .tensor import ETensor, contract, is_antisymmetric_in, is_totally_symmetric
+from .tensor import ETensor, contract, contract_sum, is_antisymmetric_in, is_totally_symmetric
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,16 +153,19 @@ class StatisticalStructure:
 
 def conjugate_connection(A, g, conn):
     """The unique conjugate: Gamma*^d_{ac} = g^{db}(rho_a(g_{bc}) - Gamma^e_{ab} g_{ec})."""
-    inner = A.anchor_derivative(g.matrix) - contract("eab,ec->abc", conn.gamma, g.matrix)
-    return EConnection(contract("db,abc->dac", g.inverse, inner))
+    gamma_star = contract_sum(
+        (1, "db,abc->dac", g.inverse, A.anchor_derivative(g.matrix)),
+        (-1, "eab,ec,db->dac", conn.gamma, g.matrix, g.inverse),
+    )
+    return EConnection(gamma_star)
 
 
 def conjugation_residual(A, g, conn, conn_star):
     """Frame residual of the joint metric-preservation condition."""
-    res = (
-        A.anchor_derivative(g.matrix)
-        - contract("dab,dc->abc", conn.gamma, g.matrix)
-        - contract("dac,bd->abc", conn_star.gamma, g.matrix)
+    res = contract_sum(
+        (1, "abc->abc", A.anchor_derivative(g.matrix)),
+        (-1, "dab,dc->abc", conn.gamma, g.matrix),
+        (-1, "dac,bd->abc", conn_star.gamma, g.matrix),
     )
     return ETensor(0, 3, A.rank, A.coords, res)
 
@@ -196,16 +199,21 @@ def bracket_difference(D, D_prime):
 
 def relative_torsion(D, D_prime):
     """T(nabla, nabla')^a_{bc} = G^a_{bc} - G'^a_{cb} - (mb + mb')^a_{bc} / 2."""
-    A = D.algebroid
-    half = ScalarField.constant(Fraction(1, 2), A.coords)
-    mean_bracket = (D.bracket.comps + D_prime.bracket.comps).scale(half)
-    out = D.conn.gamma - contract("acb->abc", D_prime.conn.gamma) - mean_bracket
+    A, half = D.algebroid, Fraction(1, 2)
+    out = contract_sum(
+        (1, "abc->abc", D.conn.gamma),
+        (-1, "acb->abc", D_prime.conn.gamma),
+        (-half, "abc->abc", D.bracket.comps),
+        (-half, "abc->abc", D_prime.bracket.comps),
+    )
     return ETensor(1, 2, A.rank, A.coords, out)
 
 
 def _quasi_statistical_residual(A, g, Q, T):
     """Q(u,v,w) - Q(v,u,w) + g(T(u,v), w) for given Q and T; zero on quasi-statistical data."""
-    res = Q.comps - contract("bac->abc", Q.comps) + contract("dab,dc->abc", T.comps, g.matrix)
+    res = contract_sum(
+        (1, "abc->abc", Q.comps), (-1, "bac->abc", Q.comps), (1, "dab,dc->abc", T.comps, g.matrix)
+    )
     return ETensor(0, 3, A.rank, A.coords, res)
 
 
@@ -228,7 +236,8 @@ def statistical_solve(A, S):
     residual helpers (they hold for every successful solve).
     """
     g, C, B = S.g, S.C, S.B
-    nabla, nabla_star = _solve_affine_koszul(A, g, C.comps, _koszul_form(B.comps, g) - C.comps)
+    star_extra = contract_sum(*_koszul_terms(B.comps, g), (-1, "bcd->bcd", C.comps))
+    nabla, nabla_star = _solve_affine_koszul(A, g, C.comps, star_extra)
     derived = {nabla: Derived(A, nabla), nabla_star: Derived(A, nabla_star)}
     compat_residual = B - bracket_difference(derived[nabla], derived[nabla_star])
     if not compat_residual.is_zero:
@@ -255,18 +264,19 @@ def alpha_curvature_residual(A, pair, alpha):
     between the two projected modified brackets.  Identically zero.
     """
     D, D_star = pair.derived(pair.nabla), pair.derived(pair.nabla_star)
-    projected_difference = (D.projected_bracket - D_star.projected_bracket).comps
     alpha = Fraction(alpha)
-    s, t = alpha_weights(alpha, A.coords)
-    quarter = ScalarField.constant((1 - alpha * alpha) / 4, A.coords)
+    s, t, quarter = (1 + alpha) / 2, (1 - alpha) / 2, (1 - alpha * alpha) / 4
     R_alpha = pair.derived(alpha_connection(pair, alpha)).curvature
-    R, R_star, delta = D.curvature, D_star.curvature, pair.difference
-    inner = (
-        contract("ebd,ace->abcd", delta.comps, delta.comps)
-        - contract("ecd,abe->abcd", delta.comps, delta.comps)
-        + contract("ebc,aed->abcd", projected_difference, delta.comps)
+    delta = pair.difference.comps
+    res = contract_sum(
+        (1, "abcd->abcd", R_alpha.comps),
+        (-s, "abcd->abcd", D_star.curvature.comps),
+        (-t, "abcd->abcd", D.curvature.comps),
+        (-quarter, "ebd,ace->abcd", delta, delta),
+        (quarter, "ecd,abe->abcd", delta, delta),
+        (-quarter, "ebc,aed->abcd", D.projected_bracket.comps, delta),
+        (quarter, "ebc,aed->abcd", D_star.projected_bracket.comps, delta),
     )
-    res = R_alpha.comps - R_star.comps.scale(s) - R.comps.scale(t) - inner.scale(quarter)
     return ETensor(1, 3, A.rank, A.coords, res)
 
 

@@ -6,25 +6,30 @@ tensor, and a residual such as T, R or Q is the tensor that its identity
 sets to zero.  Its components live in a ``Components`` store: an immutable
 sparse array holding a shape and its nonzero ScalarField entries keyed by
 index tuple.  Most entries of the structure and connection arrays are zero,
-and a zero entry is never stored, multiplied or added.  Every contraction is
-one ``contract`` call with einsum subscripts, a hash join on the nonzero
-entries in which the scalar's own ``+`` and ``*`` do the exact arithmetic.
+and a zero entry is never stored, multiplied or added.  A signed sum of
+contractions is one ``contract_sum`` call with einsum subscripts per term,
+each term a hash join on the nonzero entries (``contract`` is the one-term
+case).  Products and sums stay unreduced polynomials grouped by denominator,
+and each output entry is normalised once (``_Sums``): one whose numerators
+cancel costs no gcd.
 All indices are 0-based internally; the model-file layer converts from the
 1-based convention used in the docs.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 import operator
 import string
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import linalg
 from .errors import DegenerateMetric, SlotMismatch
-from .scalar import ScalarField
+from .scalar import ScalarField, _is_one
 
 
 class Components:
@@ -87,27 +92,17 @@ class Components:
         return Components(shape, self.coords, entries)
 
     def __add__(self, other):
-        return self._merge(other, operator.add, lambda value: value)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self._merge(other, operator.sub, operator.neg)
+        return self._combine(other, -1)
 
-    def _merge(self, other, op, alone):
-        """op entrywise; ``alone`` maps an entry of other that self lacks."""
+    def _combine(self, other, sign):
+        """self + sign * other, each entry normalised once."""
         if self.shape != other.shape:
             raise ValueError(f"shapes {self.shape} and {other.shape} differ")
-        entries = dict(self.entries)
-        for idx, value in other.entries.items():
-            mine = entries.get(idx)
-            if mine is None:
-                entries[idx] = alone(value)
-                continue
-            total = op(mine, value)
-            if total.is_zero:
-                del entries[idx]
-            else:
-                entries[idx] = total
-        return Components(self.shape, self.coords, entries)
+        others = other.entries.items() if sign == 1 else (-other).entries.items()
+        return sum_terms(self.shape, self.coords, itertools.chain(self.entries.items(), others))
 
     def __neg__(self):
         return Components(self.shape, self.coords, {i: -v for i, v in self.entries.items()})
@@ -162,18 +157,126 @@ def sum_terms(shape, coords, terms):
     """The Components whose entry at each index is the sum of the terms given for it.
 
     ``terms`` yields (index, ScalarField) pairs; this is how an array is
-    written index by index.
+    written index by index.  Each entry is normalised once.
     """
-    return Components(shape, coords, _sums(terms))
-
-
-def _sums(terms):
-    """{index: the sum of the values given for it} for (index, value) terms, zero sums dropped."""
-    entries = {}
+    sums = _Sums(coords)
     for idx, value in terms:
-        prev = entries.get(idx)
-        entries[idx] = value if prev is None else prev + value
-    return {i: v for i, v in entries.items() if not v.is_zero}
+        sums.add_field(idx, 1, value)
+    return Components(shape, coords, sums.finish())
+
+
+# -- the accumulator ------------------------------------------------------------
+
+
+class _Sums:
+    """Per output index, the unreduced sum of the products given for it.
+
+    A product of fields with a rational coefficient is held as its numerator,
+    the product of the numerators, over a denominator key: the sorted tuple
+    of the ids of the factors' denominators in ``denominators`` (a polynomial
+    factor adds none).  An index holds {key: sum of the numerators over it},
+    so products over equal denominators add as polynomials, and nothing is
+    cancelled until ``finish``.  There each index is brought to one common
+    denominator and cancelled once: a sum whose numerators add to zero is
+    dropped with no gcd, a sum over denominator 1 needs none, and an index
+    given one lone field keeps that field.
+    """
+
+    def __init__(self, coords):
+        self.coords = coords
+        self.ids = {}
+        self.denominators = []
+        self.sums = {}  # index -> {key: numerator}, or (coeff, field) for a lone field
+
+    def key(self, denom):
+        """The key of a one-factor denominator."""
+        if _is_one(denom):
+            return ()
+        i = self.ids.get(denom)
+        if i is None:
+            i = self.ids[denom] = len(self.denominators)
+            self.denominators.append(denom)
+        return (i,)
+
+    def fraction(self, coeff, value):
+        """coeff * value as an unreduced sum."""
+        frac = value.frac
+        return {self.key(frac.denom): self._scaled(frac.numer, coeff)}
+
+    def add_field(self, idx, coeff, value):
+        prev = self.sums.get(idx)
+        if prev is None:
+            self.sums[idx] = (coeff, value)
+        else:
+            self.add(idx, self.fraction(coeff, value))
+
+    def add(self, idx, terms):
+        """Add the unreduced sum ``terms`` (which the accumulator may keep) at idx."""
+        prev = self.sums.get(idx)
+        if prev is None:
+            self.sums[idx] = terms
+            return
+        if isinstance(prev, tuple):
+            prev = self.sums[idx] = self.fraction(*prev)
+        self.add_into(prev, terms)
+
+    def finish(self):
+        """{index: the normalised sum}, zero sums dropped."""
+        entries = {}
+        for idx, terms in self.sums.items():
+            value = self._value(terms)
+            if value is not None:
+                entries[idx] = value
+        return entries
+
+    def _value(self, terms):
+        if isinstance(terms, tuple):
+            coeff, value = terms
+            return value if coeff == 1 else -value if coeff == -1 else value * coeff
+        if not terms:
+            return None
+        if len(terms) == 1:
+            ((key, numer),) = terms.items()
+            key = collections.Counter(key)
+        else:
+            # Over the multiset union of the denominators: no gcd before the zero test.
+            key = functools.reduce(operator.or_, map(collections.Counter, terms))
+            numer = functools.reduce(
+                operator.add, (self._times(n, key - collections.Counter(k)) for k, n in terms.items())
+            )
+            if not numer:
+                return None
+        denom = self._times(numer.ring.one, key) if key else None
+        return ScalarField.from_fraction(numer, denom, self.coords)
+
+    def _times(self, poly, multiset):
+        """poly times the denominators that a Counter of ids names."""
+        for i, m in multiset.items():
+            poly = poly * self.denominators[i] ** m
+        return poly
+
+    @staticmethod
+    def add_into(terms, other):
+        """terms += other for unreduced sums, keys whose numerators cancel dropped."""
+        for key, numer in other.items():
+            prev = terms.get(key)
+            if prev is None:
+                terms[key] = numer
+                continue
+            total = prev + numer
+            if total:
+                terms[key] = total
+            else:
+                del terms[key]
+
+    @staticmethod
+    def _scaled(numer, coeff):
+        if coeff == 1:
+            return numer
+        if coeff == -1:
+            return -numer
+        coeff = Fraction(coeff)
+        return numer.mul_ground(numer.ring.domain(coeff.numerator, coeff.denominator))
 
 
 # -- contract -----------------------------------------------------------------
@@ -203,50 +306,104 @@ def _getter(positions):
     return operator.itemgetter(*positions) if positions else lambda idx: ()
 
 
-def _join(bound, rows, labels, other, keep):
-    """Multiply rows (keyed by the labels ``bound``) with other's entries on their
-    shared labels, then sum over the labels not in ``keep``."""
+@functools.lru_cache(maxsize=1024)
+def _reorder(bound, output):
+    """index tuple labelled ``bound`` -> its entries in the order of ``output``."""
+    return _getter([bound.index(label) for label in output])
+
+
+@functools.lru_cache(maxsize=1024)
+def _join_plan(bound, labels, keep):
+    """The kept labels of a join and its index getters: the shared-label key and
+    the new labels of other's indices, the shared-label key of a row's index,
+    and the kept labels of a joined index."""
     shared = [label for label in labels if label in bound]
     new = "".join(label for label in labels if label not in bound)
-    index = {}
-    key_other, ext_other = _getter([labels.index(s) for s in shared]), _getter([labels.index(n) for n in new])
-    for idx, value in other.items():
-        index.setdefault(key_other(idx), []).append((ext_other(idx), value))
     joined = bound + new
     kept = "".join(label for label in joined if label in keep)
-    key_rows, project = _getter([bound.index(s) for s in shared]), _getter([joined.index(k) for k in kept])
-    products = (
-        (project(idx + ext), value * factor)
-        for idx, value in rows.items()
-        for ext, factor in index.get(key_rows(idx), ())
+    return (
+        kept,
+        _getter([labels.index(s) for s in shared]),
+        _getter([labels.index(n) for n in new]),
+        _getter([bound.index(s) for s in shared]),
+        _getter([joined.index(k) for k in kept]),
     )
-    return kept, _sums(products)
+
+
+def _join(sums, bound, rows, labels, other, keep):
+    """Multiply rows (unreduced sums keyed by the labels ``bound``) with other's
+    entries on their shared labels, then sum over the labels not in ``keep``."""
+    kept, key_other, ext_other, key_rows, project = _join_plan(bound, labels, keep)
+    index = {}
+    for idx, value in other.items():
+        factor = (ext_other(idx), value.frac.numer, sums.key(value.frac.denom))
+        index.setdefault(key_other(idx), []).append(factor)
+    out = {}
+    for idx, terms in rows.items():
+        for ext, numer, denom in index.get(key_rows(idx), ()):
+            product = {
+                tuple(sorted(key + denom)) if denom else key: n * numer for key, n in terms.items()
+            }
+            target = project(idx + ext)
+            prev = out.get(target)
+            if prev is None:
+                out[target] = product
+            else:
+                sums.add_into(prev, product)
+    return kept, {idx: terms for idx, terms in out.items() if terms}
+
+
+def contract_sum(*terms):
+    """A signed sum of numpy-einsum contractions of Components, as one store.
+
+    Each term is (coeff, subscripts, *operands) with a rational coeff and
+    explicit output subscripts; every term must give the same output shape.
+    Within a term the operands' nonzero entries are hash-joined on their
+    shared labels one operand at a time, and a label is summed out as soon
+    as no later operand and not the output carries it.  Products and sums
+    stay unreduced until the whole sum is known; then each output entry is
+    normalised once (see ``_Sums``).  '...' and repeated labels are refused
+    with ValueError.
+    """
+    shape = sums = None
+    for coeff, subscripts, *operands in terms:
+        inputs, output = _plan(subscripts, tuple(len(op.shape) for op in operands))
+        sizes = {}
+        for labels, operand in zip(inputs, operands):
+            for label, n in zip(labels, operand.shape):
+                if sizes.setdefault(label, n) != n:
+                    raise ValueError(f"label {label!r} spans axes of sizes {sizes[label]} and {n}")
+        term_shape = tuple(sizes[label] for label in output)
+        if sums is None:
+            shape, sums = term_shape, _Sums(operands[0].coords)
+        elif term_shape != shape:
+            raise ValueError(f"terms give shapes {shape} and {term_shape}")
+        if coeff:
+            _contract_into(sums, coeff, inputs, output, operands)
+    return Components(shape, sums.coords, sums.finish())
+
+
+def _contract_into(sums, coeff, inputs, output, operands):
+    """Add coeff times one einsum contraction to the accumulator."""
+    bound, rows = inputs[0], operands[0].entries
+    if len(operands) == 1:
+        order = _reorder(bound, output)
+        for idx, value in rows.items():
+            sums.add_field(order(idx), coeff, value)
+        return
+    rows = {idx: sums.fraction(coeff, value) for idx, value in rows.items()}
+    for k in range(1, len(operands)):
+        keep = frozenset(output).union(*inputs[k + 1 :])
+        bound, rows = _join(sums, bound, rows, inputs[k], operands[k].entries, keep)
+    order = _reorder(bound, output)
+    for idx, terms in rows.items():
+        sums.add(order(idx), terms)
 
 
 def contract(subscripts, *operands):
-    """numpy-einsum contraction of Components, with explicit output subscripts.
-
-    The operands' nonzero entries are hash-joined on their shared labels one
-    operand at a time; a label is summed out as soon as no later operand and
-    not the output carries it.  '...' and repeated labels are refused with
-    ValueError.  Returns the Components in the output order.
-    """
-    inputs, output = _plan(subscripts, tuple(len(op.shape) for op in operands))
-    sizes = {}
-    for labels, operand in zip(inputs, operands):
-        for label, n in zip(labels, operand.shape):
-            if sizes.setdefault(label, n) != n:
-                raise ValueError(f"label {label!r} spans axes of sizes {sizes[label]} and {n}")
-    shape = tuple(sizes[label] for label in output)
-    bound, rows = inputs[0], operands[0].entries
-    for k in range(1, len(operands)):
-        keep = set(output).union(*inputs[k + 1 :])
-        bound, rows = _join(bound, rows, inputs[k], operands[k].entries, keep)
-    if bound != output:
-        order = _getter([bound.index(label) for label in output])
-        # Only a single operand can still carry labels to sum out.
-        rows = _sums((order(idx), value) for idx, value in rows.items())
-    return Components(shape, operands[0].coords, rows)
+    """numpy-einsum contraction of Components with explicit output subscripts:
+    the one-term ``contract_sum``."""
+    return contract_sum((1, subscripts, *operands))
 
 
 def permute(comps, order):

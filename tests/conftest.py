@@ -7,14 +7,47 @@ solver, so the two routes only agree if both are correct.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
+from sympy.polys.rings import PolyElement
 
 from leibniz_geo import EConnection, EMetric, ScalarField
+from leibniz_geo.cli import main
 from leibniz_geo.tensor import ETensor, object_array
+
+
+def run_cli(*argv):
+    """(exit code, stdout bytes, stderr bytes) of the command line ``leibniz-geo argv``,
+    run in this process through ``cli.main``."""
+    out, err = (
+        io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="", write_through=True)
+        for _ in range(2)
+    )
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse refusing the arguments
+            code = exc.code
+    return code, out.buffer.getvalue(), err.buffer.getvalue()
+
+
+def count_cancels(monkeypatch):
+    """A list that grows by one on every ``PolyElement.cancel`` call (a gcd
+    cancellation) for the rest of the test."""
+    calls = []
+    original = PolyElement.cancel
+
+    def counting(f, g):
+        calls.append(1)
+        return original(f, g)
+
+    monkeypatch.setattr(PolyElement, "cancel", counting)
+    return calls
 
 
 def zeros_array(shape, coords):

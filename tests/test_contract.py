@@ -7,6 +7,12 @@ the bundled models), together with the einsum strings the kernel replaced
 (ranks 1 to 4), must give the same component strings as ``np.einsum`` on
 seeded random sparse arrays of ScalarField.  '...' and repeated labels are
 refused: every term names each axis of its operand once.
+
+The second oracle is the join that normalised every product and partial sum
+(``tests/oracle_contract.py``): ``contract_sum``, which normalises each output
+entry once, must give its component strings on signed sums of contractions
+of seeded stores whose rational entries share some denominators, and must do
+no gcd on a sum that cancels.
 """
 
 import itertools
@@ -22,8 +28,9 @@ import pytest
 import leibniz_geo
 from leibniz_geo import ScalarField, checks
 from leibniz_geo.model import load_model
-from leibniz_geo.tensor import Components, contract
-from conftest import dense, store
+from leibniz_geo.tensor import Components, contract, contract_sum
+from conftest import count_cancels, dense, store
+import oracle_contract
 
 ROOT = Path(__file__).resolve().parent.parent
 COORDS = ("x1", "x2")
@@ -41,26 +48,37 @@ EINSUM_SUBSCRIPTS = (
 )  # fmt: skip
 
 
+# The subscripts of the terms of the multi-term contract_sum calls that no
+# np.einsum call used.
+TERM_SUBSCRIPTS = (
+    "abc->abc", "abcd->abcd", "ab->ab", "a->a", "bcd->bcd", "mbc,md->bcd", "mbd,mc->bcd",
+    "eab,ec,db->dac",
+)  # fmt: skip
+
+
 def source_subscripts():
-    """The literal subscripts of every contract call in the package source."""
+    """The literal subscripts in the package source: of every contract call and
+    of every (coeff, subscripts, *operands) term of a contract_sum call."""
     found = set()
     for path in (ROOT / "src" / "leibniz_geo").glob("*.py"):
-        found.update(re.findall(r'contract\(\s*"([^"]+)"', path.read_text()))
+        text = path.read_text()
+        found.update(re.findall(r'contract\(\s*"([^"]+)"', text))
+        found.update(re.findall(r'\(\s*[^(),"]+,\s*"([^"]*->[^"]*)",', text))
     return found
 
 
 def recorded_subscripts(monkeypatch):
     """Every subscript string the package passes while checking the bundled models."""
     seen = set()
-    original = leibniz_geo.tensor.contract
+    original = leibniz_geo.tensor.contract_sum
 
-    def recording(subscripts, *operands):
-        seen.add(subscripts)
-        return original(subscripts, *operands)
+    def recording(*terms):
+        seen.update(term[1] for term in terms)
+        return original(*terms)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("leibniz_geo.") and getattr(module, "contract", None) is original:
-            monkeypatch.setattr(module, "contract", recording)
+        if name.startswith("leibniz_geo.") and getattr(module, "contract_sum", None) is original:
+            monkeypatch.setattr(module, "contract_sum", recording)
     for path in sorted((ROOT / "models").glob("*.model")):
         checks.run_all(load_model(path))
     return seen
@@ -98,11 +116,13 @@ def agrees_with_einsum(subscripts, operands):
 
 
 def test_source_subscripts_are_covered():
-    assert source_subscripts() <= set(EINSUM_SUBSCRIPTS)
+    found = source_subscripts()
+    assert {"dab,dc->abc", "ebc,aed->abcd", "mbc,md->bcd"} <= found  # contract_sum terms
+    assert found <= set(EINSUM_SUBSCRIPTS) | set(TERM_SUBSCRIPTS)
 
 
 def test_every_subscript_matches_einsum(monkeypatch):
-    subscripts = sorted(set(EINSUM_SUBSCRIPTS) | recorded_subscripts(monkeypatch))
+    subscripts = sorted(set(EINSUM_SUBSCRIPTS) | set(TERM_SUBSCRIPTS) | recorded_subscripts(monkeypatch))
     # Ranks 1 to 4 and the anchor derivative of a scalar, a matrix and a connection.
     assert {"ab,b->a", "abc,b,c->a", "abcd,b,c,d->a", "bi,i->b", "bi,iac->bac", "bi,iacd->bacd"} <= set(subscripts)
     rng = random.Random(13)
@@ -137,3 +157,96 @@ def test_an_empty_axis_sums_to_the_zero_store():
 def test_bad_subscripts_are_refused(subscripts, shapes):
     with pytest.raises(ValueError):
         contract(subscripts, *[Components(shape, COORDS) for shape in shapes])
+
+
+# -- contract_sum against the per-product-normalising join ----------------------
+
+TERM_SHAPES = {
+    "ab,bc->ac": ((2, 3), (3, 2)),
+    "bc,ab->ac": ((3, 2), (2, 3)),
+    "ba->ab": ((2, 2),),
+    "ab->ab": ((2, 2),),
+    "abc,b,c->a": ((2, 2, 2), (2,), (2,)),
+    "ab,b->a": ((2, 2), (2,)),
+    "ab->a": ((2, 3),),
+}
+
+
+def rational_store(rng, shape, density):
+    """Entries over four denominators, so that products and sums meet equal,
+    distinct and repeated denominators."""
+    x1, x2 = (ScalarField.coordinate(i, COORDS) for i in (1, 2))
+    dens = [ScalarField.constant(1, COORDS), x2 + 2, x1 - 1, x1 * x2 + 3]
+    entries = {}
+    for idx in itertools.product(*map(range, shape)):
+        if rng.random() < density:
+            c = ScalarField.constant(Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)), COORDS)
+            numer = rng.choice((c, c * x1 + 1, x2 * x2 - c))
+            entries[idx] = numer / rng.choice(dens)
+    return Components(shape, COORDS, {i: v for i, v in entries.items() if not v.is_zero})
+
+
+def assert_same_components(got, expected):
+    assert got.shape == expected.shape
+    assert [str(x) for x in dense(got).flat] == [str(x) for x in dense(expected).flat]
+    assert all(not value.is_zero for value in got.entries.values())
+
+
+def test_contract_sum_matches_the_normalising_join_on_signed_sums():
+    rng = random.Random(15)
+    # Each group's terms give one output shape: (2, 2) and (2,).
+    groups = [("ab,bc->ac", "bc,ab->ac", "ba->ab", "ab->ab"), ("abc,b,c->a", "ab,b->a", "ab->a")]
+    for _ in range(40):
+        group = rng.choice(groups)
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            subscripts = rng.choice(group)
+            density = rng.choice((0.3, 0.7, 1.0))
+            operands = [rational_store(rng, shape, density) for shape in TERM_SHAPES[subscripts]]
+            coeff = rng.choice((1, -1, 2, Fraction(-1, 2), Fraction(3, 4)))
+            terms.append((coeff, subscripts, *operands))
+        assert_same_components(contract_sum(*terms), oracle_contract.signed_sum(*terms))
+
+
+def test_terms_that_cancel_drop_every_entry_without_a_gcd(monkeypatch):
+    rng = random.Random(7)
+    x, y = rational_store(rng, (2, 3), 1.0), rational_store(rng, (3, 2), 1.0)
+    square, half = rational_store(rng, (3, 3), 1.0), Fraction(1, 2)
+    assert any(not v.frac.denom.is_one for v in x.entries.values())
+    calls = count_cancels(monkeypatch)
+    # The same product written twice with its operands swapped, and a
+    # transpose of a transpose: every numerator sums to zero.
+    out = contract_sum((1, "ab,bc->ac", x, y), (-1, "bc,ab->ac", y, x))
+    assert out.shape == (2, 2) and out.is_zero
+    swap = contract_sum((half, "ab->ba", square), (half, "ba->ab", square), (-1, "ab->ba", square))
+    assert swap.is_zero
+    assert calls == []
+
+
+def test_a_lone_term_keeps_its_field():
+    rng = random.Random(3)
+    x = rational_store(rng, (2, 2), 1.0)
+    out = contract_sum((1, "ab->ba", x))
+    assert all(out.entries[b, a] is value for (a, b), value in x.entries.items())
+    # A term with no nonzero product leaves every entry lone.
+    negated = contract_sum((-1, "ab->ab", x), (Fraction(1, 3), "ab,bc->ac", x, Components((2, 2), COORDS)))
+    assert_same_components(negated, oracle_contract.signed_sum((-1, "ab->ab", x)))
+
+
+def test_shared_and_distinct_denominators_are_cancelled_once_per_entry(monkeypatch):
+    x1, x2 = (ScalarField.coordinate(i, COORDS) for i in (1, 2))
+    shared, other, zero = x2 + 2, x1 - 1, ScalarField.constant(0, COORDS)
+    # Entry 0: two terms over one denominator that sum to a constant;
+    # entry 1: terms over distinct denominators; entry 2: one lone term.
+    u = store([(x1 + 1) / shared, x1 / shared, x2 / other], COORDS)
+    v = store([(2 * x2 + 3 - x1) / shared, x2 / other, zero], COORDS)
+    calls = count_cancels(monkeypatch)
+    got = contract_sum((1, "a->a", u), (1, "a->a", v))
+    assert len(calls) == 2
+    assert_same_components(got, oracle_contract.signed_sum((1, "a->a", u), (1, "a->a", v)))
+    assert str(got[0]) == "2" and got[2] is u[2]
+
+
+def test_contract_sum_refuses_terms_of_different_shapes():
+    with pytest.raises(ValueError):
+        contract_sum((1, "ab->ab", Components((2, 2), COORDS)), (1, "a->a", Components((2,), COORDS)))

@@ -1,19 +1,22 @@
 """Byte-identity of the CLI's reports against committed captures.
 
 The files in ``tests/golden`` hold the exact stdout of the commands below,
-captured from earlier versions of the engine: ``check-all``, ``export-builtin``
-and ``levi-civita`` before the FracField scalar kernel, the other single-shot
-commands before the per-connection ``Derived`` context, and the runs on
-courant1 without its projector before the check runners became generators.
-Any change to a canonical string, a record or its order shows here.
+captured with ``python -m leibniz_geo.cli`` from earlier versions of the
+engine: ``check-all``, ``export-builtin`` and ``levi-civita`` before the
+FracField scalar kernel, the other single-shot commands before the
+per-connection ``Derived`` context, and the runs on courant1 without its
+projector before the check runners became generators.  Each case runs
+``cli.main`` in this process and compares its stdout bytes with the capture;
+stderr must be empty and the exit code 0.  Any change to a canonical
+string, a record or its order shows here.
 """
 
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -75,11 +78,9 @@ NO_PROJECTOR = [
 
 
 def assert_matches_capture(golden, argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "leibniz_geo.cli", *argv], capture_output=True, cwd=ROOT
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout == (GOLDEN / golden).read_bytes()
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, b""), err.decode()
+    assert out == (GOLDEN / golden).read_bytes()
 
 
 @pytest.mark.parametrize("golden, argv", CASES, ids=[case[0] for case in CASES])

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from leibniz_geo import courant, tangent
+from leibniz_geo import checks, courant, tangent
 from leibniz_geo.cli import _parse_alpha, main
 from leibniz_geo.errors import ExprSyntaxError, ParseError, SchemaError, ShapeError
 from leibniz_geo.expr import MAX_CONSTANT_BITS, MAX_DEGREE, MAX_FRACTION_TERMS, MAX_TERMS, parse_expr
@@ -23,6 +23,7 @@ from leibniz_geo.model import (
     load_model,
     parse_model_text,
 )
+from conftest import run_cli as cli
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -168,13 +169,13 @@ def test_export_builtin_round_trips():
 # -- command-line interface ---------------------------------------------------
 
 
-def cli(*argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "leibniz_geo.cli", *argv],
-        capture_output=True,
-        cwd=ROOT,
-    )
-    return proc.returncode, proc.stdout, proc.stderr
+def test_the_module_runs_as_a_command():
+    # The one child process: every other CLI case runs cli.main in-process.
+    argv = ["check-all", "--model", str(MODELS / "so3.model"), "--format", "json-lines"]
+    proc = subprocess.run([sys.executable, "-m", "leibniz_geo.cli", *argv], capture_output=True, cwd=ROOT)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (ROOT / "tests" / "golden" / "check-all_so3.jsonl").read_bytes()
+    assert (proc.returncode, proc.stdout, proc.stderr) == cli(*argv)
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
@@ -510,6 +511,16 @@ def test_single_check_command_and_unknown_id():
     code, _, err = cli("check", "nope", "--model", model, "--format", "json-lines")
     assert code == 2
     assert b"UnknownCommand" in err
+
+
+def test_a_key_error_inside_a_check_is_not_an_unknown_id(monkeypatch, capsysbinary):
+    def broken(ctx):
+        return {}["missing"]
+
+    monkeypatch.setitem(checks.REGISTRY, "SSp3", broken)
+    with pytest.raises(KeyError, match="missing"):
+        main(["check", "SSp3", "--model", str(MODELS / "so3.model"), "--format", "json-lines"])
+    assert b"UnknownCommand" not in capsysbinary.readouterr().err
 
 
 def test_malformed_model_gives_exit_two():

@@ -1,6 +1,9 @@
 """Scalar-field arithmetic, the expression grammar, and exact evaluation."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -330,3 +333,15 @@ def test_zero_dimensional_scalars():
     assert (c + c).as_rational() == Fraction(10, 3)
     assert c.eval_at(()) == Fraction(5, 3)
     assert c.is_constant
+
+
+def test_import_moves_sympys_objects_out_of_the_collectors_view():
+    # A fresh interpreter, so the probe sees what importing the package does.
+    probe = (
+        "import gc, sympy, leibniz_geo; "
+        "print(gc.get_freeze_count() > 10_000, any(o is sympy.Symbol for o in gc.get_objects()))"
+    )
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]

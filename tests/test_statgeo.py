@@ -31,7 +31,7 @@ from leibniz_geo import (
 )
 from leibniz_geo import checks, connection, statgeo
 from leibniz_geo.connection import difference_tensor
-from leibniz_geo.errors import CompatibilityFailure
+from leibniz_geo.errors import CompatibilityFailure, InvalidStructure
 from leibniz_geo.model import load_model, parse_model_text
 from leibniz_geo.statgeo import (
     _quasi_statistical_residual,
@@ -43,6 +43,7 @@ from leibniz_geo.statgeo import (
 from leibniz_geo.tensor import Components, ETensor
 from conftest import (
     classical_christoffel,
+    count_cancels,
     eta_compatible_connection,
     make_rng,
     random_connection,
@@ -241,6 +242,51 @@ def test_nonzero_B_requires_bracket_support():
     B = ETensor(1, 2, 2, A.coords, store(raw))
     with pytest.raises(CompatibilityFailure):
         statistical_solve(A, StatisticalStructure(g, C, B))
+
+
+def tangent3_statistical_structure():
+    """A tangent(3) statistical structure shaped like the benchmark's draws:
+    g_aa = c_a + s_a x_a, g_12 = +-1, a constant totally symmetric C and B = 0."""
+    A = tangent(3)
+    x1, x2, x3 = (A.x(i) for i in (1, 2, 3))
+    g = EMetric(
+        [[A.field(2) + x1, -A.one(), A.zero()], [-A.one(), A.field(3) - x2, A.zero()],
+         [A.zero(), A.zero(), A.one() + x3]],
+        A.coords,
+    )  # fmt: skip
+    values = {key: A.field((-2, -1, 1, 2)[sum(key) % 4]) for key in
+              itertools.combinations_with_replacement(range(3), 3)}  # fmt: skip
+    C = Components(
+        (3, 3, 3), A.coords,
+        {idx: values[tuple(sorted(idx))] for idx in itertools.product(range(3), repeat=3)},
+    )  # fmt: skip
+    return A, StatisticalStructure(g, ETensor(0, 3, 3, A.coords, C), ETensor.zeros(1, 2, 3, A.coords))
+
+
+def test_a_solved_pair_is_checked_conjugate_without_a_gcd(monkeypatch):
+    A, S = tangent3_statistical_structure()
+    pair = statistical_solve(A, S)
+    assert any(not v.frac.denom.is_one for v in pair.nabla.gamma.entries.values())
+    calls = count_cancels(monkeypatch)
+    assert conjugation_residual(A, S.g, pair.nabla, pair.nabla_star).is_zero
+    assert calls == []
+
+
+def test_statistical_solve_refuses_a_pair_that_is_not_conjugate(monkeypatch):
+    # Perturb one coefficient of the solved nabla*: the locality of tangent(3)
+    # is zero, so the bracket-difference condition still holds, and only the
+    # conjugation check of the pair can refuse it.
+    A, S = tangent3_statistical_structure()
+    solve = statgeo._solve_affine_koszul
+
+    def perturbed(*args):
+        nabla, nabla_star = solve(*args)
+        bump = Components((3, 3, 3), A.coords, {(0, 1, 2): A.x(1) / (A.one() + A.x(3))})
+        return nabla, EConnection(nabla_star.gamma + bump)
+
+    monkeypatch.setattr(statgeo, "_solve_affine_koszul", perturbed)
+    with pytest.raises(InvalidStructure, match="not conjugate"):
+        statistical_solve(A, S)
 
 
 def test_koszul_solve_on_courant_with_generic_metric():
