@@ -11,7 +11,6 @@ from .algebroid import (
     tangent,
 )
 from .connection import (
-    Derived,
     EConnection,
     curvature,
     levi_civita_solve,
@@ -65,7 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Algebroid", "AlgebroidReport", "builtin", "courant", "courant_pairing", "lie_algebra",
     "so3", "tangent",
-    "Derived", "EConnection", "curvature", "levi_civita_solve", "nonmetricity",
+    "EConnection", "curvature", "levi_civita_solve", "nonmetricity",
     "second_cov_and_ricci", "torsion",
     "CompatibilityFailure", "DegenerateMetric", "ExprSyntaxError", "InvalidStructure",
     "LeibnizGeoError", "MissingProjector", "NonUnique", "NoSolution", "NotAdmissible",

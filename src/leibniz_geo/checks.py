@@ -11,7 +11,7 @@ either a finished ``CheckResult`` (a not-applicable record, or a verdict that
 is a boolean or a note rather than a residual) or a ``(label, residual)``
 pair.  A residual is the tensor an identity sets to zero: an ``ETensor``, or
 the component carrier of a residual whose axes mix frame and coordinate
-indices.  Hypotheses are gates read from ``Derived`` and ``ConjugatePair``
+indices.  Hypotheses are gates read from ``EConnection`` and ``ConjugatePair``
 before the residual is built.  The ``_check(id)`` decorator registers each
 check in ``REGISTRY`` where it is defined and collects its items into the
 list of records that ``check_<id>`` returns, judging each pair by its exact
@@ -19,10 +19,11 @@ zero test in ``_from_residual``.  A check built on the projected modified
 bracket is declared ``needs_projector`` and so gated in one place.
 
 ``run_all`` and ``run_check`` hand every runner one context per call.  It
-holds a single ``Derived`` per connection and a single ``ConjugatePair`` per
-(metric, connection), the pairs sharing the context's ``Derived``s, so each
-derived object is built once per call.  The context is dropped when the call
-returns: a document checked again is derived again.
+holds a fresh ``EConnection`` per document connection, sharing the
+document's coefficient store, and a single ``ConjugatePair`` per (metric,
+connection) built on those connections.  A connection caches its derived
+objects, so each is built once per call.  The context and its connections
+are dropped when the call returns: a document checked again is derived again.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connection import Derived, difference_tensor, nonmetricity, second_cov_and_ricci
+from .connection import EConnection, difference_tensor, nonmetricity, second_cov_and_ricci
 from .errors import LeibnizGeoError
 from .hessian import (
     _default_probes,
@@ -127,31 +128,27 @@ def _check(check_id, needs_projector=False):
     return register
 
 
-def _connections(doc):
-    return sorted(doc.connections.items())
-
-
 class _Context:
-    """One check call's document, its ``Derived``s and its conjugate pairs."""
+    """One check call's document, its connections and its conjugate pairs."""
 
     def __init__(self, doc):
         self.doc = doc
         self.A = doc.algebroid
-        self._derived = {}
-
-    def derived(self, conn):
-        """The ``Derived`` of conn, shared with every pair of this call."""
-        return self._derived.setdefault(conn, Derived(self.A, conn))
+        # (name, connection) in report order; fresh objects over the document's
+        # coefficients, so what they derive is dropped with the call.
+        self.connections = [
+            (name, EConnection(self.A, conn.gamma))
+            for name, conn in sorted(doc.connections.items())
+        ]
 
     @functools.cached_property
     def pairs(self):
         """(label, pair) for every (metric, connection), in report order."""
         pairs = []
         for mname, g in sorted(self.doc.metrics.items()):
-            for cname, conn in _connections(self.doc):
+            for cname, conn in self.connections:
                 star = conjugate_connection(self.A, g, conn)
-                pair = ConjugatePair(self.A, g, conn, star, _derived=self._derived)
-                pairs.append((f"{mname}:{cname}", pair))
+                pairs.append((f"{mname}:{cname}", ConjugatePair(self.A, g, conn, star)))
         return pairs
 
 
@@ -176,26 +173,25 @@ def _probe_sections(A, count, seed):
 @_check("eb12")
 def check_eb12(ctx):
     """Torsion and curvature antisymmetry for admissible connections."""
-    for name, conn in _connections(ctx.doc):
-        D = ctx.derived(conn)
-        if not D.admissible:
+    for name, conn in ctx.connections:
+        if not conn.admissible:
             yield _na(f"eb12[{name}]", "connection not admissible")
             continue
-        yield f"eb12[{name}]:torsion", D.torsion + D.torsion.swap_slots(2, 3)
+        yield f"eb12[{name}]:torsion", conn.torsion + conn.torsion.swap_slots(2, 3)
         if ctx.A.projector is None:
             yield _na(f"eb12[{name}]:curvature", _NO_PROJECTOR)
         else:
-            yield f"eb12[{name}]:curvature", D.curvature + D.curvature.swap_slots(2, 3)
+            yield f"eb12[{name}]:curvature", conn.curvature + conn.curvature.swap_slots(2, 3)
 
 
 @_check("eb14", needs_projector=True)
 def check_eb14(ctx):
     """Ricci identity on probe sections; holds for every connection."""
     probes = _probe_sections(ctx.A, 9, seed=11)
-    for name, conn in _connections(ctx.doc):
+    for name, conn in ctx.connections:
         for index in range(3):
             u, v, w = probes[3 * index : 3 * index + 3]
-            yield f"eb14[{name}]:probe-{index}", second_cov_and_ricci(ctx.derived(conn), u, v, w)[1]
+            yield f"eb14[{name}]:probe-{index}", second_cov_and_ricci(conn, u, v, w)[1]
 
 
 # -- conjugation layer --------------------------------------------------------
@@ -218,7 +214,7 @@ def check_ssp2(ctx):
         if not pair.strongly_conjugate_and_admissible:
             yield _na(f"SSp2[{label}]", _NOT_STRONG)
         else:
-            yield f"SSp2[{label}]", pair.derived(pair.nabla).torsion
+            yield f"SSp2[{label}]", pair.nabla.torsion
 
 
 @_check("SSp3")
@@ -258,15 +254,15 @@ def check_ssp5(ctx):
             yield _na(f"SSp5[{label}]", f"solve not applicable: {exc}")
             continue
         yield f"SSp5[{label}]:skewness", pair.nonmetricity + C
-        yield f"SSp5[{label}]:torsion-free", pair.derived(pair.nabla).torsion
-        yield f"SSp5[{label}]:conjugate-torsion", pair.derived(pair.nabla_star).torsion - B
+        yield f"SSp5[{label}]:torsion-free", pair.nabla.torsion
+        yield f"SSp5[{label}]:conjugate-torsion", pair.nabla_star.torsion - B
 
 
 @_check("SSp6")
 def check_ssp6(ctx):
     """Quasi-statistical structures fix the conjugate's torsion."""
     for label, pair in ctx.pairs:
-        T = pair.derived(pair.nabla).torsion
+        T = pair.nabla.torsion
         if not _quasi_statistical_residual(ctx.A, pair.g, pair.nonmetricity, T).is_zero:
             yield _na(f"SSp6[{label}]", "doublet is not quasi-statistical")
         else:
@@ -300,7 +296,7 @@ def check_ssp9(ctx):
     for label, pair in ctx.pairs:
         yield f"SSp9[{label}]:metric-compatible", nonmetricity(A, pair.mean, pair.g)
         T_half = pair.torsion_sum.scale(half)
-        yield f"SSp9[{label}]:torsion-mean", pair.derived(pair.mean).torsion - T_half
+        yield f"SSp9[{label}]:torsion-mean", pair.mean.torsion - T_half
 
 
 @_check("SSp10")
@@ -309,7 +305,7 @@ def check_ssp10(ctx):
     A = ctx.A
     for label, pair in ctx.pairs:
         g, Q = pair.g, pair.nonmetricity
-        T, T_star = pair.derived(pair.nabla).torsion, pair.derived(pair.nabla_star).torsion
+        T, T_star = pair.nabla.torsion, pair.nabla_star.torsion
         for alpha in ALPHA_VALUES:
             conn_alpha = alpha_connection(pair, alpha)
             conj = conjugate_connection(A, g, conn_alpha)
@@ -317,8 +313,8 @@ def check_ssp10(ctx):
                 f"SSp10[{label}]:involution(alpha={alpha})",
                 difference_tensor(A, conj, alpha_connection(pair, -alpha)),
             )
-            s, t = alpha_weights(alpha, A.coords)
-            T_alpha = pair.derived(conn_alpha).torsion
+            s, t = (ScalarField.constant(w, A.coords) for w in alpha_weights(alpha))
+            T_alpha = conn_alpha.torsion
             yield f"SSp10[{label}]:torsion(alpha={alpha})", T_alpha - T_star.scale(s) - T.scale(t)
             factor = ScalarField.constant(Fraction(alpha), A.coords)
             yield (
@@ -362,7 +358,7 @@ def check_sse25(ctx):
 def check_ss29(ctx):
     """Flat conjugate pairs have an alpha-symmetric curvature family."""
     for label, pair in ctx.pairs:
-        R, R_star = pair.derived(pair.nabla).curvature, pair.derived(pair.nabla_star).curvature
+        R, R_star = pair.nabla.curvature, pair.nabla_star.curvature
         if not (R.is_zero and R_star.is_zero):
             yield _na(f"SS29[{label}]", "pair is not flat")
             continue
@@ -383,8 +379,8 @@ def _hessian_asymmetry(A, conn, prefix):
 @_check("lp1", needs_projector=True)
 def check_lp1(ctx):
     """Three-way Hessian symmetry equivalence report."""
-    for name, conn in _connections(ctx.doc):
-        report = hessian_symmetry_equivalences(ctx.derived(conn))
+    for name, conn in ctx.connections:
+        report = hessian_symmetry_equivalences(conn)
         for key, value in report.entries.items():
             label = f"lp1[{name}]:{key}"
             if isinstance(value, str):
@@ -403,7 +399,7 @@ def check_lp2(ctx):
         return
     for fname, f in sorted(ctx.doc.functions.items()):
         for label, pair in ctx.pairs:
-            entries = hessian_structure_check(pair.derived(pair.nabla), pair.g, f).entries
+            entries = hessian_structure_check(pair.nabla, pair.g, f).entries
             # The report certifies the Codazzi property only for a Hessian structure.
             if "codazzi" not in entries:
                 yield _na(f"lp2[{label}:{fname}]", "not a Hessian structure")
@@ -429,8 +425,8 @@ def check_lp3(ctx):
 @_check("lc1", needs_projector=True)
 def check_lc1(ctx):
     """Projected torsion with image in ker rho still gives symmetric Hessians."""
-    for name, conn in _connections(ctx.doc):
-        if not ctx.derived(conn).anchored_projected_torsion.is_zero:
+    for name, conn in ctx.connections:
+        if not conn.anchored_projected_torsion.is_zero:
             yield _na(f"lc1[{name}]", "projected torsion image escapes ker rho")
         else:
             yield from _hessian_asymmetry(ctx.A, conn, f"lc1[{name}]")
@@ -440,10 +436,9 @@ def check_lc1(ctx):
 def check_lc2(ctx):
     """Torsion transfer makes the conjugate's Hessian symmetric too."""
     for label, pair in ctx.pairs:
-        D, D_star = pair.derived(pair.nabla), pair.derived(pair.nabla_star)
-        if not D.projected_torsion.is_zero:
+        if not pair.nabla.projected_torsion.is_zero:
             yield _na(f"lc2[{label}]", "connection not projected-torsion-free")
-        elif not (D.torsion - D_star.torsion - pair.bracket_difference).is_zero:
+        elif not (pair.nabla.torsion - pair.nabla_star.torsion - pair.bracket_difference).is_zero:
             yield _na(f"lc2[{label}]", "torsion-transfer hypothesis fails")
         else:
             yield from _hessian_asymmetry(ctx.A, pair.nabla_star, f"lc2[{label}]")
@@ -456,11 +451,10 @@ def check_lc4(ctx):
         if not pair.holonomic:
             yield _na(f"lc4[{label}]", "anholonomic frame")
             continue
-        D = pair.derived(pair.nabla)
-        if not D.admissible:
+        if not pair.nabla.admissible:
             yield _na(f"lc4[{label}]", "connection not admissible")
             continue
-        constant, kappa = constant_curvature_check(D, pair.g)
+        constant, kappa = constant_curvature_check(pair.nabla, pair.g)
         if not constant:
             yield _na(f"lc4[{label}]", "connection has no constant curvature")
         else:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import checks as checks_module
 from .algebroid import builtin
 from .checks import CheckResult, _from_residual
-from .connection import Derived, levi_civita_solve, nonmetricity
+from .connection import levi_civita_solve, nonmetricity
 from .errors import LeibnizGeoError, MissingInput, UnknownCommand
 from .expr import MAX_CONSTANT_BITS
 from .hessian import function_form, hessian, projected_exterior_derivative
@@ -94,12 +94,12 @@ def _validate(A, doc, args):
         for warning in report.warnings:
             yield CheckResult("projector:warning", "not-applicable", note=warning)
     for name, conn in sorted(doc.connections.items()):
-        yield f"admissibility:{name}", Derived(A, conn).admissibility
+        yield f"admissibility:{name}", conn.admissibility
 
 
 def _torsion(A, doc, args):
     name, conn = _pick(doc.connections, "connection", args.connection)
-    yield f"torsion[{name}]", _Shown(Derived(A, conn).torsion.comps)
+    yield f"torsion[{name}]", _Shown(conn.torsion.comps)
 
 
 def _curvature(A, doc, args):
@@ -108,7 +108,7 @@ def _curvature(A, doc, args):
         raise MissingInput(
             "curvature needs a locality projector: add a 'projector' block to the model"
         )
-    yield f"curvature[{name}]", _Shown(Derived(A, conn).curvature.comps)
+    yield f"curvature[{name}]", _Shown(conn.curvature.comps)
 
 
 def _nonmetricity(A, doc, args):
@@ -121,7 +121,7 @@ def _levi_civita(A, doc, args):
     mname, g = _pick(doc.metrics, "metric", args.metric)
     conn = levi_civita_solve(A, g)
     yield f"levi-civita[{mname}]:gamma", _Shown(conn.gamma)
-    yield f"levi-civita[{mname}]:torsion-free", Derived(A, conn).torsion
+    yield f"levi-civita[{mname}]:torsion-free", conn.torsion
     yield f"levi-civita[{mname}]:metric-compatible", nonmetricity(A, conn, g)
 
 
@@ -215,7 +215,7 @@ def _dhat(A, doc, args):
         raise MissingInput(
             "dhat needs a locality projector: add a 'projector' block to the model"
         )
-    derivative = projected_exterior_derivative(Derived(A, conn), function_form(A, f))
+    derivative = projected_exterior_derivative(conn, function_form(A, f))
     yield f"dhat[{cname}:{fname}]", _Shown(derivative.comps)
 
 

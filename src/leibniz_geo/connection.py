@@ -1,6 +1,10 @@
 """Linear connections on an algebroid and their derived tensors.
 
-Coefficients follow gamma[a][b][c] = e^a(nabla_{X_b} X_c).  Frame-level
+Coefficients follow gamma[a][b][c] = e^a(nabla_{X_b} X_c).  An
+``EConnection`` holds its algebroid with its coefficients and keeps the
+objects built from both (modified brackets, T, T-hat, R, admissibility) as
+cached properties; the module functions ``modified_bracket_coeffs``,
+``torsion`` and ``curvature`` build them.  Frame-level
 component formulas are used wherever the object is tensorial; section-level
 evaluators are provided only for the non-tensorial operators (covariant
 derivatives, second covariant derivative).  The section-level torsion,
@@ -36,29 +40,77 @@ from .tensor import (
 
 @dataclass(frozen=True, eq=False)
 class EConnection:
-    """Connection coefficient array gamma[a][b][c] = Gamma^a_{bc}.
+    """A connection on an algebroid, gamma[a][b][c] = Gamma^a_{bc}, with the
+    objects derived from it and the algebroid's bracket and locality.
 
-    Equality and hashing are by identity, so a connection can key a dict;
-    two connections have equal coefficients when
-    ``difference_tensor(A, a, b).is_zero``.
+    Each derived object is built on first access and kept, so every check or
+    pair handed the same connection shares it.  The modified brackets are the
+    one place where the connection meets the locality; torsion, curvature and
+    admissibility read them from here.  Equality and hashing are by identity,
+    so a connection can key a dict; two connections have equal coefficients
+    when ``difference_tensor(A, a, b).is_zero``.
     """
 
+    algebroid: object = field(repr=False)
     gamma: Components = field(repr=False)
 
     @classmethod
     def zero(cls, A):
-        return cls(Components((A.rank,) * 3, A.coords))
-
-    @property
-    def rank(self):
-        return self.gamma.shape[0]
+        return cls(A, Components((A.rank,) * 3, A.coords))
 
     def __add__(self, other):
-        return EConnection(self.gamma + other.gamma)
+        return EConnection(self.algebroid, self.gamma + other.gamma)
 
     def scale_combination(self, coeff_self, other, coeff_other):
         """Affine combination coeff_self * self + coeff_other * other."""
-        return EConnection(self.gamma.scale(coeff_self) + other.gamma.scale(coeff_other))
+        gamma = self.gamma.scale(coeff_self) + other.gamma.scale(coeff_other)
+        return EConnection(self.algebroid, gamma)
+
+    def _bracket(self, projected):
+        A = self.algebroid
+        coeffs = modified_bracket_coeffs(A, self, projected=projected)
+        return ETensor(1, 2, A.rank, A.coords, coeffs)
+
+    @functools.cached_property
+    def bracket(self):
+        """Modified bracket coefficients mb(nabla) as a (1, 2) tensor."""
+        return self._bracket(projected=False)
+
+    @functools.cached_property
+    def projected_bracket(self):
+        """Projected modified bracket coefficients mbhat(nabla)."""
+        return self._bracket(projected=True)
+
+    @functools.cached_property
+    def torsion(self):
+        return torsion(self)
+
+    @functools.cached_property
+    def projected_torsion(self):
+        return torsion(self, projected=True)
+
+    @functools.cached_property
+    def anchored_projected_torsion(self):
+        """rho(T-hat(X_b, X_c)) as coordinate components [i, b, c]; zero iff the
+        image of the projected torsion lies in ker rho."""
+        rho_T = contract("ai,abc->ibc", self.algebroid.anchor, self.projected_torsion.comps)
+        return ComponentSummaries(rho_T)
+
+    @functools.cached_property
+    def curvature(self):
+        """R(nabla); needs the locality projector."""
+        return curvature(self)
+
+    @functools.cached_property
+    def admissibility(self):
+        """mb(u, v) + mb(v, u); zero iff nabla is admissible, that is, iff
+        [u, v] + [v, u] = L(e^a, nabla_{X_a} u, v) + L(e^a, nabla_{X_a} v, u)."""
+        mb = self.bracket
+        return mb + mb.swap_slots(2, 3)
+
+    @functools.cached_property
+    def admissible(self):
+        return self.admissibility.is_zero
 
 
 # -- covariant derivatives ----------------------------------------------------
@@ -115,22 +167,22 @@ def modified_bracket_coeffs(A, conn, projected=False):
 # -- torsion, curvature, non-metricity ----------------------------------------
 
 
-def torsion(D, projected=False):
+def torsion(conn, projected=False):
     """T^a_{bc} = Gamma^a_{bc} - Gamma^a_{cb} - mb^a_{bc} (mbhat when projected)."""
-    A, gamma = D.algebroid, D.conn.gamma
-    mb = D.projected_bracket if projected else D.bracket
+    A, gamma = conn.algebroid, conn.gamma
+    mb = conn.projected_bracket if projected else conn.bracket
     out = contract_sum((1, "abc->abc", gamma), (-1, "acb->abc", gamma), (-1, "abc->abc", mb.comps))
     return ETensor(1, 2, A.rank, A.coords, out)
 
 
-def curvature(D):
+def curvature(conn):
     """R^a_{bcd} for R(X_b, X_c) X_d; requires the locality projector.
 
     R^a_{bcd} = rho(X_b)(G^a_{cd}) - rho(X_c)(G^a_{bd})
                 + G^e_{cd} G^a_{be} - G^e_{bd} G^a_{ce} - mbhat^e_{bc} G^a_{ed}.
     """
-    mbhat = D.projected_bracket.comps
-    A, gamma = D.algebroid, D.conn.gamma
+    mbhat = conn.projected_bracket.comps
+    A, gamma = conn.algebroid, conn.gamma
     d_gamma = A.anchor_derivative(gamma)  # [b, a, c, d] = rho(X_b)(G^a_{cd})
     out = contract_sum(
         (1, "bacd->abcd", d_gamma),
@@ -147,83 +199,19 @@ def nonmetricity(A, conn, g):
     return frame_covariant_derivative(A, conn, g.lower_tensor())
 
 
-# -- the derived objects of one connection ------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class Derived:
-    """The objects derived from one connection on an algebroid.
-
-    Each member is built on first access and kept, so every
-    check or pair handed the same ``Derived`` shares it.  The modified
-    brackets are the one place where the connection meets the locality;
-    torsion, curvature and admissibility read them from here.  Equality and
-    hashing are by identity.
-    """
-
-    algebroid: object
-    conn: EConnection
-
-    def _bracket(self, projected):
-        A = self.algebroid
-        coeffs = modified_bracket_coeffs(A, self.conn, projected=projected)
-        return ETensor(1, 2, A.rank, A.coords, coeffs)
-
-    @functools.cached_property
-    def bracket(self):
-        """Modified bracket coefficients mb(nabla) as a (1, 2) tensor."""
-        return self._bracket(projected=False)
-
-    @functools.cached_property
-    def projected_bracket(self):
-        """Projected modified bracket coefficients mbhat(nabla)."""
-        return self._bracket(projected=True)
-
-    @functools.cached_property
-    def torsion(self):
-        return torsion(self)
-
-    @functools.cached_property
-    def projected_torsion(self):
-        return torsion(self, projected=True)
-
-    @functools.cached_property
-    def anchored_projected_torsion(self):
-        """rho(T-hat(X_b, X_c)) as coordinate components [i, b, c]; zero iff the
-        image of the projected torsion lies in ker rho."""
-        rho_T = contract("ai,abc->ibc", self.algebroid.anchor, self.projected_torsion.comps)
-        return ComponentSummaries(rho_T)
-
-    @functools.cached_property
-    def curvature(self):
-        """R(nabla); needs the locality projector."""
-        return curvature(self)
-
-    @functools.cached_property
-    def admissibility(self):
-        """mb(u, v) + mb(v, u); zero iff nabla is admissible, that is, iff
-        [u, v] + [v, u] = L(e^a, nabla_{X_a} u, v) + L(e^a, nabla_{X_a} v, u)."""
-        mb = self.bracket
-        return mb + mb.swap_slots(2, 3)
-
-    @functools.cached_property
-    def admissible(self):
-        return self.admissibility.is_zero
-
-
-def second_cov_and_ricci(D, u, v, w):
-    """Second covariant derivative and the Ricci-identity residual of D.conn.
+def second_cov_and_ricci(conn, u, v, w):
+    """Second covariant derivative and the Ricci-identity residual of conn.
 
     The residual
         nabla^2_{u,v} w - nabla^2_{v,u} w - R(u,v)w + nabla_{That(u,v)} w
     vanishes identically for every connection on an anchor-compatible
     structure; it is returned so callers can verify exactly that.
     """
-    A, conn = D.algebroid, D.conn
+    A = conn.algebroid
     second_uv = second_covariant_derivative(A, conn, u, v, w)
     second_vu = second_covariant_derivative(A, conn, v, u, w)
-    r_vec = contract("abcd,b,c,d->a", D.curvature.comps, u.comps, v.comps, w.comps)
-    that_vec = contract("abc,b,c->a", D.projected_torsion.comps, u.comps, v.comps)
+    r_vec = contract("abcd,b,c,d->a", conn.curvature.comps, u.comps, v.comps, w.comps)
+    that_vec = contract("abc,b,c->a", conn.projected_torsion.comps, u.comps, v.comps)
     r_vec, that_vec = (ETensor(1, 0, A.rank, A.coords, comps) for comps in (r_vec, that_vec))
     correction = covariant_derivative_vector(A, conn, that_vec, w)
     return second_uv, second_uv - second_vu - r_vec + correction
@@ -266,7 +254,10 @@ def _solve_affine_koszul(A, g, *extra_rhs):
     matrix, koszul = _koszul_system(A, g)
     rhs = [(koszul + extra).reshape((r**3,)).tolist() for extra in extra_rhs]
     solutions = linalg.solve(matrix.tolist(), *rhs)
-    return [EConnection(object_array(solution, A.coords).reshape((r, r, r))) for solution in solutions]
+    return [
+        EConnection(A, object_array(solution, A.coords).reshape((r, r, r)))
+        for solution in solutions
+    ]
 
 
 def _koszul_system(A, g):

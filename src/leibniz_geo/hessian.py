@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebroid import AlgebroidReport
-from .connection import Derived, frame_covariant_derivative, nonmetricity
+from .connection import frame_covariant_derivative, nonmetricity
 from .errors import InvalidStructure, NotAdmissible, SlotMismatch
 from .scalar import ScalarField
 from .statgeo import StatisticalStructure
@@ -47,18 +47,17 @@ class HessianStructure:
 
     def __post_init__(self):
         A = self.algebroid
-        D = Derived(A, self.nabla)
-        if not D.curvature.is_zero:
+        if not self.nabla.curvature.is_zero:
             raise InvalidStructure("connection is not flat")
-        if not D.projected_torsion.is_zero:
+        if not self.nabla.projected_torsion.is_zero:
             raise InvalidStructure("connection is not projected-torsion-free")
         H = hessian(A, self.nabla, self.potential)
         if not (self.g.lower_tensor() - H).is_zero:
             raise InvalidStructure("metric does not equal the Hessian of the potential")
 
 
-def projected_exterior_derivative(D, omega):
-    """Degree-raising derivative built from the projected modified bracket of D.conn.
+def projected_exterior_derivative(conn, omega):
+    """Degree-raising derivative built from the projected modified bracket of conn.
 
     (d-hat w)_{a_1..a_{p+1}} = sum_i (-1)^{i+1} rho_{a_i}(w_{.. a_i-hat ..})
       + sum_{i<j} (-1)^{i+j} mhat^m_{a_i a_j} w_{m, .. a_i-hat .. a_j-hat ..},
@@ -70,10 +69,10 @@ def projected_exterior_derivative(D, omega):
     covariant and antisymmetric in every pair of slots (else SlotMismatch).
     """
     _check_form(omega)
-    mhat = D.projected_bracket.comps
-    if not D.admissible:
+    mhat = conn.projected_bracket.comps
+    if not conn.admissible:
         raise NotAdmissible("projected exterior derivative requires an admissible connection")
-    A, p = D.algebroid, omega.r
+    A, p = conn.algebroid, omega.r
     slots = "abcdefghijklnopqrstuvwxyz"[: p + 1]  # m is the summed label
     d_omega = A.anchor_derivative(omega.comps)  # [a, ...] = rho(X_a)(w_{...})
     terms = [((-1) ** i, f"{s}{slots.replace(s, '')}->{slots}", d_omega) for i, s in enumerate(slots)]
@@ -93,8 +92,8 @@ def _check_form(t):
     return t
 
 
-def hessian_symmetry_equivalences(D, probe_functions=None):
-    """Exact report on the three-way symmetry equivalence for the Hessian of D.conn.
+def hessian_symmetry_equivalences(conn, probe_functions=None):
+    """Exact report on the three-way symmetry equivalence for the Hessian of conn.
 
     Clause 1 (H(f) symmetric for every f) is decided by the identity
     H(f)(u,v) - H(f)(v,u) = -rho(T-hat(u,v))(f): it holds for all f exactly
@@ -109,23 +108,23 @@ def hessian_symmetry_equivalences(D, probe_functions=None):
     with a nonzero projected torsion whose image hides inside ker rho — is
     reported through a warning instead of a failure.
     """
-    T_hat = D.projected_torsion
-    A, conn = D.algebroid, D.conn
+    T_hat = conn.projected_torsion
+    A = conn.algebroid
     report = AlgebroidReport()
     r = A.rank
-    clause1 = D.anchored_projected_torsion.is_zero
+    clause1 = conn.anchored_projected_torsion.is_zero
     clause2 = T_hat.is_zero
     report.record("clause-1-hessian-symmetric-for-all-f", "holds" if clause1 else "fails")
     report.record("clause-2-projected-torsion-free", "holds" if clause2 else "fails")
 
     clause3 = None
-    if D.admissible:
+    if conn.admissible:
         entries = {}  # res3[m] is the residual of the coframe one-form e^m
         for m in range(r):
             omega = ETensor(0, 1, r, A.coords, Components((r,), A.coords, {(m,): A.one()}))
             nabla_omega = frame_covariant_derivative(A, conn, omega).comps
             res = contract_sum(
-                (1, "ab->ab", projected_exterior_derivative(D, omega).comps),
+                (1, "ab->ab", projected_exterior_derivative(conn, omega).comps),
                 (-1, "ab->ab", nabla_omega),
                 (1, "ab->ba", nabla_omega),
             )
@@ -175,8 +174,8 @@ def _default_probes(A):
     return probes
 
 
-def hessian_structure_check(D, g, f):
-    """Verify (g, D.conn, f) is a Hessian structure and its statistical shadow.
+def hessian_structure_check(conn, g, f):
+    """Verify (g, conn, f) is a Hessian structure and its statistical shadow.
 
     Non-degeneracy is ring-level: the determinant of g is nonzero as a
     rational function, not pointwise on the chart.  On success the report
@@ -184,18 +183,18 @@ def hessian_structure_check(D, g, f):
     admissible connections, that (g, Q, T) satisfies the statistical-structure
     invariants.
     """
-    report = AlgebroidReport({"flat": D.curvature})
-    A, conn = D.algebroid, D.conn
-    report.record("projected-torsion-free", D.projected_torsion)
+    report = AlgebroidReport({"flat": conn.curvature})
+    A = conn.algebroid
+    report.record("projected-torsion-free", conn.projected_torsion)
     report.record("metric-equals-hessian", g.lower_tensor() - hessian(A, conn, f))
     report.record("metric-nondegenerate", not g.det.is_zero)
     if not report.ok:
         return report
     Q = nonmetricity(A, conn, g)
     report.record("codazzi", Q - Q.swap_slots(1, 2))
-    if D.admissible:
+    if conn.admissible:
         try:
-            StatisticalStructure(g, Q, D.torsion)
+            StatisticalStructure(g, Q, conn.torsion)
         except InvalidStructure as exc:
             report.record("statistical-invariants", False)
             report.warn(f"statistical invariants violated: {exc}")
@@ -213,26 +212,26 @@ def fundamental_theorem_residual(A, pair):
     projected modified brackets vanish on the working frame); on other
     frames ``pair.holonomy_obstruction`` is the term the theorem drops.
     """
-    R, R_star = pair.derived(pair.nabla).curvature, pair.derived(pair.nabla_star).curvature
+    R, R_star = pair.nabla.curvature, pair.nabla_star.curvature
     g = pair.g.matrix
     res = contract_sum((1, "eabc,ed->abcd", R.comps, g), (1, "eabd,ec->abcd", R_star.comps, g))
     return ETensor(0, 4, A.rank, A.coords, res)
 
 
-def constant_curvature_check(D, g):
-    """Decide whether R(D.conn)^a_{bcd} = kappa (g_{cd} d^a_b - g_{bd} d^a_c) exactly.
+def constant_curvature_check(conn, g):
+    """Decide whether R(conn)^a_{bcd} = kappa (g_{cd} d^a_b - g_{bd} d^a_c) exactly.
 
     kappa is read off the row-major first nonzero entry of the model array, and R must
     equal kappa times the model everywhere.  Returns (True, kappa) with an
     exact rational kappa when one exists (the flat case yields kappa = 0),
     else (False, None).
     """
-    R = D.curvature
-    if not D.admissible:
+    R = conn.curvature
+    if not conn.admissible:
         raise NotAdmissible("constant curvature requires an admissible connection")
     if R.is_zero:
         return True, Fraction(0)
-    model = _constant_curvature_model(D.algebroid, g)
+    model = _constant_curvature_model(conn.algebroid, g)
     if model.is_zero:
         return False, None
     first = min(model.entries)
@@ -246,7 +245,7 @@ def conjugate_curvature_transfer_residual(A, pair, kappa):
     """R(nabla*)^a_{bcd} - kappa (g_{cd} d^a_b - g_{bd} d^a_c): zero under the
     fundamental-theorem hypotheses when nabla has constant curvature kappa."""
     kappa_field = ScalarField.constant(Fraction(kappa), A.coords)
-    R_star = pair.derived(pair.nabla_star).curvature.comps
+    R_star = pair.nabla_star.curvature.comps
     res = R_star - _constant_curvature_model(A, pair.g).scale(kappa_field)
     return ETensor(1, 3, A.rank, A.coords, res)
 

@@ -200,7 +200,7 @@ def parse_model_text(text):
     connections = {}
     for name, entry in _named_section(raw, "connections").items():
         gamma = _load_array(entry, (r, r, r), coords, f"connections.{name}")
-        connections[name] = EConnection(gamma)
+        connections[name] = EConnection(algebroid, gamma)
     tensors = {}
     for name, entry in _named_section(raw, "tensors").items():
         tensors[name] = _load_tensor(entry, r, coords, f"tensors.{name}")

@@ -293,7 +293,7 @@ class ScalarField:
 
     def __repr__(self):
         num = sp.sstr(self.frac.numer.as_expr())
-        if self.frac.denom.is_one:
+        if _is_one(self.frac.denom):
             return num
         return f"({num})/({sp.sstr(self.frac.denom.as_expr())})"
 

@@ -12,6 +12,11 @@ asserted properties (see the project notes), so the two solve equations read
 
 where LC[mb] denotes the Koszul connection of the respective modified
 bracket.  Both equations are affine in their unknown and are solved exactly.
+
+A ``ConjugatePair`` keeps the objects of (g, nabla, nabla*) together; the
+objects of one connection (its brackets, torsions, curvature and
+admissibility) are cached on that ``EConnection`` itself, so a pair, its
+mean and its alpha-connections read them from the connections they hold.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .connection import (
-    Derived,
     EConnection,
     _koszul_terms,
     _solve_affine_koszul,
@@ -39,16 +43,14 @@ class ConjugatePair:
 
     The pair builds the objects of (g, nabla, nabla*) together once each, as
     cached properties.  The objects of one connection (nabla, nabla*, the
-    mean, an alpha-connection) come from ``derived(conn)``: one ``Derived``
-    per connection object, kept in a memo that a check call shares among all
-    its pairs.  Equality and hashing are by identity.
+    mean, an alpha-connection) are that connection's own cached properties.
+    Equality and hashing are by identity.
     """
 
     algebroid: object
     g: object
     nabla: EConnection
     nabla_star: EConnection
-    _derived: dict = field(default_factory=dict, kw_only=True, repr=False)
     # Filled by alpha_connection.
     _alpha_connections: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -56,10 +58,6 @@ class ConjugatePair:
         residual = conjugation_residual(self.algebroid, self.g, self.nabla, self.nabla_star)
         if not residual.is_zero:
             raise InvalidStructure("connections are not conjugate with respect to g")
-
-    def derived(self, conn):
-        """The ``Derived`` of conn, built on first use."""
-        return self._derived.setdefault(conn, Derived(self.algebroid, conn))
 
     @functools.cached_property
     def difference(self):
@@ -74,24 +72,22 @@ class ConjugatePair:
     @functools.cached_property
     def relative_torsion(self):
         """T(nabla, nabla*)."""
-        D, D_star = self.derived(self.nabla), self.derived(self.nabla_star)
-        return relative_torsion(D, D_star)
+        return relative_torsion(self.nabla, self.nabla_star)
 
     @functools.cached_property
     def relative_torsion_star(self):
         """T(nabla*, nabla)."""
-        D, D_star = self.derived(self.nabla), self.derived(self.nabla_star)
-        return relative_torsion(D_star, D)
+        return relative_torsion(self.nabla_star, self.nabla)
 
     @functools.cached_property
     def torsion_sum(self):
         """T(nabla) + T(nabla*)."""
-        return self.derived(self.nabla).torsion + self.derived(self.nabla_star).torsion
+        return self.nabla.torsion + self.nabla_star.torsion
 
     @functools.cached_property
     def bracket_difference(self):
         """mb(nabla) - mb(nabla*)."""
-        return bracket_difference(self.derived(self.nabla), self.derived(self.nabla_star))
+        return self.nabla.bracket - self.nabla_star.bracket
 
     @functools.cached_property
     def mean(self):
@@ -102,15 +98,12 @@ class ConjugatePair:
     @functools.cached_property
     def jointly_admissible(self):
         """Hypothesis of SSp7 and SSe8: nabla and nabla* are both admissible."""
-        return self.derived(self.nabla).admissible and self.derived(self.nabla_star).admissible
+        return self.nabla.admissible and self.nabla_star.admissible
 
     @functools.cached_property
     def holonomic(self):
         """Hypothesis of lp3 and lc4: both projected modified brackets vanish."""
-        return (
-            self.derived(self.nabla).projected_bracket.is_zero
-            and self.derived(self.nabla_star).projected_bracket.is_zero
-        )
+        return self.nabla.projected_bracket.is_zero and self.nabla_star.projected_bracket.is_zero
 
     @functools.cached_property
     def holonomy_obstruction(self):
@@ -157,7 +150,7 @@ def conjugate_connection(A, g, conn):
         (1, "db,abc->dac", g.inverse, A.anchor_derivative(g.matrix)),
         (-1, "eab,ec,db->dac", conn.gamma, g.matrix, g.inverse),
     )
-    return EConnection(gamma_star)
+    return EConnection(A, gamma_star)
 
 
 def conjugation_residual(A, g, conn, conn_star):
@@ -171,40 +164,36 @@ def conjugation_residual(A, g, conn, conn_star):
 
 
 def alpha_connection(pair, alpha):
-    """(1+alpha)/2 nabla* + (1-alpha)/2 nabla for an exact rational alpha.
+    """s nabla* + t nabla, with (s, t) = ``alpha_weights(alpha)``, for an exact
+    rational alpha.
 
     Built once per pair and alpha, always from this formula: at alpha = 1 and
     alpha = -1 it is never nabla* or nabla itself, so the endpoint identities
-    still compare two derivations, and its ``Derived`` (keyed by connection
-    object) is never the one of nabla* or nabla.
+    still compare two derivations, and its cached derived objects are never
+    those of nabla* or nabla.
     """
     alpha = Fraction(alpha)
     family = pair._alpha_connections
     if alpha not in family:
-        s, t = alpha_weights(alpha, pair.algebroid.coords)
+        s, t = (ScalarField.constant(w, pair.algebroid.coords) for w in alpha_weights(alpha))
         family[alpha] = pair.nabla_star.scale_combination(s, pair.nabla, t)
     return family[alpha]
 
 
-def alpha_weights(alpha, coords):
+def alpha_weights(alpha):
     """(1+alpha)/2 and (1-alpha)/2, the weights of nabla* and nabla in nabla^(alpha)."""
     alpha = Fraction(alpha)
-    return tuple(ScalarField.constant(w, coords) for w in ((1 + alpha) / 2, (1 - alpha) / 2))
+    return (1 + alpha) / 2, (1 - alpha) / 2
 
 
-def bracket_difference(D, D_prime):
-    """mb(nabla) - mb(nabla') of the connections of two ``Derived``s."""
-    return D.bracket - D_prime.bracket
-
-
-def relative_torsion(D, D_prime):
+def relative_torsion(conn, conn_prime):
     """T(nabla, nabla')^a_{bc} = G^a_{bc} - G'^a_{cb} - (mb + mb')^a_{bc} / 2."""
-    A, half = D.algebroid, Fraction(1, 2)
+    A, half = conn.algebroid, Fraction(1, 2)
     out = contract_sum(
-        (1, "abc->abc", D.conn.gamma),
-        (-1, "acb->abc", D_prime.conn.gamma),
-        (-half, "abc->abc", D.bracket.comps),
-        (-half, "abc->abc", D_prime.bracket.comps),
+        (1, "abc->abc", conn.gamma),
+        (-1, "acb->abc", conn_prime.gamma),
+        (-half, "abc->abc", conn.bracket.comps),
+        (-half, "abc->abc", conn_prime.bracket.comps),
     )
     return ETensor(1, 2, A.rank, A.coords, out)
 
@@ -219,8 +208,7 @@ def _quasi_statistical_residual(A, g, Q, T):
 
 def _torsion_transfer_residual(pair):
     """For a quasi-statistical (g, nabla): T(nabla*) minus the bracket difference."""
-    T_star = pair.derived(pair.nabla_star).torsion
-    return T_star - pair.bracket_difference
+    return pair.nabla_star.torsion - pair.bracket_difference
 
 
 # -- statistical solve --------------------------------------------------------
@@ -238,8 +226,7 @@ def statistical_solve(A, S):
     g, C, B = S.g, S.C, S.B
     star_extra = contract_sum(*_koszul_terms(B.comps, g), (-1, "bcd->bcd", C.comps))
     nabla, nabla_star = _solve_affine_koszul(A, g, C.comps, star_extra)
-    derived = {nabla: Derived(A, nabla), nabla_star: Derived(A, nabla_star)}
-    compat_residual = B - bracket_difference(derived[nabla], derived[nabla_star])
+    compat_residual = B - (nabla.bracket - nabla_star.bracket)
     if not compat_residual.is_zero:
         raise CompatibilityFailure(
             "solved pair violates the bracket-difference compatibility condition",
@@ -247,7 +234,7 @@ def statistical_solve(A, S):
             nabla_star=nabla_star,
             residual=compat_residual,
         )
-    return ConjugatePair(A, g, nabla, nabla_star, _derived=derived)
+    return ConjugatePair(A, g, nabla, nabla_star)
 
 
 # -- alpha-family residuals ---------------------------------------------------
@@ -256,34 +243,35 @@ def statistical_solve(A, S):
 def alpha_curvature_residual(A, pair, alpha):
     """Exact residual of the alpha-curvature decomposition.
 
-    R(nabla^(a)) - (1+a)/2 R(nabla*) - (1-a)/2 R(nabla)
-      - (1-a^2)/4 [Delta(v, Delta(u, w)) - Delta(u, Delta(v, w))]
-      - (1-a^2)/4 Delta(bracket-difference(u, v), w),
+    R(nabla^(a)) - s R(nabla*) - t R(nabla)
+      - s t [Delta(v, Delta(u, w)) - Delta(u, Delta(v, w))]
+      - s t Delta(bracket-difference(u, v), w),
 
-    with Delta = Delta(nabla, nabla*) and the bracket difference taken
-    between the two projected modified brackets.  Identically zero.
+    with (s, t) = ``alpha_weights(a)`` (so s t = (1 - a^2)/4),
+    Delta = Delta(nabla, nabla*) and the bracket difference taken between the
+    two projected modified brackets.  Identically zero.
     """
-    D, D_star = pair.derived(pair.nabla), pair.derived(pair.nabla_star)
-    alpha = Fraction(alpha)
-    s, t, quarter = (1 + alpha) / 2, (1 - alpha) / 2, (1 - alpha * alpha) / 4
-    R_alpha = pair.derived(alpha_connection(pair, alpha)).curvature
+    nabla, star = pair.nabla, pair.nabla_star
+    s, t = alpha_weights(alpha)
+    quarter = s * t
+    R_alpha = alpha_connection(pair, alpha).curvature
     delta = pair.difference.comps
     res = contract_sum(
         (1, "abcd->abcd", R_alpha.comps),
-        (-s, "abcd->abcd", D_star.curvature.comps),
-        (-t, "abcd->abcd", D.curvature.comps),
+        (-s, "abcd->abcd", star.curvature.comps),
+        (-t, "abcd->abcd", nabla.curvature.comps),
         (-quarter, "ebd,ace->abcd", delta, delta),
         (quarter, "ecd,abe->abcd", delta, delta),
-        (-quarter, "ebc,aed->abcd", D.projected_bracket.comps, delta),
-        (quarter, "ebc,aed->abcd", D_star.projected_bracket.comps, delta),
+        (-quarter, "ebc,aed->abcd", nabla.projected_bracket.comps, delta),
+        (quarter, "ebc,aed->abcd", star.projected_bracket.comps, delta),
     )
     return ETensor(1, 3, A.rank, A.coords, res)
 
 
 def alpha_flat_symmetry_residual(pair, alpha):
     """R(nabla^(alpha)) - R(nabla^(-alpha)); zero when the pair is flat."""
-    plus = pair.derived(alpha_connection(pair, alpha)).curvature
-    minus = pair.derived(alpha_connection(pair, -Fraction(alpha))).curvature
+    plus = alpha_connection(pair, alpha).curvature
+    minus = alpha_connection(pair, -Fraction(alpha)).curvature
     return plus - minus
 
 

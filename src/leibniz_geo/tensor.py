@@ -98,11 +98,15 @@ class Components:
         return self._combine(other, -1)
 
     def _combine(self, other, sign):
-        """self + sign * other, each entry normalised once."""
+        """self + sign * other, each entry normalised once; the accumulator
+        takes the sign, so no negated copy of other is built."""
         if self.shape != other.shape:
             raise ValueError(f"shapes {self.shape} and {other.shape} differ")
-        others = other.entries.items() if sign == 1 else (-other).entries.items()
-        return sum_terms(self.shape, self.coords, itertools.chain(self.entries.items(), others))
+        sums = _Sums(self.coords)
+        for coeff, store in ((1, self), (sign, other)):
+            for idx, value in store.entries.items():
+                sums.add_field(idx, coeff, value)
+        return Components(self.shape, self.coords, sums.finish())
 
     def __neg__(self):
         return Components(self.shape, self.coords, {i: -v for i, v in self.entries.items()})

@@ -88,7 +88,7 @@ def classical_christoffel(A, g):
                 - g.matrix[b, c].diff(d + 1)
             )
         gamma[a, b, c] = acc * half
-    return EConnection(store(gamma, A.coords))
+    return EConnection(A, store(gamma, A.coords))
 
 
 def classical_riemann(A, conn):
@@ -124,7 +124,7 @@ def random_connection(A, rng, degree=2):
     gamma = zeros_array((r, r, r), A.coords)
     for idx in itertools.product(range(r), repeat=3):
         gamma[idx] = random_polynomial(A, rng, degree)
-    return EConnection(store(gamma, A.coords))
+    return EConnection(A, store(gamma, A.coords))
 
 
 def random_constant_connection(A, rng):
@@ -132,7 +132,7 @@ def random_constant_connection(A, rng):
     gamma = zeros_array((r, r, r), A.coords)
     for idx in itertools.product(range(r), repeat=3):
         gamma[idx] = A.field(rng.randint(-3, 3))
-    return EConnection(store(gamma, A.coords))
+    return EConnection(A, store(gamma, A.coords))
 
 
 def random_metric(A, rng, constant=False):
@@ -171,7 +171,7 @@ def eta_compatible_connection(Cour, eta, rng, degree=1):
         gamma[a, d, b] = sum(
             (omega[d, b, c] * eta.inverse[c, a] for c in range(r)), Cour.zero()
         )
-    return EConnection(store(gamma, Cour.coords))
+    return EConnection(Cour, store(gamma, Cour.coords))
 
 
 def make_rng(seed):

@@ -380,7 +380,7 @@ def koszul_connection(A, bracket_coeffs, g):
             for d in range(r):
                 acc = acc + g.inverse[a, d] * rhs[d]
             gamma[a, b, c] = acc * half
-    return EConnection(store(gamma))
+    return EConnection(A, store(gamma))
 
 
 def koszul_system(A, g, *extra_rhs):
@@ -450,7 +450,7 @@ def conjugate_connection(A, g, conn):
                     inner = inner - conn.gamma[e, a, b] * g.matrix[e, c]
                 acc = acc + g.inverse[d, b] * inner
             gamma[d, a, c] = acc
-    return EConnection(store(gamma))
+    return EConnection(A, store(gamma))
 
 
 def conjugation_residual(A, g, conn, conn_star):

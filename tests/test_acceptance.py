@@ -38,7 +38,7 @@ from leibniz_geo import (
     tangent,
     torsion,
 )
-from leibniz_geo.connection import Derived, difference_tensor, second_cov_and_ricci
+from leibniz_geo.connection import difference_tensor, second_cov_and_ricci
 from leibniz_geo.errors import ParseError, SchemaError, ShapeError
 from leibniz_geo.model import parse_model_text
 from leibniz_geo.statgeo import alpha_flat_symmetry_residual
@@ -121,12 +121,12 @@ def test_criterion_01_classical_oracles():
     assert (conn.gamma[1, 1, 0] - A.one() / x1).is_zero
     oracle = classical_christoffel(A, g)
     assert difference_tensor(A, conn, oracle).is_zero
-    assert curvature(Derived(A, conn)).is_zero
-    assert (curvature(Derived(A, conn)) - classical_riemann(A, conn)).is_zero
+    assert curvature(conn).is_zero
+    assert (curvature(conn) - classical_riemann(A, conn)).is_zero
 
     g_hyp = hyperbolic_metric(A)
     conn_hyp = levi_civita_solve(A, g_hyp)
-    ok, kappa = constant_curvature_check(Derived(A, conn_hyp), g_hyp)
+    ok, kappa = constant_curvature_check(conn_hyp, g_hyp)
     assert ok and kappa == Fraction(-1)
 
 
@@ -136,7 +136,7 @@ def test_criterion_02_admissibility():
     rng = make_rng(201)
     for _ in range(25):
         conn = random_constant_connection(A, rng)
-        assert Derived(A, conn).admissibility.is_zero
+        assert conn.admissibility.is_zero
         _admissible_pool.append((A, conn))
 
     Cour = courant(1)
@@ -147,7 +147,7 @@ def test_criterion_02_admissibility():
             conn = eta_compatible_connection(Cour, eta, rng)
         else:
             conn = random_connection(Cour, rng, degree=2)
-        admissible = Derived(Cour, conn).admissibility.is_zero
+        admissible = conn.admissibility.is_zero
         compatible = nonmetricity(Cour, conn, eta).is_zero
         assert admissible == compatible
         if admissible:
@@ -178,9 +178,9 @@ def test_criterion_03_conjugation():
         # Mean connection is metric-compatible.
         assert nonmetricity(A, pair.mean, g).is_zero
         # SSp8: rel + rel* = T + T*.
-        rel = relative_torsion(Derived(A, conn), Derived(A, conn_star))
-        rel_star = relative_torsion(Derived(A, conn_star), Derived(A, conn))
-        total = torsion(Derived(A, conn)) + torsion(Derived(A, conn_star))
+        rel = relative_torsion(conn, conn_star)
+        rel_star = relative_torsion(conn_star, conn)
+        total = torsion(conn) + torsion(conn_star)
         assert (rel + rel_star - total).is_zero
     # SSp7 on the admissible subset (eta-compatible courant pairs).
     Cour = courant(1)
@@ -190,10 +190,10 @@ def test_criterion_03_conjugation():
     for _ in range(10):
         conn = eta_compatible_connection(Cour, eta, rng)
         conn_star = conjugate_connection(Cour, eta, conn)
-        if not Derived(Cour, conn_star).admissibility.is_zero:
+        if not conn_star.admissibility.is_zero:
             continue
-        rel = relative_torsion(Derived(Cour, conn), Derived(Cour, conn_star))
-        rel_star = relative_torsion(Derived(Cour, conn_star), Derived(Cour, conn))
+        rel = relative_torsion(conn, conn_star)
+        rel_star = relative_torsion(conn_star, conn)
         for a, b, c in itertools.product(range(Cour.rank), repeat=3):
             assert (rel.comps[a, b, c] + rel_star.comps[a, c, b]).is_zero
         checked += 1
@@ -210,8 +210,8 @@ def test_criterion_04_alpha_family():
     for A, g, conn in instances:
         pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
         Q = nonmetricity(A, conn, g)
-        T = torsion(Derived(A, pair.nabla))
-        T_star = torsion(Derived(A, pair.nabla_star))
+        T = torsion(pair.nabla)
+        T_star = torsion(pair.nabla_star)
         for alpha in alphas:
             conn_alpha = alpha_connection(pair, alpha)
             # SSp10: conjugation maps alpha to -alpha.
@@ -220,7 +220,7 @@ def test_criterion_04_alpha_family():
             # Torsion interpolation.
             s = ScalarField.constant((1 + alpha) / 2, A.coords)
             t = ScalarField.constant((1 - alpha) / 2, A.coords)
-            assert (torsion(Derived(A, conn_alpha)) - T_star.scale(s) - T.scale(t)).is_zero
+            assert (torsion(conn_alpha) - T_star.scale(s) - T.scale(t)).is_zero
             # SSe25: Q(nabla^alpha) = -alpha Q(nabla).
             factor = ScalarField.constant(alpha, A.coords)
             assert (nonmetricity(A, conn_alpha, g) + Q.scale(factor)).is_zero
@@ -228,7 +228,7 @@ def test_criterion_04_alpha_family():
             assert alpha_curvature_residual(A, pair, alpha).is_zero
         _admissible_pool.extend(
             (A, c) for c in (pair.nabla, pair.nabla_star)
-            if Derived(A, c).admissibility.is_zero
+            if c.admissibility.is_zero
         )
     # SS29 on a dually flat pair (Hessian metric, coordinate-flat primal).
     A = tangent(2)
@@ -236,10 +236,10 @@ def test_criterion_04_alpha_family():
         [[A.field("2*x2 + 2"), A.field("2*x1")], [A.field("2*x1"), A.field("2")]],
         A.coords,
     )
-    flat = EConnection(ETensor.zeros(1, 2, 2, A.coords).comps)
+    flat = EConnection(A, ETensor.zeros(1, 2, 2, A.coords).comps)
     pair = ConjugatePair(A, g, flat, conjugate_connection(A, g, flat))
-    assert curvature(Derived(A, pair.nabla)).is_zero
-    assert curvature(Derived(A, pair.nabla_star)).is_zero
+    assert curvature(pair.nabla).is_zero
+    assert curvature(pair.nabla_star).is_zero
     for alpha in alphas:
         assert alpha_flat_symmetry_residual(pair, alpha).is_zero
 
@@ -259,11 +259,11 @@ def test_criterion_05_strong_conjugacy():
         pair = ConjugatePair(A_i, g_i, conn, conjugate_connection(A_i, g_i, conn))
         strong = pair.relative_torsion.is_zero
         admissible = (
-            Derived(A_i, pair.nabla).admissibility.is_zero
-            and Derived(A_i, pair.nabla_star).admissibility.is_zero
+            pair.nabla.admissibility.is_zero
+            and pair.nabla_star.admissibility.is_zero
         )
         if strong and admissible:
-            assert torsion(Derived(A_i, pair.nabla)).is_zero
+            assert torsion(pair.nabla).is_zero
             assert nonmetricity(A_i, pair.nabla, g_i).is_zero
             assert difference_tensor(A_i, pair.nabla, pair.nabla_star).is_zero
         if not strong:
@@ -289,8 +289,8 @@ def test_criterion_06_statistical_solve():
         # SSp5 postconditions.
         assert (nonmetricity(A, pair.nabla, g) + C).is_zero
         assert (nonmetricity(A, pair.nabla_star, g) - C).is_zero
-        assert torsion(Derived(A, pair.nabla)).is_zero
-        assert (torsion(Derived(A, pair.nabla_star)) - B).is_zero
+        assert torsion(pair.nabla).is_zero
+        assert (torsion(pair.nabla_star) - B).is_zero
     # Trivial structure returns the Levi-Civita pair.
     g = polar_metric(A)
     pair = statistical_solve(
@@ -316,7 +316,7 @@ def test_criterion_07_ricci_identity():
             u = A.vector([random_polynomial(A, rng) for _ in range(A.rank)])
             v = A.vector([random_polynomial(A, rng) for _ in range(A.rank)])
             w = A.vector([random_polynomial(A, rng) for _ in range(A.rank)])
-            _, residual = second_cov_and_ricci(Derived(A, conn), u, v, w)
+            _, residual = second_cov_and_ricci(conn, u, v, w)
             assert residual.is_zero
             total += 1
     assert total == 25
@@ -325,7 +325,7 @@ def test_criterion_07_ricci_identity():
 @criterion(8, "Hessian suite: lp1 equivalences and the quartic potential")
 def test_criterion_08_hessian_suite():
     A = tangent(2)
-    zero_conn = EConnection(ETensor.zeros(1, 2, 2, A.coords).comps)
+    zero_conn = EConnection(A, ETensor.zeros(1, 2, 2, A.coords).comps)
     instances = []
     # All three clauses hold.
     instances.append((A, zero_conn, "holds", "holds"))
@@ -335,20 +335,20 @@ def test_criterion_08_hessian_suite():
     # All three clauses fail together.
     for _ in range(4):
         conn = random_connection(A, rng, degree=1)
-        if torsion(Derived(A, conn), projected=True).is_zero:
+        if torsion(conn, projected=True).is_zero:
             continue
         instances.append((A, conn, "fails", "fails"))
     # rho = 0 kernel escape: H symmetric although T-hat != 0 (Corollary lc1).
     S = so3()
     for _ in range(4):
         conn = random_constant_connection(S, rng)
-        T_hat = torsion(Derived(S, conn), projected=True)
+        T_hat = torsion(conn, projected=True)
         expected2 = "fails" if not T_hat.is_zero else "holds"
         instances.append((S, conn, "holds", expected2))
     assert len(instances) >= 10
     saw_escape = False
     for A_i, conn, expect1, expect2 in instances[:12]:
-        report = hessian_symmetry_equivalences(Derived(A_i, conn))
+        report = hessian_symmetry_equivalences(conn)
         entries = dict(report.entries)
         assert entries["clause-1-hessian-symmetric-for-all-f"] == expect1
         assert entries["clause-2-projected-torsion-free"] == expect2
@@ -365,7 +365,7 @@ def test_criterion_08_hessian_suite():
 
     H = hessian(A, zero_conn, f)
     g = EMetric([[H.comps[i, j] for j in range(2)] for i in range(2)], A.coords)
-    report = hessian_structure_check(Derived(A, zero_conn), g, f)
+    report = hessian_structure_check(zero_conn, g, f)
     assert report.ok
     entries = dict(report.entries)
     assert entries["codazzi"].is_zero
@@ -393,7 +393,7 @@ def test_criterion_09_fundamental_theorem():
     Cour = courant(1)
     eta = courant_pairing(Cour)
     conn = eta_compatible_connection(Cour, eta, rng)
-    while Derived(Cour, conn).projected_bracket.is_zero:
+    while conn.projected_bracket.is_zero:
         conn = eta_compatible_connection(Cour, eta, rng)
     g = random_metric(Cour, rng, constant=True)
     pair = ConjugatePair(Cour, g, conn, conjugate_connection(Cour, g, conn))
@@ -405,13 +405,13 @@ def test_criterion_09_fundamental_theorem():
 def test_criterion_10_antisymmetry():
     assert len(_admissible_pool) >= 25
     for A, conn in _admissible_pool:
-        T = torsion(Derived(A, conn))
+        T = torsion(conn)
         assert (T + T.swap_slots(2, 3)).is_zero
-        R = curvature(Derived(A, conn))
+        R = curvature(conn)
         assert (R + R.swap_slots(2, 3)).is_zero
     assert _non_admissible_witness
     A, conn = _non_admissible_witness[0]
-    T = torsion(Derived(A, conn))
+    T = torsion(conn)
     assert not (T + T.swap_slots(2, 3)).is_zero
 
 

@@ -16,7 +16,6 @@ from leibniz_geo import (
     so3,
     tangent,
 )
-from leibniz_geo.connection import Derived
 from leibniz_geo.errors import InvalidStructureConstants, MissingProjector
 from oracle_geometry import anchor_apply, bracket_eval
 from conftest import (
@@ -170,7 +169,7 @@ def test_lie_algebra_connections_always_admissible():
     rng = make_rng(11)
     for _ in range(25):
         conn = random_constant_connection(A, rng)
-        assert Derived(A, conn).admissibility.is_zero
+        assert conn.admissibility.is_zero
 
 
 def test_courant_admissibility_iff_pairing_compatible():
@@ -183,7 +182,7 @@ def test_courant_admissibility_iff_pairing_compatible():
             conn = eta_compatible_connection(A, eta, rng)
         else:
             conn = random_connection(A, rng, degree=2)
-        admissible = Derived(A, conn).admissibility.is_zero
+        admissible = conn.admissibility.is_zero
         compatible = nonmetricity(A, conn, eta).is_zero
         assert admissible == compatible
         seen_admissible |= admissible

@@ -24,7 +24,6 @@ from leibniz_geo import (
 )
 from leibniz_geo.checks import _probe_sections
 from leibniz_geo.connection import (
-    Derived,
     covariant_derivative_vector,
     difference_tensor,
     frame_covariant_derivative,
@@ -76,7 +75,7 @@ def test_levi_civita_matches_classical_christoffel():
         conn = levi_civita_solve(A, g)
         oracle = classical_christoffel(A, g)
         assert difference_tensor(A, conn, oracle).is_zero
-        assert torsion(Derived(A, conn)).is_zero
+        assert torsion(conn).is_zero
         assert nonmetricity(A, conn, g).is_zero
 
 
@@ -93,7 +92,7 @@ def test_curvature_matches_classical_riemann():
     rng = make_rng(23)
     for _ in range(3):
         conn = random_connection(A, rng, degree=1)
-        R = curvature(Derived(A, conn))
+        R = curvature(conn)
         oracle = classical_riemann(A, conn)
         # On the tangent builtin L = 0 and c = 0, so the modified-bracket
         # correction vanishes and the classical formula is the whole answer.
@@ -103,14 +102,14 @@ def test_curvature_matches_classical_riemann():
 def test_flat_polar_curvature_vanishes():
     A = tangent(2)
     conn = levi_civita_solve(A, polar_metric(A))
-    assert curvature(Derived(A, conn)).is_zero
+    assert curvature(conn).is_zero
 
 
 def test_hyperbolic_curvature_is_constant_negative():
     A = tangent(2)
     g = hyperbolic_metric(A)
     conn = levi_civita_solve(A, g)
-    R = curvature(Derived(A, conn))
+    R = curvature(conn)
     for a, b, c, d in itertools.product(range(2), repeat=4):
         expected = A.zero()
         if a == b:
@@ -124,7 +123,7 @@ def test_torsion_frame_and_section_routes_agree():
     A = courant(1)
     rng = make_rng(29)
     conn = random_connection(A, rng, degree=1)
-    T = torsion(Derived(A, conn))
+    T = torsion(conn)
     u = A.vector([random_polynomial(A, rng) for _ in range(A.rank)])
     v = A.vector([random_polynomial(A, rng) for _ in range(A.rank)])
     section_route = torsion_eval(A, conn, u, v)
@@ -163,7 +162,7 @@ def test_ricci_identity_all_builtins():
             u = A.vector([random_polynomial(A, rng) for _ in range(A.rank)])
             v = A.vector([random_polynomial(A, rng) for _ in range(A.rank)])
             w = A.vector([random_polynomial(A, rng) for _ in range(A.rank)])
-            _, residual = second_cov_and_ricci(Derived(A, conn), u, v, w)
+            _, residual = second_cov_and_ricci(conn, u, v, w)
             assert residual.is_zero
 
 
@@ -177,7 +176,7 @@ def test_curvature_eval_matches_frame_curvature(path):
     r = A.rank
     probes = _probe_sections(A, 6, seed=17)
     for conn in doc.connections.values():
-        R = curvature(Derived(A, conn))
+        R = curvature(conn)
         for index in range(2):
             u, v, w = probes[3 * index : 3 * index + 3]
             contracted = [
@@ -198,10 +197,10 @@ def test_admissible_torsion_and_curvature_are_antisymmetric():
     eta = courant_pairing(A)
     rng = make_rng(43)
     conn = eta_compatible_connection(A, eta, rng)
-    assert Derived(A, conn).admissibility.is_zero
-    T = torsion(Derived(A, conn))
+    assert conn.admissibility.is_zero
+    T = torsion(conn)
     assert (T + T.swap_slots(2, 3)).is_zero
-    R = curvature(Derived(A, conn))
+    R = curvature(conn)
     assert (R + R.swap_slots(2, 3)).is_zero
 
 
@@ -209,8 +208,8 @@ def test_non_admissible_torsion_witness():
     A = courant(1)
     rng = make_rng(47)
     conn = random_connection(A, rng, degree=1)
-    assert not Derived(A, conn).admissibility.is_zero
-    T = torsion(Derived(A, conn))
+    assert not conn.admissibility.is_zero
+    T = torsion(conn)
     assert not (T + T.swap_slots(2, 3)).is_zero
 
 
@@ -218,8 +217,8 @@ def test_projected_torsion_differs_from_torsion_off_tangent():
     A = courant(1)
     rng = make_rng(53)
     conn = random_connection(A, rng, degree=1)
-    T = torsion(Derived(A, conn))
-    T_hat = torsion(Derived(A, conn), projected=True)
+    T = torsion(conn)
+    T_hat = torsion(conn, projected=True)
     mb = modified_bracket_coeffs(A, conn)
     mb_hat = modified_bracket_coeffs(A, conn, projected=True)
     diff = ETensor(1, 2, A.rank, A.coords, mb_hat - mb)
@@ -237,7 +236,7 @@ def test_so3_killing_style_levi_civita():
     # Over a point with antisymmetric constants, Gamma^a_{bc} = c^a_{bc} / 2.
     for a, b, c in itertools.product(range(3), repeat=3):
         assert (conn.gamma[a, b, c] - A.bracket[a, b, c] * half).is_zero
-    assert torsion(Derived(A, conn)).is_zero
+    assert torsion(conn).is_zero
     assert nonmetricity(A, conn, g).is_zero
 
 

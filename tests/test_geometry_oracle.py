@@ -25,7 +25,6 @@ from hypothesis import given, settings, strategies as st
 import oracle_geometry as old
 from leibniz_geo import (
     ConjugatePair,
-    Derived,
     EMetric,
     ScalarField,
     StatisticalStructure,
@@ -188,13 +187,12 @@ def forms(A, functions, sections):
 
 
 def compare_connection(A, conn, metrics, functions, sections):
-    D = Derived(A, conn)
     admissibility = old.admissibility_residual(A, conn)
-    same(D.admissibility, admissibility)
-    assert D.admissible == admissibility.is_zero
+    same(conn.admissibility, admissibility)
+    assert conn.admissible == admissibility.is_zero
     same(modified_bracket_coeffs(A, conn), old.modified_bracket_coeffs(A, conn))
-    same(torsion(D), old.torsion(A, conn))
-    same(frame_covariant_derivative(A, conn, D.torsion), old.frame_covariant_derivative(A, conn, D.torsion))
+    same(torsion(conn), old.torsion(A, conn))
+    same(frame_covariant_derivative(A, conn, conn.torsion), old.frame_covariant_derivative(A, conn, conn.torsion))
     for g in metrics:
         same(nonmetricity(A, conn, g), old.nonmetricity(A, conn, g))
         inverse = ETensor(2, 0, A.rank, A.coords, g.inverse)
@@ -206,18 +204,18 @@ def compare_connection(A, conn, metrics, functions, sections):
     if A.projector is None:
         return
     same(modified_bracket_coeffs(A, conn, projected=True), old.modified_bracket_coeffs(A, conn, True))
-    same(torsion(D, projected=True), old.torsion(A, conn, projected=True))
-    same(curvature(D), old.curvature(A, conn))
-    same(D.anchored_projected_torsion, old.anchored_projected_torsion(A, conn))
-    assert D.anchored_projected_torsion.is_zero == old.anchored_projected_torsion_vanishes(A, conn)
-    same_report(hessian_symmetry_equivalences(D, functions), old.hessian_symmetry_equivalences(A, conn, functions))
-    if D.admissible:
+    same(torsion(conn, projected=True), old.torsion(A, conn, projected=True))
+    same(curvature(conn), old.curvature(A, conn))
+    same(conn.anchored_projected_torsion, old.anchored_projected_torsion(A, conn))
+    assert conn.anchored_projected_torsion.is_zero == old.anchored_projected_torsion_vanishes(A, conn)
+    same_report(hessian_symmetry_equivalences(conn, functions), old.hessian_symmetry_equivalences(A, conn, functions))
+    if conn.admissible:
         for g in metrics:
-            assert constant_curvature_check(D, g) == old.constant_curvature_check(A, conn, g)
+            assert constant_curvature_check(conn, g) == old.constant_curvature_check(A, conn, g)
         for omega in forms(A, functions, sections):
-            same(projected_exterior_derivative(D, omega), old.projected_exterior_derivative(A, conn, omega))
+            same(projected_exterior_derivative(conn, omega), old.projected_exterior_derivative(A, conn, omega))
     for u, v, w in zip(sections, sections[1:], sections[2:]):
-        second, residual = second_cov_and_ricci(D, u, v, w)
+        second, residual = second_cov_and_ricci(conn, u, v, w)
         old_second, old_residual = old.second_cov_and_ricci(A, conn, u, v, w)
         same(second, old_second)
         same(residual, old_residual)
@@ -228,12 +226,11 @@ def compare_pair(A, g, conn):
     same(star.gamma, old.conjugate_connection(A, g, conn).gamma)
     for first, second in ((conn, star), (conn, conn), (star, conn)):
         same(conjugation_residual(A, g, first, second), old.conjugation_residual(A, g, first, second))
-    quasi_statistical = _quasi_statistical_residual(A, g, nonmetricity(A, conn, g), Derived(A, conn).torsion)
+    quasi_statistical = _quasi_statistical_residual(A, g, nonmetricity(A, conn, g), conn.torsion)
     same(quasi_statistical, old.quasi_statistical_residual(A, g, conn))
     same(ssp3_difference(A, g, conn), old.ssp3_difference(A, g, conn, star))
-    D, D_star = Derived(A, conn), Derived(A, star)
-    same(relative_torsion(D, D_star), old.relative_torsion(A, conn, star))
-    same(relative_torsion(D_star, D), old.relative_torsion(A, star, conn))
+    same(relative_torsion(conn, star), old.relative_torsion(A, conn, star))
+    same(relative_torsion(star, conn), old.relative_torsion(A, star, conn))
     pair = ConjugatePair(A, g, conn, star)
     same(admissibility_locality_residual(pair), old.admissibility_locality_residual(A, conn, star))
     if A.projector is None:
@@ -286,7 +283,7 @@ def test_fixed_draws_with_nonzero_residuals_match(A, nonzero):
     if nonzero:
         # The comparison must see nonzero admissibility and SSe8 residuals.
         pair = ConjugatePair(A, metric, connections[0], conjugate_connection(A, metric, connections[0]))
-        assert not pair.derived(pair.nabla).admissibility.is_zero
+        assert not pair.nabla.admissibility.is_zero
         assert not admissibility_locality_residual(pair).is_zero
     sections = checks._probe_sections(A, 3, seed=5)
     compare(A, [metric], connections, [A.x(1) * A.x(1) + A.x(1)], sections)
@@ -305,7 +302,7 @@ def drawn_connections(A):
             for i, c in enumerate(coeffs[1:]):
                 value = value + A.field(c) * A.x(i + 1)
             gamma[idx] = value
-        return EConnection(store(gamma))
+        return EConnection(A, store(gamma))
 
     return st.lists(affine, min_size=r**3, max_size=r**3).map(build)
 
@@ -346,14 +343,13 @@ def test_point_base_entries_are_scalar_fields():
     rng = make_rng(3)
     conn = random_connection(A, rng)
     g = random_metric(A, rng)
-    D = Derived(A, conn)
     arrays = [
-        D.curvature.comps,
+        conn.curvature.comps,
         hessian(A, conn, A.field(2)).comps,
         conjugate_connection(A, g, conn).gamma,
         A.anchor_derivative(g.matrix),
         A.coboundary(A.one()).comps,
-        projected_exterior_derivative(D, function_form(A, A.field(2))).comps,
+        projected_exterior_derivative(conn, function_form(A, A.field(2))).comps,
     ]
     for comps in arrays:
         entries = dense(comps)
@@ -368,12 +364,11 @@ def test_constant_curvature_rejects_a_kappa_that_holds_only_at_the_first_entry()
     g = EMetric([[A.one(), A.zero()], [A.zero(), A.one()]], A.coords)
     gamma = zeros_array((2, 2, 2), A.coords)
     gamma[0, 1, 1] = A.x(1)
-    conn = EConnection(store(gamma))
-    D = Derived(A, conn)
+    conn = EConnection(A, store(gamma))
     model = _constant_curvature_model(A, g)
     first = next(idx for idx, entry in np.ndenumerate(dense(model)) if not entry.is_zero)
     assert first == (0, 0, 1, 1)
-    assert str(D.curvature.comps[first] / model[first]) == "1"
-    assert D.curvature.comps[1, 0, 1, 0].is_zero and str(model[1, 0, 1, 0]) == "-1"
-    assert constant_curvature_check(D, g) == (False, None)
+    assert str(conn.curvature.comps[first] / model[first]) == "1"
+    assert conn.curvature.comps[1, 0, 1, 0].is_zero and str(model[1, 0, 1, 0]) == "-1"
+    assert constant_curvature_check(conn, g) == (False, None)
     assert old.constant_curvature_check(A, conn, g) == (False, None)

@@ -3,8 +3,8 @@
 The files in ``tests/golden`` hold the exact stdout of the commands below,
 captured with ``python -m leibniz_geo.cli`` from earlier versions of the
 engine: ``check-all``, ``export-builtin`` and ``levi-civita`` before the
-FracField scalar kernel, the other single-shot commands before the
-per-connection ``Derived`` context, and the runs on courant1 without its
+FracField scalar kernel, the other single-shot commands before derived
+objects were cached per connection, and the runs on courant1 without its
 projector before the check runners became generators.  Each case runs
 ``cli.main`` in this process and compares its stdout bytes with the capture;
 stderr must be empty and the exit code 0.  Any change to a canonical

@@ -28,7 +28,7 @@ from leibniz_geo import (
     tangent,
     torsion,
 )
-from leibniz_geo.connection import Derived, covariant_derivative_vector
+from leibniz_geo.connection import covariant_derivative_vector
 from leibniz_geo.errors import MissingProjector, NotAdmissible
 from leibniz_geo.hessian import function_form
 from leibniz_geo.tensor import ETensor, object_array
@@ -45,7 +45,7 @@ from conftest import (
 
 
 def flat_connection(A):
-    return EConnection(ETensor.zeros(1, 2, A.rank, A.coords).comps)
+    return EConnection.zero(A)
 
 
 def is_symmetric(H):
@@ -89,7 +89,7 @@ def test_hessian_agrees_with_second_covariant_derivative():
 def test_projected_exterior_derivative_of_function():
     A = tangent(2)
     f = A.field("x1*x2")
-    df = projected_exterior_derivative(Derived(A, flat_connection(A)), function_form(A, f))
+    df = projected_exterior_derivative(flat_connection(A), function_form(A, f))
     assert (df.q, df.r) == (0, 1)
     assert (df.comps[0] - A.x(2)).is_zero
     assert (df.comps[1] - A.x(1)).is_zero
@@ -101,8 +101,8 @@ def test_projected_exterior_derivative_squares_to_zero_on_functions():
     rng = make_rng(71)
     conn = eta_compatible_connection(A, eta, rng)
     f = A.field("x1^3 + x1")
-    df = projected_exterior_derivative(Derived(A, conn), function_form(A, f))
-    ddf = projected_exterior_derivative(Derived(A, conn), df)
+    df = projected_exterior_derivative(conn, function_form(A, f))
+    ddf = projected_exterior_derivative(conn, df)
     assert all(ddf.comps[idx].is_zero for idx in itertools.product(range(2), repeat=2))
 
 
@@ -111,7 +111,7 @@ def test_projected_exterior_derivative_matches_classical_de_rham():
     A = tangent(2)
     x1, x2 = A.x(1), A.x(2)
     omega = ETensor(0, 1, 2, A.coords, object_array([A.zero(), x1]))  # omega = x1 dx2
-    d_omega = projected_exterior_derivative(Derived(A, flat_connection(A)), omega)
+    d_omega = projected_exterior_derivative(flat_connection(A), omega)
     # d(x1 dx2) = dx1 ^ dx2: components (d omega)_{12} = 1, antisymmetric.
     assert (d_omega.comps[0, 1] - A.one()).is_zero
     assert (d_omega.comps[1, 0] + A.one()).is_zero
@@ -130,31 +130,29 @@ def test_projected_exterior_derivative_guards():
         kernel_sections=(),
     )
     with pytest.raises(MissingProjector):
-        projected_exterior_derivative(
-            Derived(stripped, flat_connection(A)), function_form(A, A.one())
-        )
+        projected_exterior_derivative(flat_connection(stripped), function_form(A, A.one()))
     Cour = courant(1)
     rng = make_rng(73)
     bad = random_connection(Cour, rng, degree=1)
-    assert not Derived(Cour, bad).admissibility.is_zero
+    assert not bad.admissibility.is_zero
     with pytest.raises(NotAdmissible):
-        projected_exterior_derivative(Derived(Cour, bad), function_form(Cour, Cour.one()))
+        projected_exterior_derivative(bad, function_form(Cour, Cour.one()))
 
 
 # The entry points built from the projected modified bracket, each called on
-# (algebroid, Derived, metric, pair).
+# (algebroid, connection, metric, pair).
 NEEDS_PROJECTOR = {
-    "locality_hat": lambda A, D, g, pair: A.locality_hat,
-    "validate_projector": lambda A, D, g, pair: A.validate_projector(),
-    "curvature": lambda A, D, g, pair: curvature(D),
-    "projected_exterior_derivative": lambda A, D, g, pair: projected_exterior_derivative(
-        D, function_form(A, A.one())
+    "locality_hat": lambda A, conn, g, pair: A.locality_hat,
+    "validate_projector": lambda A, conn, g, pair: A.validate_projector(),
+    "curvature": lambda A, conn, g, pair: curvature(conn),
+    "projected_exterior_derivative": lambda A, conn, g, pair: projected_exterior_derivative(
+        conn, function_form(A, A.one())
     ),
-    "hessian_symmetry_equivalences": lambda A, D, g, pair: hessian_symmetry_equivalences(D),
-    "hessian_structure_check": lambda A, D, g, pair: hessian_structure_check(D, g, A.x(1)),
-    "fundamental_theorem_residual": lambda A, D, g, pair: fundamental_theorem_residual(A, pair),
-    "constant_curvature_check": lambda A, D, g, pair: constant_curvature_check(D, g),
-    "alpha_curvature_residual": lambda A, D, g, pair: alpha_curvature_residual(A, pair, Fraction(1, 2)),
+    "hessian_symmetry_equivalences": lambda A, conn, g, pair: hessian_symmetry_equivalences(conn),
+    "hessian_structure_check": lambda A, conn, g, pair: hessian_structure_check(conn, g, A.x(1)),
+    "fundamental_theorem_residual": lambda A, conn, g, pair: fundamental_theorem_residual(A, pair),
+    "constant_curvature_check": lambda A, conn, g, pair: constant_curvature_check(conn, g),
+    "alpha_curvature_residual": lambda A, conn, g, pair: alpha_curvature_residual(A, pair, Fraction(1, 2)),
 }
 
 
@@ -162,17 +160,16 @@ NEEDS_PROJECTOR = {
 def test_projector_is_decided_by_locality_hat_before_admissibility(entry):
     A = dataclasses.replace(courant(1), projector=None, kernel_sections=())
     conn = random_connection(A, make_rng(73), degree=1)
-    D = Derived(A, conn)
-    assert not D.admissible
+    assert not conn.admissible
     g = courant_pairing(A)
     pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
     with pytest.raises(MissingProjector, match="^algebroid has no locality projector$"):
-        NEEDS_PROJECTOR[entry](A, D, g, pair)
+        NEEDS_PROJECTOR[entry](A, conn, g, pair)
 
 
 def test_symmetry_equivalences_all_hold_for_flat_tangent():
     A = tangent(2)
-    report = hessian_symmetry_equivalences(Derived(A, flat_connection(A)))
+    report = hessian_symmetry_equivalences(flat_connection(A))
     entries = dict(report.entries)
     assert entries["clause-1-hessian-symmetric-for-all-f"] == "holds"
     assert entries["clause-2-projected-torsion-free"] == "holds"
@@ -187,9 +184,9 @@ def test_symmetry_equivalences_all_fail_together():
     A = tangent(2)
     raw = zeros_array((2, 2, 2), A.coords)
     raw[0, 0, 1] = A.one()
-    conn = EConnection(store(raw))
-    assert not torsion(Derived(A, conn), projected=True).is_zero
-    report = hessian_symmetry_equivalences(Derived(A, conn))
+    conn = EConnection(A, store(raw))
+    assert not torsion(conn, projected=True).is_zero
+    report = hessian_symmetry_equivalences(conn)
     entries = dict(report.entries)
     assert entries["clause-1-hessian-symmetric-for-all-f"] == "fails"
     assert entries["clause-2-projected-torsion-free"] == "fails"
@@ -205,9 +202,9 @@ def test_symmetry_equivalences_kernel_escape():
     A = so3()
     raw = zeros_array((3, 3, 3), A.coords)
     raw[0, 0, 1] = A.one()
-    conn = EConnection(store(raw))
-    assert not torsion(Derived(A, conn), projected=True).is_zero
-    report = hessian_symmetry_equivalences(Derived(A, conn))
+    conn = EConnection(A, store(raw))
+    assert not torsion(conn, projected=True).is_zero
+    report = hessian_symmetry_equivalences(conn)
     entries = dict(report.entries)
     assert entries["clause-1-hessian-symmetric-for-all-f"] == "holds"
     assert entries["clause-2-projected-torsion-free"] == "fails"
@@ -220,7 +217,7 @@ def test_probe_identities_are_exact():
     A = tangent(2)
     rng = make_rng(79)
     conn = random_connection(A, rng, degree=1)
-    report = hessian_symmetry_equivalences(Derived(A, conn))
+    report = hessian_symmetry_equivalences(conn)
     probes = [
         entry
         for name, entry in dict(report.entries).items()
@@ -244,7 +241,7 @@ def test_hessian_structure_accepts_potential():
     A, conn, g, f = hessian_potential_data()
     structure = HessianStructure(A, g, conn, f)
     assert structure.potential is f
-    report = hessian_structure_check(Derived(A, conn), g, f)
+    report = hessian_structure_check(conn, g, f)
     assert report.ok
     entries = dict(report.entries)
     assert entries["metric-nondegenerate"] is True
@@ -260,7 +257,7 @@ def test_hessian_structure_check_is_ring_level():
     conn = flat_connection(A)
     H = hessian(A, conn, f)
     g = EMetric([[H.comps[i, j] for j in range(2)] for i in range(2)], A.coords)
-    report = hessian_structure_check(Derived(A, conn), g, f)
+    report = hessian_structure_check(conn, g, f)
     assert report.ok
 
 
@@ -271,10 +268,10 @@ def test_hessian_structure_rejects_curved_connection():
         A.coords,
     )
     conn = levi_civita_solve(A, g_hyp)
-    assert not curvature(Derived(A, conn)).is_zero
+    assert not curvature(conn).is_zero
     with pytest.raises(ValueError):
         HessianStructure(A, g_hyp, conn, A.field("x1^2"))
-    report = hessian_structure_check(Derived(A, conn), g_hyp, A.field("x1^2"))
+    report = hessian_structure_check(conn, g_hyp, A.field("x1^2"))
     assert not report.ok
 
 
@@ -288,8 +285,8 @@ def test_fundamental_theorem_on_holonomic_pairs():
         conn = random_connection(A, rng, degree=1)
         pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
         assert pair.holonomic
-        assert pair.derived(pair.nabla).projected_bracket.is_zero
-        assert pair.derived(pair.nabla_star).projected_bracket.is_zero
+        assert pair.nabla.projected_bracket.is_zero
+        assert pair.nabla_star.projected_bracket.is_zero
         assert fundamental_theorem_residual(A, pair).is_zero
 
 
@@ -298,14 +295,14 @@ def test_fundamental_theorem_flags_anholonomic_frames():
     eta = courant_pairing(A)
     rng = make_rng(89)
     conn = eta_compatible_connection(A, eta, rng)
-    while Derived(A, conn).projected_bracket.is_zero:
+    while conn.projected_bracket.is_zero:
         conn = eta_compatible_connection(A, eta, rng)
     # Conjugate with respect to a different metric so the pair has a nonzero
     # difference tensor and hence a visible obstruction.
     g = random_metric(A, rng, constant=True)
     pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
     assert not pair.holonomic
-    assert not pair.derived(pair.nabla).projected_bracket.is_zero
+    assert not pair.nabla.projected_bracket.is_zero
     assert not pair.holonomy_obstruction.is_zero
 
 
@@ -327,7 +324,7 @@ def test_constant_curvature_flat_and_hyperbolic():
     A = tangent(2)
     g_polar = EMetric([[A.one(), A.zero()], [A.zero(), A.x(1) * A.x(1)]], A.coords)
     conn = levi_civita_solve(A, g_polar)
-    ok, kappa = constant_curvature_check(Derived(A, conn), g_polar)
+    ok, kappa = constant_curvature_check(conn, g_polar)
     assert ok and kappa == Fraction(0)
 
     g_hyp = EMetric(
@@ -335,7 +332,7 @@ def test_constant_curvature_flat_and_hyperbolic():
         A.coords,
     )
     conn_hyp = levi_civita_solve(A, g_hyp)
-    ok, kappa = constant_curvature_check(Derived(A, conn_hyp), g_hyp)
+    ok, kappa = constant_curvature_check(conn_hyp, g_hyp)
     assert ok and kappa == Fraction(-1)
 
 
@@ -344,7 +341,7 @@ def test_constant_curvature_rejects_generic_connection():
     rng = make_rng(101)
     g = random_metric(A, rng)
     conn = random_connection(A, rng, degree=1)
-    ok, kappa = constant_curvature_check(Derived(A, conn), g)
+    ok, kappa = constant_curvature_check(conn, g)
     if ok:
         # Extremely unlikely; accept but require exact reproduction.
         assert kappa is not None

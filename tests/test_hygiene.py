@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package or of the tests imports a name it never
-reads, no function of the package assigns a local it never reads, the package
+reads, no function of the package assigns a local it never reads, every private
+module-level name of the package is read somewhere else in it, the package
 never loads numpy (the tests use it as an oracle only), and only
 ``Algebroid.locality_hat`` raises MissingProjector."""
 
@@ -87,6 +88,81 @@ def test_local_scan_skips_unpacking_and_underscore_names():
         "    return inner\n"
     )
     assert unused_locals(source) == [(5, "dead")]
+
+
+def unreferenced_private_names(sources):
+    """(module, line, name) for each private module-level function, class or
+    constant of the sources that no code outside its own definition reads.
+
+    ``sources`` maps a module name to its source.  A read is a loaded name, an
+    attribute (``module._name``) or a name imported from another module;
+    dunder names are not private.
+    """
+    definitions, readers = [], {}
+    for module, source in sources.items():
+        for index, node in enumerate(ast.parse(source).body):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [
+                    n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)
+                ]
+            else:
+                bound = []
+            definitions += [
+                (module, node.lineno, name, index)
+                for name in bound
+                if name.startswith("_") and not name.startswith("__")
+            ]
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    read = [sub.id]
+                elif isinstance(sub, ast.Attribute):
+                    read = [sub.attr]
+                elif isinstance(sub, ast.ImportFrom):
+                    read = [alias.name for alias in sub.names]
+                else:
+                    continue
+                for name in read:
+                    readers.setdefault(name, set()).add((module, index))
+    return sorted(
+        (module, line, name)
+        for module, line, name, index in definitions
+        if not readers.get(name, set()) - {(module, index)}
+    )
+
+
+def test_every_private_module_name_is_read():
+    package = ROOT / "src" / "leibniz_geo"
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    unread = [
+        f"src/leibniz_geo/{module}.py:{line}: {name}"
+        for module, line, name in unreferenced_private_names(sources)
+    ]
+    assert not unread, "private and never read:\n" + "\n".join(unread)
+
+
+def test_private_name_scan_finds_unread_names_only():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n"
+            "_dead = 2\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"
+            "class _Used:\n"
+            "    pass\n"
+            "def _imported():\n"
+            "    pass\n"
+            "def _by_attribute():\n"
+            "    pass\n"
+            "__version__ = '1'\n"
+            "def public():\n"
+            "    return _LIMIT, _Used()\n"
+        ),
+        "b": "from a import _imported\nimport a\na._by_attribute()\n",
+    }
+    assert unreferenced_private_names(sources) == [("a", 2, "_dead"), ("a", 3, "_recursive")]
 
 
 def test_package_all_is_the_readme_api():

@@ -10,7 +10,6 @@ import pytest
 
 from leibniz_geo import (
     ConjugatePair,
-    Derived,
     EConnection,
     EMetric,
     ScalarField,
@@ -106,9 +105,9 @@ def test_relative_torsion_sum_identity():
     # T(nabla, nabla*) + T(nabla*, nabla) = T(nabla) + T(nabla*).
     for A, g, conn in instances(10, seed=109):
         conn_star = conjugate_connection(A, g, conn)
-        rel = relative_torsion(Derived(A, conn), Derived(A, conn_star))
-        rel_star = relative_torsion(Derived(A, conn_star), Derived(A, conn))
-        total = torsion(Derived(A, conn)) + torsion(Derived(A, conn_star))
+        rel = relative_torsion(conn, conn_star)
+        rel_star = relative_torsion(conn_star, conn)
+        total = torsion(conn) + torsion(conn_star)
         assert (rel + rel_star - total).is_zero
 
 
@@ -120,11 +119,11 @@ def test_relative_torsion_antisymmetry_for_admissible_pairs():
     for _ in range(10):
         conn = eta_compatible_connection(A, eta, rng)
         conn_star = conjugate_connection(A, eta, conn)
-        if not Derived(A, conn_star).admissibility.is_zero:
+        if not conn_star.admissibility.is_zero:
             continue
         found += 1
-        rel = relative_torsion(Derived(A, conn), Derived(A, conn_star))
-        rel_star = relative_torsion(Derived(A, conn_star), Derived(A, conn))
+        rel = relative_torsion(conn, conn_star)
+        rel_star = relative_torsion(conn_star, conn)
         r = A.rank
         for a, b, c in itertools.product(range(r), repeat=3):
             assert (rel.comps[a, b, c] + rel_star.comps[a, c, b]).is_zero
@@ -140,7 +139,7 @@ def test_levi_civita_self_pair_is_strongly_conjugate():
     pair = ConjugatePair(A, g, lc, conjugate_connection(A, g, lc))
     assert difference_tensor(A, pair.nabla, pair.nabla_star).is_zero
     assert pair.relative_torsion.is_zero
-    assert torsion(Derived(A, lc)).is_zero
+    assert torsion(lc).is_zero
     assert nonmetricity(A, lc, g).is_zero
 
 
@@ -160,11 +159,11 @@ def test_strong_conjugacy_forces_levi_civita():
         pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
         strong = pair.relative_torsion.is_zero
         admissible = (
-            Derived(A, pair.nabla).admissibility.is_zero
-            and Derived(A, pair.nabla_star).admissibility.is_zero
+            pair.nabla.admissibility.is_zero
+            and pair.nabla_star.admissibility.is_zero
         )
         if strong and admissible:
-            assert torsion(Derived(A, pair.nabla)).is_zero
+            assert torsion(pair.nabla).is_zero
             assert nonmetricity(A, pair.nabla, g).is_zero
             assert difference_tensor(A, pair.nabla, pair.nabla_star).is_zero
 
@@ -212,8 +211,8 @@ def test_statistical_solve_matches_manifold_oracle():
             assert (pair.nabla.gamma[a, b, c] - expected).is_zero
         # Postconditions.
         assert (nonmetricity(A, pair.nabla, g) + C).is_zero
-        assert torsion(Derived(A, pair.nabla)).is_zero
-        assert (torsion(Derived(A, pair.nabla_star)) - B).is_zero
+        assert torsion(pair.nabla).is_zero
+        assert (torsion(pair.nabla_star) - B).is_zero
         assert conjugation_residual(A, g, pair.nabla, pair.nabla_star).is_zero
 
 
@@ -282,7 +281,7 @@ def test_statistical_solve_refuses_a_pair_that_is_not_conjugate(monkeypatch):
     def perturbed(*args):
         nabla, nabla_star = solve(*args)
         bump = Components((3, 3, 3), A.coords, {(0, 1, 2): A.x(1) / (A.one() + A.x(3))})
-        return nabla, EConnection(nabla_star.gamma + bump)
+        return nabla, EConnection(A, nabla_star.gamma + bump)
 
     monkeypatch.setattr(statgeo, "_solve_affine_koszul", perturbed)
     with pytest.raises(InvalidStructure, match="not conjugate"):
@@ -296,7 +295,7 @@ def test_koszul_solve_on_courant_with_generic_metric():
     rng = make_rng(150)
     g = random_metric(A, rng, constant=True)
     (nabla,) = _solve_affine_koszul(A, g, Components((A.rank,) * 3, A.coords))
-    assert torsion(Derived(A, nabla)).is_zero
+    assert torsion(nabla).is_zero
     assert nonmetricity(A, nabla, g).is_zero
     lc = levi_civita_solve(A, g)
     assert difference_tensor(A, nabla, lc).is_zero
@@ -312,7 +311,7 @@ def test_quasi_statistical_transfer():
     pair = statistical_solve(
         A, StatisticalStructure(g, C, ETensor.zeros(1, 2, 2, A.coords))
     )
-    T = Derived(A, pair.nabla).torsion
+    T = pair.nabla.torsion
     assert _quasi_statistical_residual(A, g, nonmetricity(A, pair.nabla, g), T).is_zero
     doublet = ConjugatePair(A, g, pair.nabla, conjugate_connection(A, g, pair.nabla))
     assert _torsion_transfer_residual(doublet).is_zero
@@ -333,9 +332,9 @@ def test_alpha_family_endpoints_and_laws():
             # Torsion interpolates linearly.
             s = ScalarField.constant((1 + alpha) / 2, A.coords)
             t = ScalarField.constant((1 - alpha) / 2, A.coords)
-            T, T_star = torsion(Derived(A, pair.nabla)), torsion(Derived(A, pair.nabla_star))
+            T, T_star = torsion(pair.nabla), torsion(pair.nabla_star)
             expected_T = T_star.scale(s) + T.scale(t)
-            assert (torsion(Derived(A, conn_alpha)) - expected_T).is_zero
+            assert (torsion(conn_alpha) - expected_T).is_zero
             # Nonmetricity scales by -alpha.
             factor = ScalarField.constant(alpha, A.coords)
             assert (nonmetricity(A, conn_alpha, g) + Q.scale(factor)).is_zero
@@ -356,10 +355,10 @@ def test_alpha_curvature_symmetry_for_flat_pairs():
     phi_12 = A.field("2*x1")
     phi_22 = A.field("2")
     g = EMetric([[phi_11, phi_12], [phi_12, phi_22]], A.coords)
-    flat = EConnection(ETensor.zeros(1, 2, 2, A.coords).comps)
+    flat = EConnection(A, ETensor.zeros(1, 2, 2, A.coords).comps)
     pair = ConjugatePair(A, g, flat, conjugate_connection(A, g, flat))
-    assert curvature(Derived(A, pair.nabla)).is_zero
-    assert curvature(Derived(A, pair.nabla_star)).is_zero
+    assert curvature(pair.nabla).is_zero
+    assert curvature(pair.nabla_star).is_zero
     for alpha in ALPHAS:
         assert alpha_flat_symmetry_residual(pair, alpha).is_zero
 
@@ -383,22 +382,25 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 def test_cached_pair_objects_are_read_only():
     A, g, conn = instances(1, seed=171)[0]
     pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
-    D, D_star = pair.derived(pair.nabla), pair.derived(pair.nabla_star)
-    assert D.curvature is pair.derived(pair.nabla).curvature
+    nabla, star = pair.nabla, pair.nabla_star
+    assert nabla.curvature is nabla.curvature
     assert alpha_connection(pair, Fraction(1, 2)) is alpha_connection(pair, Fraction(1, 2))
-    # The alpha = -1 connection has its own Derived, never the one of nabla.
-    assert pair.derived(alpha_connection(pair, -1)) is not D
+    # The alpha = -1 connection is its own object, never nabla, so it never
+    # shares nabla's cached objects.
+    assert alpha_connection(pair, -1) is not nabla
+    assert alpha_connection(pair, -1).curvature is not nabla.curvature
     tensors = [
-        D.bracket,
-        D_star.projected_bracket,
-        D.torsion,
-        D.curvature,
-        D_star.curvature,
+        nabla.bracket,
+        star.projected_bracket,
+        nabla.torsion,
+        nabla.curvature,
+        star.curvature,
         pair.difference,
         pair.nonmetricity,
         pair.relative_torsion,
     ]
-    alone = Derived(A, conn)
+    # A second connection over the same coefficients derives its own objects.
+    alone = EConnection(A, conn.gamma)
     tensors += [
         alone.bracket,
         alone.projected_bracket,
@@ -450,7 +452,7 @@ def test_check_run_derives_each_object_once_per_pair(monkeypatch, name):
     for g in doc.metrics.values():
         for conn in doc.connections.values():
             star = conjugate_connection(A, g, conn)
-            flat += curvature(Derived(A, conn)).is_zero and curvature(Derived(A, star)).is_zero
+            flat += curvature(conn).is_zero and curvature(star).is_zero
             holonomic += ConjugatePair(A, g, conn, star).holonomic
     alpha_curvatures = pairs * len(alphas) + flat * len(negated)
 
@@ -458,7 +460,7 @@ def test_check_run_derives_each_object_once_per_pair(monkeypatch, name):
     conjugates = _count_calls(monkeypatch, statgeo, "conjugate_connection")
     torsions = _count_calls(monkeypatch, connection, "torsion")
     brackets = _count_calls(monkeypatch, connection, "modified_bracket_coeffs")
-    derived_brackets = _count_calls(monkeypatch, Derived, "_bracket")
+    derived_brackets = _count_calls(monkeypatch, EConnection, "_bracket")
     theorems = _count_calls(monkeypatch, checks, "fundamental_theorem_residual")
 
     def projected_torsions():
@@ -470,24 +472,26 @@ def test_check_run_derives_each_object_once_per_pair(monkeypatch, name):
 
     checks.run_all(doc)
     # One R per connection: the document's, their conjugates, the alpha family.
-    assert len({id(args[0].conn) for args, _, _ in curvatures}) == len(curvatures)
+    assert len({id(args[0]) for args, _, _ in curvatures}) == len(curvatures)
     assert len(curvatures) == connections + pairs + alpha_curvatures
     # One conjugate per pair, plus the conjugate of each alpha-connection (SSp10).
     assert len(conjugates) == pairs * (1 + len(checks.ALPHA_VALUES))
     # T-hat of the document connections only, one each.
     assert len(projected_torsions()) == connections
-    # Each (connection, projected) bracket once, and every one built by a Derived.
-    inputs = {
-        (id(args[1]), kwargs.get("projected", args[2:] == (True,))) for args, kwargs, _ in brackets
-    }
+    # Each (connection, projected) bracket once, and every one built by a
+    # connection's own cached property.
+    kinds = [(args[1], kwargs.get("projected", args[2:] == (True,))) for args, kwargs, _ in brackets]
+    inputs = {(id(conn), projected) for conn, projected in kinds}
     assert len(inputs) == len(brackets) == BRACKET_BUILDS[name]
     assert len(derived_brackets) == len(brackets)
     # Admissibility of each document connection and of each conjugate is read
-    # from its plain bracket.
-    documents = {id(conn) for conn in doc.connections.values()}
-    stars = {id(star) for args, _, star in conjugates if id(args[2]) in documents}
+    # from its plain bracket.  A check call works on fresh connections that
+    # share the document's coefficient stores.
+    documents = {id(conn.gamma) for conn in doc.connections.values()}
+    stars = {id(star.gamma) for args, _, star in conjugates if id(args[2].gamma) in documents}
     assert len(stars) == pairs
-    assert documents | stars <= {conn for conn, projected in inputs if not projected}
+    plain = {id(conn.gamma) for conn, projected in kinds if not projected}
+    assert documents | stars <= plain
     # One fundamental-theorem residual per holonomic pair, the pairs lp3
     # reports: lp3 and lc4 read the pair's gate first.
     assert len(theorems) == holonomic
@@ -506,7 +510,7 @@ def test_sse25_endpoints_are_built_by_the_alpha_formula(monkeypatch):
     def shifted(self, coeff_self, other, coeff_other):
         gamma = dense(combine(self, coeff_self, other, coeff_other).gamma)
         gamma[0, 0, 0] = gamma[0, 0, 0] + 1
-        return EConnection(store(gamma))
+        return EConnection(self.algebroid, store(gamma))
 
     monkeypatch.setattr(EConnection, "scale_combination", shifted)
     results = checks.run_check("SSe25", doc)

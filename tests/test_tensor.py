@@ -16,7 +16,6 @@ from leibniz_geo import (
     projected_exterior_derivative,
     tangent,
 )
-from leibniz_geo.connection import Derived
 from leibniz_geo.errors import NonUnique, NoSolution
 from leibniz_geo.expr import parse_expr
 from leibniz_geo.linalg import adj_det, solve
@@ -95,13 +94,13 @@ def test_p_form_validation():
     # The projected exterior derivative takes and returns antisymmetric (0, p) tensors.
     x1, _ = xs()
     A = tangent(2)
-    D = Derived(A, EConnection.zero(A))
+    conn = EConnection.zero(A)
     with pytest.raises(SlotMismatch, match="not antisymmetric in slots 1,2"):
-        projected_exterior_derivative(D, ETensor(0, 2, 2, COORDS, object_array([[x1, x1], [x1, x1]])))
+        projected_exterior_derivative(conn, ETensor(0, 2, 2, COORDS, object_array([[x1, x1], [x1, x1]])))
     with pytest.raises(SlotMismatch, match="covariant slots only"):
-        projected_exterior_derivative(D, tensor_from([[0, 1], [-1, 0]], 1, 1))
+        projected_exterior_derivative(conn, tensor_from([[0, 1], [-1, 0]], 1, 1))
     good = ETensor(0, 2, 2, COORDS, object_array([[const(0), x1], [-x1, const(0)]]))
-    d_good = projected_exterior_derivative(D, good)
+    d_good = projected_exterior_derivative(conn, good)
     assert (d_good.q, d_good.r) == (0, 3) and d_good.is_zero
 
 
