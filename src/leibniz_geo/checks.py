@@ -6,17 +6,20 @@ and returns one record per residual.  Identities whose hypotheses fail on an
 instance are reported as "not-applicable" rather than skipped silently, so a
 report always accounts for every declared object deterministically.
 
-A check is written as a generator of items, in report order.  An item is
-either a finished ``CheckResult`` (a not-applicable record, or a verdict that
-is a boolean or a note rather than a residual) or a ``(label, residual)``
-pair.  A residual is the tensor an identity sets to zero: an ``ETensor``, or
-the component carrier of a residual whose axes mix frame and coordinate
-indices.  Hypotheses are gates read from ``EConnection`` and ``ConjugatePair``
-before the residual is built.  The ``_check(id)`` decorator registers each
-check in ``REGISTRY`` where it is defined and collects its items into the
-list of records that ``check_<id>`` returns, judging each pair by its exact
-zero test in ``_from_residual``.  A check built on the projected modified
-bracket is declared ``needs_projector`` and so gated in one place.
+A check is a generator of report items, in report order.  ``collect`` turns
+the items of a check, and those of every CLI command, into records.  An item
+is a finished ``CheckResult`` (a not-applicable gate from ``_na``) or a
+``(label, value)`` pair that ``judge`` decides by the kind of its value: a
+residual, the tensor an identity sets to zero (an ``ETensor``, or the
+``ComponentSummaries`` of an array whose axes mix frame and coordinate
+indices), passes exactly when its exact zero test holds; a ``bool`` verdict
+passes when true; a ``str`` note passes.  A record keeps the residual it was
+judged on, and ``to_record(dump=True)`` writes its nonzero components.
+Hypotheses are gates read from ``EConnection`` and ``ConjugatePair`` before
+the residual is built.  The ``_check(id)`` decorator registers each check in
+``REGISTRY`` where it is defined and returns the collected records from
+``check_<id>``.  A check built on the projected modified bracket is declared
+``needs_projector`` and so gated in one place.
 
 ``run_all`` and ``run_check`` hand every runner one context per call.  It
 holds a fresh ``EConnection`` per document connection, sharing the
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .connection import EConnection, difference_tensor, nonmetricity, second_cov_and_ricci
@@ -44,7 +47,6 @@ from .hessian import (
     hessian_structure_check,
     hessian_symmetry_equivalences,
 )
-from .scalar import ScalarField
 from .statgeo import (
     ConjugatePair,
     StatisticalStructure,
@@ -58,7 +60,7 @@ from .statgeo import (
     conjugate_connection,
     statistical_solve,
 )
-from .tensor import ETensor, contract_sum
+from .tensor import ComponentSummaries, ETensor, contract_sum
 
 ALPHA_VALUES = (
     Fraction(-1),
@@ -81,8 +83,12 @@ class CheckResult:
     residual_nonzero_components: int = 0
     residual_max_degree: int = 0
     note: str = ""
+    # The array the record was judged on or shows; None for a verdict, a note or a gate.
+    residual: ComponentSummaries = field(default=None, compare=False, repr=False)
 
-    def to_record(self):
+    def to_record(self, dump=False):
+        """The report record; ``dump`` adds the residual's nonzero components,
+        keyed by their 1-based indices."""
         record = {
             "check": self.check,
             "status": self.status,
@@ -91,13 +97,29 @@ class CheckResult:
         }
         if self.note:
             record["note"] = self.note
+        if dump and self.residual is not None:
+            record["components"] = {
+                ",".join(str(i + 1) for i in idx): str(value)
+                for idx, value in sorted(self.residual.comps.entries.items())
+            }
         return record
 
 
-def _from_residual(name, residual):
-    """The record of a residual tensor: pass exactly when it is zero."""
-    status = "pass" if residual.is_zero else "fail"
-    return CheckResult(name, status, residual.nonzero_count(), residual.max_degree())
+def judge(name, value, shown=False):
+    """The record of a (name, value) item: a residual passes exactly when it
+    is zero (or always, when it is an array ``shown`` rather than judged), a
+    bool verdict passes when true, and a str note passes."""
+    if isinstance(value, str):
+        return CheckResult(name, "pass", note=value)
+    if isinstance(value, bool):
+        return CheckResult(name, "pass" if value else "fail")
+    status = "pass" if shown or value.is_zero else "fail"
+    return CheckResult(name, status, value.nonzero_count(), value.max_degree(), residual=value)
+
+
+def collect(items):
+    """The records of report items: a CheckResult as it is, a pair judged."""
+    return [item if isinstance(item, CheckResult) else judge(*item) for item in items]
 
 
 def _na(name, note):
@@ -117,10 +139,7 @@ def _check(check_id, needs_projector=False):
         def run(ctx):
             if needs_projector and ctx.A.projector is None:
                 return [_na(check_id, _NO_PROJECTOR)]
-            return [
-                item if isinstance(item, CheckResult) else _from_residual(*item)
-                for item in check(ctx)
-            ]
+            return collect(check(ctx))
 
         REGISTRY[check_id] = run
         return run
@@ -292,11 +311,13 @@ def check_ssp8(ctx):
 def check_ssp9(ctx):
     """The mean connection is metric-compatible with half the total torsion."""
     A = ctx.A
-    half = ScalarField.constant(Fraction(1, 2), A.coords)
     for label, pair in ctx.pairs:
         yield f"SSp9[{label}]:metric-compatible", nonmetricity(A, pair.mean, pair.g)
-        T_half = pair.torsion_sum.scale(half)
-        yield f"SSp9[{label}]:torsion-mean", pair.mean.torsion - T_half
+        res = contract_sum(
+            (1, "abc->abc", pair.mean.torsion.comps),
+            (-Fraction(1, 2), "abc->abc", pair.torsion_sum.comps),
+        )
+        yield f"SSp9[{label}]:torsion-mean", ETensor(1, 2, A.rank, A.coords, res)
 
 
 @_check("SSp10")
@@ -304,8 +325,8 @@ def check_ssp10(ctx):
     """Conjugation, torsion, and nonmetricity of the alpha family."""
     A = ctx.A
     for label, pair in ctx.pairs:
-        g, Q = pair.g, pair.nonmetricity
-        T, T_star = pair.nabla.torsion, pair.nabla_star.torsion
+        g, Q = pair.g, pair.nonmetricity.comps
+        T, T_star = pair.nabla.torsion.comps, pair.nabla_star.torsion.comps
         for alpha in ALPHA_VALUES:
             conn_alpha = alpha_connection(pair, alpha)
             conj = conjugate_connection(A, g, conn_alpha)
@@ -313,13 +334,16 @@ def check_ssp10(ctx):
                 f"SSp10[{label}]:involution(alpha={alpha})",
                 difference_tensor(A, conj, alpha_connection(pair, -alpha)),
             )
-            s, t = (ScalarField.constant(w, A.coords) for w in alpha_weights(alpha))
-            T_alpha = conn_alpha.torsion
-            yield f"SSp10[{label}]:torsion(alpha={alpha})", T_alpha - T_star.scale(s) - T.scale(t)
-            factor = ScalarField.constant(Fraction(alpha), A.coords)
+            s, t = alpha_weights(alpha)
+            T_alpha, Q_alpha = conn_alpha.torsion.comps, nonmetricity(A, conn_alpha, g).comps
+            res = contract_sum(
+                (1, "abc->abc", T_alpha), (-s, "abc->abc", T_star), (-t, "abc->abc", T)
+            )
+            yield f"SSp10[{label}]:torsion(alpha={alpha})", ETensor(1, 2, A.rank, A.coords, res)
+            res = contract_sum((1, "abc->abc", Q_alpha), (alpha, "abc->abc", Q))
             yield (
                 f"SSp10[{label}]:nonmetricity(alpha={alpha})",
-                nonmetricity(A, conn_alpha, g) + Q.scale(factor),
+                ETensor(0, 3, A.rank, A.coords, res),
             )
 
 
@@ -381,14 +405,7 @@ def check_lp1(ctx):
     """Three-way Hessian symmetry equivalence report."""
     for name, conn in ctx.connections:
         report = hessian_symmetry_equivalences(conn)
-        for key, value in report.entries.items():
-            label = f"lp1[{name}]:{key}"
-            if isinstance(value, str):
-                yield CheckResult(label, "pass", note=value)
-            elif isinstance(value, bool):
-                yield CheckResult(label, "pass" if value else "fail")
-            else:
-                yield label, value
+        yield from ((f"lp1[{name}]:{key}", value) for key, value in report.entries.items())
 
 
 @_check("lp2", needs_projector=True)
@@ -406,8 +423,7 @@ def check_lp2(ctx):
                 continue
             yield f"lp2[{label}:{fname}]:codazzi", entries["codazzi"]
             if "statistical-invariants" in entries:
-                holds = entries["statistical-invariants"]
-                yield CheckResult(f"lc3[{label}:{fname}]", "pass" if holds else "fail")
+                yield f"lc3[{label}:{fname}]", entries["statistical-invariants"]
 
 
 @_check("lp3", needs_projector=True)

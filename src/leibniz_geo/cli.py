@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import checks as checks_module
 from .algebroid import builtin
-from .checks import CheckResult, _from_residual
 from .connection import levi_civita_solve, nonmetricity
 from .errors import LeibnizGeoError, MissingInput, UnknownCommand
 from .expr import MAX_CONSTANT_BITS
@@ -31,13 +30,6 @@ from .statgeo import (
     statistical_solve,
 )
 from .tensor import ComponentSummaries, ETensor
-
-
-def _dump_components(tensor):
-    return {
-        ",".join(str(i + 1) for i in idx): str(value)
-        for idx, value in sorted(tensor.comps.entries.items())
-    }
 
 
 def emit_report(records, fmt):
@@ -75,14 +67,13 @@ def _pick(objects, kind, name):
     return name, objects[name]
 
 
-# Each handler yields the report of one command: a CheckResult, or a
-# (name, value) item.  As in checks.py, a bare value is a residual, judged by
-# its zero test; a computed array the command shows rather than judges is
-# wrapped in _Shown.
+# Each handler yields the report items of one command, for checks.collect; an
+# array the command shows rather than judges is a pass record from _shown.
 
 
-class _Shown(ComponentSummaries):
-    """Components a command shows; their record always passes."""
+def _shown(name, comps):
+    """The record of components a command shows; it always passes."""
+    return checks_module.judge(name, ComponentSummaries(comps), shown=True)
 
 
 def _validate(A, doc, args):
@@ -92,14 +83,14 @@ def _validate(A, doc, args):
         for key, value in report.entries.items():
             yield f"projector:{key}", value
         for warning in report.warnings:
-            yield CheckResult("projector:warning", "not-applicable", note=warning)
+            yield checks_module._na("projector:warning", warning)
     for name, conn in sorted(doc.connections.items()):
         yield f"admissibility:{name}", conn.admissibility
 
 
 def _torsion(A, doc, args):
     name, conn = _pick(doc.connections, "connection", args.connection)
-    yield f"torsion[{name}]", _Shown(conn.torsion.comps)
+    yield _shown(f"torsion[{name}]", conn.torsion.comps)
 
 
 def _curvature(A, doc, args):
@@ -108,19 +99,19 @@ def _curvature(A, doc, args):
         raise MissingInput(
             "curvature needs a locality projector: add a 'projector' block to the model"
         )
-    yield f"curvature[{name}]", _Shown(conn.curvature.comps)
+    yield _shown(f"curvature[{name}]", conn.curvature.comps)
 
 
 def _nonmetricity(A, doc, args):
     cname, conn = _pick(doc.connections, "connection", args.connection)
     mname, g = _pick(doc.metrics, "metric", args.metric)
-    yield f"nonmetricity[{mname}:{cname}]", _Shown(nonmetricity(A, conn, g).comps)
+    yield _shown(f"nonmetricity[{mname}:{cname}]", nonmetricity(A, conn, g).comps)
 
 
 def _levi_civita(A, doc, args):
     mname, g = _pick(doc.metrics, "metric", args.metric)
     conn = levi_civita_solve(A, g)
-    yield f"levi-civita[{mname}]:gamma", _Shown(conn.gamma)
+    yield _shown(f"levi-civita[{mname}]:gamma", conn.gamma)
     yield f"levi-civita[{mname}]:torsion-free", conn.torsion
     yield f"levi-civita[{mname}]:metric-compatible", nonmetricity(A, conn, g)
 
@@ -129,7 +120,7 @@ def _conjugate(A, doc, args):
     cname, conn = _pick(doc.connections, "connection", args.connection)
     mname, g = _pick(doc.metrics, "metric", args.metric)
     conn_star = conjugate_connection(A, g, conn)
-    yield f"conjugate[{mname}:{cname}]:gamma", _Shown(conn_star.gamma)
+    yield _shown(f"conjugate[{mname}:{cname}]:gamma", conn_star.gamma)
     yield f"conjugate[{mname}:{cname}]:conjugation", conjugation_residual(A, g, conn, conn_star)
 
 
@@ -137,7 +128,7 @@ def _mean(A, doc, args):
     cname, conn = _pick(doc.connections, "connection", args.connection)
     mname, g = _pick(doc.metrics, "metric", args.metric)
     mean = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn)).mean
-    yield f"mean[{mname}:{cname}]:gamma", _Shown(mean.gamma)
+    yield _shown(f"mean[{mname}:{cname}]:gamma", mean.gamma)
     yield f"mean[{mname}:{cname}]:metric-compatible", nonmetricity(A, mean, g)
 
 
@@ -185,7 +176,7 @@ def _alpha(A, doc, args):
     mname, g = _pick(doc.metrics, "metric", args.metric)
     alpha = _parse_alpha(args.alpha) if args.alpha is not None else Fraction(0)
     pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
-    yield f"alpha[{mname}:{cname}:alpha={alpha}]:gamma", _Shown(alpha_connection(pair, alpha).gamma)
+    yield _shown(f"alpha[{mname}:{cname}:alpha={alpha}]:gamma", alpha_connection(pair, alpha).gamma)
 
 
 def _statistical_solve(A, doc, args):
@@ -197,15 +188,15 @@ def _statistical_solve(A, doc, args):
         )
     B = doc.tensors.get("B", ETensor.zeros(1, 2, A.rank, A.coords))
     pair = statistical_solve(A, StatisticalStructure(g, C, B))
-    yield f"statistical-solve[{mname}]:gamma", _Shown(pair.nabla.gamma)
-    yield f"statistical-solve[{mname}]:gamma-star", _Shown(pair.nabla_star.gamma)
+    yield _shown(f"statistical-solve[{mname}]:gamma", pair.nabla.gamma)
+    yield _shown(f"statistical-solve[{mname}]:gamma-star", pair.nabla_star.gamma)
     yield f"statistical-solve[{mname}]:skewness", nonmetricity(A, pair.nabla, g) + C
 
 
 def _hessian(A, doc, args):
     cname, conn = _pick(doc.connections, "connection", args.connection)
     fname, f = _pick(doc.functions, "function", args.function)
-    yield f"hessian[{cname}:{fname}]", _Shown(hessian(A, conn, f).comps)
+    yield _shown(f"hessian[{cname}:{fname}]", hessian(A, conn, f).comps)
 
 
 def _dhat(A, doc, args):
@@ -216,7 +207,7 @@ def _dhat(A, doc, args):
             "dhat needs a locality projector: add a 'projector' block to the model"
         )
     derivative = projected_exterior_derivative(conn, function_form(A, f))
-    yield f"dhat[{cname}:{fname}]", _Shown(derivative.comps)
+    yield _shown(f"dhat[{cname}:{fname}]", derivative.comps)
 
 
 def _check(A, doc, args):
@@ -255,21 +246,8 @@ COMMANDS = (*_HANDLERS, "export-builtin")
 
 def run(command, doc, args):
     """Execute one command against a loaded model; returns report records."""
-    records = []
-    for item in _HANDLERS[command](doc.algebroid, doc, args):
-        if isinstance(item, CheckResult):
-            records.append(item.to_record())
-            continue
-        name, value = item
-        if isinstance(value, _Shown):
-            result = CheckResult(name, "pass", value.nonzero_count(), value.max_degree())
-        else:
-            result = _from_residual(name, value)
-        record = result.to_record()
-        if args.dump_residuals:
-            record["components"] = _dump_components(value)
-        records.append(record)
-    return records
+    results = checks_module.collect(_HANDLERS[command](doc.algebroid, doc, args))
+    return [result.to_record(args.dump_residuals) for result in results]
 
 
 def _parse_args(argv):
@@ -342,13 +320,7 @@ def main(argv=None):
         sys.stderr.buffer.write(emit_report([record], args.format))
         return 2
     sys.stdout.buffer.write(emit_report(records, args.format))
-    worst = 0
-    for record in records:
-        if record["status"] == "fail":
-            worst = max(worst, 1)
-        elif record["status"] == "error":
-            worst = 2
-    return worst
+    return 1 if any(record["status"] == "fail" for record in records) else 0
 
 
 if __name__ == "__main__":

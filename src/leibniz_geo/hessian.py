@@ -244,9 +244,10 @@ def constant_curvature_check(conn, g):
 def conjugate_curvature_transfer_residual(A, pair, kappa):
     """R(nabla*)^a_{bcd} - kappa (g_{cd} d^a_b - g_{bd} d^a_c): zero under the
     fundamental-theorem hypotheses when nabla has constant curvature kappa."""
-    kappa_field = ScalarField.constant(Fraction(kappa), A.coords)
-    R_star = pair.nabla_star.curvature.comps
-    res = R_star - _constant_curvature_model(A, pair.g).scale(kappa_field)
+    res = contract_sum(
+        (1, "abcd->abcd", pair.nabla_star.curvature.comps),
+        (-Fraction(kappa), "abcd->abcd", _constant_curvature_model(A, pair.g)),
+    )
     return ETensor(1, 3, A.rank, A.coords, res)
 
 

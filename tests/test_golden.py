@@ -5,7 +5,12 @@ captured with ``python -m leibniz_geo.cli`` from earlier versions of the
 engine: ``check-all``, ``export-builtin`` and ``levi-civita`` before the
 FracField scalar kernel, the other single-shot commands before derived
 objects were cached per connection, and the runs on courant1 without its
-projector before the check runners became generators.  Each case runs
+projector before the check runners became generators.  The two
+``check-SSp11_*_dump.jsonl`` captures were re-taken when check and CLI
+records came to share one collector: ``--dump-residuals`` had been ignored on
+``check`` and ``check-all``, and now each of their records, all passing,
+gains ``"components":{}`` and nothing else (a test below holds this against
+the plain run).  Each case runs
 ``cli.main`` in this process and compares its stdout bytes with the capture;
 stderr must be empty and the exit code 0.  Any change to a canonical
 string, a record or its order shows here.
@@ -95,3 +100,13 @@ def test_gates_without_a_projector_match_capture(tmp_path, golden, argv):
     path = tmp_path / "courant1_noprojector.model"
     path.write_text(json.dumps(document))
     assert_matches_capture(golden, [*argv, "--model", str(path)])
+
+
+@pytest.mark.parametrize("name", ("tangent2_polar", "courant1"))
+def test_the_ssp11_dump_captures_are_the_plain_records_with_empty_components(name):
+    code, out, err = run_cli("check", "SSp11", "--model", str(MODELS / f"{name}.model"),
+                             "--format", "json-lines")
+    assert (code, err) == (0, b""), err.decode()
+    plain = [json.loads(line) for line in out.decode().splitlines()]
+    capture = (GOLDEN / f"check-SSp11_{name}_dump.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in capture] == [{**record, "components": {}} for record in plain]

@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package or of the tests imports a name it never
 reads, no function of the package assigns a local it never reads, every private
 module-level name of the package is read somewhere else in it, the package
-never loads numpy (the tests use it as an oracle only), and only
-``Algebroid.locality_hat`` raises MissingProjector."""
+never loads numpy (the tests use it as an oracle only), only
+``Algebroid.locality_hat`` raises MissingProjector, and only ``checks.judge``
+writes a "pass" or "fail" status into a CheckResult."""
 
 import ast
 import re
@@ -233,3 +234,51 @@ def test_only_the_algebroid_raises_missing_projector():
         and "MissingProjector" in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
     ]
     assert [entry.split(":")[0] for entry in raising] == ["algebroid.py"], raising
+
+
+def judging_functions(source):
+    """(line, function) for each CheckResult(...) call whose status argument
+    holds a literal "pass" or "fail", named by its innermost enclosing function."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            status = [k.value for k in node.keywords if k.arg == "status"] + node.args[1:2]
+            literals = {
+                n.value for arg in status for n in ast.walk(arg) if isinstance(n, ast.Constant)
+            }
+            if callee == "CheckResult" and literals & {"pass", "fail"}:
+                found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_the_judge_writes_a_pass_or_fail_record():
+    # checks.collect hands every (label, value) item to checks.judge, so one
+    # rule decides each verdict of the checks and the CLI commands alike.
+    judging = {
+        (path.name, function): line
+        for path in sorted((ROOT / "src" / "leibniz_geo").glob("*.py"))
+        for line, function in judging_functions(path.read_text())
+    }
+    assert set(judging) == {("checks.py", "judge")}, judging
+
+
+def test_judge_scan_finds_literal_statuses_only():
+    source = (
+        "def judge(v):\n"
+        "    return CheckResult('x', 'pass' if v else 'fail')\n"
+        "def gate():\n"
+        "    return CheckResult('x', 'not-applicable', note='pass')\n"
+        "def outer(status):\n"
+        "    def inner():\n"
+        "        return checks.CheckResult('x', status=\"fail\")\n"
+        "    return CheckResult('x', status)\n"
+    )
+    assert judging_functions(source) == [(2, "judge"), (7, "inner")]

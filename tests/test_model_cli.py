@@ -23,6 +23,7 @@ from leibniz_geo.model import (
     load_model,
     parse_model_text,
 )
+from leibniz_geo.tensor import Components, ETensor
 from conftest import run_cli as cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -556,6 +557,50 @@ def test_dump_residuals_includes_components():
     assert code == 0
     record = json.loads(out.decode().splitlines()[0])
     assert "components" in record
+
+
+def json_records(argv, *extra):
+    code, out, err = cli(*argv, "--format", "json-lines", *extra)
+    assert (code, err) == (0, b""), err.decode()
+    return [json.loads(line) for line in out.decode().splitlines()]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "SSp3", "--model", str(MODELS / "so3.model")],
+    ["check-all", "--model", str(MODELS / "courant1.model")],
+], ids=["check-SSp3", "check-all"])
+def test_dump_residuals_adds_components_to_check_records(argv):
+    plain, dumped = json_records(argv), json_records(argv, "--dump-residuals")
+    assert [{k: v for k, v in record.items() if k != "components"} for record in dumped] == plain
+    for record in dumped:
+        # A gate and a note judge no residual, so they dump none.
+        if "components" in record:
+            assert record["status"] != "not-applicable" and "note" not in record, record
+            assert len(record["components"]) == record["residual_nonzero_components"]
+    assert all("components" in record for record in dumped if record["check"].startswith("SSp3"))
+
+
+def test_a_nonzero_residual_item_dumps_exactly_its_nonzero_entries():
+    A = tangent(2)
+    x1, x2 = A.x(1), A.x(2)
+    comps = Components((2, 2), A.coords, {(0, 1): x1 / x2, (1, 1): x1 * x1})
+    (result,) = checks.collect([("item", ETensor(0, 2, 2, A.coords, comps))])
+    assert result.to_record() == {
+        "check": "item", "status": "fail",
+        "residual_nonzero_components": 2, "residual_max_degree": 2,
+    }
+    assert result.to_record(dump=True)["components"] == {"1,2": str(x1 / x2), "2,2": str(x1 * x1)}
+
+
+def test_the_collector_judges_notes_verdicts_and_passes_results_through():
+    gate = checks.CheckResult("gate", "not-applicable", note="why")
+    results = checks.collect([gate, ("note", "holds"), ("yes", True), ("no", False)])
+    assert results[0] is gate
+    assert [(r.check, r.status, r.note) for r in results] == [
+        ("gate", "not-applicable", "why"), ("note", "pass", "holds"),
+        ("yes", "pass", ""), ("no", "fail", ""),
+    ]
+    assert all("components" not in r.to_record(dump=True) for r in results)
 
 
 def test_text_format_is_human_readable():
