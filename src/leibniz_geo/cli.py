@@ -2,8 +2,9 @@
 emit a deterministic report.
 
 Exit codes: 0 for pass/not-applicable, 1 when any check fails, 2 on errors
-(bad input, unknown command, missing objects).  The json-lines format emits
-one sorted-key record per check and is byte-stable across runs.
+(bad input, unknown command, missing objects, a closed stdout or one that
+refuses the output); an error is one record on stderr.  The json-lines
+format emits one sorted-key record per check and is byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from . import checks as checks_module
 from .algebroid import builtin
 from .connection import levi_civita_solve, nonmetricity
-from .errors import LeibnizGeoError, MissingInput, UnknownCommand
+from .errors import LeibnizGeoError, MissingInput, OutputError, UnknownCommand
 from .expr import MAX_CONSTANT_BITS
 from .hessian import function_form, hessian, projected_exterior_derivative
 from .model import dump_model, export_algebroid, load_model
@@ -295,13 +296,24 @@ def _export_builtin(name):
     return dump_model(export_algebroid(builtin(*_BUILTINS[name])))
 
 
+def _write_stdout(data):
+    """Write the bytes of a report or document to stdout, and flush them."""
+    if sys.stdout is None:
+        raise OutputError("stdout is closed")
+    try:
+        sys.stdout.buffer.write(data)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise OutputError(f"cannot write to stdout: {exc}") from exc
+
+
 def main(argv=None):
     args = _parse_args(argv)
     try:
         if args.command == "export-builtin":
             if not args.check_id:
                 raise MissingInput("export-builtin requires a builtin name, e.g. 'tangent2'")
-            sys.stdout.write(_export_builtin(args.check_id))
+            _write_stdout(_export_builtin(args.check_id).encode())
             return 0
         if not args.model:
             raise MissingInput("this command requires --model PATH")
@@ -310,6 +322,7 @@ def main(argv=None):
         except OSError as exc:
             raise MissingInput(f"cannot read model {args.model!r}: {exc}") from exc
         records = run(args.command, doc, args)
+        _write_stdout(emit_report(records, args.format))
     except LeibnizGeoError as exc:
         record = {
             "check": args.command,
@@ -319,7 +332,6 @@ def main(argv=None):
         }
         sys.stderr.buffer.write(emit_report([record], args.format))
         return 2
-    sys.stdout.buffer.write(emit_report(records, args.format))
     return 1 if any(record["status"] == "fail" for record in records) else 0
 
 

@@ -109,3 +109,7 @@ class UnknownCommand(LeibnizGeoError):
 
 class MissingInput(LeibnizGeoError):
     """CLI command lacks a required object; carries a remediation hint."""
+
+
+class OutputError(LeibnizGeoError):
+    """CLI report cannot be written: stdout is closed or refuses the bytes."""

@@ -1,5 +1,7 @@
 """Model-document parsing, export round-trips, and the command-line tool."""
 
+import errno
+import io
 import itertools
 import json
 import subprocess
@@ -546,6 +548,31 @@ def test_export_builtin_command():
     code2, _, err2 = cli("export-builtin", "nope")
     assert code2 == 2
     assert b"UnknownCommand" in err2
+
+
+class _FullDisk(io.RawIOBase):
+    """A byte stream whose every write fails like a write to a full disk."""
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("stdout", ["full", "closed"])
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "--model", str(MODELS / "so3.model")], ["export-builtin", "so3"]],
+    ids=["report", "export"],
+)
+def test_an_unwritable_stdout_exits_two_with_one_error_record(monkeypatch, capsysbinary, argv, stdout):
+    full = io.TextIOWrapper(io.BufferedWriter(_FullDisk()), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", full if stdout == "full" else None)
+    assert main([*argv, "--format", "json-lines"]) == 2
+    [line] = capsysbinary.readouterr().err.decode().splitlines()
+    record = json.loads(line)
+    assert (record["status"], record["error"]) == ("error", "OutputError")
 
 
 def test_dump_residuals_includes_components():

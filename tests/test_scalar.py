@@ -335,13 +335,38 @@ def test_zero_dimensional_scalars():
     assert c.is_constant
 
 
-def test_import_moves_sympys_objects_out_of_the_collectors_view():
-    # A fresh interpreter, so the probe sees what importing the package does.
-    probe = (
-        "import gc, sympy, leibniz_geo; "
-        "print(gc.get_freeze_count() > 10_000, any(o is sympy.Symbol for o in gc.get_objects()))"
-    )
+# Run in a fresh interpreter: ``{before}``, then ``import leibniz_geo.cli``
+# with a hook counting the collector passes it starts, per generation.
+_IMPORT_PROBE = """
+import gc
+passes = [0, 0, 0]
+def count(phase, info):
+    if phase == "start":
+        passes[info["generation"]] += 1
+gc.callbacks.append(count)
+{before}
+import leibniz_geo.cli
+gc.callbacks.remove(count)
+import sympy
+print(*passes, gc.isenabled(), gc.get_freeze_count() > 10_000,
+      any(o is sympy.Symbol for o in gc.get_objects()))
+"""
+
+
+def _probe_import(before=""):
     root = Path(__file__).resolve().parent.parent
+    probe = _IMPORT_PROBE.format(before=before)
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=root)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "False"]
+    return proc.stdout.split()
+
+
+def test_import_moves_sympys_objects_out_of_the_collectors_view():
+    # sympy loads with the collector paused, so its import starts no gen-1 or
+    # full pass over the objects it builds, and then they are frozen.
+    _, gen1, gen2, enabled, frozen, symbol_tracked = _probe_import()
+    assert (gen1, gen2) == ("0", "0")
+    assert (enabled, frozen, symbol_tracked) == ("True", "True", "False")
+    # A host that switched the collector off finds it still off.
+    *_, enabled, frozen, symbol_tracked = _probe_import("gc.disable()")
+    assert (enabled, frozen, symbol_tracked) == ("False", "True", "False")
