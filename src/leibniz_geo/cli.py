@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -304,6 +305,17 @@ def _write_stdout(data):
         sys.stdout.buffer.write(data)
         sys.stdout.flush()
     except OSError as exc:
+        # The bytes the failed flush left in stdout's buffer would fail again
+        # when the interpreter flushes stdout at exit (a traceback and exit
+        # 120); point the descriptor at the null device so they go nowhere.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
         raise OutputError(f"cannot write to stdout: {exc}") from exc
 
 

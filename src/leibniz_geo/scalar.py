@@ -52,6 +52,7 @@ try:
 finally:
     if _gc_was_enabled:
         gc.enable()
+    del _gc_was_enabled
 
 from .errors import DivisionByZero, PoleAtPoint
 

@@ -4,6 +4,7 @@ import errno
 import io
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -173,7 +174,8 @@ def test_export_builtin_round_trips():
 
 
 def test_the_module_runs_as_a_command():
-    # The one child process: every other CLI case runs cli.main in-process.
+    # Apart from the unwritable-stdout cases below, every other CLI case
+    # runs cli.main in-process.
     argv = ["check-all", "--model", str(MODELS / "so3.model"), "--format", "json-lines"]
     proc = subprocess.run([sys.executable, "-m", "leibniz_geo.cli", *argv], capture_output=True, cwd=ROOT)
     assert (proc.returncode, proc.stderr) == (0, b"")
@@ -571,6 +573,39 @@ def test_an_unwritable_stdout_exits_two_with_one_error_record(monkeypatch, capsy
     monkeypatch.setattr(sys, "stdout", full if stdout == "full" else None)
     assert main([*argv, "--format", "json-lines"]) == 2
     [line] = capsysbinary.readouterr().err.decode().splitlines()
+    record = json.loads(line)
+    assert (record["status"], record["error"]) == ("error", "OutputError")
+
+
+def _broken_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+@pytest.mark.parametrize("stdout", ["full", "broken-pipe"])
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "SSp3", "--model", str(MODELS / "so3.model")], ["export-builtin", "so3"]],
+    ids=["report", "export"],
+)
+def test_an_unwritable_stdout_exits_two_in_a_child_process(argv, stdout):
+    # A short output stays in stdout's buffer after the failed flush, and the
+    # interpreter flushes that buffer again at exit; only a real child process
+    # with a buffered stdout (no PYTHONUNBUFFERED) shows that second flush.
+    if stdout == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    fd = os.open("/dev/full", os.O_WRONLY) if stdout == "full" else _broken_pipe()
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "leibniz_geo.cli", *argv, "--format", "json-lines"],
+            stdout=fd, stderr=subprocess.PIPE, cwd=ROOT, env=env,
+        )
+    finally:
+        os.close(fd)
+    assert proc.returncode == 2, proc.stderr.decode()
+    [line] = proc.stderr.decode().splitlines()
     record = json.loads(line)
     assert (record["status"], record["error"]) == ("error", "OutputError")
 
