@@ -187,11 +187,9 @@ def _frame_sections(r, coords, frame):
     return tuple(ETensor(1, 0, r, coords, Components((r,), coords, {(a,): one})) for a in frame)
 
 
-def tangent(n, coords=None):
-    """Tangent-bundle structure on a single chart of R^n."""
-    if coords is None:
-        coords = tuple(f"x{i + 1}" for i in range(n))
-    coords = tuple(coords)
+def tangent(n):
+    """Tangent-bundle structure on a single chart of R^n, coordinates x1 .. xn."""
+    coords = tuple(f"x{i + 1}" for i in range(n))
     return Algebroid(
         coords=coords,
         rank=n,
@@ -239,17 +237,16 @@ def lie_algebra(structure_constants):
     )
 
 
-def courant(n, coords=None):
+def courant(n):
     """Split-signature Courant structure on R^n: rank 2n, Dorfman-type bracket.
 
     Frame order: n vector-block fields then n form-block fields.  The pairing
     eta couples the two blocks; the locality coefficients are
     L^{a d}_{e c} = eta_{e c} eta^{d a}, the projector kills the vector block,
-    and the form-block frame fields span the anchor kernel.
+    and the form-block frame fields span the anchor kernel.  The coordinates
+    are x1 .. xn.
     """
-    if coords is None:
-        coords = tuple(f"x{i + 1}" for i in range(n))
-    coords = tuple(coords)
+    coords = tuple(f"x{i + 1}" for i in range(n))
     r = 2 * n
     one = ScalarField.constant(1, coords)
     pairing = {}
@@ -289,9 +286,9 @@ def so3():
     return lie_algebra(eps)
 
 
-def builtin(kind, *args, **kwargs):
+def builtin(kind, *args):
     """Constructor dispatch: kind in {'tangent', 'lie_algebra', 'courant', 'so3'}."""
     table = {"tangent": tangent, "lie_algebra": lie_algebra, "courant": courant, "so3": so3}
     if kind not in table:
         raise ValueError(f"unknown builtin kind {kind!r}")
-    return table[kind](*args, **kwargs)
+    return table[kind](*args)

@@ -166,8 +166,8 @@ class _Context:
         pairs = []
         for mname, g in sorted(self.doc.metrics.items()):
             for cname, conn in self.connections:
-                star = conjugate_connection(self.A, g, conn)
-                pairs.append((f"{mname}:{cname}", ConjugatePair(self.A, g, conn, star)))
+                star = conjugate_connection(g, conn)
+                pairs.append((f"{mname}:{cname}", ConjugatePair(g, conn, star)))
         return pairs
 
 
@@ -242,7 +242,7 @@ def check_ssp3(ctx):
     A = ctx.A
     for label, pair in ctx.pairs:
         g, Q, delta = pair.g, pair.nonmetricity, pair.difference
-        yield f"SSp3[{label}]:opposite", Q + nonmetricity(A, pair.nabla_star, g)
+        yield f"SSp3[{label}]:opposite", Q + nonmetricity(pair.nabla_star, g)
         # Delta(nabla*, nabla) = -Delta(nabla, nabla*).
         res = contract_sum((1, "abc->abc", Q.comps), (1, "eab,ec->abc", delta.comps, g.matrix))
         yield f"SSp3[{label}]:difference", ETensor(0, 3, A.rank, A.coords, res)
@@ -282,7 +282,7 @@ def check_ssp6(ctx):
     """Quasi-statistical structures fix the conjugate's torsion."""
     for label, pair in ctx.pairs:
         T = pair.nabla.torsion
-        if not _quasi_statistical_residual(ctx.A, pair.g, pair.nonmetricity, T).is_zero:
+        if not _quasi_statistical_residual(pair.g, pair.nonmetricity, T).is_zero:
             yield _na(f"SSp6[{label}]", "doublet is not quasi-statistical")
         else:
             yield f"SSp6[{label}]", _torsion_transfer_residual(pair)
@@ -312,7 +312,7 @@ def check_ssp9(ctx):
     """The mean connection is metric-compatible with half the total torsion."""
     A = ctx.A
     for label, pair in ctx.pairs:
-        yield f"SSp9[{label}]:metric-compatible", nonmetricity(A, pair.mean, pair.g)
+        yield f"SSp9[{label}]:metric-compatible", nonmetricity(pair.mean, pair.g)
         res = contract_sum(
             (1, "abc->abc", pair.mean.torsion.comps),
             (-Fraction(1, 2), "abc->abc", pair.torsion_sum.comps),
@@ -329,13 +329,13 @@ def check_ssp10(ctx):
         T, T_star = pair.nabla.torsion.comps, pair.nabla_star.torsion.comps
         for alpha in ALPHA_VALUES:
             conn_alpha = alpha_connection(pair, alpha)
-            conj = conjugate_connection(A, g, conn_alpha)
+            conj = conjugate_connection(g, conn_alpha)
             yield (
                 f"SSp10[{label}]:involution(alpha={alpha})",
-                difference_tensor(A, conj, alpha_connection(pair, -alpha)),
+                difference_tensor(conj, alpha_connection(pair, -alpha)),
             )
             s, t = alpha_weights(alpha)
-            T_alpha, Q_alpha = conn_alpha.torsion.comps, nonmetricity(A, conn_alpha, g).comps
+            T_alpha, Q_alpha = conn_alpha.torsion.comps, nonmetricity(conn_alpha, g).comps
             res = contract_sum(
                 (1, "abc->abc", T_alpha), (-s, "abc->abc", T_star), (-t, "abc->abc", T)
             )
@@ -352,7 +352,7 @@ def check_ssp11(ctx):
     """Curvature decomposition of the alpha family."""
     for label, pair in ctx.pairs:
         for alpha in ALPHA_VALUES:
-            yield f"SSp11[{label}]:alpha={alpha}", alpha_curvature_residual(ctx.A, pair, alpha)
+            yield f"SSp11[{label}]:alpha={alpha}", alpha_curvature_residual(pair, alpha)
 
 
 @_check("SSe8")
@@ -375,7 +375,7 @@ def check_sse25(ctx):
             ("alpha=0-is-mean", alpha_connection(pair, 0), pair.mean),
         )
         for tag, got, expect in endpoints:
-            yield f"SSe25[{label}]:{tag}", difference_tensor(ctx.A, got, expect)
+            yield f"SSe25[{label}]:{tag}", difference_tensor(got, expect)
 
 
 @_check("SS29", needs_projector=True)
@@ -393,10 +393,10 @@ def check_ss29(ctx):
 # -- hessian layer ------------------------------------------------------------
 
 
-def _hessian_asymmetry(A, conn, prefix):
+def _hessian_asymmetry(conn, prefix):
     """H(f) - H(f)^T of conn for each default probe function f."""
-    for index, f in enumerate(_default_probes(A)):
-        H = hessian(A, conn, f)
+    for index, f in enumerate(_default_probes(conn.algebroid)):
+        H = hessian(conn, f)
         yield f"{prefix}:probe-{index}", H - H.swap_slots(1, 2)
 
 
@@ -431,7 +431,7 @@ def check_lp3(ctx):
     """Fundamental theorem residual with holonomy preconditions."""
     for label, pair in ctx.pairs:
         if pair.holonomic:
-            yield f"lp3[{label}]", fundamental_theorem_residual(ctx.A, pair)
+            yield f"lp3[{label}]", fundamental_theorem_residual(pair)
         else:
             nonzero = pair.holonomy_obstruction.nonzero_count()
             note = f"anholonomic frame; obstruction nonzero components = {nonzero}"
@@ -445,7 +445,7 @@ def check_lc1(ctx):
         if not conn.anchored_projected_torsion.is_zero:
             yield _na(f"lc1[{name}]", "projected torsion image escapes ker rho")
         else:
-            yield from _hessian_asymmetry(ctx.A, conn, f"lc1[{name}]")
+            yield from _hessian_asymmetry(conn, f"lc1[{name}]")
 
 
 @_check("lc2", needs_projector=True)
@@ -457,7 +457,7 @@ def check_lc2(ctx):
         elif not (pair.nabla.torsion - pair.nabla_star.torsion - pair.bracket_difference).is_zero:
             yield _na(f"lc2[{label}]", "torsion-transfer hypothesis fails")
         else:
-            yield from _hessian_asymmetry(ctx.A, pair.nabla_star, f"lc2[{label}]")
+            yield from _hessian_asymmetry(pair.nabla_star, f"lc2[{label}]")
 
 
 @_check("lc4", needs_projector=True)
@@ -474,7 +474,7 @@ def check_lc4(ctx):
         if not constant:
             yield _na(f"lc4[{label}]", "connection has no constant curvature")
         else:
-            residual = conjugate_curvature_transfer_residual(ctx.A, pair, kappa)
+            residual = conjugate_curvature_transfer_residual(pair, kappa)
             yield f"lc4[{label}]:kappa={kappa}", residual
 
 

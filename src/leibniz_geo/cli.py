@@ -3,7 +3,8 @@ emit a deterministic report.
 
 Exit codes: 0 for pass/not-applicable, 1 when any check fails, 2 on errors
 (bad input, unknown command, missing objects, a closed stdout or one that
-refuses the output); an error is one record on stderr.  The json-lines
+refuses the output); an error is one record on stderr, and a closed or
+unwritable stderr, which loses that record, still exits 2.  The json-lines
 format emits one sorted-key record per check and is byte-stable across runs.
 """
 
@@ -78,7 +79,8 @@ def _shown(name, comps):
     return checks_module.judge(name, ComponentSummaries(comps), shown=True)
 
 
-def _validate(A, doc, args):
+def _validate(doc, args):
+    A = doc.algebroid
     yield "pre-leibniz", A.validate_pre_leibniz()
     if A.projector is not None:
         report = A.validate_projector()
@@ -90,48 +92,48 @@ def _validate(A, doc, args):
         yield f"admissibility:{name}", conn.admissibility
 
 
-def _torsion(A, doc, args):
+def _torsion(doc, args):
     name, conn = _pick(doc.connections, "connection", args.connection)
     yield _shown(f"torsion[{name}]", conn.torsion.comps)
 
 
-def _curvature(A, doc, args):
+def _curvature(doc, args):
     name, conn = _pick(doc.connections, "connection", args.connection)
-    if A.projector is None:
+    if doc.algebroid.projector is None:
         raise MissingInput(
             "curvature needs a locality projector: add a 'projector' block to the model"
         )
     yield _shown(f"curvature[{name}]", conn.curvature.comps)
 
 
-def _nonmetricity(A, doc, args):
+def _nonmetricity(doc, args):
     cname, conn = _pick(doc.connections, "connection", args.connection)
     mname, g = _pick(doc.metrics, "metric", args.metric)
-    yield _shown(f"nonmetricity[{mname}:{cname}]", nonmetricity(A, conn, g).comps)
+    yield _shown(f"nonmetricity[{mname}:{cname}]", nonmetricity(conn, g).comps)
 
 
-def _levi_civita(A, doc, args):
+def _levi_civita(doc, args):
     mname, g = _pick(doc.metrics, "metric", args.metric)
-    conn = levi_civita_solve(A, g)
+    conn = levi_civita_solve(doc.algebroid, g)
     yield _shown(f"levi-civita[{mname}]:gamma", conn.gamma)
     yield f"levi-civita[{mname}]:torsion-free", conn.torsion
-    yield f"levi-civita[{mname}]:metric-compatible", nonmetricity(A, conn, g)
+    yield f"levi-civita[{mname}]:metric-compatible", nonmetricity(conn, g)
 
 
-def _conjugate(A, doc, args):
+def _conjugate(doc, args):
     cname, conn = _pick(doc.connections, "connection", args.connection)
     mname, g = _pick(doc.metrics, "metric", args.metric)
-    conn_star = conjugate_connection(A, g, conn)
+    conn_star = conjugate_connection(g, conn)
     yield _shown(f"conjugate[{mname}:{cname}]:gamma", conn_star.gamma)
-    yield f"conjugate[{mname}:{cname}]:conjugation", conjugation_residual(A, g, conn, conn_star)
+    yield f"conjugate[{mname}:{cname}]:conjugation", conjugation_residual(g, conn, conn_star)
 
 
-def _mean(A, doc, args):
+def _mean(doc, args):
     cname, conn = _pick(doc.connections, "connection", args.connection)
     mname, g = _pick(doc.metrics, "metric", args.metric)
-    mean = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn)).mean
+    mean = ConjugatePair(g, conn, conjugate_connection(g, conn)).mean
     yield _shown(f"mean[{mname}:{cname}]:gamma", mean.gamma)
-    yield f"mean[{mname}:{cname}]:metric-compatible", nonmetricity(A, mean, g)
+    yield f"mean[{mname}:{cname}]:metric-compatible", nonmetricity(mean, g)
 
 
 # The decimal exponent of an --alpha such as 1e-3, as Fraction reads it.
@@ -173,15 +175,16 @@ def _parse_alpha(text):
     return alpha
 
 
-def _alpha(A, doc, args):
+def _alpha(doc, args):
     cname, conn = _pick(doc.connections, "connection", args.connection)
     mname, g = _pick(doc.metrics, "metric", args.metric)
     alpha = _parse_alpha(args.alpha) if args.alpha is not None else Fraction(0)
-    pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
+    pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
     yield _shown(f"alpha[{mname}:{cname}:alpha={alpha}]:gamma", alpha_connection(pair, alpha).gamma)
 
 
-def _statistical_solve(A, doc, args):
+def _statistical_solve(doc, args):
+    A = doc.algebroid
     mname, g = _pick(doc.metrics, "metric", args.metric)
     C = doc.tensors.get("C")
     if C is None:
@@ -192,27 +195,27 @@ def _statistical_solve(A, doc, args):
     pair = statistical_solve(A, StatisticalStructure(g, C, B))
     yield _shown(f"statistical-solve[{mname}]:gamma", pair.nabla.gamma)
     yield _shown(f"statistical-solve[{mname}]:gamma-star", pair.nabla_star.gamma)
-    yield f"statistical-solve[{mname}]:skewness", nonmetricity(A, pair.nabla, g) + C
+    yield f"statistical-solve[{mname}]:skewness", nonmetricity(pair.nabla, g) + C
 
 
-def _hessian(A, doc, args):
+def _hessian(doc, args):
     cname, conn = _pick(doc.connections, "connection", args.connection)
     fname, f = _pick(doc.functions, "function", args.function)
-    yield _shown(f"hessian[{cname}:{fname}]", hessian(A, conn, f).comps)
+    yield _shown(f"hessian[{cname}:{fname}]", hessian(conn, f).comps)
 
 
-def _dhat(A, doc, args):
+def _dhat(doc, args):
     cname, conn = _pick(doc.connections, "connection", args.connection)
     fname, f = _pick(doc.functions, "function", args.function)
-    if A.projector is None:
+    if doc.algebroid.projector is None:
         raise MissingInput(
             "dhat needs a locality projector: add a 'projector' block to the model"
         )
-    derivative = projected_exterior_derivative(conn, function_form(A, f))
+    derivative = projected_exterior_derivative(conn, function_form(doc.algebroid, f))
     yield _shown(f"dhat[{cname}:{fname}]", derivative.comps)
 
 
-def _check(A, doc, args):
+def _check(doc, args):
     if not args.check_id:
         raise MissingInput("check requires a proposition id, e.g. 'check SSp3'")
     if args.check_id not in checks_module.REGISTRY:
@@ -223,7 +226,7 @@ def _check(A, doc, args):
     return checks_module.run_check(args.check_id, doc)
 
 
-def _check_all(A, doc, args):
+def _check_all(doc, args):
     return checks_module.run_all(doc)
 
 
@@ -248,7 +251,7 @@ COMMANDS = (*_HANDLERS, "export-builtin")
 
 def run(command, doc, args):
     """Execute one command against a loaded model; returns report records."""
-    results = checks_module.collect(_HANDLERS[command](doc.algebroid, doc, args))
+    results = checks_module.collect(_HANDLERS[command](doc, args))
     return [result.to_record(args.dump_residuals) for result in results]
 
 
@@ -297,26 +300,28 @@ def _export_builtin(name):
     return dump_model(export_algebroid(builtin(*_BUILTINS[name])))
 
 
-def _write_stdout(data):
-    """Write the bytes of a report or document to stdout, and flush them."""
-    if sys.stdout is None:
-        raise OutputError("stdout is closed")
+def _write(name, data):
+    """Write bytes to the standard stream ``name`` ("stdout" or "stderr") and
+    flush them; OutputError when the stream is closed or refuses them."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OutputError(f"{name} is closed")
     try:
-        sys.stdout.buffer.write(data)
-        sys.stdout.flush()
+        stream.buffer.write(data)
+        stream.flush()
     except OSError as exc:
-        # The bytes the failed flush left in stdout's buffer would fail again
-        # when the interpreter flushes stdout at exit (a traceback and exit
+        # The bytes the failed flush left in the stream's buffer would fail
+        # again when the interpreter flushes it at exit (a traceback and exit
         # 120); point the descriptor at the null device so they go nowhere.
         try:
-            fd = sys.stdout.fileno()
+            fd = stream.fileno()
         except (AttributeError, OSError, ValueError):
             pass
         else:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, fd)
             os.close(devnull)
-        raise OutputError(f"cannot write to stdout: {exc}") from exc
+        raise OutputError(f"cannot write to {name}: {exc}") from exc
 
 
 def main(argv=None):
@@ -325,7 +330,7 @@ def main(argv=None):
         if args.command == "export-builtin":
             if not args.check_id:
                 raise MissingInput("export-builtin requires a builtin name, e.g. 'tangent2'")
-            _write_stdout(_export_builtin(args.check_id).encode())
+            _write("stdout", _export_builtin(args.check_id).encode())
             return 0
         if not args.model:
             raise MissingInput("this command requires --model PATH")
@@ -334,7 +339,7 @@ def main(argv=None):
         except OSError as exc:
             raise MissingInput(f"cannot read model {args.model!r}: {exc}") from exc
         records = run(args.command, doc, args)
-        _write_stdout(emit_report(records, args.format))
+        _write("stdout", emit_report(records, args.format))
     except LeibnizGeoError as exc:
         record = {
             "check": args.command,
@@ -342,7 +347,10 @@ def main(argv=None):
             "error": type(exc).__name__,
             "message": str(exc),
         }
-        sys.stderr.buffer.write(emit_report([record], args.format))
+        try:
+            _write("stderr", emit_report([record], args.format))
+        except OutputError:
+            pass  # the record has nowhere to go; the exit code still reports the error
         return 2
     return 1 if any(record["status"] == "fail" for record in records) else 0
 

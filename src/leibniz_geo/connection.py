@@ -48,7 +48,7 @@ class EConnection:
     one place where the connection meets the locality; torsion, curvature and
     admissibility read them from here.  Equality and hashing are by identity,
     so a connection can key a dict; two connections have equal coefficients
-    when ``difference_tensor(A, a, b).is_zero``.
+    when ``difference_tensor(a, b).is_zero``.
     """
 
     algebroid: object = field(repr=False)
@@ -58,9 +58,6 @@ class EConnection:
     def zero(cls, A):
         return cls(A, Components((A.rank,) * 3, A.coords))
 
-    def __add__(self, other):
-        return EConnection(self.algebroid, self.gamma + other.gamma)
-
     def scale_combination(self, coeff_self, other, coeff_other):
         """Affine combination coeff_self * self + coeff_other * other."""
         gamma = self.gamma.scale(coeff_self) + other.gamma.scale(coeff_other)
@@ -68,7 +65,7 @@ class EConnection:
 
     def _bracket(self, projected):
         A = self.algebroid
-        coeffs = modified_bracket_coeffs(A, self, projected=projected)
+        coeffs = modified_bracket_coeffs(self, projected=projected)
         return ETensor(1, 2, A.rank, A.coords, coeffs)
 
     @functools.cached_property
@@ -116,9 +113,10 @@ class EConnection:
 # -- covariant derivatives ----------------------------------------------------
 
 
-def covariant_derivative_vector(A, conn, u, v):
+def covariant_derivative_vector(conn, u, v):
     """(nabla_u v)^a = u^b (nabla v)^a_b, with (nabla v)^a_b = rho(X_b)(v^a) + Gamma^a_{bc} v^c."""
-    nabla_v = frame_covariant_derivative(A, conn, v)
+    A = conn.algebroid
+    nabla_v = frame_covariant_derivative(conn, v)
     return ETensor(1, 0, A.rank, A.coords, contract("b,ab->a", u.comps, nabla_v.comps))
 
 
@@ -126,13 +124,14 @@ def covariant_derivative_vector(A, conn, u, v):
 _SLOTS = "acdfghijklmnopqstuvwxyz"
 
 
-def frame_covariant_derivative(A, conn, t):
+def frame_covariant_derivative(conn, t):
     """nabla t as a (q, r+1) tensor, new covariant slot first.
 
     (nabla_{X_b} t) = rho(X_b) d t + Gamma^a_{be} t^{e...} (each upper slot)
                       - Gamma^e_{bc} t_{...e...} (each lower slot),
     one contraction per slot, its subscripts built from (q, r).
     """
+    A = conn.algebroid
     slots = _SLOTS[: t.q + t.r]
     out = slots[: t.q] + "b" + slots[t.q :]
     terms = [(1, f"b{slots}->{out}", A.anchor_derivative(t.comps))]
@@ -145,21 +144,22 @@ def frame_covariant_derivative(A, conn, t):
     return ETensor(t.q, t.r + 1, A.rank, A.coords, contract_sum(*terms))
 
 
-def second_covariant_derivative(A, conn, u, v, w):
+def second_covariant_derivative(conn, u, v, w):
     """nabla^2_{u,v} w = nabla_u nabla_v w - nabla_{nabla_u v} w."""
-    first = covariant_derivative_vector(A, conn, u, covariant_derivative_vector(A, conn, v, w))
-    inner = covariant_derivative_vector(A, conn, u, v)
-    return first - covariant_derivative_vector(A, conn, inner, w)
+    first = covariant_derivative_vector(conn, u, covariant_derivative_vector(conn, v, w))
+    inner = covariant_derivative_vector(conn, u, v)
+    return first - covariant_derivative_vector(conn, inner, w)
 
 
 # -- brackets built from a connection -----------------------------------------
 
 
-def modified_bracket_coeffs(A, conn, projected=False):
+def modified_bracket_coeffs(conn, projected=False):
     """Frame coefficients of the (projected) modified bracket.
 
     mb^a_{bc} = c^a_{bc} - Gamma^e_{db} L^{a d}_{e c}  (Lhat when projected).
     """
+    A = conn.algebroid
     L = A.locality_hat if projected else A.locality
     return A.bracket - contract("edb,adec->abc", conn.gamma, L)
 
@@ -194,9 +194,9 @@ def curvature(conn):
     return ETensor(1, 3, A.rank, A.coords, out)
 
 
-def nonmetricity(A, conn, g):
+def nonmetricity(conn, g):
     """Q = nabla g: Q_{abc} = rho(X_a)(g_{bc}) - Gamma^d_{ab} g_{dc} - Gamma^d_{ac} g_{bd}."""
-    return frame_covariant_derivative(A, conn, g.lower_tensor())
+    return frame_covariant_derivative(conn, g.lower_tensor())
 
 
 def second_cov_and_ricci(conn, u, v, w):
@@ -208,12 +208,12 @@ def second_cov_and_ricci(conn, u, v, w):
     structure; it is returned so callers can verify exactly that.
     """
     A = conn.algebroid
-    second_uv = second_covariant_derivative(A, conn, u, v, w)
-    second_vu = second_covariant_derivative(A, conn, v, u, w)
+    second_uv = second_covariant_derivative(conn, u, v, w)
+    second_vu = second_covariant_derivative(conn, v, u, w)
     r_vec = contract("abcd,b,c,d->a", conn.curvature.comps, u.comps, v.comps, w.comps)
     that_vec = contract("abc,b,c->a", conn.projected_torsion.comps, u.comps, v.comps)
     r_vec, that_vec = (ETensor(1, 0, A.rank, A.coords, comps) for comps in (r_vec, that_vec))
-    correction = covariant_derivative_vector(A, conn, that_vec, w)
+    correction = covariant_derivative_vector(conn, that_vec, w)
     return second_uv, second_uv - second_vu - r_vec + correction
 
 
@@ -299,8 +299,9 @@ def _koszul_system(A, g):
     return matrix, koszul
 
 
-def difference_tensor(A, conn, conn_prime):
+def difference_tensor(conn, conn_prime):
     """Delta^a_{bc} = Gamma^a_{bc} - Gamma'^a_{bc} as a (1, 2) tensor."""
     if conn.gamma.shape != conn_prime.gamma.shape:
         raise SlotMismatch("connections live on different algebroids")
+    A = conn.algebroid
     return ETensor(1, 2, A.rank, A.coords, conn.gamma - conn_prime.gamma)

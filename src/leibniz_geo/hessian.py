@@ -31,29 +31,26 @@ def function_form(A, f):
     return ETensor(0, 0, A.rank, A.coords, object_array(f, A.coords))
 
 
-def hessian(A, conn, f):
+def hessian(conn, f):
     """H_{ab} = rho_a((Df)_b) - Gamma^c_{ab} (Df)_c = (nabla Df)_{ab} as a (0, 2) tensor."""
-    return frame_covariant_derivative(A, conn, A.coboundary(f))
+    return frame_covariant_derivative(conn, conn.algebroid.coboundary(f))
 
 
 @dataclass(frozen=True)
 class HessianStructure:
-    """Flat, projected-torsion-free connection with g the Hessian of f."""
+    """Flat, projected-torsion-free connection with g the Hessian of f, as
+    ``hessian_structure_check`` decides it."""
 
-    algebroid: object
     g: object
     nabla: object
     potential: ScalarField
 
     def __post_init__(self):
-        A = self.algebroid
-        if not self.nabla.curvature.is_zero:
-            raise InvalidStructure("connection is not flat")
-        if not self.nabla.projected_torsion.is_zero:
-            raise InvalidStructure("connection is not projected-torsion-free")
-        H = hessian(A, self.nabla, self.potential)
-        if not (self.g.lower_tensor() - H).is_zero:
-            raise InvalidStructure("metric does not equal the Hessian of the potential")
+        report = hessian_structure_check(self.nabla, self.g, self.potential)
+        if not report.ok:
+            entries = report.entries.items()
+            failing = next(key for key, value in entries if not AlgebroidReport({key: value}).ok)
+            raise InvalidStructure(f"not a Hessian structure: {failing} fails")
 
 
 def projected_exterior_derivative(conn, omega):
@@ -92,17 +89,17 @@ def _check_form(t):
     return t
 
 
-def hessian_symmetry_equivalences(conn, probe_functions=None):
+def hessian_symmetry_equivalences(conn):
     """Exact report on the three-way symmetry equivalence for the Hessian of conn.
 
     Clause 1 (H(f) symmetric for every f) is decided by the identity
     H(f)(u,v) - H(f)(v,u) = -rho(T-hat(u,v))(f): it holds for all f exactly
     when the anchor annihilates the image of the projected torsion, so the
-    composite rho o T-hat is recorded as the clause-1 residual; probe
-    functions additionally spot-check the identity itself.  Clause 2 is the
-    projected torsion tensor, clause 3 the one-form comparison with the
-    projected exterior derivative (skipped with a warning for non-admissible
-    connections).  Clause truth values are informational; the report's
+    composite rho o T-hat is recorded as the clause-1 residual; the
+    ``_default_probes`` functions additionally spot-check the identity
+    itself.  Clause 2 is the projected torsion tensor, clause 3 the one-form
+    comparison with the projected exterior derivative (skipped with a warning
+    for non-admissible connections).  Clause truth values are informational; the report's
     verdict entries are the always-true identities plus "three-way-agreement"
     under the equivalence hypothesis.  The kernel escape hatch — symmetry
     with a nonzero projected torsion whose image hides inside ker rho — is
@@ -122,7 +119,7 @@ def hessian_symmetry_equivalences(conn, probe_functions=None):
         entries = {}  # res3[m] is the residual of the coframe one-form e^m
         for m in range(r):
             omega = ETensor(0, 1, r, A.coords, Components((r,), A.coords, {(m,): A.one()}))
-            nabla_omega = frame_covariant_derivative(A, conn, omega).comps
+            nabla_omega = frame_covariant_derivative(conn, omega).comps
             res = contract_sum(
                 (1, "ab->ab", projected_exterior_derivative(conn, omega).comps),
                 (-1, "ab->ab", nabla_omega),
@@ -149,10 +146,8 @@ def hessian_symmetry_equivalences(conn, probe_functions=None):
             "the equivalence hypothesis fails; the Hessian is symmetric anyway"
         )
 
-    if probe_functions is None:
-        probe_functions = _default_probes(A)
-    for index, f in enumerate(probe_functions):
-        H = hessian(A, conn, f).comps
+    for index, f in enumerate(_default_probes(A)):
+        H = hessian(conn, f).comps
         probe = contract_sum(
             (1, "ab->ab", H), (-1, "ab->ba", H), (1, "abc,a->bc", T_hat.comps, A.anchor_derivative(f))
         )
@@ -184,13 +179,12 @@ def hessian_structure_check(conn, g, f):
     invariants.
     """
     report = AlgebroidReport({"flat": conn.curvature})
-    A = conn.algebroid
     report.record("projected-torsion-free", conn.projected_torsion)
-    report.record("metric-equals-hessian", g.lower_tensor() - hessian(A, conn, f))
+    report.record("metric-equals-hessian", g.lower_tensor() - hessian(conn, f))
     report.record("metric-nondegenerate", not g.det.is_zero)
     if not report.ok:
         return report
-    Q = nonmetricity(A, conn, g)
+    Q = nonmetricity(conn, g)
     report.record("codazzi", Q - Q.swap_slots(1, 2))
     if conn.admissible:
         try:
@@ -205,13 +199,14 @@ def hessian_structure_check(conn, g, f):
     return report
 
 
-def fundamental_theorem_residual(A, pair):
+def fundamental_theorem_residual(pair):
     """g(R(u,v)w, z) + g(R*(u,v)z, w) as a (0, 4) tensor.
 
     The theorem asserts it vanishes when the pair is ``holonomic`` (both
     projected modified brackets vanish on the working frame); on other
     frames ``pair.holonomy_obstruction`` is the term the theorem drops.
     """
+    A = pair.nabla.algebroid
     R, R_star = pair.nabla.curvature, pair.nabla_star.curvature
     g = pair.g.matrix
     res = contract_sum((1, "eabc,ed->abcd", R.comps, g), (1, "eabd,ec->abcd", R_star.comps, g))
@@ -241,9 +236,10 @@ def constant_curvature_check(conn, g):
     return True, kappa.as_rational()
 
 
-def conjugate_curvature_transfer_residual(A, pair, kappa):
+def conjugate_curvature_transfer_residual(pair, kappa):
     """R(nabla*)^a_{bcd} - kappa (g_{cd} d^a_b - g_{bd} d^a_c): zero under the
     fundamental-theorem hypotheses when nabla has constant curvature kappa."""
+    A = pair.nabla.algebroid
     res = contract_sum(
         (1, "abcd->abcd", pair.nabla_star.curvature.comps),
         (-Fraction(kappa), "abcd->abcd", _constant_curvature_model(A, pair.g)),

@@ -47,7 +47,6 @@ class ConjugatePair:
     Equality and hashing are by identity.
     """
 
-    algebroid: object
     g: object
     nabla: EConnection
     nabla_star: EConnection
@@ -55,19 +54,19 @@ class ConjugatePair:
     _alpha_connections: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        residual = conjugation_residual(self.algebroid, self.g, self.nabla, self.nabla_star)
+        residual = conjugation_residual(self.g, self.nabla, self.nabla_star)
         if not residual.is_zero:
             raise InvalidStructure("connections are not conjugate with respect to g")
 
     @functools.cached_property
     def difference(self):
         """Delta(nabla, nabla*) = nabla - nabla*."""
-        return difference_tensor(self.algebroid, self.nabla, self.nabla_star)
+        return difference_tensor(self.nabla, self.nabla_star)
 
     @functools.cached_property
     def nonmetricity(self):
         """Q(nabla, g)."""
-        return nonmetricity(self.algebroid, self.nabla, self.g)
+        return nonmetricity(self.nabla, self.g)
 
     @functools.cached_property
     def relative_torsion(self):
@@ -92,7 +91,7 @@ class ConjugatePair:
     @functools.cached_property
     def mean(self):
         """Coefficient average of the pair; always metric compatible."""
-        half = ScalarField.constant(Fraction(1, 2), self.algebroid.coords)
+        half = ScalarField.constant(Fraction(1, 2), self.nabla.algebroid.coords)
         return self.nabla.scale_combination(half, self.nabla_star, half)
 
     @functools.cached_property
@@ -113,7 +112,7 @@ class ConjugatePair:
         locality term L(e^e, Delta(X_e, u), v) is mb(nabla*)(u, v) - mb(nabla)(u, v),
         so O_{abcd} = (mb(nabla) - mb(nabla*))^m_{ab} Gamma^n_{mc} g_{nd}.
         """
-        A = self.algebroid
+        A = self.nabla.algebroid
         obs = contract(
             "mab,nmc,nd->abcd", self.bracket_difference.comps, self.nabla.gamma, self.g.matrix
         )
@@ -144,8 +143,9 @@ class StatisticalStructure:
             raise InvalidStructure("B must be antisymmetric in its covariant slots")
 
 
-def conjugate_connection(A, g, conn):
+def conjugate_connection(g, conn):
     """The unique conjugate: Gamma*^d_{ac} = g^{db}(rho_a(g_{bc}) - Gamma^e_{ab} g_{ec})."""
+    A = conn.algebroid
     gamma_star = contract_sum(
         (1, "db,abc->dac", g.inverse, A.anchor_derivative(g.matrix)),
         (-1, "eab,ec,db->dac", conn.gamma, g.matrix, g.inverse),
@@ -153,8 +153,9 @@ def conjugate_connection(A, g, conn):
     return EConnection(A, gamma_star)
 
 
-def conjugation_residual(A, g, conn, conn_star):
+def conjugation_residual(g, conn, conn_star):
     """Frame residual of the joint metric-preservation condition."""
+    A = conn.algebroid
     res = contract_sum(
         (1, "abc->abc", A.anchor_derivative(g.matrix)),
         (-1, "dab,dc->abc", conn.gamma, g.matrix),
@@ -175,7 +176,7 @@ def alpha_connection(pair, alpha):
     alpha = Fraction(alpha)
     family = pair._alpha_connections
     if alpha not in family:
-        s, t = (ScalarField.constant(w, pair.algebroid.coords) for w in alpha_weights(alpha))
+        s, t = (ScalarField.constant(w, pair.nabla.algebroid.coords) for w in alpha_weights(alpha))
         family[alpha] = pair.nabla_star.scale_combination(s, pair.nabla, t)
     return family[alpha]
 
@@ -198,12 +199,12 @@ def relative_torsion(conn, conn_prime):
     return ETensor(1, 2, A.rank, A.coords, out)
 
 
-def _quasi_statistical_residual(A, g, Q, T):
+def _quasi_statistical_residual(g, Q, T):
     """Q(u,v,w) - Q(v,u,w) + g(T(u,v), w) for given Q and T; zero on quasi-statistical data."""
     res = contract_sum(
         (1, "abc->abc", Q.comps), (-1, "bac->abc", Q.comps), (1, "dab,dc->abc", T.comps, g.matrix)
     )
-    return ETensor(0, 3, A.rank, A.coords, res)
+    return ETensor(0, 3, Q.dim, Q.coords, res)
 
 
 def _torsion_transfer_residual(pair):
@@ -234,13 +235,13 @@ def statistical_solve(A, S):
             nabla_star=nabla_star,
             residual=compat_residual,
         )
-    return ConjugatePair(A, g, nabla, nabla_star)
+    return ConjugatePair(g, nabla, nabla_star)
 
 
 # -- alpha-family residuals ---------------------------------------------------
 
 
-def alpha_curvature_residual(A, pair, alpha):
+def alpha_curvature_residual(pair, alpha):
     """Exact residual of the alpha-curvature decomposition.
 
     R(nabla^(a)) - s R(nabla*) - t R(nabla)
@@ -252,6 +253,7 @@ def alpha_curvature_residual(A, pair, alpha):
     two projected modified brackets.  Identically zero.
     """
     nabla, star = pair.nabla, pair.nabla_star
+    A = nabla.algebroid
     s, t = alpha_weights(alpha)
     quarter = s * t
     R_alpha = alpha_connection(pair, alpha).curvature

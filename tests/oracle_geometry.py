@@ -253,7 +253,7 @@ def admissibility_residual(A, conn):
 
 def admissibility_locality_residual(A, conn, conn_star):
     """Antisymmetry of L(e^a, Delta(X_a, u), v), required when both are admissible."""
-    delta = difference_tensor(A, conn, conn_star)
+    delta = difference_tensor(conn, conn_star)
     r = A.rank
     lam = zeros_array((r, r, r), A.coords)
     for m, b, c in itertools.product(range(r), repeat=3):
@@ -497,7 +497,7 @@ def quasi_statistical_residual(A, g, conn):
 
 def ssp3_difference(A, g, conn, conn_star):
     """Q(nabla, g) + g(Delta(nabla, nabla*)(u, v), w), the SSp3 difference residual."""
-    Q, delta = nonmetricity(A, conn, g), difference_tensor(A, conn, conn_star)
+    Q, delta = nonmetricity(A, conn, g), difference_tensor(conn, conn_star)
     r = A.rank
     res = zeros_array((r, r, r), A.coords)
     for a, b, c in itertools.product(range(r), repeat=3):
@@ -517,7 +517,7 @@ def alpha_curvature_residual(A, conn, conn_star, alpha):
     quarter = ScalarField.constant((1 - alpha * alpha) / 4, coords)
     R_alpha = curvature(A, conn_star.scale_combination(s, conn, t))
     R, R_star = curvature(A, conn), curvature(A, conn_star)
-    delta = difference_tensor(A, conn, conn_star)
+    delta = difference_tensor(conn, conn_star)
     bracket_difference = modified_bracket_coeffs(A, conn, True) - modified_bracket_coeffs(A, conn_star, True)
     r = A.rank
     res = zeros_array((r, r, r, r), coords)

@@ -183,7 +183,7 @@ def test_courant_admissibility_iff_pairing_compatible():
         else:
             conn = random_connection(A, rng, degree=2)
         admissible = conn.admissibility.is_zero
-        compatible = nonmetricity(A, conn, eta).is_zero
+        compatible = nonmetricity(conn, eta).is_zero
         assert admissible == compatible
         seen_admissible |= admissible
         seen_not |= not admissible

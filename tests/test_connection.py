@@ -60,12 +60,12 @@ def test_covariant_derivative_leibniz_in_function():
     u = A.vector([random_polynomial(A, rng) for _ in range(2)])
     v = A.vector([random_polynomial(A, rng) for _ in range(2)])
     f = random_polynomial(A, rng)
-    lhs = covariant_derivative_vector(A, conn, u, v.scale(f))
-    rhs = covariant_derivative_vector(A, conn, u, v).scale(f) + v.scale(anchor_apply(A, u, f))
+    lhs = covariant_derivative_vector(conn, u, v.scale(f))
+    rhs = covariant_derivative_vector(conn, u, v).scale(f) + v.scale(anchor_apply(A, u, f))
     assert (lhs - rhs).is_zero
     # Tensorial in the direction argument.
-    lhs2 = covariant_derivative_vector(A, conn, u.scale(f), v)
-    rhs2 = covariant_derivative_vector(A, conn, u, v).scale(f)
+    lhs2 = covariant_derivative_vector(conn, u.scale(f), v)
+    rhs2 = covariant_derivative_vector(conn, u, v).scale(f)
     assert (lhs2 - rhs2).is_zero
 
 
@@ -74,9 +74,9 @@ def test_levi_civita_matches_classical_christoffel():
     for g in (polar_metric(A), hyperbolic_metric(A)):
         conn = levi_civita_solve(A, g)
         oracle = classical_christoffel(A, g)
-        assert difference_tensor(A, conn, oracle).is_zero
+        assert difference_tensor(conn, oracle).is_zero
         assert torsion(conn).is_zero
-        assert nonmetricity(A, conn, g).is_zero
+        assert nonmetricity(conn, g).is_zero
 
 
 def test_levi_civita_matches_koszul_on_tangent():
@@ -84,7 +84,7 @@ def test_levi_civita_matches_koszul_on_tangent():
     g = polar_metric(A)
     solved = levi_civita_solve(A, g)
     direct = koszul_connection(A, A.bracket, g)
-    assert difference_tensor(A, solved, direct).is_zero
+    assert difference_tensor(solved, direct).is_zero
 
 
 def test_curvature_matches_classical_riemann():
@@ -139,7 +139,7 @@ def test_nonmetricity_is_symmetric_in_last_two_slots():
     rng = make_rng(31)
     conn = random_connection(A, rng, degree=1)
     g = random_metric(A, rng)
-    Q = nonmetricity(A, conn, g)
+    Q = nonmetricity(conn, g)
     assert (Q - Q.swap_slots(2, 3)).is_zero
 
 
@@ -148,8 +148,8 @@ def test_frame_covariant_derivative_of_metric_is_minus_nonmetricity():
     rng = make_rng(37)
     conn = random_connection(A, rng, degree=1)
     g = random_metric(A, rng)
-    Q = nonmetricity(A, conn, g)
-    nabla_g = frame_covariant_derivative(A, conn, g.lower_tensor())
+    Q = nonmetricity(conn, g)
+    nabla_g = frame_covariant_derivative(conn, g.lower_tensor())
     assert (Q - nabla_g).is_zero
 
 
@@ -219,8 +219,8 @@ def test_projected_torsion_differs_from_torsion_off_tangent():
     conn = random_connection(A, rng, degree=1)
     T = torsion(conn)
     T_hat = torsion(conn, projected=True)
-    mb = modified_bracket_coeffs(A, conn)
-    mb_hat = modified_bracket_coeffs(A, conn, projected=True)
+    mb = modified_bracket_coeffs(conn)
+    mb_hat = modified_bracket_coeffs(conn, projected=True)
     diff = ETensor(1, 2, A.rank, A.coords, mb_hat - mb)
     assert (T - T_hat - diff).is_zero
 
@@ -237,7 +237,7 @@ def test_so3_killing_style_levi_civita():
     for a, b, c in itertools.product(range(3), repeat=3):
         assert (conn.gamma[a, b, c] - A.bracket[a, b, c] * half).is_zero
     assert torsion(conn).is_zero
-    assert nonmetricity(A, conn, g).is_zero
+    assert nonmetricity(conn, g).is_zero
 
 
 def test_connections_tensors_and_pairs_compare_by_identity():
@@ -250,10 +250,10 @@ def test_connections_tensors_and_pairs_compare_by_identity():
     memo = {conn: "zero"}
     assert memo[conn] == "zero" and EConnection.zero(A) not in memo
     # Values compare through the difference.
-    assert difference_tensor(A, conn, EConnection.zero(A)).is_zero
+    assert difference_tensor(conn, EConnection.zero(A)).is_zero
     assert (zeros - ETensor.zeros(1, 2, 2, A.coords)).is_zero
     g = EMetric([[A.one(), A.zero()], [A.zero(), A.one()]], A.coords)
-    pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
+    pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
     assert pair == pair and {pair: 1}[pair] == 1
     # Algebroids, sections and forms too: compared by identity, not by their
     # component stores.

@@ -183,25 +183,25 @@ def compare_connection(A, conn, metrics, functions, sections):
     admissibility = old.admissibility_residual(A, conn)
     same(conn.admissibility, admissibility)
     assert conn.admissible == admissibility.is_zero
-    same(modified_bracket_coeffs(A, conn), old.modified_bracket_coeffs(A, conn))
+    same(modified_bracket_coeffs(conn), old.modified_bracket_coeffs(A, conn))
     same(torsion(conn), old.torsion(A, conn))
-    same(frame_covariant_derivative(A, conn, conn.torsion), old.frame_covariant_derivative(A, conn, conn.torsion))
+    same(frame_covariant_derivative(conn, conn.torsion), old.frame_covariant_derivative(A, conn, conn.torsion))
     for g in metrics:
-        same(nonmetricity(A, conn, g), old.nonmetricity(A, conn, g))
+        same(nonmetricity(conn, g), old.nonmetricity(A, conn, g))
         inverse = ETensor(2, 0, A.rank, A.coords, g.inverse)
-        same(frame_covariant_derivative(A, conn, inverse), old.frame_covariant_derivative(A, conn, inverse))
+        same(frame_covariant_derivative(conn, inverse), old.frame_covariant_derivative(A, conn, inverse))
     for f in functions:
-        same(hessian(A, conn, f), old.hessian(A, conn, f))
+        same(hessian(conn, f), old.hessian(A, conn, f))
     for u, v in zip(sections, sections[1:]):
-        same(covariant_derivative_vector(A, conn, u, v), old.covariant_derivative_vector(A, conn, u, v))
+        same(covariant_derivative_vector(conn, u, v), old.covariant_derivative_vector(A, conn, u, v))
     if A.projector is None:
         return
-    same(modified_bracket_coeffs(A, conn, projected=True), old.modified_bracket_coeffs(A, conn, True))
+    same(modified_bracket_coeffs(conn, projected=True), old.modified_bracket_coeffs(A, conn, True))
     same(torsion(conn, projected=True), old.torsion(A, conn, projected=True))
     same(curvature(conn), old.curvature(A, conn))
     same(conn.anchored_projected_torsion, old.anchored_projected_torsion(A, conn))
     assert conn.anchored_projected_torsion.is_zero == old.anchored_projected_torsion_vanishes(A, conn)
-    same_report(hessian_symmetry_equivalences(conn, functions), old.hessian_symmetry_equivalences(A, conn, functions))
+    same_report(hessian_symmetry_equivalences(conn), old.hessian_symmetry_equivalences(A, conn))
     if conn.admissible:
         for g in metrics:
             assert constant_curvature_check(conn, g) == old.constant_curvature_check(A, conn, g)
@@ -215,26 +215,26 @@ def compare_connection(A, conn, metrics, functions, sections):
 
 
 def compare_pair(A, g, conn):
-    star = conjugate_connection(A, g, conn)
+    star = conjugate_connection(g, conn)
     same(star.gamma, old.conjugate_connection(A, g, conn).gamma)
     for first, second in ((conn, star), (conn, conn), (star, conn)):
-        same(conjugation_residual(A, g, first, second), old.conjugation_residual(A, g, first, second))
-    quasi_statistical = _quasi_statistical_residual(A, g, nonmetricity(A, conn, g), conn.torsion)
+        same(conjugation_residual(g, first, second), old.conjugation_residual(A, g, first, second))
+    quasi_statistical = _quasi_statistical_residual(g, nonmetricity(conn, g), conn.torsion)
     same(quasi_statistical, old.quasi_statistical_residual(A, g, conn))
     same(ssp3_difference(A, g, conn), old.ssp3_difference(A, g, conn, star))
     same(relative_torsion(conn, star), old.relative_torsion(A, conn, star))
     same(relative_torsion(star, conn), old.relative_torsion(A, star, conn))
-    pair = ConjugatePair(A, g, conn, star)
+    pair = ConjugatePair(g, conn, star)
     same(admissibility_locality_residual(pair), old.admissibility_locality_residual(A, conn, star))
     if A.projector is None:
         return
     res, obs = old.fundamental_theorem_terms(A, g, conn, star)
-    same(fundamental_theorem_residual(A, pair), res)
+    same(fundamental_theorem_residual(pair), res)
     same(pair.holonomy_obstruction, obs)
     alpha = Fraction(1, 2)
-    same(alpha_curvature_residual(A, pair, alpha), old.alpha_curvature_residual(A, conn, star, alpha))
+    same(alpha_curvature_residual(pair, alpha), old.alpha_curvature_residual(A, conn, star, alpha))
     same(
-        conjugate_curvature_transfer_residual(A, pair, Fraction(1, 3)),
+        conjugate_curvature_transfer_residual(pair, Fraction(1, 3)),
         old.conjugate_curvature_transfer_residual(A, g, star, Fraction(1, 3)),
     )
     same(_constant_curvature_model(A, g), old.constant_curvature_model(A, g))
@@ -245,7 +245,7 @@ def compare(A, metrics, connections, functions, sections):
     compare_algebroid(A, functions, sections)
     # The conjugates are the other inputs of every check, and the only drawn
     # connections whose entries are rational functions.
-    stars = [conjugate_connection(A, g, conn) for g in metrics for conn in connections]
+    stars = [conjugate_connection(g, conn) for g in metrics for conn in connections]
     for conn in list(connections) + stars:
         compare_connection(A, conn, metrics, functions, sections)
     for conn in connections:
@@ -275,7 +275,7 @@ def test_fixed_draws_with_nonzero_residuals_match(A, nonzero):
     metric = random_metric(A, rng)
     if nonzero:
         # The comparison must see nonzero admissibility and SSe8 residuals.
-        pair = ConjugatePair(A, metric, connections[0], conjugate_connection(A, metric, connections[0]))
+        pair = ConjugatePair(metric, connections[0], conjugate_connection(metric, connections[0]))
         assert not pair.nabla.admissibility.is_zero
         assert not admissibility_locality_residual(pair).is_zero
     sections = checks._probe_sections(A, 3, seed=5)
@@ -338,8 +338,8 @@ def test_point_base_entries_are_scalar_fields():
     g = random_metric(A, rng)
     arrays = [
         conn.curvature.comps,
-        hessian(A, conn, A.field(2)).comps,
-        conjugate_connection(A, g, conn).gamma,
+        hessian(conn, A.field(2)).comps,
+        conjugate_connection(g, conn).gamma,
         A.anchor_derivative(g.matrix),
         A.coboundary(A.one()).comps,
         projected_exterior_derivative(conn, function_form(A, A.field(2))).comps,

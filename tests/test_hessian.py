@@ -55,7 +55,7 @@ def is_symmetric(H):
 def test_hessian_matches_hand_computation():
     A = tangent(2)
     f = A.field("x1^2 + x1*x2")
-    H = hessian(A, flat_connection(A), f)
+    H = hessian(flat_connection(A), f)
     expected = [[2, 1], [1, 0]]
     for a, b in itertools.product(range(2), repeat=2):
         assert (H.comps[a, b] - A.field(expected[a][b])).is_zero
@@ -67,7 +67,7 @@ def test_hessian_vanishes_when_anchor_is_zero():
     rng = make_rng(61)
     conn = random_connection(A, rng, degree=0)
     f = A.one()
-    assert hessian(A, conn, f).is_zero
+    assert hessian(conn, f).is_zero
 
 
 def test_hessian_agrees_with_second_covariant_derivative():
@@ -77,12 +77,12 @@ def test_hessian_agrees_with_second_covariant_derivative():
     rng = make_rng(67)
     conn = random_connection(A, rng, degree=1)
     f = random_polynomial(A, rng, degree=3)
-    H = hessian(A, conn, f)
+    H = hessian(conn, f)
     frame = [A.vector([1, 0]), A.vector([0, 1])]
     for a, b in itertools.product(range(2), repeat=2):
         u, v = frame[a], frame[b]
         direct = anchor_apply(A, u, anchor_apply(A, v, f))
-        correction = anchor_apply(A, covariant_derivative_vector(A, conn, u, v), f)
+        correction = anchor_apply(A, covariant_derivative_vector(conn, u, v), f)
         assert (H.comps[a, b] - (direct - correction)).is_zero
 
 
@@ -150,9 +150,9 @@ NEEDS_PROJECTOR = {
     ),
     "hessian_symmetry_equivalences": lambda A, conn, g, pair: hessian_symmetry_equivalences(conn),
     "hessian_structure_check": lambda A, conn, g, pair: hessian_structure_check(conn, g, A.x(1)),
-    "fundamental_theorem_residual": lambda A, conn, g, pair: fundamental_theorem_residual(A, pair),
+    "fundamental_theorem_residual": lambda A, conn, g, pair: fundamental_theorem_residual(pair),
     "constant_curvature_check": lambda A, conn, g, pair: constant_curvature_check(conn, g),
-    "alpha_curvature_residual": lambda A, conn, g, pair: alpha_curvature_residual(A, pair, Fraction(1, 2)),
+    "alpha_curvature_residual": lambda A, conn, g, pair: alpha_curvature_residual(pair, Fraction(1, 2)),
 }
 
 
@@ -162,7 +162,7 @@ def test_projector_is_decided_by_locality_hat_before_admissibility(entry):
     conn = random_connection(A, make_rng(73), degree=1)
     assert not conn.admissible
     g = courant_pairing(A)
-    pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
+    pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
     with pytest.raises(MissingProjector, match="^algebroid has no locality projector$"):
         NEEDS_PROJECTOR[entry](A, conn, g, pair)
 
@@ -232,14 +232,14 @@ def hessian_potential_data():
     A = tangent(2)
     f = A.field("x1^4 + x1^2*x2^2 + x2^4")
     conn = flat_connection(A)
-    H = hessian(A, conn, f)
+    H = hessian(conn, f)
     g = EMetric([[H.comps[i, j] for j in range(2)] for i in range(2)], A.coords)
     return A, conn, g, f
 
 
 def test_hessian_structure_accepts_potential():
-    A, conn, g, f = hessian_potential_data()
-    structure = HessianStructure(A, g, conn, f)
+    _, conn, g, f = hessian_potential_data()
+    structure = HessianStructure(g, conn, f)
     assert structure.potential is f
     report = hessian_structure_check(conn, g, f)
     assert report.ok
@@ -255,7 +255,7 @@ def test_hessian_structure_check_is_ring_level():
     A = tangent(2)
     f = A.field("x1^4 + x2^2")
     conn = flat_connection(A)
-    H = hessian(A, conn, f)
+    H = hessian(conn, f)
     g = EMetric([[H.comps[i, j] for j in range(2)] for i in range(2)], A.coords)
     report = hessian_structure_check(conn, g, f)
     assert report.ok
@@ -270,7 +270,7 @@ def test_hessian_structure_rejects_curved_connection():
     conn = levi_civita_solve(A, g_hyp)
     assert not curvature(conn).is_zero
     with pytest.raises(ValueError):
-        HessianStructure(A, g_hyp, conn, A.field("x1^2"))
+        HessianStructure(g_hyp, conn, A.field("x1^2"))
     report = hessian_structure_check(conn, g_hyp, A.field("x1^2"))
     assert not report.ok
 
@@ -283,11 +283,11 @@ def test_fundamental_theorem_on_holonomic_pairs():
     for _ in range(5):
         g = random_metric(A, rng)
         conn = random_connection(A, rng, degree=1)
-        pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
+        pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
         assert pair.holonomic
         assert pair.nabla.projected_bracket.is_zero
         assert pair.nabla_star.projected_bracket.is_zero
-        assert fundamental_theorem_residual(A, pair).is_zero
+        assert fundamental_theorem_residual(pair).is_zero
 
 
 def test_fundamental_theorem_flags_anholonomic_frames():
@@ -300,7 +300,7 @@ def test_fundamental_theorem_flags_anholonomic_frames():
     # Conjugate with respect to a different metric so the pair has a nonzero
     # difference tensor and hence a visible obstruction.
     g = random_metric(A, rng, constant=True)
-    pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
+    pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
     assert not pair.holonomic
     assert not pair.nabla.projected_bracket.is_zero
     assert not pair.holonomy_obstruction.is_zero
@@ -313,11 +313,11 @@ def test_torsion_transfer_gives_symmetric_conjugate_hessian():
     rng = make_rng(97)
     g = random_metric(A, rng)
     conn = levi_civita_solve(A, g)
-    pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
+    pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
     # Torsion-free primal on a holonomic frame satisfies the transfer
     # hypothesis trivially; the conjugate equals the primal here.
     for f in [A.field("x1^3"), A.field("x1*x2 + x2^2")]:
-        assert is_symmetric(hessian(A, pair.nabla_star, f))
+        assert is_symmetric(hessian(pair.nabla_star, f))
 
 
 def test_constant_curvature_flat_and_hyperbolic():
@@ -358,6 +358,6 @@ def test_constant_curvature_transfers_to_conjugate():
         A.coords,
     )
     conn = levi_civita_solve(A, g_hyp)
-    pair = ConjugatePair(A, g_hyp, conn, conjugate_connection(A, g_hyp, conn))
-    assert pair.holonomic and fundamental_theorem_residual(A, pair).is_zero
-    assert conjugate_curvature_transfer_residual(A, pair, Fraction(-1)).is_zero
+    pair = ConjugatePair(g_hyp, conn, conjugate_connection(g_hyp, conn))
+    assert pair.holonomic and fundamental_theorem_residual(pair).is_zero
+    assert conjugate_curvature_transfer_residual(pair, Fraction(-1)).is_zero

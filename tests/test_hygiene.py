@@ -2,10 +2,12 @@
 reads, no function of the package assigns a local it never reads, every private
 module-level name of the package is read somewhere else in it, the package
 never loads numpy (the tests use it as an oracle only), only
-``Algebroid.locality_hat`` raises MissingProjector, and only ``checks.judge``
-writes a "pass" or "fail" status into a CheckResult."""
+``Algebroid.locality_hat`` raises MissingProjector, only ``checks.judge``
+writes a "pass" or "fail" status into a CheckResult, and no function or pair
+keeps an algebroid beside a connection, pair or document that holds it."""
 
 import ast
+import dataclasses
 import re
 import subprocess
 import sys
@@ -282,3 +284,47 @@ def test_judge_scan_finds_literal_statuses_only():
         "    return CheckResult('x', status)\n"
     )
     assert judging_functions(source) == [(2, "judge"), (7, "inner")]
+
+
+# A connection holds its algebroid; a pair and a document reach it through theirs.
+_HOLDERS = re.compile(r"conn.*|nabla.*|pair|doc")
+
+
+def algebroid_beside_holder(source):
+    """(line, function) for each function with a parameter ``A`` beside one
+    named conn*, nabla*, pair or doc, which already holds the algebroid."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params = [arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)]
+            if "A" in params and any(_HOLDERS.fullmatch(name) for name in params):
+                found.append((node.lineno, node.name))
+    return found
+
+
+def test_one_owner_holds_the_algebroid():
+    from leibniz_geo import ConjugatePair, HessianStructure
+
+    found = [
+        f"{name}:{line}: {function}"
+        for name in ("connection.py", "statgeo.py", "hessian.py", "checks.py", "cli.py")
+        for line, function in algebroid_beside_holder((ROOT / "src" / "leibniz_geo" / name).read_text())
+    ]
+    assert not found, "takes A beside an object that holds it:\n" + "\n".join(found)
+    for cls in (ConjugatePair, HessianStructure):
+        assert "algebroid" not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
+
+
+def test_algebroid_scan_finds_a_beside_a_holder_only():
+    source = (
+        "def nonmetricity(A, conn, g): pass\n"
+        "def transfer(A, pair, *, kappa): pass\n"
+        "def _validate(A, doc, args): pass\n"
+        "def residual(g, nabla_star, A=None): pass\n"
+        "def levi_civita_solve(A, g): pass\n"
+        "def hessian(conn, f): pass\n"
+        "def pairs(A, pairing): pass\n"
+    )
+    assert algebroid_beside_holder(source) == [
+        (1, "nonmetricity"), (2, "transfer"), (3, "_validate"), (4, "residual")
+    ]

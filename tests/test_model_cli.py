@@ -583,31 +583,54 @@ def _broken_pipe():
     return write_end
 
 
-@pytest.mark.parametrize("stdout", ["full", "broken-pipe"])
-@pytest.mark.parametrize(
-    "argv",
-    [["check", "SSp3", "--model", str(MODELS / "so3.model")], ["export-builtin", "so3"]],
-    ids=["report", "export"],
-)
-def test_an_unwritable_stdout_exits_two_in_a_child_process(argv, stdout):
+_REPORT = ["check", "SSp3", "--model", str(MODELS / "so3.model")]
+_EXPORT = ["export-builtin", "so3"]
+
+
+@pytest.mark.parametrize("argv, stdout, stderr", [
+    pytest.param(_REPORT, "full", "pipe", id="report-full"),
+    pytest.param(_REPORT, "broken-pipe", "pipe", id="report-broken-pipe"),
+    pytest.param(_EXPORT, "full", "pipe", id="export-full"),
+    pytest.param(_EXPORT, "broken-pipe", "pipe", id="export-broken-pipe"),
+    # The error record itself cannot be written: the exit code alone reports it.
+    pytest.param(["validate", "--model", str(MODELS / "nope.model")], "pipe", "full",
+                 id="missing-model-stderr-full"),
+    pytest.param(["validate", "--model", str(MODELS / "so3.model")], "closed", "closed",
+                 id="report-stdout-and-stderr-closed"),
+])
+def test_an_unwritable_stdout_exits_two_in_a_child_process(argv, stdout, stderr):
     # A short output stays in stdout's buffer after the failed flush, and the
     # interpreter flushes that buffer again at exit; only a real child process
     # with a buffered stdout (no PYTHONUNBUFFERED) shows that second flush.
-    if stdout == "full" and not os.path.exists("/dev/full"):
+    if "full" in (stdout, stderr) and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this system")
-    fd = os.open("/dev/full", os.O_WRONLY) if stdout == "full" else _broken_pipe()
+    targets = {"pipe": subprocess.PIPE, "closed": subprocess.DEVNULL}
+    opened = []
+
+    def target(kind):
+        if kind in targets:
+            return targets[kind]
+        opened.append(os.open("/dev/full", os.O_WRONLY) if kind == "full" else _broken_pipe())
+        return opened[-1]
+
+    closed = [fd for fd, kind in ((1, stdout), (2, stderr)) if kind == "closed"]
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "leibniz_geo.cli", *argv, "--format", "json-lines"],
-            stdout=fd, stderr=subprocess.PIPE, cwd=ROOT, env=env,
+            stdout=target(stdout), stderr=target(stderr), cwd=ROOT, env=env,
+            preexec_fn=lambda: [os.close(fd) for fd in closed],
         )
     finally:
-        os.close(fd)
-    assert proc.returncode == 2, proc.stderr.decode()
-    [line] = proc.stderr.decode().splitlines()
-    record = json.loads(line)
-    assert (record["status"], record["error"]) == ("error", "OutputError")
+        for fd in opened:
+            os.close(fd)
+    assert proc.returncode == 2, proc.stderr and proc.stderr.decode()
+    if stdout == "pipe":
+        assert proc.stdout == b""
+    if stderr == "pipe":
+        [line] = proc.stderr.decode().splitlines()
+        record = json.loads(line)
+        assert (record["status"], record["error"]) == ("error", "OutputError")
 
 
 def test_dump_residuals_includes_components():

@@ -72,21 +72,21 @@ def instances(count, seed):
 
 
 def test_conjugation_is_involution_and_conjugate():
-    for A, g, conn in instances(25, seed=101):
-        conn_star = conjugate_connection(A, g, conn)
-        assert conjugation_residual(A, g, conn, conn_star).is_zero
-        back = conjugate_connection(A, g, conn_star)
-        assert difference_tensor(A, conn, back).is_zero
+    for _, g, conn in instances(25, seed=101):
+        conn_star = conjugate_connection(g, conn)
+        assert conjugation_residual(g, conn, conn_star).is_zero
+        back = conjugate_connection(g, conn_star)
+        assert difference_tensor(conn, back).is_zero
 
 
 def test_nonmetricity_difference_identity():
     # Q(nabla, g) = -Q(nabla*, g) = g(Delta(nabla*, nabla)(u, v), w).
     for A, g, conn in instances(10, seed=103):
-        conn_star = conjugate_connection(A, g, conn)
-        Q = nonmetricity(A, conn, g)
-        Q_star = nonmetricity(A, conn_star, g)
+        conn_star = conjugate_connection(g, conn)
+        Q = nonmetricity(conn, g)
+        Q_star = nonmetricity(conn_star, g)
         assert (Q + Q_star).is_zero
-        delta = difference_tensor(A, conn_star, conn)
+        delta = difference_tensor(conn_star, conn)
         r = A.rank
         for a, b, c in itertools.product(range(r), repeat=3):
             expected = sum(
@@ -96,15 +96,15 @@ def test_nonmetricity_difference_identity():
 
 
 def test_mean_connection_is_metric_compatible():
-    for A, g, conn in instances(10, seed=107):
-        pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
-        assert nonmetricity(A, pair.mean, g).is_zero
+    for _, g, conn in instances(10, seed=107):
+        pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
+        assert nonmetricity(pair.mean, g).is_zero
 
 
 def test_relative_torsion_sum_identity():
     # T(nabla, nabla*) + T(nabla*, nabla) = T(nabla) + T(nabla*).
-    for A, g, conn in instances(10, seed=109):
-        conn_star = conjugate_connection(A, g, conn)
+    for _, g, conn in instances(10, seed=109):
+        conn_star = conjugate_connection(g, conn)
         rel = relative_torsion(conn, conn_star)
         rel_star = relative_torsion(conn_star, conn)
         total = torsion(conn) + torsion(conn_star)
@@ -118,7 +118,7 @@ def test_relative_torsion_antisymmetry_for_admissible_pairs():
     found = 0
     for _ in range(10):
         conn = eta_compatible_connection(A, eta, rng)
-        conn_star = conjugate_connection(A, eta, conn)
+        conn_star = conjugate_connection(eta, conn)
         if not conn_star.admissibility.is_zero:
             continue
         found += 1
@@ -127,7 +127,7 @@ def test_relative_torsion_antisymmetry_for_admissible_pairs():
         r = A.rank
         for a, b, c in itertools.product(range(r), repeat=3):
             assert (rel.comps[a, b, c] + rel_star.comps[a, c, b]).is_zero
-        assert admissibility_locality_residual(ConjugatePair(A, eta, conn, conn_star)).is_zero
+        assert admissibility_locality_residual(ConjugatePair(eta, conn, conn_star)).is_zero
     assert found > 0
 
 
@@ -136,17 +136,17 @@ def test_levi_civita_self_pair_is_strongly_conjugate():
     x1 = A.x(1)
     g = EMetric([[A.one(), A.zero()], [A.zero(), x1 * x1]], A.coords)
     lc = levi_civita_solve(A, g)
-    pair = ConjugatePair(A, g, lc, conjugate_connection(A, g, lc))
-    assert difference_tensor(A, pair.nabla, pair.nabla_star).is_zero
+    pair = ConjugatePair(g, lc, conjugate_connection(g, lc))
+    assert difference_tensor(pair.nabla, pair.nabla_star).is_zero
     assert pair.relative_torsion.is_zero
     assert torsion(lc).is_zero
-    assert nonmetricity(A, lc, g).is_zero
+    assert nonmetricity(lc, g).is_zero
 
 
 def test_generic_pair_is_not_strongly_conjugate():
     found_failing = False
-    for A, g, conn in instances(6, seed=127):
-        pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
+    for _, g, conn in instances(6, seed=127):
+        pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
         if not pair.relative_torsion.is_zero:
             found_failing = True
     assert found_failing
@@ -155,8 +155,8 @@ def test_generic_pair_is_not_strongly_conjugate():
 def test_strong_conjugacy_forces_levi_civita():
     # Search the instance pool: every strongly conjugate admissible pair must
     # be torsion-free, metric-compatible, and self-conjugate.
-    for A, g, conn in instances(25, seed=131):
-        pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
+    for _, g, conn in instances(25, seed=131):
+        pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
         strong = pair.relative_torsion.is_zero
         admissible = (
             pair.nabla.admissibility.is_zero
@@ -164,8 +164,8 @@ def test_strong_conjugacy_forces_levi_civita():
         )
         if strong and admissible:
             assert torsion(pair.nabla).is_zero
-            assert nonmetricity(A, pair.nabla, g).is_zero
-            assert difference_tensor(A, pair.nabla, pair.nabla_star).is_zero
+            assert nonmetricity(pair.nabla, g).is_zero
+            assert difference_tensor(pair.nabla, pair.nabla_star).is_zero
 
 
 def symmetric_tensor(A, rng, degree=0):
@@ -210,10 +210,10 @@ def test_statistical_solve_matches_manifold_oracle():
             expected = lc.gamma[a, b, c] + correction * half
             assert (pair.nabla.gamma[a, b, c] - expected).is_zero
         # Postconditions.
-        assert (nonmetricity(A, pair.nabla, g) + C).is_zero
+        assert (nonmetricity(pair.nabla, g) + C).is_zero
         assert torsion(pair.nabla).is_zero
         assert (torsion(pair.nabla_star) - B).is_zero
-        assert conjugation_residual(A, g, pair.nabla, pair.nabla_star).is_zero
+        assert conjugation_residual(g, pair.nabla, pair.nabla_star).is_zero
 
 
 def test_trivial_statistical_structure_returns_levi_civita_pair():
@@ -224,8 +224,8 @@ def test_trivial_statistical_structure_returns_levi_civita_pair():
     B = ETensor.zeros(1, 2, 2, A.coords)
     pair = statistical_solve(A, StatisticalStructure(g, C, B))
     lc = levi_civita_solve(A, g)
-    assert difference_tensor(A, pair.nabla, lc).is_zero
-    assert difference_tensor(A, pair.nabla_star, lc).is_zero
+    assert difference_tensor(pair.nabla, lc).is_zero
+    assert difference_tensor(pair.nabla_star, lc).is_zero
 
 
 def test_nonzero_B_requires_bracket_support():
@@ -267,7 +267,7 @@ def test_a_solved_pair_is_checked_conjugate_without_a_gcd(monkeypatch):
     pair = statistical_solve(A, S)
     assert any(not v.frac.denom.is_one for v in pair.nabla.gamma.entries.values())
     calls = count_cancels(monkeypatch)
-    assert conjugation_residual(A, S.g, pair.nabla, pair.nabla_star).is_zero
+    assert conjugation_residual(S.g, pair.nabla, pair.nabla_star).is_zero
     assert calls == []
 
 
@@ -296,9 +296,9 @@ def test_koszul_solve_on_courant_with_generic_metric():
     g = random_metric(A, rng, constant=True)
     (nabla,) = _solve_affine_koszul(A, g, Components((A.rank,) * 3, A.coords))
     assert torsion(nabla).is_zero
-    assert nonmetricity(A, nabla, g).is_zero
+    assert nonmetricity(nabla, g).is_zero
     lc = levi_civita_solve(A, g)
-    assert difference_tensor(A, nabla, lc).is_zero
+    assert difference_tensor(nabla, lc).is_zero
 
 
 def test_quasi_statistical_transfer():
@@ -312,23 +312,23 @@ def test_quasi_statistical_transfer():
         A, StatisticalStructure(g, C, ETensor.zeros(1, 2, 2, A.coords))
     )
     T = pair.nabla.torsion
-    assert _quasi_statistical_residual(A, g, nonmetricity(A, pair.nabla, g), T).is_zero
-    doublet = ConjugatePair(A, g, pair.nabla, conjugate_connection(A, g, pair.nabla))
+    assert _quasi_statistical_residual(g, nonmetricity(pair.nabla, g), T).is_zero
+    doublet = ConjugatePair(g, pair.nabla, conjugate_connection(g, pair.nabla))
     assert _torsion_transfer_residual(doublet).is_zero
 
 
 def test_alpha_family_endpoints_and_laws():
     for A, g, conn in instances(4, seed=157):
-        pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
-        assert difference_tensor(A, alpha_connection(pair, 1), pair.nabla_star).is_zero
-        assert difference_tensor(A, alpha_connection(pair, -1), pair.nabla).is_zero
-        assert difference_tensor(A, alpha_connection(pair, 0), pair.mean).is_zero
-        Q = nonmetricity(A, pair.nabla, g)
+        pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
+        assert difference_tensor(alpha_connection(pair, 1), pair.nabla_star).is_zero
+        assert difference_tensor(alpha_connection(pair, -1), pair.nabla).is_zero
+        assert difference_tensor(alpha_connection(pair, 0), pair.mean).is_zero
+        Q = nonmetricity(pair.nabla, g)
         for alpha in ALPHAS:
             conn_alpha = alpha_connection(pair, alpha)
             # Conjugation flips the sign of alpha.
-            conj = conjugate_connection(A, g, conn_alpha)
-            assert difference_tensor(A, conj, alpha_connection(pair, -alpha)).is_zero
+            conj = conjugate_connection(g, conn_alpha)
+            assert difference_tensor(conj, alpha_connection(pair, -alpha)).is_zero
             # Torsion interpolates linearly.
             s = ScalarField.constant((1 + alpha) / 2, A.coords)
             t = ScalarField.constant((1 - alpha) / 2, A.coords)
@@ -337,14 +337,14 @@ def test_alpha_family_endpoints_and_laws():
             assert (torsion(conn_alpha) - expected_T).is_zero
             # Nonmetricity scales by -alpha.
             factor = ScalarField.constant(alpha, A.coords)
-            assert (nonmetricity(A, conn_alpha, g) + Q.scale(factor)).is_zero
+            assert (nonmetricity(conn_alpha, g) + Q.scale(factor)).is_zero
 
 
 def test_alpha_curvature_decomposition():
-    for A, g, conn in instances(4, seed=163):
-        pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
+    for _, g, conn in instances(4, seed=163):
+        pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
         for alpha in ALPHAS:
-            assert alpha_curvature_residual(A, pair, alpha).is_zero
+            assert alpha_curvature_residual(pair, alpha).is_zero
 
 
 def test_alpha_curvature_symmetry_for_flat_pairs():
@@ -356,7 +356,7 @@ def test_alpha_curvature_symmetry_for_flat_pairs():
     phi_22 = A.field("2")
     g = EMetric([[phi_11, phi_12], [phi_12, phi_22]], A.coords)
     flat = EConnection(A, ETensor.zeros(1, 2, 2, A.coords).comps)
-    pair = ConjugatePair(A, g, flat, conjugate_connection(A, g, flat))
+    pair = ConjugatePair(g, flat, conjugate_connection(g, flat))
     assert curvature(pair.nabla).is_zero
     assert curvature(pair.nabla_star).is_zero
     for alpha in ALPHAS:
@@ -381,7 +381,7 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 
 def test_cached_pair_objects_are_read_only():
     A, g, conn = instances(1, seed=171)[0]
-    pair = ConjugatePair(A, g, conn, conjugate_connection(A, g, conn))
+    pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
     nabla, star = pair.nabla, pair.nabla_star
     assert nabla.curvature is nabla.curvature
     assert alpha_connection(pair, Fraction(1, 2)) is alpha_connection(pair, Fraction(1, 2))
@@ -441,7 +441,6 @@ BRACKET_BUILDS = {"courant1": 18, "so3": 20, "tangent2_hyperbolic": 19, "tangent
 @pytest.mark.parametrize("name", sorted(BRACKET_BUILDS))
 def test_check_run_derives_each_object_once_per_pair(monkeypatch, name):
     doc = load_model(MODELS / f"{name}.model")
-    A = doc.algebroid
     connections = len(doc.connections)
     pairs = len(doc.metrics) * connections
     # SSp11 builds R(nabla^(alpha)) for every alpha; SS29 adds R(nabla^(-alpha))
@@ -451,9 +450,9 @@ def test_check_run_derives_each_object_once_per_pair(monkeypatch, name):
     flat = holonomic = 0
     for g in doc.metrics.values():
         for conn in doc.connections.values():
-            star = conjugate_connection(A, g, conn)
+            star = conjugate_connection(g, conn)
             flat += curvature(conn).is_zero and curvature(star).is_zero
-            holonomic += ConjugatePair(A, g, conn, star).holonomic
+            holonomic += ConjugatePair(g, conn, star).holonomic
     alpha_curvatures = pairs * len(alphas) + flat * len(negated)
 
     curvatures = _count_calls(monkeypatch, connection, "curvature")
@@ -480,7 +479,7 @@ def test_check_run_derives_each_object_once_per_pair(monkeypatch, name):
     assert len(projected_torsions()) == connections
     # Each (connection, projected) bracket once, and every one built by a
     # connection's own cached property.
-    kinds = [(args[1], kwargs.get("projected", args[2:] == (True,))) for args, kwargs, _ in brackets]
+    kinds = [(args[0], kwargs.get("projected", args[1:] == (True,))) for args, kwargs, _ in brackets]
     inputs = {(id(conn), projected) for conn, projected in kinds}
     assert len(inputs) == len(brackets) == BRACKET_BUILDS[name]
     assert len(derived_brackets) == len(brackets)
@@ -488,7 +487,7 @@ def test_check_run_derives_each_object_once_per_pair(monkeypatch, name):
     # from its plain bracket.  A check call works on fresh connections that
     # share the document's coefficient stores.
     documents = {id(conn.gamma) for conn in doc.connections.values()}
-    stars = {id(star.gamma) for args, _, star in conjugates if id(args[2].gamma) in documents}
+    stars = {id(star.gamma) for args, _, star in conjugates if id(args[1].gamma) in documents}
     assert len(stars) == pairs
     plain = {id(conn.gamma) for conn, projected in kinds if not projected}
     assert documents | stars <= plain
