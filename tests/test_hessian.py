@@ -269,7 +269,7 @@ def test_hessian_structure_rejects_curved_connection():
     )
     conn = levi_civita_solve(A, g_hyp)
     assert not curvature(conn).is_zero
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a Hessian structure: flat fails"):
         HessianStructure(g_hyp, conn, A.field("x1^2"))
     report = hessian_structure_check(conn, g_hyp, A.field("x1^2"))
     assert not report.ok

@@ -604,6 +604,8 @@ def test_an_unwritable_stdout_exits_two_in_a_child_process(argv, stdout, stderr)
     # with a buffered stdout (no PYTHONUNBUFFERED) shows that second flush.
     if "full" in (stdout, stderr) and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this system")
+    # A "closed" stream is opened on the null device and closed in the child
+    # before the interpreter starts, as the shell's ">&-" does.
     targets = {"pipe": subprocess.PIPE, "closed": subprocess.DEVNULL}
     opened = []
 
@@ -613,13 +615,17 @@ def test_an_unwritable_stdout_exits_two_in_a_child_process(argv, stdout, stderr)
         opened.append(os.open("/dev/full", os.O_WRONLY) if kind == "full" else _broken_pipe())
         return opened[-1]
 
-    closed = [fd for fd, kind in ((1, stdout), (2, stderr)) if kind == "closed"]
+    def close_in_child():
+        for fd, kind in ((1, stdout), (2, stderr)):
+            if kind == "closed":
+                os.close(fd)
+
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "leibniz_geo.cli", *argv, "--format", "json-lines"],
             stdout=target(stdout), stderr=target(stderr), cwd=ROOT, env=env,
-            preexec_fn=lambda: [os.close(fd) for fd in closed],
+            preexec_fn=close_in_child,
         )
     finally:
         for fd in opened:
