@@ -245,15 +245,19 @@ def levi_civita_solve(A, g):
 def _solve_affine_koszul(A, g, *extra_rhs):
     """Solve 2 g(nabla_u v, w) = Koszul[mb(nabla)](u, v, w) + extra(u, v, w) per extra.
 
-    The one assembly of the Koszul system, eliminated once for all right-hand
+    The one assembly of the Koszul system, solved in one call for all right-hand
     sides: the Levi-Civita solve passes a zero extra, the statistical solve
     its two (C, B) terms.  Returns one connection per extra.  The system
     becomes dense rows of scalars only here, where ``linalg.solve`` reads it.
     """
     r = A.rank
     matrix, koszul = _koszul_system(A, g)
-    rhs = [(koszul + extra).reshape((r**3,)).tolist() for extra in extra_rhs]
-    solutions = linalg.solve(matrix.tolist(), *rhs)
+    # Rows in the order (d, b, c): row (b, c, d) holds 2 g_dd at column (d, b, c),
+    # so linalg.solve's block split finds the finest blocks.
+    order = [(b * r + c) * r + d for d, b, c in itertools.product(range(r), repeat=3)]
+    rows = [matrix.tolist(), *((koszul + extra).reshape((r**3,)).tolist() for extra in extra_rhs)]
+    matrix, *rhs = [[entries[i] for i in order] for entries in rows]
+    solutions = linalg.solve(matrix, *rhs)
     return [
         EConnection(A, object_array(solution, A.coords).reshape((r, r, r)))
         for solution in solutions

@@ -23,12 +23,15 @@ polynomials (denominator 1), and products with a constant, are already in
 normal form and skip the gcd cancellation.  The tensor kernels do not add
 and multiply fields one pair at a time: they sum products of numerators over
 their denominators and build each entry once with ``from_fraction``, which
-cancels once.  Values are immutable and hashable; all operations are pure.
+cancels once (``_Denominators``).  Values are immutable and hashable; all
+operations are pure.
 Conversion to a sympy expression happens only for display.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import gc
 import operator
 from fractions import Fraction
@@ -309,3 +312,52 @@ class ScalarField:
     def __str__(self):
         """Canonical form in the expression grammar (caret powers)."""
         return repr(self).replace("**", "^")
+
+
+class _Denominators:
+    """Unreduced sums of fractions, each brought over one common denominator.
+
+    A fraction is held as its polynomial numerator over a key: the sorted
+    tuple of the ids of its denominator's factors, an id naming one distinct
+    polynomial (a polynomial has the key ()).  A sum is a dict {key:
+    numerator}, so fractions over equal denominators add as polynomials.
+    """
+
+    def __init__(self):
+        self.ids = {}
+        self.polys = []
+
+    def key(self, denom):
+        """The key of a one-factor denominator."""
+        if _is_one(denom):
+            return ()
+        i = self.ids.get(denom)
+        if i is None:
+            i = self.ids[denom] = len(self.polys)
+            self.polys.append(denom)
+        return (i,)
+
+    def common(self, terms, extra=None):
+        """(numerator, denominator) of the sum ``terms`` divided by the
+        polynomial ``extra``, over the multiset union of the keys and not
+        cancelled; the denominator is None for 1.  A zero sum gives None, and
+        costs no gcd.  A lone term is taken to be nonzero."""
+        if len(terms) == 1:
+            ((key, numer),) = terms.items()
+            union = collections.Counter(key)
+        else:
+            union = functools.reduce(operator.or_, map(collections.Counter, terms))
+            numer = functools.reduce(
+                operator.add, (self._times(n, union - collections.Counter(k)) for k, n in terms.items())
+            )
+            if not numer:
+                return None
+        if extra is None:
+            return numer, (self._times(numer.ring.one, union) if union else None)
+        return numer, self._times(extra, union)
+
+    def _times(self, poly, multiset):
+        """poly times the denominators that a Counter of ids names."""
+        for i, m in multiset.items():
+            poly = poly * self.polys[i] ** m
+        return poly

@@ -18,7 +18,6 @@ All indices are 0-based internally; the model-file layer converts from the
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -29,7 +28,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import DegenerateMetric, SlotMismatch
-from .scalar import ScalarField, _is_one
+from .scalar import ScalarField, _Denominators
 
 
 class Components:
@@ -172,35 +171,24 @@ def sum_terms(shape, coords, terms):
 # -- the accumulator ------------------------------------------------------------
 
 
-class _Sums:
+class _Sums(_Denominators):
     """Per output index, the unreduced sum of the products given for it.
 
     A product of fields with a rational coefficient is held as its numerator,
-    the product of the numerators, over a denominator key: the sorted tuple
-    of the ids of the factors' denominators in ``denominators`` (a polynomial
-    factor adds none).  An index holds {key: sum of the numerators over it},
-    so products over equal denominators add as polynomials, and nothing is
-    cancelled until ``finish``.  There each index is brought to one common
-    denominator and cancelled once: a sum whose numerators add to zero is
-    dropped with no gcd, a sum over denominator 1 needs none, and an index
-    given one lone field keeps that field.
+    the product of the numerators, over the denominator key of
+    ``_Denominators``: the sorted tuple of the ids of the factors'
+    denominators (a polynomial factor adds none).  An index holds {key: sum
+    of the numerators over it}, and nothing is cancelled until ``finish``.
+    There each index is brought to one common denominator and cancelled once
+    (``_Denominators.common``): a sum whose numerators add to zero is dropped
+    with no gcd, a sum over denominator 1 needs none, and an index given one
+    lone field keeps that field.
     """
 
     def __init__(self, coords):
+        super().__init__()
         self.coords = coords
-        self.ids = {}
-        self.denominators = []
         self.sums = {}  # index -> {key: numerator}, or (coeff, field) for a lone field
-
-    def key(self, denom):
-        """The key of a one-factor denominator."""
-        if _is_one(denom):
-            return ()
-        i = self.ids.get(denom)
-        if i is None:
-            i = self.ids[denom] = len(self.denominators)
-            self.denominators.append(denom)
-        return (i,)
 
     def fraction(self, coeff, value):
         """coeff * value as an unreduced sum."""
@@ -237,27 +225,8 @@ class _Sums:
         if isinstance(terms, tuple):
             coeff, value = terms
             return value if coeff == 1 else -value if coeff == -1 else value * coeff
-        if not terms:
-            return None
-        if len(terms) == 1:
-            ((key, numer),) = terms.items()
-            key = collections.Counter(key)
-        else:
-            # Over the multiset union of the denominators: no gcd before the zero test.
-            key = functools.reduce(operator.or_, map(collections.Counter, terms))
-            numer = functools.reduce(
-                operator.add, (self._times(n, key - collections.Counter(k)) for k, n in terms.items())
-            )
-            if not numer:
-                return None
-        denom = self._times(numer.ring.one, key) if key else None
-        return ScalarField.from_fraction(numer, denom, self.coords)
-
-    def _times(self, poly, multiset):
-        """poly times the denominators that a Counter of ids names."""
-        for i, m in multiset.items():
-            poly = poly * self.denominators[i] ** m
-        return poly
+        summed = self.common(terms) if terms else None
+        return None if summed is None else ScalarField.from_fraction(*summed, self.coords)
 
     @staticmethod
     def add_into(terms, other):

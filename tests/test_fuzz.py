@@ -7,7 +7,9 @@ draws reach past the JSON parser into the schema, shape, expression and
 structure checks.  Some carry an integer literal of up to 5000 digits, as a
 JSON number or inside an expression, past the interpreter's 4300-digit limit
 on ``int()``.  The ``alpha`` command is also drawn ``--alpha`` texts, exponent
-forms among them.
+forms among them.  The exact solves are run on documents drawn around a
+rank-2 one whose Koszul systems split into blocks and which holds the
+tensor ``C`` that ``statistical-solve`` reads.
 """
 
 import json
@@ -32,6 +34,24 @@ BASE = {
     "functions": {"f": "x1^3"},
 }
 FIELDS = sorted(BASE) + ["kernel_sections", "tensors", "unknown"]
+ZEROS = [["0", "0"], ["0", "0"]]
+SOLVE_BASE = {
+    **BASE,
+    "rank": 2,
+    "anchor": [["1"], ["0"]],
+    "bracket": [ZEROS, ZEROS],
+    "locality": [[ZEROS, ZEROS], [ZEROS, ZEROS]],
+    "projector": [["1", "0"], ["0", "1"]],
+    "metrics": {"g": [["1 + x1^2", "1"], ["1", "2"]]},
+    "connections": {},
+    "tensors": {
+        "C": {
+            "type": [0, 3],
+            "components": [[["1", "x1"], ["x1", "2"]], [["x1", "2"], ["2", "1"]]],
+            "symmetry": "totally_symmetric",
+        }
+    },
+}
 
 expressions = st.text(alphabet="x1 02345789+-*/^()", max_size=12)
 scalars = st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3) | expressions
@@ -55,9 +75,13 @@ def literal_documents(draw):
     return json.dumps({**BASE, place: PLACES[place]}).replace('"@"', literal)
 
 
-documents = st.dictionaries(st.sampled_from(FIELDS), json_values, max_size=3).map(
-    lambda changes: json.dumps({**BASE, **changes})
-) | literal_documents()
+def mutated(base):
+    """The document ``base`` with up to three top-level fields replaced."""
+    changes = st.dictionaries(st.sampled_from(FIELDS), json_values, max_size=3)
+    return changes.map(lambda changes: json.dumps({**base, **changes}))
+
+
+documents = mutated(BASE) | literal_documents()
 inputs = documents.map(str.encode) | st.binary(max_size=64)
 fuzz = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -71,9 +95,9 @@ def test_parse_model_text_raises_only_package_errors(text):
         pass
 
 
-@fuzz
-@given(data=inputs, command=st.sampled_from(["validate", "check-all", "torsion"]))
-def test_cli_exit_codes_and_stderr_hold_for_any_input(tmp_path, capsysbinary, data, command):
+def run_command(tmp_path, capsysbinary, data, command):
+    """Run ``command`` on the model bytes ``data``: exit 0, 1 or 2, no traceback,
+    only error records on stderr, and on exit 2 nothing on stdout."""
     path = tmp_path / "fuzz.model"
     path.write_bytes(data)
     code = main([command, "--model", str(path), "--format", "json-lines"])
@@ -84,6 +108,21 @@ def test_cli_exit_codes_and_stderr_hold_for_any_input(tmp_path, capsysbinary, da
         assert json.loads(line)["status"] == "error"
     if code == 2:
         assert out == b"" and err
+
+
+@fuzz
+@given(data=inputs, command=st.sampled_from(["validate", "check-all", "torsion"]))
+def test_cli_exit_codes_and_stderr_hold_for_any_input(tmp_path, capsysbinary, data, command):
+    run_command(tmp_path, capsysbinary, data, command)
+
+
+@fuzz
+@given(
+    data=mutated(SOLVE_BASE).map(str.encode) | st.binary(max_size=64),
+    command=st.sampled_from(["levi-civita", "statistical-solve"]),
+)
+def test_solve_exit_codes_and_stderr_hold_for_any_input(tmp_path, capsysbinary, data, command):
+    run_command(tmp_path, capsysbinary, data, command)
 
 
 alpha_texts = (

@@ -133,7 +133,10 @@ def same_koszul_system(A, g):
 
 
 def same_statistical_system(A, g, rng):
-    """The statistical solve's system (both right-hand sides) for drawn C and B."""
+    """The statistical solve's system (both right-hand sides) for drawn C and B.
+
+    The solve hands linalg.solve the oracle's rows (b, c, d) in the order
+    (d, b, c); the columns keep their order."""
     r = A.rank
     C, B = zeros_array((r, r, r), A.coords), zeros_array((r, r, r), A.coords)
     for idx in itertools.combinations_with_replacement(range(r), 3):
@@ -147,8 +150,9 @@ def same_statistical_system(A, g, rng):
     S = StatisticalStructure(g, ETensor(0, 3, r, A.coords, store(C)), ETensor(1, 2, r, A.coords, store(B)))
     matrix, rhs = solve_system(lambda: statistical_solve(A, S))
     old_matrix, old_rhs = old.koszul_system(A, g, *old.statistical_extras(A, S))
-    same(matrix, old_matrix)
-    assert [strs(b) for b in rhs] == [strs(b) for b in old_rhs]
+    order = [(b * r + c) * r + d for d, b, c in itertools.product(range(r), repeat=3)]
+    same(matrix, [old_matrix[i] for i in order])
+    assert [strs(b) for b in rhs] == [strs([b[i] for i in order]) for b in old_rhs]
 
 
 def ssp3_difference(A, g, conn):
