@@ -25,8 +25,13 @@ the residual is built.  The ``_check(id)`` decorator registers each check in
 holds a fresh ``EConnection`` per document connection, sharing the
 document's coefficient store, and a single ``ConjugatePair`` per (metric,
 connection) built on those connections.  A connection caches its derived
-objects, so each is built once per call.  The context and its connections
-are dropped when the call returns: a document checked again is derived again.
+objects, so each is built once per call.  The frame derivatives
+rho(X_a)(g_bc) of a metric are derived once per call, where the context
+builds that metric's pairs; every pair of the metric holds them, and the
+conjugates and nonmetricities a check builds for a pair, those of its mean
+and of its alpha-connections included, read them from the pair.  The
+context and what it derived are dropped when the call returns: a document
+checked again is derived again.
 """
 
 from __future__ import annotations
@@ -165,9 +170,10 @@ class _Context:
         """(label, pair) for every (metric, connection), in report order."""
         pairs = []
         for mname, g in sorted(self.doc.metrics.items()):
+            dg = self.A.anchor_derivative(g.matrix)
             for cname, conn in self.connections:
-                star = conjugate_connection(g, conn)
-                pairs.append((f"{mname}:{cname}", ConjugatePair(g, conn, star)))
+                star = conjugate_connection(g, conn, dg)
+                pairs.append((f"{mname}:{cname}", ConjugatePair(g, conn, star, dg)))
         return pairs
 
 
@@ -242,7 +248,7 @@ def check_ssp3(ctx):
     A = ctx.A
     for label, pair in ctx.pairs:
         g, Q, delta = pair.g, pair.nonmetricity, pair.difference
-        yield f"SSp3[{label}]:opposite", Q + nonmetricity(pair.nabla_star, g)
+        yield f"SSp3[{label}]:opposite", Q + nonmetricity(pair.nabla_star, g, pair.dg)
         # Delta(nabla*, nabla) = -Delta(nabla, nabla*).
         res = contract_sum((1, "abc->abc", Q.comps), (1, "eab,ec->abc", delta.comps, g.matrix))
         yield f"SSp3[{label}]:difference", ETensor(0, 3, A.rank, A.coords, res)
@@ -312,7 +318,7 @@ def check_ssp9(ctx):
     """The mean connection is metric-compatible with half the total torsion."""
     A = ctx.A
     for label, pair in ctx.pairs:
-        yield f"SSp9[{label}]:metric-compatible", nonmetricity(pair.mean, pair.g)
+        yield f"SSp9[{label}]:metric-compatible", nonmetricity(pair.mean, pair.g, pair.dg)
         res = contract_sum(
             (1, "abc->abc", pair.mean.torsion.comps),
             (-Fraction(1, 2), "abc->abc", pair.torsion_sum.comps),
@@ -325,17 +331,17 @@ def check_ssp10(ctx):
     """Conjugation, torsion, and nonmetricity of the alpha family."""
     A = ctx.A
     for label, pair in ctx.pairs:
-        g, Q = pair.g, pair.nonmetricity.comps
+        g, dg, Q = pair.g, pair.dg, pair.nonmetricity.comps
         T, T_star = pair.nabla.torsion.comps, pair.nabla_star.torsion.comps
         for alpha in ALPHA_VALUES:
             conn_alpha = alpha_connection(pair, alpha)
-            conj = conjugate_connection(g, conn_alpha)
+            conj = conjugate_connection(g, conn_alpha, dg)
             yield (
                 f"SSp10[{label}]:involution(alpha={alpha})",
                 difference_tensor(conj, alpha_connection(pair, -alpha)),
             )
             s, t = alpha_weights(alpha)
-            T_alpha, Q_alpha = conn_alpha.torsion.comps, nonmetricity(conn_alpha, g).comps
+            T_alpha, Q_alpha = conn_alpha.torsion.comps, nonmetricity(conn_alpha, g, dg).comps
             res = contract_sum(
                 (1, "abc->abc", T_alpha), (-s, "abc->abc", T_star), (-t, "abc->abc", T)
             )

@@ -109,7 +109,8 @@ def _curvature(doc, args):
 def _nonmetricity(doc, args):
     cname, conn = _pick(doc.connections, "connection", args.connection)
     mname, g = _pick(doc.metrics, "metric", args.metric)
-    yield _shown(f"nonmetricity[{mname}:{cname}]", nonmetricity(conn, g).comps)
+    dg = doc.algebroid.anchor_derivative(g.matrix)
+    yield _shown(f"nonmetricity[{mname}:{cname}]", nonmetricity(conn, g, dg).comps)
 
 
 def _levi_civita(doc, args):
@@ -117,23 +118,26 @@ def _levi_civita(doc, args):
     conn = levi_civita_solve(doc.algebroid, g)
     yield _shown(f"levi-civita[{mname}]:gamma", conn.gamma)
     yield f"levi-civita[{mname}]:torsion-free", conn.torsion
-    yield f"levi-civita[{mname}]:metric-compatible", nonmetricity(conn, g)
+    dg = doc.algebroid.anchor_derivative(g.matrix)
+    yield f"levi-civita[{mname}]:metric-compatible", nonmetricity(conn, g, dg)
 
 
 def _conjugate(doc, args):
     cname, conn = _pick(doc.connections, "connection", args.connection)
     mname, g = _pick(doc.metrics, "metric", args.metric)
-    conn_star = conjugate_connection(g, conn)
+    dg = doc.algebroid.anchor_derivative(g.matrix)
+    conn_star = conjugate_connection(g, conn, dg)
     yield _shown(f"conjugate[{mname}:{cname}]:gamma", conn_star.gamma)
-    yield f"conjugate[{mname}:{cname}]:conjugation", conjugation_residual(g, conn, conn_star)
+    yield f"conjugate[{mname}:{cname}]:conjugation", conjugation_residual(g, conn, conn_star, dg)
 
 
 def _mean(doc, args):
     cname, conn = _pick(doc.connections, "connection", args.connection)
     mname, g = _pick(doc.metrics, "metric", args.metric)
-    mean = ConjugatePair(g, conn, conjugate_connection(g, conn)).mean
+    dg = doc.algebroid.anchor_derivative(g.matrix)
+    mean = ConjugatePair(g, conn, conjugate_connection(g, conn, dg), dg).mean
     yield _shown(f"mean[{mname}:{cname}]:gamma", mean.gamma)
-    yield f"mean[{mname}:{cname}]:metric-compatible", nonmetricity(mean, g)
+    yield f"mean[{mname}:{cname}]:metric-compatible", nonmetricity(mean, g, dg)
 
 
 # The decimal exponent of an --alpha such as 1e-3, as Fraction reads it.
@@ -179,7 +183,8 @@ def _alpha(doc, args):
     cname, conn = _pick(doc.connections, "connection", args.connection)
     mname, g = _pick(doc.metrics, "metric", args.metric)
     alpha = _parse_alpha(args.alpha) if args.alpha is not None else Fraction(0)
-    pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
+    dg = doc.algebroid.anchor_derivative(g.matrix)
+    pair = ConjugatePair(g, conn, conjugate_connection(g, conn, dg), dg)
     yield _shown(f"alpha[{mname}:{cname}:alpha={alpha}]:gamma", alpha_connection(pair, alpha).gamma)
 
 
@@ -195,7 +200,7 @@ def _statistical_solve(doc, args):
     pair = statistical_solve(A, StatisticalStructure(g, C, B))
     yield _shown(f"statistical-solve[{mname}]:gamma", pair.nabla.gamma)
     yield _shown(f"statistical-solve[{mname}]:gamma-star", pair.nabla_star.gamma)
-    yield f"statistical-solve[{mname}]:skewness", nonmetricity(pair.nabla, g) + C
+    yield f"statistical-solve[{mname}]:skewness", pair.nonmetricity + C
 
 
 def _hessian(doc, args):

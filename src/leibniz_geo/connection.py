@@ -5,14 +5,15 @@ Coefficients follow gamma[a][b][c] = e^a(nabla_{X_b} X_c).  An
 objects built from both (modified brackets, T, T-hat, R, admissibility) as
 cached properties; the module functions ``modified_bracket_coeffs``,
 ``torsion`` and ``curvature`` build them.  Frame-level
-component formulas are used wherever the object is tensorial; section-level
-evaluators are provided only for the non-tensorial operators (covariant
-derivatives, second covariant derivative).  The section-level torsion,
-curvature and modified brackets that cross-check tensoriality live in
-``tests/oracle_geometry.py``.
+component formulas are used wherever the object is tensorial, the second
+covariant derivative included; the one section-level evaluator is the
+covariant derivative nabla_u v.  The section-level torsion, curvature,
+modified brackets and second covariant derivative that cross-check
+tensoriality live in ``tests/oracle_geometry.py``.
 
 Every frame contraction, and every signed sum of them (torsion, curvature,
-nabla t, the Koszul terms), is one ``tensor.contract_sum`` call over the
+nabla t, nonmetricity, the Ricci residual, the Koszul terms), is one
+``tensor.contract_sum`` call over the
 sparse ``Components`` stores, which normalises each output entry once.  The
 anchor derivatives rho(X_b)(.) of a whole component array come from one
 ``Algebroid.anchor_derivative`` call, and the Koszul system is written index
@@ -144,13 +145,6 @@ def frame_covariant_derivative(conn, t):
     return ETensor(t.q, t.r + 1, A.rank, A.coords, contract_sum(*terms))
 
 
-def second_covariant_derivative(conn, u, v, w):
-    """nabla^2_{u,v} w = nabla_u nabla_v w - nabla_{nabla_u v} w."""
-    first = covariant_derivative_vector(conn, u, covariant_derivative_vector(conn, v, w))
-    inner = covariant_derivative_vector(conn, u, v)
-    return first - covariant_derivative_vector(conn, inner, w)
-
-
 # -- brackets built from a connection -----------------------------------------
 
 
@@ -194,9 +188,17 @@ def curvature(conn):
     return ETensor(1, 3, A.rank, A.coords, out)
 
 
-def nonmetricity(conn, g):
-    """Q = nabla g: Q_{abc} = rho(X_a)(g_{bc}) - Gamma^d_{ab} g_{dc} - Gamma^d_{ac} g_{bd}."""
-    return frame_covariant_derivative(conn, g.lower_tensor())
+def nonmetricity(conn, g, dg):
+    """Q = nabla g: Q_{abc} = rho(X_a)(g_{bc}) - Gamma^d_{ab} g_{dc} - Gamma^d_{ac} g_{bd},
+    with dg[a, b, c] = rho(X_a)(g_{bc}) as ``conn.algebroid.anchor_derivative(g.matrix)``
+    gives it, derived once by the caller for every connection it pairs with g."""
+    A = conn.algebroid
+    res = contract_sum(
+        (1, "abc->abc", dg),
+        (-1, "dab,dc->abc", conn.gamma, g.matrix),
+        (-1, "dac,bd->abc", conn.gamma, g.matrix),
+    )
+    return ETensor(0, 3, A.rank, A.coords, res)
 
 
 def second_cov_and_ricci(conn, u, v, w):
@@ -206,15 +208,25 @@ def second_cov_and_ricci(conn, u, v, w):
         nabla^2_{u,v} w - nabla^2_{v,u} w - R(u,v)w + nabla_{That(u,v)} w
     vanishes identically for every connection on an anchor-compatible
     structure; it is returned so callers can verify exactly that.
+
+    nabla^2_{u,v} w = nabla_u nabla_v w - nabla_{nabla_u v} w = (nabla_u (nabla w))(v)
+    is tensorial in u and v, since (nabla_u S)(v) = nabla_u(S v) - S(nabla_u v).
+    So two frame covariant derivatives serve both orders:
+    H[a, b, c] = (nabla_{X_b} (nabla w))^a_c = (nabla^2_{X_b, X_c} w)^a gives
+    nabla^2_{u,v} w = u^b v^c H[a, b, c], and the residual is one contraction sum.
     """
     A = conn.algebroid
-    second_uv = second_covariant_derivative(conn, u, v, w)
-    second_vu = second_covariant_derivative(conn, v, u, w)
-    r_vec = contract("abcd,b,c,d->a", conn.curvature.comps, u.comps, v.comps, w.comps)
-    that_vec = contract("abc,b,c->a", conn.projected_torsion.comps, u.comps, v.comps)
-    r_vec, that_vec = (ETensor(1, 0, A.rank, A.coords, comps) for comps in (r_vec, that_vec))
-    correction = covariant_derivative_vector(conn, that_vec, w)
-    return second_uv, second_uv - second_vu - r_vec + correction
+    nabla_w = frame_covariant_derivative(conn, w).comps  # [a, b] = (nabla_{X_b} w)^a
+    H = frame_covariant_derivative(conn, ETensor(1, 1, A.rank, A.coords, nabla_w)).comps
+    u, v, w = u.comps, v.comps, w.comps
+    second = contract("abc,b,c->a", H, u, v)
+    residual = contract_sum(
+        (1, "a->a", second),
+        (-1, "abc,c,b->a", H, u, v),
+        (-1, "abcd,b,c,d->a", conn.curvature.comps, u, v, w),
+        (1, "ae,ebc,b,c->a", nabla_w, conn.projected_torsion.comps, u, v),
+    )
+    return tuple(ETensor(1, 0, A.rank, A.coords, comps) for comps in (second, residual))
 
 
 # -- Koszul-type solves -------------------------------------------------------

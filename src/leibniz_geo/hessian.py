@@ -184,7 +184,7 @@ def hessian_structure_check(conn, g, f):
     report.record("metric-nondegenerate", not g.det.is_zero)
     if not report.ok:
         return report
-    Q = nonmetricity(conn, g)
+    Q = nonmetricity(conn, g, conn.algebroid.anchor_derivative(g.matrix))
     report.record("codazzi", Q - Q.swap_slots(1, 2))
     if conn.admissible:
         try:

@@ -13,10 +13,14 @@ asserted properties (see the project notes), so the two solve equations read
 where LC[mb] denotes the Koszul connection of the respective modified
 bracket.  Both equations are affine in their unknown and are solved exactly.
 
-A ``ConjugatePair`` keeps the objects of (g, nabla, nabla*) together; the
-objects of one connection (its brackets, torsions, curvature and
-admissibility) are cached on that ``EConnection`` itself, so a pair, its
-mean and its alpha-connections read them from the connections they hold.
+A ``ConjugatePair`` keeps the objects of (g, nabla, nabla*) together.  The
+frame derivatives dg[a, b, c] = rho(X_a)(g_bc) of its metric are handed to
+it, so a caller that pairs one metric with several connections derives
+them once; the conjugates, conjugation residuals and nonmetricities built
+for the pair read them from it.  The objects of one connection (its
+brackets, torsions, curvature and admissibility) are cached on that
+``EConnection`` itself, so a pair, its mean and its alpha-connections read
+them from the connections they hold.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from .tensor import ETensor, contract, contract_sum, is_antisymmetric_in, is_tot
 
 @dataclass(frozen=True, eq=False)
 class ConjugatePair:
-    """A metric with two connections jointly preserving it.
+    """A metric with two connections jointly preserving it, and the metric's
+    frame derivatives dg[a, b, c] = rho(X_a)(g_bc).
 
     The pair builds the objects of (g, nabla, nabla*) together once each, as
     cached properties.  The objects of one connection (nabla, nabla*, the
@@ -50,11 +55,12 @@ class ConjugatePair:
     g: object
     nabla: EConnection
     nabla_star: EConnection
+    dg: object = field(repr=False)
     # Filled by alpha_connection.
     _alpha_connections: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        residual = conjugation_residual(self.g, self.nabla, self.nabla_star)
+        residual = conjugation_residual(self.g, self.nabla, self.nabla_star, self.dg)
         if not residual.is_zero:
             raise InvalidStructure("connections are not conjugate with respect to g")
 
@@ -66,7 +72,7 @@ class ConjugatePair:
     @functools.cached_property
     def nonmetricity(self):
         """Q(nabla, g)."""
-        return nonmetricity(self.nabla, self.g)
+        return nonmetricity(self.nabla, self.g, self.dg)
 
     @functools.cached_property
     def relative_torsion(self):
@@ -143,21 +149,24 @@ class StatisticalStructure:
             raise InvalidStructure("B must be antisymmetric in its covariant slots")
 
 
-def conjugate_connection(g, conn):
-    """The unique conjugate: Gamma*^d_{ac} = g^{db}(rho_a(g_{bc}) - Gamma^e_{ab} g_{ec})."""
+def conjugate_connection(g, conn, dg):
+    """The unique conjugate: Gamma*^d_{ac} = g^{db}(rho_a(g_{bc}) - Gamma^e_{ab} g_{ec}),
+    with dg[a, b, c] = rho(X_a)(g_{bc})."""
     A = conn.algebroid
     gamma_star = contract_sum(
-        (1, "db,abc->dac", g.inverse, A.anchor_derivative(g.matrix)),
+        (1, "db,abc->dac", g.inverse, dg),
         (-1, "eab,ec,db->dac", conn.gamma, g.matrix, g.inverse),
     )
     return EConnection(A, gamma_star)
 
 
-def conjugation_residual(g, conn, conn_star):
-    """Frame residual of the joint metric-preservation condition."""
+def conjugation_residual(g, conn, conn_star, dg):
+    """Frame residual of the joint metric-preservation condition,
+    rho(X_a)(g_bc) - g(nabla_{X_a} X_b, X_c) - g(X_b, nabla*_{X_a} X_c),
+    with dg[a, b, c] = rho(X_a)(g_{bc})."""
     A = conn.algebroid
     res = contract_sum(
-        (1, "abc->abc", A.anchor_derivative(g.matrix)),
+        (1, "abc->abc", dg),
         (-1, "dab,dc->abc", conn.gamma, g.matrix),
         (-1, "dac,bd->abc", conn_star.gamma, g.matrix),
     )
@@ -235,7 +244,7 @@ def statistical_solve(A, S):
             nabla_star=nabla_star,
             residual=compat_residual,
         )
-    return ConjugatePair(g, nabla, nabla_star)
+    return ConjugatePair(g, nabla, nabla_star, A.anchor_derivative(g.matrix))
 
 
 # -- alpha-family residuals ---------------------------------------------------

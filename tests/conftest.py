@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 from sympy.polys.rings import PolyElement
 
-from leibniz_geo import EConnection, EMetric, ScalarField
+from leibniz_geo import ConjugatePair, EConnection, EMetric, ScalarField, conjugate_connection
 from leibniz_geo.cli import main
 from leibniz_geo.tensor import ETensor, object_array
 
@@ -48,6 +48,18 @@ def count_cancels(monkeypatch):
 
     monkeypatch.setattr(PolyElement, "cancel", counting)
     return calls
+
+
+def dg_of(conn, g):
+    """rho(X_a)(g_bc) on conn's algebroid, the metric derivative that the
+    conjugate, the conjugation residual and the nonmetricity read."""
+    return conn.algebroid.anchor_derivative(g.matrix)
+
+
+def conjugate_pair(g, conn):
+    """The pair of conn and its conjugate with respect to g."""
+    dg = dg_of(conn, g)
+    return ConjugatePair(g, conn, conjugate_connection(g, conn, dg), dg)
 
 
 def zeros_array(shape, coords):

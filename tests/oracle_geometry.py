@@ -2,7 +2,9 @@
 
 Every function keeps its earlier loop body with a scalar accumulator: the
 anchor actions, the bracket and the axioms of an algebroid, the modified
-bracket, covariant derivatives, torsion, curvature and the Ricci sums, the
+bracket, covariant derivatives, torsion, curvature and the Ricci sums (the
+second covariant derivative as nabla_u nabla_v w - nabla_{nabla_u v} w, the
+composition of covariant derivatives of sections), the
 Koszul system and its right-hand sides, the conjugate connection, the
 statistical, alpha-curvature, fundamental-theorem and constant-curvature
 residuals, the constant-curvature decision, the Hessian symmetry report and

@@ -46,6 +46,8 @@ from leibniz_geo.tensor import ETensor
 from conftest import (
     classical_christoffel,
     classical_riemann,
+    conjugate_pair,
+    dg_of,
     eta_compatible_connection,
     make_rng,
     random_connection,
@@ -148,7 +150,7 @@ def test_criterion_02_admissibility():
         else:
             conn = random_connection(Cour, rng, degree=2)
         admissible = conn.admissibility.is_zero
-        compatible = nonmetricity(conn, eta).is_zero
+        compatible = nonmetricity(conn, eta, dg_of(conn, eta)).is_zero
         assert admissible == compatible
         if admissible:
             seen_yes += 1
@@ -163,20 +165,21 @@ def test_criterion_02_admissibility():
 def test_criterion_03_conjugation():
     instances = conjugate_instances(25, seed=301)
     for A, g, conn in instances:
-        conn_star = conjugate_connection(g, conn)
+        dg = dg_of(conn, g)
+        conn_star = conjugate_connection(g, conn, dg)
         # Involution.
-        assert difference_tensor(conjugate_connection(g, conn_star), conn).is_zero
+        assert difference_tensor(conjugate_connection(g, conn_star, dg), conn).is_zero
         # SSp3: Q(nabla) = -Q(nabla*) = g(Delta(nabla*, nabla) ., .).
-        Q = nonmetricity(conn, g)
-        assert (Q + nonmetricity(conn_star, g)).is_zero
+        Q = nonmetricity(conn, g, dg)
+        assert (Q + nonmetricity(conn_star, g, dg)).is_zero
         delta = difference_tensor(conn_star, conn)
         r = A.rank
         for a, b, c in itertools.product(range(r), repeat=3):
             paired = sum((delta.comps[e, a, b] * g.matrix[e, c] for e in range(r)), A.zero())
             assert (Q.comps[a, b, c] - paired).is_zero
-        pair = ConjugatePair(g, conn, conn_star)
+        pair = ConjugatePair(g, conn, conn_star, dg)
         # Mean connection is metric-compatible.
-        assert nonmetricity(pair.mean, g).is_zero
+        assert nonmetricity(pair.mean, g, dg).is_zero
         # SSp8: rel + rel* = T + T*.
         rel = relative_torsion(conn, conn_star)
         rel_star = relative_torsion(conn_star, conn)
@@ -189,7 +192,7 @@ def test_criterion_03_conjugation():
     checked = 0
     for _ in range(10):
         conn = eta_compatible_connection(Cour, eta, rng)
-        conn_star = conjugate_connection(eta, conn)
+        conn_star = conjugate_connection(eta, conn, dg_of(conn, eta))
         if not conn_star.admissibility.is_zero:
             continue
         rel = relative_torsion(conn, conn_star)
@@ -208,14 +211,14 @@ def test_criterion_04_alpha_family():
     courant_count = sum(1 for A, _, _ in instances if A.rank == 2 and A.dim == 1)
     assert courant_count >= 3  # instances with L != 0
     for A, g, conn in instances:
-        pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
-        Q = nonmetricity(conn, g)
+        pair = conjugate_pair(g, conn)
+        Q = nonmetricity(conn, g, pair.dg)
         T = torsion(pair.nabla)
         T_star = torsion(pair.nabla_star)
         for alpha in alphas:
             conn_alpha = alpha_connection(pair, alpha)
             # SSp10: conjugation maps alpha to -alpha.
-            conj = conjugate_connection(g, conn_alpha)
+            conj = conjugate_connection(g, conn_alpha, pair.dg)
             assert difference_tensor(conj, alpha_connection(pair, -alpha)).is_zero
             # Torsion interpolation.
             s = ScalarField.constant((1 + alpha) / 2, A.coords)
@@ -223,7 +226,7 @@ def test_criterion_04_alpha_family():
             assert (torsion(conn_alpha) - T_star.scale(s) - T.scale(t)).is_zero
             # SSe25: Q(nabla^alpha) = -alpha Q(nabla).
             factor = ScalarField.constant(alpha, A.coords)
-            assert (nonmetricity(conn_alpha, g) + Q.scale(factor)).is_zero
+            assert (nonmetricity(conn_alpha, g, pair.dg) + Q.scale(factor)).is_zero
             # SSp11 / SS27: exact curvature decomposition.
             assert alpha_curvature_residual(pair, alpha).is_zero
         _admissible_pool.extend(
@@ -237,7 +240,7 @@ def test_criterion_04_alpha_family():
         A.coords,
     )
     flat = EConnection(A, ETensor.zeros(1, 2, 2, A.coords).comps)
-    pair = ConjugatePair(g, flat, conjugate_connection(g, flat))
+    pair = conjugate_pair(g, flat)
     assert curvature(pair.nabla).is_zero
     assert curvature(pair.nabla_star).is_zero
     for alpha in alphas:
@@ -251,12 +254,12 @@ def test_criterion_05_strong_conjugacy():
     A = tangent(2)
     g = polar_metric(A)
     lc = levi_civita_solve(A, g)
-    pair = ConjugatePair(g, lc, conjugate_connection(g, lc))
+    pair = conjugate_pair(g, lc)
     assert pair.relative_torsion.is_zero
     passing += 1
     instances = [(A, g, lc)] + conjugate_instances(10, seed=501)
     for _, g_i, conn in instances:
-        pair = ConjugatePair(g_i, conn, conjugate_connection(g_i, conn))
+        pair = conjugate_pair(g_i, conn)
         strong = pair.relative_torsion.is_zero
         admissible = (
             pair.nabla.admissibility.is_zero
@@ -264,7 +267,7 @@ def test_criterion_05_strong_conjugacy():
         )
         if strong and admissible:
             assert torsion(pair.nabla).is_zero
-            assert nonmetricity(pair.nabla, g_i).is_zero
+            assert nonmetricity(pair.nabla, g_i, dg_of(pair.nabla, g_i)).is_zero
             assert difference_tensor(pair.nabla, pair.nabla_star).is_zero
         if not strong:
             failing += 1
@@ -287,8 +290,8 @@ def test_criterion_06_statistical_solve():
             lift = sum((g.inverse[a, d] * C.comps[b, c, d] for d in range(2)), A.zero())
             assert (pair.nabla.gamma[a, b, c] - lc.gamma[a, b, c] - lift * half).is_zero
         # SSp5 postconditions.
-        assert (nonmetricity(pair.nabla, g) + C).is_zero
-        assert (nonmetricity(pair.nabla_star, g) - C).is_zero
+        assert (nonmetricity(pair.nabla, g, dg_of(pair.nabla, g)) + C).is_zero
+        assert (nonmetricity(pair.nabla_star, g, dg_of(pair.nabla_star, g)) - C).is_zero
         assert torsion(pair.nabla).is_zero
         assert (torsion(pair.nabla_star) - B).is_zero
     # Trivial structure returns the Levi-Civita pair.
@@ -379,14 +382,14 @@ def test_criterion_09_fundamental_theorem():
     for _ in range(10):
         g = random_metric(A, rng, constant=rng.random() < 0.5)
         conn = random_connection(A, rng, degree=1)
-        pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
+        pair = conjugate_pair(g, conn)
         assert pair.holonomic
         assert fundamental_theorem_residual(pair).is_zero
     # lc4 on the kappa = -1 instance: the conjugate (the same connection)
     # has constant curvature -1 as well.
     g_hyp = hyperbolic_metric(A)
     lc = levi_civita_solve(A, g_hyp)
-    pair = ConjugatePair(g_hyp, lc, conjugate_connection(g_hyp, lc))
+    pair = conjugate_pair(g_hyp, lc)
     assert pair.holonomic and fundamental_theorem_residual(pair).is_zero
     assert conjugate_curvature_transfer_residual(pair, Fraction(-1)).is_zero
     # Anholonomic L != 0 instance: flagged not applicable, nonzero obstruction.
@@ -396,7 +399,7 @@ def test_criterion_09_fundamental_theorem():
     while conn.projected_bracket.is_zero:
         conn = eta_compatible_connection(Cour, eta, rng)
     g = random_metric(Cour, rng, constant=True)
-    pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
+    pair = conjugate_pair(g, conn)
     assert not pair.holonomic
     assert not pair.holonomy_obstruction.is_zero
 

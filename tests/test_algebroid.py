@@ -19,6 +19,7 @@ from leibniz_geo import (
 from leibniz_geo.errors import InvalidStructureConstants, MissingProjector
 from oracle_geometry import anchor_apply, bracket_eval
 from conftest import (
+    dg_of,
     eta_compatible_connection,
     make_rng,
     random_connection,
@@ -183,7 +184,7 @@ def test_courant_admissibility_iff_pairing_compatible():
         else:
             conn = random_connection(A, rng, degree=2)
         admissible = conn.admissibility.is_zero
-        compatible = nonmetricity(conn, eta).is_zero
+        compatible = nonmetricity(conn, eta, dg_of(conn, eta)).is_zero
         assert admissible == compatible
         seen_admissible |= admissible
         seen_not |= not admissible

@@ -7,11 +7,9 @@ from pathlib import Path
 import pytest
 
 from leibniz_geo import (
-    ConjugatePair,
     EConnection,
     EMetric,
     ScalarField,
-    conjugate_connection,
     courant,
     courant_pairing,
     curvature,
@@ -22,6 +20,7 @@ from leibniz_geo import (
     tangent,
     torsion,
 )
+from leibniz_geo import connection
 from leibniz_geo.checks import _probe_sections
 from leibniz_geo.connection import (
     covariant_derivative_vector,
@@ -35,6 +34,8 @@ from oracle_geometry import anchor_apply, curvature_eval, koszul_connection, tor
 from conftest import (
     classical_christoffel,
     classical_riemann,
+    conjugate_pair,
+    dg_of,
     eta_compatible_connection,
     make_rng,
     random_connection,
@@ -76,7 +77,7 @@ def test_levi_civita_matches_classical_christoffel():
         oracle = classical_christoffel(A, g)
         assert difference_tensor(conn, oracle).is_zero
         assert torsion(conn).is_zero
-        assert nonmetricity(conn, g).is_zero
+        assert nonmetricity(conn, g, dg_of(conn, g)).is_zero
 
 
 def test_levi_civita_matches_koszul_on_tangent():
@@ -139,7 +140,7 @@ def test_nonmetricity_is_symmetric_in_last_two_slots():
     rng = make_rng(31)
     conn = random_connection(A, rng, degree=1)
     g = random_metric(A, rng)
-    Q = nonmetricity(conn, g)
+    Q = nonmetricity(conn, g, dg_of(conn, g))
     assert (Q - Q.swap_slots(2, 3)).is_zero
 
 
@@ -148,7 +149,7 @@ def test_frame_covariant_derivative_of_metric_is_minus_nonmetricity():
     rng = make_rng(37)
     conn = random_connection(A, rng, degree=1)
     g = random_metric(A, rng)
-    Q = nonmetricity(conn, g)
+    Q = nonmetricity(conn, g, dg_of(conn, g))
     nabla_g = frame_covariant_derivative(conn, g.lower_tensor())
     assert (Q - nabla_g).is_zero
 
@@ -164,6 +165,25 @@ def test_ricci_identity_all_builtins():
             w = A.vector([random_polynomial(A, rng) for _ in range(A.rank)])
             _, residual = second_cov_and_ricci(conn, u, v, w)
             assert residual.is_zero
+
+
+def test_ricci_residual_takes_two_frame_covariant_derivatives(monkeypatch):
+    # nabla w and nabla(nabla w) serve both orders of the second derivative and
+    # the torsion term.
+    A = tangent(2)
+    rng = make_rng(43)
+    conn = random_connection(A, rng, degree=1)
+    u, v, w = (A.vector([random_polynomial(A, rng) for _ in range(A.rank)]) for _ in range(3))
+    calls = []
+    original = connection.frame_covariant_derivative
+
+    def counting(conn, t):
+        calls.append(t)
+        return original(conn, t)
+
+    monkeypatch.setattr(connection, "frame_covariant_derivative", counting)
+    second_cov_and_ricci(conn, u, v, w)
+    assert len(calls) == 2
 
 
 MODELS = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
@@ -237,7 +257,7 @@ def test_so3_killing_style_levi_civita():
     for a, b, c in itertools.product(range(3), repeat=3):
         assert (conn.gamma[a, b, c] - A.bracket[a, b, c] * half).is_zero
     assert torsion(conn).is_zero
-    assert nonmetricity(conn, g).is_zero
+    assert nonmetricity(conn, g, dg_of(conn, g)).is_zero
 
 
 def test_connections_tensors_and_pairs_compare_by_identity():
@@ -253,7 +273,7 @@ def test_connections_tensors_and_pairs_compare_by_identity():
     assert difference_tensor(conn, EConnection.zero(A)).is_zero
     assert (zeros - ETensor.zeros(1, 2, 2, A.coords)).is_zero
     g = EMetric([[A.one(), A.zero()], [A.zero(), A.one()]], A.coords)
-    pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
+    pair = conjugate_pair(g, conn)
     assert pair == pair and {pair: 1}[pair] == 1
     # Algebroids, sections and forms too: compared by identity, not by their
     # component stores.

@@ -52,7 +52,7 @@ EINSUM_SUBSCRIPTS = (
 # np.einsum call used.
 TERM_SUBSCRIPTS = (
     "abc->abc", "abcd->abcd", "ab->ab", "a->a", "bcd->bcd", "mbc,md->bcd", "mbd,mc->bcd",
-    "eab,ec,db->dac",
+    "eab,ec,db->dac", "abc,c,b->a", "ae,ebc,b,c->a",
 )  # fmt: skip
 
 

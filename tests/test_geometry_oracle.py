@@ -61,7 +61,16 @@ from leibniz_geo.hessian import _constant_curvature_model, _default_probes, func
 from leibniz_geo.model import load_model
 from leibniz_geo.statgeo import _quasi_statistical_residual, admissibility_locality_residual
 from leibniz_geo.tensor import Components, ETensor
-from conftest import dense, make_rng, random_connection, random_metric, store, zeros_array
+from conftest import (
+    conjugate_pair,
+    dense,
+    dg_of,
+    make_rng,
+    random_connection,
+    random_metric,
+    store,
+    zeros_array,
+)
 
 MODELS = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.model"))
 
@@ -191,7 +200,7 @@ def compare_connection(A, conn, metrics, functions, sections):
     same(torsion(conn), old.torsion(A, conn))
     same(frame_covariant_derivative(conn, conn.torsion), old.frame_covariant_derivative(A, conn, conn.torsion))
     for g in metrics:
-        same(nonmetricity(conn, g), old.nonmetricity(A, conn, g))
+        same(nonmetricity(conn, g, dg_of(conn, g)), old.nonmetricity(A, conn, g))
         inverse = ETensor(2, 0, A.rank, A.coords, g.inverse)
         same(frame_covariant_derivative(conn, inverse), old.frame_covariant_derivative(A, conn, inverse))
     for f in functions:
@@ -219,16 +228,17 @@ def compare_connection(A, conn, metrics, functions, sections):
 
 
 def compare_pair(A, g, conn):
-    star = conjugate_connection(g, conn)
+    dg = dg_of(conn, g)
+    star = conjugate_connection(g, conn, dg)
     same(star.gamma, old.conjugate_connection(A, g, conn).gamma)
     for first, second in ((conn, star), (conn, conn), (star, conn)):
-        same(conjugation_residual(g, first, second), old.conjugation_residual(A, g, first, second))
-    quasi_statistical = _quasi_statistical_residual(g, nonmetricity(conn, g), conn.torsion)
+        same(conjugation_residual(g, first, second, dg), old.conjugation_residual(A, g, first, second))
+    quasi_statistical = _quasi_statistical_residual(g, nonmetricity(conn, g, dg), conn.torsion)
     same(quasi_statistical, old.quasi_statistical_residual(A, g, conn))
     same(ssp3_difference(A, g, conn), old.ssp3_difference(A, g, conn, star))
     same(relative_torsion(conn, star), old.relative_torsion(A, conn, star))
     same(relative_torsion(star, conn), old.relative_torsion(A, star, conn))
-    pair = ConjugatePair(g, conn, star)
+    pair = ConjugatePair(g, conn, star, dg)
     same(admissibility_locality_residual(pair), old.admissibility_locality_residual(A, conn, star))
     if A.projector is None:
         return
@@ -249,7 +259,7 @@ def compare(A, metrics, connections, functions, sections):
     compare_algebroid(A, functions, sections)
     # The conjugates are the other inputs of every check, and the only drawn
     # connections whose entries are rational functions.
-    stars = [conjugate_connection(g, conn) for g in metrics for conn in connections]
+    stars = [conjugate_connection(g, conn, dg_of(conn, g)) for g in metrics for conn in connections]
     for conn in list(connections) + stars:
         compare_connection(A, conn, metrics, functions, sections)
     for conn in connections:
@@ -279,7 +289,7 @@ def test_fixed_draws_with_nonzero_residuals_match(A, nonzero):
     metric = random_metric(A, rng)
     if nonzero:
         # The comparison must see nonzero admissibility and SSe8 residuals.
-        pair = ConjugatePair(metric, connections[0], conjugate_connection(metric, connections[0]))
+        pair = conjugate_pair(metric, connections[0])
         assert not pair.nabla.admissibility.is_zero
         assert not admissibility_locality_residual(pair).is_zero
     sections = checks._probe_sections(A, 3, seed=5)
@@ -343,7 +353,7 @@ def test_point_base_entries_are_scalar_fields():
     arrays = [
         conn.curvature.comps,
         hessian(conn, A.field(2)).comps,
-        conjugate_connection(g, conn).gamma,
+        conjugate_connection(g, conn, dg_of(conn, g)).gamma,
         A.anchor_derivative(g.matrix),
         A.coboundary(A.one()).comps,
         projected_exterior_derivative(conn, function_form(A, A.field(2))).comps,

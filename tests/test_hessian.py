@@ -7,12 +7,10 @@ from fractions import Fraction
 import pytest
 
 from leibniz_geo import (
-    ConjugatePair,
     EConnection,
     EMetric,
     HessianStructure,
     alpha_curvature_residual,
-    conjugate_connection,
     conjugate_curvature_transfer_residual,
     constant_curvature_check,
     courant,
@@ -34,6 +32,7 @@ from leibniz_geo.hessian import function_form
 from leibniz_geo.tensor import ETensor, object_array
 from oracle_geometry import anchor_apply
 from conftest import (
+    conjugate_pair,
     eta_compatible_connection,
     make_rng,
     random_connection,
@@ -162,7 +161,7 @@ def test_projector_is_decided_by_locality_hat_before_admissibility(entry):
     conn = random_connection(A, make_rng(73), degree=1)
     assert not conn.admissible
     g = courant_pairing(A)
-    pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
+    pair = conjugate_pair(g, conn)
     with pytest.raises(MissingProjector, match="^algebroid has no locality projector$"):
         NEEDS_PROJECTOR[entry](A, conn, g, pair)
 
@@ -283,7 +282,7 @@ def test_fundamental_theorem_on_holonomic_pairs():
     for _ in range(5):
         g = random_metric(A, rng)
         conn = random_connection(A, rng, degree=1)
-        pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
+        pair = conjugate_pair(g, conn)
         assert pair.holonomic
         assert pair.nabla.projected_bracket.is_zero
         assert pair.nabla_star.projected_bracket.is_zero
@@ -300,7 +299,7 @@ def test_fundamental_theorem_flags_anholonomic_frames():
     # Conjugate with respect to a different metric so the pair has a nonzero
     # difference tensor and hence a visible obstruction.
     g = random_metric(A, rng, constant=True)
-    pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
+    pair = conjugate_pair(g, conn)
     assert not pair.holonomic
     assert not pair.nabla.projected_bracket.is_zero
     assert not pair.holonomy_obstruction.is_zero
@@ -313,7 +312,7 @@ def test_torsion_transfer_gives_symmetric_conjugate_hessian():
     rng = make_rng(97)
     g = random_metric(A, rng)
     conn = levi_civita_solve(A, g)
-    pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
+    pair = conjugate_pair(g, conn)
     # Torsion-free primal on a holonomic frame satisfies the transfer
     # hypothesis trivially; the conjugate equals the primal here.
     for f in [A.field("x1^3"), A.field("x1*x2 + x2^2")]:
@@ -358,6 +357,6 @@ def test_constant_curvature_transfers_to_conjugate():
         A.coords,
     )
     conn = levi_civita_solve(A, g_hyp)
-    pair = ConjugatePair(g_hyp, conn, conjugate_connection(g_hyp, conn))
+    pair = conjugate_pair(g_hyp, conn)
     assert pair.holonomic and fundamental_theorem_residual(pair).is_zero
     assert conjugate_curvature_transfer_residual(pair, Fraction(-1)).is_zero

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from leibniz_geo import (
+    Algebroid,
     ConjugatePair,
     EConnection,
     EMetric,
@@ -42,12 +43,14 @@ from leibniz_geo.statgeo import (
 from leibniz_geo.tensor import Components, ETensor
 from conftest import (
     classical_christoffel,
+    conjugate_pair,
     count_cancels,
+    dense,
+    dg_of,
     eta_compatible_connection,
     make_rng,
     random_connection,
     random_metric,
-    dense,
     random_polynomial,
     store,
     zeros_array,
@@ -73,18 +76,20 @@ def instances(count, seed):
 
 def test_conjugation_is_involution_and_conjugate():
     for _, g, conn in instances(25, seed=101):
-        conn_star = conjugate_connection(g, conn)
-        assert conjugation_residual(g, conn, conn_star).is_zero
-        back = conjugate_connection(g, conn_star)
+        dg = dg_of(conn, g)
+        conn_star = conjugate_connection(g, conn, dg)
+        assert conjugation_residual(g, conn, conn_star, dg).is_zero
+        back = conjugate_connection(g, conn_star, dg)
         assert difference_tensor(conn, back).is_zero
 
 
 def test_nonmetricity_difference_identity():
     # Q(nabla, g) = -Q(nabla*, g) = g(Delta(nabla*, nabla)(u, v), w).
     for A, g, conn in instances(10, seed=103):
-        conn_star = conjugate_connection(g, conn)
-        Q = nonmetricity(conn, g)
-        Q_star = nonmetricity(conn_star, g)
+        dg = dg_of(conn, g)
+        conn_star = conjugate_connection(g, conn, dg)
+        Q = nonmetricity(conn, g, dg)
+        Q_star = nonmetricity(conn_star, g, dg)
         assert (Q + Q_star).is_zero
         delta = difference_tensor(conn_star, conn)
         r = A.rank
@@ -97,14 +102,14 @@ def test_nonmetricity_difference_identity():
 
 def test_mean_connection_is_metric_compatible():
     for _, g, conn in instances(10, seed=107):
-        pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
-        assert nonmetricity(pair.mean, g).is_zero
+        pair = conjugate_pair(g, conn)
+        assert nonmetricity(pair.mean, g, pair.dg).is_zero
 
 
 def test_relative_torsion_sum_identity():
     # T(nabla, nabla*) + T(nabla*, nabla) = T(nabla) + T(nabla*).
     for _, g, conn in instances(10, seed=109):
-        conn_star = conjugate_connection(g, conn)
+        conn_star = conjugate_connection(g, conn, dg_of(conn, g))
         rel = relative_torsion(conn, conn_star)
         rel_star = relative_torsion(conn_star, conn)
         total = torsion(conn) + torsion(conn_star)
@@ -118,7 +123,8 @@ def test_relative_torsion_antisymmetry_for_admissible_pairs():
     found = 0
     for _ in range(10):
         conn = eta_compatible_connection(A, eta, rng)
-        conn_star = conjugate_connection(eta, conn)
+        dg = dg_of(conn, eta)
+        conn_star = conjugate_connection(eta, conn, dg)
         if not conn_star.admissibility.is_zero:
             continue
         found += 1
@@ -127,7 +133,7 @@ def test_relative_torsion_antisymmetry_for_admissible_pairs():
         r = A.rank
         for a, b, c in itertools.product(range(r), repeat=3):
             assert (rel.comps[a, b, c] + rel_star.comps[a, c, b]).is_zero
-        assert admissibility_locality_residual(ConjugatePair(eta, conn, conn_star)).is_zero
+        assert admissibility_locality_residual(ConjugatePair(eta, conn, conn_star, dg)).is_zero
     assert found > 0
 
 
@@ -136,17 +142,17 @@ def test_levi_civita_self_pair_is_strongly_conjugate():
     x1 = A.x(1)
     g = EMetric([[A.one(), A.zero()], [A.zero(), x1 * x1]], A.coords)
     lc = levi_civita_solve(A, g)
-    pair = ConjugatePair(g, lc, conjugate_connection(g, lc))
+    pair = conjugate_pair(g, lc)
     assert difference_tensor(pair.nabla, pair.nabla_star).is_zero
     assert pair.relative_torsion.is_zero
     assert torsion(lc).is_zero
-    assert nonmetricity(lc, g).is_zero
+    assert nonmetricity(lc, g, dg_of(lc, g)).is_zero
 
 
 def test_generic_pair_is_not_strongly_conjugate():
     found_failing = False
     for _, g, conn in instances(6, seed=127):
-        pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
+        pair = conjugate_pair(g, conn)
         if not pair.relative_torsion.is_zero:
             found_failing = True
     assert found_failing
@@ -156,7 +162,7 @@ def test_strong_conjugacy_forces_levi_civita():
     # Search the instance pool: every strongly conjugate admissible pair must
     # be torsion-free, metric-compatible, and self-conjugate.
     for _, g, conn in instances(25, seed=131):
-        pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
+        pair = conjugate_pair(g, conn)
         strong = pair.relative_torsion.is_zero
         admissible = (
             pair.nabla.admissibility.is_zero
@@ -164,7 +170,7 @@ def test_strong_conjugacy_forces_levi_civita():
         )
         if strong and admissible:
             assert torsion(pair.nabla).is_zero
-            assert nonmetricity(pair.nabla, g).is_zero
+            assert nonmetricity(pair.nabla, g, dg_of(pair.nabla, g)).is_zero
             assert difference_tensor(pair.nabla, pair.nabla_star).is_zero
 
 
@@ -210,10 +216,10 @@ def test_statistical_solve_matches_manifold_oracle():
             expected = lc.gamma[a, b, c] + correction * half
             assert (pair.nabla.gamma[a, b, c] - expected).is_zero
         # Postconditions.
-        assert (nonmetricity(pair.nabla, g) + C).is_zero
+        assert (nonmetricity(pair.nabla, g, dg_of(pair.nabla, g)) + C).is_zero
         assert torsion(pair.nabla).is_zero
         assert (torsion(pair.nabla_star) - B).is_zero
-        assert conjugation_residual(g, pair.nabla, pair.nabla_star).is_zero
+        assert conjugation_residual(g, pair.nabla, pair.nabla_star, dg_of(pair.nabla, g)).is_zero
 
 
 def test_trivial_statistical_structure_returns_levi_civita_pair():
@@ -267,7 +273,7 @@ def test_a_solved_pair_is_checked_conjugate_without_a_gcd(monkeypatch):
     pair = statistical_solve(A, S)
     assert any(not v.frac.denom.is_one for v in pair.nabla.gamma.entries.values())
     calls = count_cancels(monkeypatch)
-    assert conjugation_residual(S.g, pair.nabla, pair.nabla_star).is_zero
+    assert conjugation_residual(S.g, pair.nabla, pair.nabla_star, dg_of(pair.nabla, S.g)).is_zero
     assert calls == []
 
 
@@ -296,7 +302,7 @@ def test_koszul_solve_on_courant_with_generic_metric():
     g = random_metric(A, rng, constant=True)
     (nabla,) = _solve_affine_koszul(A, g, Components((A.rank,) * 3, A.coords))
     assert torsion(nabla).is_zero
-    assert nonmetricity(nabla, g).is_zero
+    assert nonmetricity(nabla, g, dg_of(nabla, g)).is_zero
     lc = levi_civita_solve(A, g)
     assert difference_tensor(nabla, lc).is_zero
 
@@ -312,22 +318,23 @@ def test_quasi_statistical_transfer():
         A, StatisticalStructure(g, C, ETensor.zeros(1, 2, 2, A.coords))
     )
     T = pair.nabla.torsion
-    assert _quasi_statistical_residual(g, nonmetricity(pair.nabla, g), T).is_zero
-    doublet = ConjugatePair(g, pair.nabla, conjugate_connection(g, pair.nabla))
+    Q = nonmetricity(pair.nabla, g, dg_of(pair.nabla, g))
+    assert _quasi_statistical_residual(g, Q, T).is_zero
+    doublet = conjugate_pair(g, pair.nabla)
     assert _torsion_transfer_residual(doublet).is_zero
 
 
 def test_alpha_family_endpoints_and_laws():
     for A, g, conn in instances(4, seed=157):
-        pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
+        pair = conjugate_pair(g, conn)
         assert difference_tensor(alpha_connection(pair, 1), pair.nabla_star).is_zero
         assert difference_tensor(alpha_connection(pair, -1), pair.nabla).is_zero
         assert difference_tensor(alpha_connection(pair, 0), pair.mean).is_zero
-        Q = nonmetricity(pair.nabla, g)
+        Q = nonmetricity(pair.nabla, g, pair.dg)
         for alpha in ALPHAS:
             conn_alpha = alpha_connection(pair, alpha)
             # Conjugation flips the sign of alpha.
-            conj = conjugate_connection(g, conn_alpha)
+            conj = conjugate_connection(g, conn_alpha, pair.dg)
             assert difference_tensor(conj, alpha_connection(pair, -alpha)).is_zero
             # Torsion interpolates linearly.
             s = ScalarField.constant((1 + alpha) / 2, A.coords)
@@ -337,12 +344,12 @@ def test_alpha_family_endpoints_and_laws():
             assert (torsion(conn_alpha) - expected_T).is_zero
             # Nonmetricity scales by -alpha.
             factor = ScalarField.constant(alpha, A.coords)
-            assert (nonmetricity(conn_alpha, g) + Q.scale(factor)).is_zero
+            assert (nonmetricity(conn_alpha, g, pair.dg) + Q.scale(factor)).is_zero
 
 
 def test_alpha_curvature_decomposition():
     for _, g, conn in instances(4, seed=163):
-        pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
+        pair = conjugate_pair(g, conn)
         for alpha in ALPHAS:
             assert alpha_curvature_residual(pair, alpha).is_zero
 
@@ -356,7 +363,7 @@ def test_alpha_curvature_symmetry_for_flat_pairs():
     phi_22 = A.field("2")
     g = EMetric([[phi_11, phi_12], [phi_12, phi_22]], A.coords)
     flat = EConnection(A, ETensor.zeros(1, 2, 2, A.coords).comps)
-    pair = ConjugatePair(g, flat, conjugate_connection(g, flat))
+    pair = conjugate_pair(g, flat)
     assert curvature(pair.nabla).is_zero
     assert curvature(pair.nabla_star).is_zero
     for alpha in ALPHAS:
@@ -381,7 +388,7 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 
 def test_cached_pair_objects_are_read_only():
     A, g, conn = instances(1, seed=171)[0]
-    pair = ConjugatePair(g, conn, conjugate_connection(g, conn))
+    pair = conjugate_pair(g, conn)
     nabla, star = pair.nabla, pair.nabla_star
     assert nabla.curvature is nabla.curvature
     assert alpha_connection(pair, Fraction(1, 2)) is alpha_connection(pair, Fraction(1, 2))
@@ -450,9 +457,10 @@ def test_check_run_derives_each_object_once_per_pair(monkeypatch, name):
     flat = holonomic = 0
     for g in doc.metrics.values():
         for conn in doc.connections.values():
-            star = conjugate_connection(g, conn)
+            dg = dg_of(conn, g)
+            star = conjugate_connection(g, conn, dg)
             flat += curvature(conn).is_zero and curvature(star).is_zero
-            holonomic += ConjugatePair(g, conn, star).holonomic
+            holonomic += ConjugatePair(g, conn, star, dg).holonomic
     alpha_curvatures = pairs * len(alphas) + flat * len(negated)
 
     curvatures = _count_calls(monkeypatch, connection, "curvature")
@@ -498,6 +506,41 @@ def test_check_run_derives_each_object_once_per_pair(monkeypatch, name):
     first = counts()
     checks.run_all(doc)
     assert counts() == [2 * count for count in first]
+
+
+def test_a_check_run_derives_the_metric_once_per_call(monkeypatch):
+    doc = load_model(MODELS / "tangent2_polar.model")
+    derivatives = _count_calls(monkeypatch, Algebroid, "anchor_derivative")
+    checks.run_all(doc)
+    matrices = {id(g.matrix) for g in doc.metrics.values()}
+    # Once where the metric is paired with both connections, and every
+    # conjugate and nonmetricity of those pairs, their means and their
+    # alpha-connections reads it; SSp5's statistical solve derives it for its
+    # Koszul system and for its pair.  (Neither pair is a Hessian structure,
+    # so lp2 builds no nonmetricity.)
+    assert sum(id(args[1]) in matrices for args, _, _ in derivatives) == 3
+
+
+def test_a_document_checked_again_is_derived_again(monkeypatch):
+    doc = load_model(MODELS / "tangent2_polar.model")
+    derivatives = _count_calls(monkeypatch, Algebroid, "anchor_derivative")
+    normal_forms = []
+    original = ScalarField._normal_form
+
+    def counting(frac):
+        normal_forms.append(1)
+        return original(frac)
+
+    monkeypatch.setattr(ScalarField, "_normal_form", staticmethod(counting))
+    per_call = []
+    for _ in range(3):
+        before = len(derivatives), len(normal_forms)
+        checks.run_all(doc)
+        per_call.append((len(derivatives) - before[0], len(normal_forms) - before[1]))
+    # No derived object outlives its call; the first call may also build
+    # what the loaded algebroid keeps (its projected locality).
+    assert per_call[0][0] == per_call[1][0] == per_call[2][0] > 0
+    assert per_call[1][1] == per_call[2][1] > 0
 
 
 def test_sse25_endpoints_are_built_by_the_alpha_formula(monkeypatch):
