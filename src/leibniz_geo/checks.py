@@ -31,7 +31,10 @@ builds that metric's pairs; every pair of the metric holds them, and the
 conjugates and nonmetricities a check builds for a pair, those of its mean
 and of its alpha-connections included, read them from the pair.  The
 context and what it derived are dropped when the call returns: a document
-checked again is derived again.
+checked again is derived again.  The call also holds the memo of scalar
+normal forms (``scalar.normal_form_memo``), which every runner shares, so a
+call cancels each distinct fraction and differentiates each distinct
+fraction once; the memo is dropped with the context.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from .statgeo import (
     conjugate_connection,
     statistical_solve,
 )
+from .scalar import normal_form_memo
 from .tensor import ComponentSummaries, ETensor, contract_sum
 
 ALPHA_VALUES = (
@@ -489,11 +493,13 @@ REGISTRY["lc3"] = check_lp2
 
 def run_check(check_id, doc):
     """The records of one check; KeyError for an unknown id."""
-    return REGISTRY[check_id](_Context(doc))
+    with normal_form_memo():
+        return REGISTRY[check_id](_Context(doc))
 
 
 def run_all(doc):
     """The records of every check, each runner once, at its first id in report order."""
-    ctx = _Context(doc)
-    runners = dict.fromkeys(REGISTRY[check_id] for check_id in sorted(REGISTRY, key=str.lower))
-    return [record for runner in runners for record in runner(ctx)]
+    with normal_form_memo():
+        ctx = _Context(doc)
+        runners = dict.fromkeys(REGISTRY[check_id] for check_id in sorted(REGISTRY, key=str.lower))
+        return [record for runner in runners for record in runner(ctx)]

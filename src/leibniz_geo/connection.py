@@ -5,11 +5,11 @@ Coefficients follow gamma[a][b][c] = e^a(nabla_{X_b} X_c).  An
 objects built from both (modified brackets, T, T-hat, R, admissibility) as
 cached properties; the module functions ``modified_bracket_coeffs``,
 ``torsion`` and ``curvature`` build them.  Frame-level
-component formulas are used wherever the object is tensorial, the second
-covariant derivative included; the one section-level evaluator is the
-covariant derivative nabla_u v.  The section-level torsion, curvature,
-modified brackets and second covariant derivative that cross-check
-tensoriality live in ``tests/oracle_geometry.py``.
+component formulas are used throughout, the covariant derivative
+(``frame_covariant_derivative``, nabla_u v being u^b (nabla v)^a_b) and the
+second covariant derivative included.  The section-level covariant
+derivative, torsion, curvature, modified brackets and second covariant
+derivative that cross-check tensoriality live in ``tests/oracle_geometry.py``.
 
 Every frame contraction, and every signed sum of them (torsion, curvature,
 nabla t, nonmetricity, the Ricci residual, the Koszul terms), is one
@@ -112,13 +112,6 @@ class EConnection:
 
 
 # -- covariant derivatives ----------------------------------------------------
-
-
-def covariant_derivative_vector(conn, u, v):
-    """(nabla_u v)^a = u^b (nabla v)^a_b, with (nabla v)^a_b = rho(X_b)(v^a) + Gamma^a_{bc} v^c."""
-    A = conn.algebroid
-    nabla_v = frame_covariant_derivative(conn, v)
-    return ETensor(1, 0, A.rank, A.coords, contract("b,ab->a", u.comps, nabla_v.comps))
 
 
 # Index letters of a tensor's slots; b is the new slot, e the summed one.

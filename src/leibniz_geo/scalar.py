@@ -26,11 +26,26 @@ their denominators and build each entry once with ``from_fraction``, which
 cancels once (``_Denominators``).  Values are immutable and hashable; all
 operations are pure.
 Conversion to a sympy expression happens only for display.
+
+A check call (``checks.run_all``, ``checks.run_check``, the only code that
+enters ``normal_form_memo``) memoises normal forms for as long as it runs: a
+cancelled fraction by (coords, numerator, denominator), for
+``from_fraction`` and the block solves of ``linalg``, and the derivative of a
+fraction by (fraction, coordinate).  The checks rebuild objects that are
+equal in value but distinct (on a Levi-Civita pair nabla* = nabla and every
+alpha-connection is nabla), so without it one call cancels the same fraction
+many times; with it, once.  The memo is dropped when the call returns.  It
+is not kept for the process: it would hold fractions of documents no longer
+checked, and a benchmark that checks the same document again would measure
+warm work.  Outside a check call there is no memo and no lookup.  The keys
+hold polynomials, whose hash sympy caches on the object; no code of the
+package changes a polynomial in place.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import gc
 import operator
@@ -99,6 +114,24 @@ def _evaluate(poly, point):
     return total
 
 
+# The normal forms of the check call in progress, keyed (coords, numer, denom)
+# for a cancelled fraction and (frac, i) for the derivative of a fraction;
+# None outside a check call.
+_memo = None
+
+
+@contextlib.contextmanager
+def normal_form_memo():
+    """Memoise normal forms until exit, in a fresh memo; the one in use
+    before, or none, is back on exit, also when an exception leaves."""
+    global _memo
+    outer, _memo = _memo, {}
+    try:
+        yield
+    finally:
+        _memo = outer
+
+
 class ScalarField:
     """An exact rational function of the coordinates, in normal form."""
 
@@ -132,10 +165,31 @@ class ScalarField:
     def from_fraction(cls, numer, denom, coords):
         """numer/denom for polynomials of the ring of Q(coords), cancelled once;
         a denom of None stands for 1 and needs no cancellation."""
-        K = _field(coords)
         if denom is None:
+            K = _field(coords)
             return cls(K.raw_new(numer, K.ring.one), coords, _normalized=True)
-        return cls(K.raw_new(*numer.cancel(denom)), coords)
+        return cls._cancel(numer, denom, coords)
+
+    @classmethod
+    def _cancel(cls, numer, denom, coords):
+        """The normal form of numer/denom, polynomials of the ring of the
+        field Q(coords), which exists: the one gcd cancellation of a fraction
+        that the package asks for (``from_fraction``, the block solves of
+        ``linalg``)."""
+        return cls._memoised(
+            (coords, numer, denom), lambda: cls(_FIELDS[coords].raw_new(*numer.cancel(denom)), coords)
+        )
+
+    @staticmethod
+    def _memoised(key, build):
+        """build(), or inside ``normal_form_memo`` the value built for an
+        equal key before."""
+        if _memo is None:
+            return build()
+        value = _memo.get(key)
+        if value is None:
+            value = _memo[key] = build()
+        return value
 
     # -- normal form ----------------------------------------------------------
 
@@ -289,7 +343,7 @@ class ScalarField:
             # A polynomial's derivative is a polynomial, already in normal form.
             derivative = f.numer.diff(f.field.ring.gens[i - 1])
             return ScalarField(f.raw_new(derivative, f.denom), self.coords, _normalized=True)
-        return ScalarField(f.diff(f.field.gens[i - 1]), self.coords)
+        return self._memoised((f, i), lambda: ScalarField(f.diff(f.field.gens[i - 1]), self.coords))
 
     def eval_at(self, point):
         """Exact value at a rational point; raises PoleAtPoint on a vanishing denominator."""

@@ -3,8 +3,9 @@ reads, no function of the package assigns a local it never reads, every private
 module-level name of the package is read somewhere else in it, the package
 never loads numpy (the tests use it as an oracle only), only
 ``Algebroid.locality_hat`` raises MissingProjector, only ``checks.judge``
-writes a "pass" or "fail" status into a CheckResult, and no function or pair
-keeps an algebroid beside a connection, pair or document that holds it."""
+writes a "pass" or "fail" status into a CheckResult, no function or pair
+keeps an algebroid beside a connection, pair or document that holds it, and
+only ``checks.run_all`` and ``checks.run_check`` enter the normal-form memo."""
 
 import ast
 import dataclasses
@@ -328,3 +329,54 @@ def test_algebroid_scan_finds_a_beside_a_holder_only():
     assert algebroid_beside_holder(source) == [
         (1, "nonmetricity"), (2, "transfer"), (3, "_validate"), (4, "residual")
     ]
+
+
+def memo_entries(source):
+    """(line, function) for each read of the name ``normal_form_memo`` (a call,
+    a reference or an import), named by its innermost enclosing function."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            names = []
+        if "normal_form_memo" in names:
+            found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_a_check_call_enters_the_normal_form_memo():
+    # checks.run_all and checks.run_check memoise for one call; the solves and
+    # every other command run on the un-memoised path.
+    entries = {
+        (path.name, function)
+        for path in sorted((ROOT / "src" / "leibniz_geo").glob("*.py"))
+        for _, function in memo_entries(path.read_text())
+    }
+    assert entries == {("checks.py", None), ("checks.py", "run_check"), ("checks.py", "run_all")}, entries
+
+
+def test_memo_scan_finds_every_kind_of_read():
+    source = (
+        "from .scalar import normal_form_memo\n"
+        "import scalar\n"
+        "def run(doc):\n"
+        "    with normal_form_memo():\n"
+        "        pass\n"
+        "def other():\n"
+        "    return scalar.normal_form_memo\n"
+        "def unrelated(normal_form_memo=None):\n"
+        "    return memo()\n"
+    )
+    assert memo_entries(source) == [(1, None), (4, "run"), (7, "other")]
