@@ -28,21 +28,16 @@ def _domain_matrix(rows):
     domain = QQ if all(e.is_constant for row in nonzero.values() for e in row.values()) else K
     element = (lambda e: e.frac.numer.LC) if domain is QQ else (lambda e: e.frac)
     entries = {i: {j: element(e) for j, e in row.items()} for i, row in nonzero.items() if row}
+    field = K.field
     zero = ScalarField(K.zero, coords, _normalized=True)  # shared by all zeros of a result
     polys = {}  # one object per distinct numerator or denominator of the results
 
-    def lift(x, normal=False):
-        """The ScalarField of a domain element.  ``normal`` marks a block
-        solution, already in normal form: it is not normalised again, and a
-        rational one is built without the cancellation a conversion makes."""
+    def lift(x):
         if not x:
             return zero
-        if normal and domain is QQ:
-            frac = K.field.raw_new(K.field.ring.ground_new(x), K.field.ring.one)
-        else:
-            frac = K.convert_from(x, domain)
-            if not normal:
-                frac = ScalarField._normal_form(frac)
+        # A rational is built as a constant, without the gcd that converting it costs.
+        frac = field.raw_new(field.ring.ground_new(x), field.ring.one) if domain is QQ else K.convert_from(x, domain)
+        frac = ScalarField._normal_form(frac)
         frac = frac.raw_new(*(polys.setdefault(p, p) for p in (frac.numer, frac.denom)))
         return ScalarField(frac, coords, _normalized=True)
 
@@ -69,9 +64,9 @@ def solve(matrix, *rhs):
     n_rows, n_cols = len(matrix), len(matrix[0])
     columns = range(n_cols, n_cols + len(rhs))
     augmented, lift = _domain_matrix([[*row, *(b[i] for b in rhs)] for i, row in enumerate(matrix)])
-    solutions = _solve_blocks(augmented, n_cols, matrix[0][0].coords) if n_rows == n_cols else None
+    solutions = _solve_blocks(augmented, n_cols) if n_rows == n_cols else None
     if solutions is not None:
-        return [[lift(x, normal=True) for x in solution] for solution in solutions]
+        return [[lift(x) for x in solution] for solution in solutions]
     reduced, pivots = augmented.rref()
     reduced, rank = reduced.to_sdm(), sum(p < n_cols for p in pivots)
     for col in columns:
@@ -82,10 +77,10 @@ def solve(matrix, *rhs):
     return [[lift(reduced[r].get(col)) for r in range(n_cols)] for col in columns]
 
 
-def _solve_blocks(augmented, n, coords):
+def _solve_blocks(augmented, n):
     """The solutions of [M | b_1 ... b_k] with M square of size n, block by
-    block, as lists of domain elements in normal form; None when one
-    ``rref`` is to solve the system instead.
+    block, as lists of domain elements; None when one ``rref`` is to solve
+    the system instead.
 
     Solved unknowns move into the right-hand sides of later blocks: a block B
     is solved for b' = b - (the sum of M_jl x_l over solved l), as
@@ -129,11 +124,11 @@ def _solve_blocks(augmented, n, coords):
             ]
             for r, i in enumerate(block):
                 products = [(a, *f) for c, a in adj.get(r, {}).items() for f in rhs[c]]
-                x[i] = _quotient(domain, sums, products, det, scale, coords)
+                x[i] = _quotient(domain, sums, products, det, scale)
     return solutions
 
 
-def _quotient(domain, sums, products, det, scale, coords):
+def _quotient(domain, sums, products, det, scale):
     """scale times the sum of the products, divided by det: the products are
     of nonzero elements, over a fraction field each led by a polynomial, and
     are summed over one common denominator and cancelled once, by
@@ -151,7 +146,7 @@ def _quotient(domain, sums, products, det, scale, coords):
     if summed is None:
         return domain.zero
     numer, denom = summed
-    return ScalarField._cancel(numer * scale, denom, coords).frac
+    return ScalarField._cancel(numer * scale, denom, domain.field)
 
 
 def _adj_det(dm):

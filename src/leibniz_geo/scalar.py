@@ -34,10 +34,11 @@ cancelled fraction by (coords, numerator, denominator), for
 fraction by (fraction, coordinate).  The checks rebuild objects that are
 equal in value but distinct (on a Levi-Civita pair nabla* = nabla and every
 alpha-connection is nabla), so without it one call cancels the same fraction
-many times; with it, once.  The memo is dropped when the call returns.  It
-is not kept for the process: it would hold fractions of documents no longer
-checked, and a benchmark that checks the same document again would measure
-warm work.  Outside a check call there is no memo and no lookup.  The keys
+many times; with it, each distinct one once.  The memo is dropped when the
+call returns.  It is not kept for the process: it would hold fractions of
+documents no longer checked, and a document checked again would reuse them
+where every other derived object is derived again.  Outside a check call
+there is no memo and no lookup.  The keys
 hold polynomials, whose hash sympy caches on the object; no code of the
 package changes a polynomial in place.
 """
@@ -114,9 +115,8 @@ def _evaluate(poly, point):
     return total
 
 
-# The normal forms of the check call in progress, keyed (coords, numer, denom)
-# for a cancelled fraction and (frac, i) for the derivative of a fraction;
-# None outside a check call.
+# The memo of the check call in progress: the reduced fraction of (field,
+# numer, denom) and the derivative of (frac, i); None outside a check call.
 _memo = None
 
 
@@ -165,20 +165,19 @@ class ScalarField:
     def from_fraction(cls, numer, denom, coords):
         """numer/denom for polynomials of the ring of Q(coords), cancelled once;
         a denom of None stands for 1 and needs no cancellation."""
+        K = _field(coords)
         if denom is None:
-            K = _field(coords)
             return cls(K.raw_new(numer, K.ring.one), coords, _normalized=True)
-        return cls._cancel(numer, denom, coords)
+        return cls(cls._cancel(numer, denom, K), coords)
 
-    @classmethod
-    def _cancel(cls, numer, denom, coords):
-        """The normal form of numer/denom, polynomials of the ring of the
-        field Q(coords), which exists: the one gcd cancellation of a fraction
-        that the package asks for (``from_fraction``, the block solves of
-        ``linalg``)."""
-        return cls._memoised(
-            (coords, numer, denom), lambda: cls(_FIELDS[coords].raw_new(*numer.cancel(denom)), coords)
-        )
+    @staticmethod
+    def _cancel(numer, denom, K):
+        """numer/denom in the fraction field K, reduced by the one gcd
+        cancellation of a fraction that the package asks for
+        (``from_fraction``, the block solves of ``linalg``).  The denominator
+        is not made monic: the block solves compute on with sympy's reduced
+        form, whose integer coefficients cost less than the monic one's."""
+        return ScalarField._memoised((K, numer, denom), lambda: K.raw_new(*numer.cancel(denom)))
 
     @staticmethod
     def _memoised(key, build):
