@@ -55,6 +55,7 @@ from .hessian import (
     hessian_structure_check,
     hessian_symmetry_equivalences,
 )
+from .scalar import normal_form_memo
 from .statgeo import (
     ConjugatePair,
     StatisticalStructure,
@@ -68,7 +69,6 @@ from .statgeo import (
     conjugate_connection,
     statistical_solve,
 )
-from .scalar import normal_form_memo
 from .tensor import ComponentSummaries, ETensor, contract_sum
 
 ALPHA_VALUES = (

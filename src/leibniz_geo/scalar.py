@@ -28,19 +28,19 @@ operations are pure.
 Conversion to a sympy expression happens only for display.
 
 A check call (``checks.run_all``, ``checks.run_check``, the only code that
-enters ``normal_form_memo``) memoises normal forms for as long as it runs: a
-cancelled fraction by (coords, numerator, denominator), for
-``from_fraction`` and the block solves of ``linalg``, and the derivative of a
-fraction by (fraction, coordinate).  The checks rebuild objects that are
-equal in value but distinct (on a Levi-Civita pair nabla* = nabla and every
-alpha-connection is nabla), so without it one call cancels the same fraction
-many times; with it, each distinct one once.  The memo is dropped when the
-call returns.  It is not kept for the process: it would hold fractions of
-documents no longer checked, and a document checked again would reuse them
-where every other derived object is derived again.  Outside a check call
-there is no memo and no lookup.  The keys
-hold polynomials, whose hash sympy caches on the object; no code of the
-package changes a polynomial in place.
+enters ``normal_form_memo``) memoises for as long as it runs: the reduced
+fraction of (field, numerator, denominator), which ``from_fraction``
+normalises and the block solves of ``linalg`` compute on with, and the
+derivative of a fraction by (fraction, coordinate).  The checks rebuild
+objects that are equal in value but distinct (on a Levi-Civita pair
+nabla* = nabla and every alpha-connection is nabla), so without it one call
+cancels the same fraction many times; with it, each distinct one once.  The
+memo is dropped when the call returns.  It is not kept for the process: it
+would hold fractions of documents no longer checked, and a document checked
+again would reuse them where every other derived object is derived again.
+Outside a check call there is no memo and no lookup.  The keys hold
+polynomials, whose hash sympy caches on the object; no code of the package
+changes a polynomial in place.
 """
 
 from __future__ import annotations
